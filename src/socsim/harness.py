@@ -11,6 +11,7 @@ fold) so reports are byte-reproducible regardless of scheduling.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gcn import GcnConfig, TrainInputs, TrainingDiverged, evaluate, train
+from .gcn import GcnConfig, TrainInputs, TrainingDiverged, train_folds
 from .graph import SocialGraph
 from .rng import derive_rng, derive_seed
 from .sdna import SimConfig, simulate_snapshots
@@ -266,16 +267,14 @@ def _run_cell_folds(
     fold_cfgs: list[GcnConfig],
 ) -> CellResult:
     rep = GraphRepresentative(matrix=rep_matrix, spec=spec)
-    accs = []
-    for fold, ((train_mask, test_mask), cfg) in enumerate(zip(fold_masks, fold_cfgs)):
-        inputs = TrainInputs(
-            rep=rep, x=x, labels=labels, train_mask=train_mask, test_mask=test_mask
-        )
-        try:
-            model, _ = train(inputs, cfg)
-        except TrainingDiverged as exc:
-            return CellResult((), None, None, failed=True, error=f"fold {fold}: {exc}")
-        accs.append(evaluate(model, inputs))
+    inputs = [
+        TrainInputs(rep=rep, x=x, labels=labels, train_mask=train_mask, test_mask=test_mask)
+        for train_mask, test_mask in fold_masks
+    ]
+    try:
+        accs = train_folds(inputs, fold_cfgs)
+    except TrainingDiverged as exc:
+        return CellResult((), None, None, failed=True, error=f"fold {exc.fold}: {exc}")
     return CellResult(
         tuple(accs), mean=float(np.mean(accs)), std=float(np.std(accs))
     )
@@ -334,7 +333,13 @@ def _best_cell(cells: dict[str, CellResult]) -> str:
 def _worker_budget(plan: ExperimentPlan) -> int:
     env = os.environ.get("SOCSIM_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"SOCSIM_WORKERS must be a positive integer, got {env!r}")
+        return workers
     return max(1, plan.workers)
 
 
@@ -343,54 +348,51 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     cell's representative once, cross-validate every cell on shared folds.
 
     Cell failures are recorded and the run completes.  Independent cells are
-    scheduled onto a process pool when the worker budget exceeds one; output
-    is schedule-independent because every result is keyed and every random
-    draw comes from a derived stream.
+    scheduled onto one process pool for the whole run when the worker budget
+    exceeds one, a snapshot at a time, so only one snapshot's matrices are
+    in flight; output is schedule-independent because every result is keyed
+    and every random draw comes from a derived stream.
     """
     workers = _worker_budget(plan)
+    pooled = workers > 1 and len(plan.cells) > 1
     snapshots: list[SnapshotReport] = []
-    for net in range(plan.networks):
-        sim_cfg = replace(plan.sim, seed=derive_seed(plan.seed, "network", net))
-        for snap_idx, (graph, _) in enumerate(simulate_snapshots(sim_cfg, plan.snapshots)):
-            labels = graph.sdna_of
-            fold_masks = make_folds(
-                labels, plan.folds, derive_seed(plan.seed, "folds", net, snap_idx)
-            )
-            rep_cache: dict[SimilaritySpec, GraphRepresentative] = {}
-            jobs = []
-            for cell in plan.cells:
-                _, spec = parse_cell(cell, plan.gcn)
-                if spec not in rep_cache:
-                    rep_cache[spec] = build_representative(
-                        graph, spec, provenance=f"{net}-{snap_idx}"
+    with (ProcessPoolExecutor(max_workers=workers) if pooled
+          else contextlib.nullcontext()) as pool:
+        for net in range(plan.networks):
+            sim_cfg = replace(plan.sim, seed=derive_seed(plan.seed, "network", net))
+            for snap_idx, (graph, _) in enumerate(simulate_snapshots(sim_cfg, plan.snapshots)):
+                labels = graph.sdna_of
+                fold_masks = make_folds(
+                    labels, plan.folds, derive_seed(plan.seed, "folds", net, snap_idx)
+                )
+                rep_cache: dict[SimilaritySpec, GraphRepresentative] = {}
+                jobs = []
+                for cell in plan.cells:
+                    _, spec = parse_cell(cell, plan.gcn)
+                    if spec not in rep_cache:
+                        rep_cache[spec] = build_representative(
+                            graph, spec, provenance=f"{net}-{snap_idx}"
+                        )
+                    cfgs = _fold_configs(plan.gcn, cell, plan.seed, net, snap_idx, plan.folds)
+                    jobs.append(
+                        (cell, rep_cache[spec].matrix, spec, graph.features, labels,
+                         fold_masks, cfgs)
                     )
-                cfgs = _fold_configs(plan.gcn, cell, plan.seed, net, snap_idx, plan.folds)
-                jobs.append(
-                    (cell, rep_cache[spec].matrix, spec, graph.features, labels,
-                     fold_masks, cfgs)
-                )
 
-            results: dict[str, CellResult] = {}
-            if workers > 1 and len(jobs) > 1:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = {
-                        cell: pool.submit(_run_cell_folds, *args)
-                        for cell, *args in jobs
-                    }
-                    for cell, *_ in jobs:
-                        results[cell] = futures[cell].result()
-            else:
-                for cell, *args in jobs:
-                    results[cell] = _run_cell_folds(*args)
+                if pool is not None:
+                    futures = {cell: pool.submit(_run_cell_folds, *args) for cell, *args in jobs}
+                    results = {cell: futures[cell].result() for cell, *_ in jobs}
+                else:
+                    results = {cell: _run_cell_folds(*args) for cell, *args in jobs}
 
-            snapshots.append(
-                SnapshotReport(
-                    name=f"{net}-{snap_idx}",
-                    cells=results,
-                    best_cell=_best_cell(results),
-                    hypothesis=_snapshot_hypothesis(results),
+                snapshots.append(
+                    SnapshotReport(
+                        name=f"{net}-{snap_idx}",
+                        cells=results,
+                        best_cell=_best_cell(results),
+                        hypothesis=_snapshot_hypothesis(results),
+                    )
                 )
-            )
     return ExperimentReport(plan=plan.to_dict(), snapshots=tuple(snapshots))
 
 

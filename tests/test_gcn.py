@@ -17,6 +17,7 @@ from socsim.gcn import (
     save_model,
     softmax_rows,
     train,
+    train_folds,
 )
 from socsim.graph import SocialGraph
 from socsim.similarity import SimilaritySpec, build_representative
@@ -145,7 +146,7 @@ def test_forward_identity_chain():
     inputs = TrainInputs(rep=rep, x=np.eye(n), labels=g.sdna_of,
                          train_mask=mask, test_mask=~mask)
     probs, cache = forward(model, inputs)
-    assert np.array_equal(cache["preact"][-1], np.eye(n))
+    assert np.array_equal(cache["logits"][0], np.eye(n))
     assert np.allclose(probs, softmax_rows(np.eye(n)))
 
 
@@ -184,7 +185,7 @@ def test_neighbor_averaging_two_nodes():
     inputs = TrainInputs(rep=rep, x=np.eye(2), labels=g.sdna_of,
                          train_mask=mask, test_mask=~mask)
     _, cache = forward(model, inputs)
-    assert np.allclose(cache["preact"][-1], [[0.5, 0.5], [0.5, 0.5]])
+    assert np.allclose(cache["logits"][0], [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_s_at_ones_matches_plain_forward():
@@ -215,6 +216,23 @@ def test_use_s_rejected_for_topology_variants():
         GcnConfig(variant="t", use_s=True)
     with pytest.raises(ValueError):
         GcnConfig(variant="tlr", use_s=True)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epochs", -1),
+    ("learning_rate", -1.0),
+    ("learning_rate", 0.0),
+    ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")),
+])
+def test_config_rejects_bad_training_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        GcnConfig(**{field: value})
+
+
+def test_config_accepts_zero_epochs_and_huge_learning_rate():
+    assert GcnConfig(epochs=0).epochs == 0
+    assert GcnConfig(learning_rate=1e160).learning_rate == 1e160
 
 
 def test_softmax_rows_sum_to_one():
@@ -395,6 +413,51 @@ def test_divergence_reports_epoch_and_norms():
         train(inputs, cfg)
     assert err.value.epoch > 0
     assert err.value.norms
+
+
+def fold_inputs(inputs, k=3):
+    """k folds over the same graph: fold i tests on node i, trains on the rest."""
+    n = inputs.x.shape[0]
+    out = []
+    for fold in range(k):
+        test = np.zeros(n, dtype=bool)
+        test[fold] = True
+        out.append(TrainInputs(rep=inputs.rep, x=inputs.x, labels=inputs.labels,
+                               train_mask=~test, test_mask=test))
+    return out
+
+
+def test_train_folds_matches_train_then_evaluate():
+    folds = fold_inputs(toy_inputs(toy_graph(n=12, seed=6)))
+    cfgs = [small_cfg(layer_units=(8, 8), dropout_p=0.5, epochs=15, seed=s) for s in (4, 5, 6)]
+    alone = [evaluate(train(inputs, cfg)[0], inputs) for inputs, cfg in zip(folds, cfgs)]
+    assert train_folds(folds, cfgs) == alone
+
+
+def test_train_folds_rejects_mismatched_folds():
+    inputs = toy_inputs()
+    folds = fold_inputs(inputs, k=2)
+    with pytest.raises(ValueError):
+        train_folds(folds, [small_cfg(seed=1)])
+    with pytest.raises(ValueError):
+        train_folds(folds, [small_cfg(seed=1), small_cfg(seed=2, epochs=3)])
+    other = TrainInputs(rep=inputs.rep, x=inputs.x + 1.0, labels=inputs.labels,
+                        train_mask=inputs.train_mask, test_mask=inputs.test_mask)
+    with pytest.raises(ValueError):
+        train_folds([folds[0], other], [small_cfg(seed=1), small_cfg(seed=2)])
+
+
+def test_train_folds_empty_masks_rejected():
+    inputs = toy_inputs()
+    empty = np.zeros(inputs.x.shape[0], dtype=bool)
+    no_test = TrainInputs(rep=inputs.rep, x=inputs.x, labels=inputs.labels,
+                          train_mask=inputs.train_mask, test_mask=empty)
+    with pytest.raises(ValueError, match="empty test mask"):
+        train_folds([inputs, no_test], [small_cfg(seed=1), small_cfg(seed=2)])
+    no_train = TrainInputs(rep=inputs.rep, x=inputs.x, labels=inputs.labels,
+                           train_mask=empty, test_mask=inputs.test_mask)
+    with pytest.raises(ValueError, match="empty training mask"):
+        train_folds([inputs, no_train], [small_cfg(seed=1), small_cfg(seed=2)])
 
 
 def test_masks_must_be_disjoint():

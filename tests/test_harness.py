@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from socsim.gcn import GcnConfig
+from socsim import harness
+from socsim.gcn import GcnConfig, TrainInputs, TrainingDiverged, evaluate, train
+from socsim.graph import SocialGraph
 from socsim.harness import (
     CellResult,
     ExperimentPlan,
@@ -16,9 +18,11 @@ from socsim.harness import (
     parse_cell,
     run_cell,
     run_experiment,
+    _fold_configs,
+    _worker_budget,
 )
-from socsim.sdna import SimConfig
-from socsim.similarity import AUTO
+from socsim.sdna import SimConfig, simulate_snapshots
+from socsim.similarity import AUTO, build_representative
 
 
 def tiny_plan(**kw):
@@ -204,11 +208,20 @@ def test_experiment_deterministic_bytes(tmp_path):
 
 
 def test_experiment_parallel_matches_serial(tmp_path, monkeypatch):
-    plan = tiny_plan(cells=("FTvanilla", "F", "T"), snapshots=1)
+    plan = tiny_plan(cells=("FTvanilla", "F", "T"), snapshots=2)
     serial = run_experiment(plan)
+    pools = []
+
+    class CountedPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
     monkeypatch.setenv("SOCSIM_WORKERS", "3")
     parallel = run_experiment(plan)
     monkeypatch.delenv("SOCSIM_WORKERS")
+    assert len(pools) == 1  # one pool serves both snapshots
     emit_report(serial, tmp_path / "serial")
     emit_report(parallel, tmp_path / "parallel")
     assert (tmp_path / "serial/report.json").read_bytes() == (
@@ -272,6 +285,98 @@ def test_failed_cell_recorded():
         result = snap.cells["FTvanilla"]
         assert result.failed and "epoch" in result.error
         assert snap.best_cell == ""
+
+
+# --- fold batching ----------------------------------------------------------------
+
+def train_each_fold_alone(graph, cell, fold_masks, base, plan_seed):
+    """Reference for run_cell: train() then evaluate() on each fold in turn,
+    stopping at the first divergence as the harness reports it."""
+    spec = parse_cell(cell, base)[1]
+    rep = build_representative(graph, spec)
+    accs = []
+    cfgs = _fold_configs(base, cell, plan_seed, 0, 0, len(fold_masks))
+    for fold, ((train_mask, test_mask), cfg) in enumerate(zip(fold_masks, cfgs)):
+        inputs = TrainInputs(rep=rep, x=graph.features, labels=graph.sdna_of,
+                             train_mask=train_mask, test_mask=test_mask)
+        try:
+            model, _ = train(inputs, cfg)
+        except TrainingDiverged as exc:
+            return f"fold {fold}: {exc}"
+        accs.append(evaluate(model, inputs))
+    return accs
+
+
+@pytest.mark.parametrize("cell", ["FTvanilla", "SFTvanilla", "F", "SF", "T", "TLR",
+                                  "FTkatz0.0-0.5"])
+def test_batched_folds_match_training_each_fold_alone(cell):
+    (g, _), = simulate_snapshots(tiny_plan().sim, 1)
+    folds = make_folds(g.sdna_of, 4, seed=2)
+    base = GcnConfig(num_classes=4, epochs=12, dropout_p=0.5)
+    result = run_cell(g, cell, folds, base=base, plan_seed=11)
+    assert not result.failed
+    assert list(result.accuracies) == train_each_fold_alone(g, cell, folds, base, 11)
+
+
+def hot_node_cell(second_hot: float):
+    """Four folds of a features-only cell on a graph whose node 8 has a
+    first feature of 1e150 and node 9 one of ``second_hot``.  Folds 2 and 3
+    train on node 8 and overflow within a few epochs; fold 1 trains on
+    node 9."""
+    n = 10
+    x = np.random.default_rng(4).random((n, 2))
+    x[8, 0] = 1e150
+    x[9, 0] = second_hot
+    g = SocialGraph(n=n, edges=frozenset({(0, 1), (2, 3)}), features=x,
+                    sdna_of=np.arange(n) % 2)
+
+    def mask(rows):
+        m = np.zeros(n, dtype=bool)
+        m[list(rows)] = True
+        return m
+
+    folds = [(mask(range(6)), mask([6, 7, 8])),
+             (mask([0, 1, 2, 3, 4, 5, 9]), mask([6, 7])),
+             (mask([0, 1, 2, 3, 4, 8]), mask([5, 6])),
+             (mask([1, 2, 3, 4, 5, 8]), mask([0, 7]))]
+    base = GcnConfig(num_classes=2, layer_units=(4,), epochs=8, learning_rate=1e100,
+                     dropout_p=0.5)
+    return g, folds, base
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_only_later_folds_diverge():
+    g, folds, base = hot_node_cell(second_hot=0.5)
+    expected = train_each_fold_alone(g, "F", folds, base, 3)
+    assert expected.startswith("fold 2: non-finite loss at epoch ")
+    # fold 3 diverges in the same epoch; the lower index is the one reported
+    result = run_cell(g, "F", folds, base=base, plan_seed=3)
+    assert result.failed and result.error == expected
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_earlier_fold_diverging_later_is_reported():
+    # fold 2 diverges first; fold 1 keeps training and diverges epochs later,
+    # so training the folds in order reports fold 1
+    g, folds, base = hot_node_cell(second_hot=1e120)
+    expected = train_each_fold_alone(g, "F", folds, base, 3)
+    assert expected.startswith("fold 1: ")
+    result = run_cell(g, "F", folds, base=base, plan_seed=3)
+    assert result.failed and result.error == expected
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
+def test_worker_budget_rejects_bad_env(monkeypatch, value):
+    monkeypatch.setenv("SOCSIM_WORKERS", value)
+    with pytest.raises(ValueError, match=f"SOCSIM_WORKERS.*{value}"):
+        _worker_budget(tiny_plan())
+
+
+def test_worker_budget_reads_env(monkeypatch):
+    monkeypatch.setenv("SOCSIM_WORKERS", "3")
+    assert _worker_budget(tiny_plan()) == 3
+    monkeypatch.delenv("SOCSIM_WORKERS")
+    assert _worker_budget(tiny_plan(workers=2)) == 2
 
 
 def test_plan_json_round_trip(tmp_path):
