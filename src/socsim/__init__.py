@@ -1,7 +1,6 @@
 """socsim: preference-driven social network simulation and GCN evaluation."""
 
 from .graph import (
-    PairUniverse,
     SocialGraph,
     degree,
     load_graph_dir,
@@ -11,7 +10,6 @@ from .graph import (
     unconnected_pairs,
 )
 from .sdna import (
-    ScoredPair,
     Sdna,
     SimConfig,
     emit_event_stream,

@@ -69,6 +69,9 @@ class TrainingDiverged(RuntimeError):
         self.norms = norms
         self.fold = fold
 
+    def __reduce__(self):
+        return TrainingDiverged, (self.epoch, self.norms, self.fold)
+
 
 @dataclass(frozen=True)
 class GcnConfig:

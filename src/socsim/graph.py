@@ -2,32 +2,45 @@
 
 The graph value is immutable once built: the simulator produces successive
 snapshots as new instances, and everything downstream (scoring, similarity
-matrices, training) only reads.  Adjacency is kept both as an edge set and as
-a cached dense matrix view; the dense form is what the similarity and
-convolution code consume.
+matrices, training) only reads.  Edges are stored once, as a canonical
+read-only ``(m, 2)`` int64 array (rows ``i < j``, unique, lexicographically
+sorted); the dense adjacency matrix the similarity and convolution code
+consume is a cached view derived from it.
 """
 
 from __future__ import annotations
 
-import csv
+import io
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-Edge = tuple[int, int]
 
-
-def normalize_edges(edges) -> frozenset[Edge]:
-    """Canonicalize an edge iterable to a frozenset of (i, j) with i < j."""
-    out = set()
-    for i, j in edges:
-        i, j = int(i), int(j)
-        if i == j:
-            raise ValueError(f"self-loop on node {i}")
-        out.add((i, j) if i < j else (j, i))
-    return frozenset(out)
+def normalize_edges(edges, n: int) -> np.ndarray:
+    """Canonicalize an (m, 2) array or iterable of node pairs to a read-only
+    (m, 2) int64 array of unique rows i < j in lexicographic order.  Raises
+    ``ValueError`` on a self-loop or a node id outside 0..n-1."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    arr = np.asarray(edges, dtype=np.int64)
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"edges must be node pairs, got an array of shape {arr.shape}")
+    loops = arr[:, 0] == arr[:, 1]
+    if loops.any():
+        raise ValueError(f"self-loop on node {arr[loops][0, 0]}")
+    outside = (arr < 0) | (arr >= n)
+    if outside.any():
+        i, j = arr[outside.any(axis=1)][0]
+        raise ValueError(f"edge ({i},{j}) out of range for n={n}")
+    lo, hi = arr.min(axis=1), arr.max(axis=1)
+    keys = np.unique(lo * n + hi)
+    out = np.column_stack([keys // n, keys % n])
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +48,8 @@ class SocialGraph:
     """Snapshot of a simulated social network.
 
     n               number of nodes (ids 0..n-1)
-    edges           unordered node pairs, stored as (i, j) with i < j
+    edges           canonical (m, 2) int64 edge array (see normalize_edges);
+                    built from any array or iterable of node pairs
     features        (n, f) real feature matrix, one row per node
     sdna_of         (n,) id of the preference record each node subscribes to;
                     doubles as the node's class label
@@ -43,22 +57,19 @@ class SocialGraph:
     """
 
     n: int
-    edges: frozenset[Edge]
+    edges: np.ndarray
     features: np.ndarray
     sdna_of: np.ndarray
     snapshot_index: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", normalize_edges(self.edges))
+        object.__setattr__(self, "edges", normalize_edges(self.edges, self.n))
         features = np.asarray(self.features, dtype=np.float64)
         sdna_of = np.asarray(self.sdna_of, dtype=np.int64)
         if features.ndim != 2 or features.shape[0] != self.n:
             raise ValueError(f"features must be ({self.n}, f), got {features.shape}")
         if sdna_of.shape != (self.n,):
             raise ValueError(f"sdna_of must have length {self.n}")
-        for i, j in self.edges:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "sdna_of", sdna_of)
 
@@ -70,48 +81,23 @@ class SocialGraph:
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix, float64."""
         a = np.zeros((self.n, self.n), dtype=np.float64)
-        if self.edges:
-            idx = np.array(sorted(self.edges), dtype=np.int64)
-            a[idx[:, 0], idx[:, 1]] = 1.0
-            a[idx[:, 1], idx[:, 0]] = 1.0
+        i, j = self.edges.T
+        a[i, j] = 1.0
+        a[j, i] = 1.0
         return a
 
     @cached_property
     def degrees(self) -> np.ndarray:
         """(n,) integer degree of every node."""
-        deg = np.zeros(self.n, dtype=np.int64)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def with_edges(self, new_edges, snapshot_index: int | None = None) -> "SocialGraph":
         """Copy of this graph with extra edges (features and labels shared)."""
-        merged = set(self.edges)
-        merged.update(normalize_edges(new_edges))
         return replace(
             self,
-            edges=frozenset(merged),
+            edges=np.concatenate([self.edges, normalize_edges(new_edges, self.n)]),
             snapshot_index=self.snapshot_index if snapshot_index is None else snapshot_index,
         )
-
-
-@dataclass(frozen=True, eq=False)
-class PairUniverse:
-    """All unordered node pairs not currently connected, in lexicographic order."""
-
-    pairs: np.ndarray  # (m, 2) int64, row-major lexicographic
-
-    def __len__(self) -> int:
-        return self.pairs.shape[0]
-
-    def __iter__(self):
-        for i, j in self.pairs:
-            yield (int(i), int(j))
-
-    def __getitem__(self, k) -> Edge:
-        i, j = self.pairs[k]
-        return (int(i), int(j))
 
 
 def degree(g: SocialGraph, i: int) -> int:
@@ -149,7 +135,7 @@ def path_exists(g: SocialGraph, i: int, j: int, length: int) -> bool:
     if length < 1:
         raise ValueError("length must be >= 1")
     if length == 1:
-        return ((i, j) if i < j else (j, i)) in g.edges
+        return bool(g.adjacency[i, j])
     return bool(walk_indicators(g, length)[length - 2][i, j])
 
 
@@ -177,13 +163,12 @@ def shortest_path_matrix(g: SocialGraph) -> np.ndarray:
     return sp
 
 
-def unconnected_pairs(g: SocialGraph) -> PairUniverse:
-    """Every (i, j), i < j, that is not an edge, ordered lexicographically."""
+def unconnected_pairs(g: SocialGraph) -> np.ndarray:
+    """(m, 2) int64 array of every (i, j), i < j, that is not an edge, in
+    lexicographic order."""
     iu, ju = np.triu_indices(g.n, k=1)
-    if g.edges:
-        connected = g.adjacency[iu, ju] > 0
-        iu, ju = iu[~connected], ju[~connected]
-    return PairUniverse(pairs=np.column_stack([iu, ju]).astype(np.int64))
+    open_ = g.adjacency[iu, ju] == 0
+    return np.column_stack([iu[open_], ju[open_]]).astype(np.int64, copy=False)
 
 
 def save_graph_dir(g: SocialGraph, path: str | Path) -> None:
@@ -195,37 +180,46 @@ def save_graph_dir(g: SocialGraph, path: str | Path) -> None:
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    with open(path / "edges.tsv", "w", newline="") as fh:
-        for i, j in sorted(g.edges):
-            fh.write(f"{i}\t{j}\n")
+    np.savetxt(path / "edges.tsv", g.edges, fmt="%d", delimiter="\t")
     # %.17g round-trips float64 exactly
     np.savetxt(path / "features.csv", g.features, fmt="%.17g", delimiter=",")
-    with open(path / "labels.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for node, sid in enumerate(g.sdna_of):
-            writer.writerow([node, int(sid)])
+    labels = np.column_stack([np.arange(g.n), g.sdna_of])
+    np.savetxt(path / "labels.csv", labels, fmt="%d", delimiter=",", newline="\r\n")
+
+
+def _read_int_pairs(path: Path, delimiter: str, what: str) -> np.ndarray:
+    """(rows, 2) int64 array from a headerless two-column integer file."""
+    text = path.read_text()
+    if not text.strip():
+        return np.zeros((0, 2), dtype=np.int64)
+    try:
+        rows = np.loadtxt(io.StringIO(text), dtype=np.int64, delimiter=delimiter, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: every row must be {what}: {exc}") from exc
+    if rows.shape[1] != 2:
+        raise ValueError(f"{path}: every row must be {what}, got {rows.shape[1]} columns")
+    return rows
 
 
 def load_graph_dir(path: str | Path, snapshot_index: int = 0) -> SocialGraph:
-    """Read a graph directory written by :func:`save_graph_dir`."""
+    """Read a graph directory written by :func:`save_graph_dir`; raises
+    ``ValueError`` unless labels.csv names every node 0..n-1 exactly once
+    and every edges.tsv row is two tab-separated integers."""
     path = Path(path)
     features = np.loadtxt(path / "features.csv", delimiter=",", ndmin=2)
     n = features.shape[0]
-    sdna_of = np.zeros(n, dtype=np.int64)
-    with open(path / "labels.csv", newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                sdna_of[int(row[0])] = int(row[1])
-    edges = []
+    labels = _read_int_pairs(path / "labels.csv", ",", "two comma-separated integers")
+    nodes = labels[:, 0]
+    counts = np.bincount(nodes[(nodes >= 0) & (nodes < n)], minlength=n)
+    if len(nodes) != n or np.any(counts != 1):
+        raise ValueError(
+            f"{path / 'labels.csv'}: must name every node 0..{n - 1} exactly once, got "
+            f"{len(nodes)} rows; unlabelled nodes {np.flatnonzero(counts == 0)[:5].tolist()}"
+        )
+    sdna_of = np.empty(n, dtype=np.int64)
+    sdna_of[nodes] = labels[:, 1]
     edges_file = path / "edges.tsv"
-    if edges_file.exists():
-        with open(edges_file) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    i, j = line.split("\t")
-                    edges.append((int(i), int(j)))
-    return SocialGraph(
-        n=n, edges=frozenset(normalize_edges(edges)), features=features,
-        sdna_of=sdna_of, snapshot_index=snapshot_index,
-    )
+    edges = (_read_int_pairs(edges_file, "\t", "two tab-separated integers")
+             if edges_file.exists() else [])
+    return SocialGraph(n=n, edges=edges, features=features, sdna_of=sdna_of,
+                       snapshot_index=snapshot_index)

@@ -122,10 +122,13 @@ class ExperimentPlan:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentPlan":
         d = dict(d)
-        d["sim"] = SimConfig(**d.get("sim", {}))
-        d["gcn"] = GcnConfig.from_dict(d.get("gcn", {})) if "gcn" in d else GcnConfig()
-        d["cells"] = tuple(d.get("cells", default_model_grid(include_s=False)))
-        return cls(**d)
+        try:
+            d["sim"] = SimConfig(**d.get("sim", {}))
+            d["gcn"] = GcnConfig.from_dict(d.get("gcn", {}))
+            d["cells"] = tuple(d.get("cells", default_model_grid(include_s=False)))
+            return cls(**d)
+        except TypeError as exc:
+            raise ValueError(f"bad experiment plan: {exc}") from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentPlan":

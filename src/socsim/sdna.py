@@ -116,6 +116,8 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "c", tuple(float(x) for x in self.c))
+        if self.n < 1 or self.y < 1:
+            raise ValueError("n and y must be at least 1")
         if self.y > self.n:
             raise ValueError("y must not exceed n")
         if self.q < 2:
@@ -140,13 +142,6 @@ class SimConfig:
     @classmethod
     def load(cls, path: str | Path) -> "SimConfig":
         return cls.from_json(Path(path).read_text())
-
-
-@dataclass(frozen=True)
-class ScoredPair:
-    i: int
-    j: int
-    score: float
 
 
 def _stratified_walk_weights(q: int, rng: np.random.Generator) -> np.ndarray:
@@ -179,7 +174,7 @@ def generate_population(cfg: SimConfig) -> tuple[SocialGraph, list[Sdna]]:
         sdna_of = np.arange(cfg.n) // block
     else:
         sdna_of = np.arange(cfg.n) % cfg.y
-    graph = SocialGraph(n=cfg.n, edges=frozenset(), features=features, sdna_of=sdna_of)
+    graph = SocialGraph(n=cfg.n, edges=[], features=features, sdna_of=sdna_of)
     return graph, sdnas
 
 
@@ -258,7 +253,7 @@ def _score_pair_block(
     delta = deg[jj] * attach[sid[ii]] + deg[ii] * attach[sid[jj]]
 
     scores = phi + cfg.r * delta
-    if g.edges:
+    if len(g.edges):
         indicators = walk_indicators(g, cfg.q)
         for x in range(2, cfg.q + 1):
             hit = indicators[x - 2][ii, jj]
@@ -274,7 +269,7 @@ def socialise(
     cfg: SimConfig,
     rng: np.random.Generator | None = None,
     stopping_len: int | None = None,
-) -> tuple[SocialGraph, list[ScoredPair]]:
+) -> tuple[SocialGraph, np.recarray]:
     """One link-formation round.
 
     Every still-unconnected pair is scored with probability p (selection
@@ -284,14 +279,17 @@ def socialise(
     edges.  Degrees and walk indicators are frozen for the whole round, so
     connection order cannot feed back into scores.
 
-    Returns the grown graph and the sorted scored list for audit.
+    Returns the grown graph and the audit: a record array with one row per
+    scored pair, in rank order (best first), with fields ``i`` and ``j``
+    (the pair, i < j, int64) and ``score`` (its pair score, float64).  The
+    first ``min(stopping_len, len(audit))`` rows are the pairs connected.
     ``stopping_len`` overrides the t-derived cutoff (the event-stream mode
     forces it to 1).
     """
     if rng is None:
         rng = derive_rng(cfg.seed, "socialise")
     universe = unconnected_pairs(g)
-    selected = universe.pairs[rng.random(len(universe)) < cfg.p]
+    selected = universe[rng.random(len(universe)) < cfg.p]
     scores = _score_pair_block(g, sdnas, cfg, selected)
     if not np.all(np.isfinite(scores)):
         raise FloatingPointError("non-finite pair score")
@@ -303,11 +301,8 @@ def socialise(
     ranked_scores = scores[order]
 
     n_connect = min(stopping_len, len(ranked))
-    grown = g.with_edges((int(i), int(j)) for i, j in ranked[:n_connect])
-    audit = [
-        ScoredPair(int(i), int(j), float(s))
-        for (i, j), s in zip(ranked, ranked_scores)
-    ]
+    grown = g.with_edges(ranked[:n_connect])
+    audit = np.rec.fromarrays((ranked[:, 0], ranked[:, 1], ranked_scores), names="i,j,score")
     return grown, audit
 
 
@@ -387,7 +382,7 @@ def emit_event_stream(cfg: SimConfig, events: int) -> list[tuple[int, tuple[int,
     graph, sdnas = generate_population(cfg)
     stream: list[tuple[int, tuple[int, int]]] = []
     for round_idx in range(events):
-        if len(unconnected_pairs(graph)) == 0:
+        if len(graph.edges) == cfg.n * (cfg.n - 1) // 2:
             break
         connected = None
         for attempt in range(_EVENT_MAX_RETRIES):
@@ -396,8 +391,8 @@ def emit_event_stream(cfg: SimConfig, events: int) -> list[tuple[int, tuple[int,
                 derive_rng(cfg.seed, "events", round_idx, attempt),
                 stopping_len=1,
             )
-            if audit:
-                connected = (audit[0].i, audit[0].j)
+            if len(audit):
+                connected = (int(audit.i[0]), int(audit.j[0]))
                 graph = grown
                 break
         if connected is None:

@@ -105,32 +105,10 @@ def rpr_matrix(g: SocialGraph, alpha: float) -> np.ndarray:
     return alpha * np.linalg.inv(np.eye(g.n) - (1.0 - alpha) * trans)
 
 
-def gg_matrix(g: SocialGraph) -> np.ndarray:
-    """Gravity-style similarity: degree product over squared shortest-path
-    length for every unconnected reachable pair, min-max normalized to [0,1]
-    and added onto the adjacency matrix.  Existing edges therefore sit at
-    exactly 1; unreachable pairs and the diagonal stay 0."""
-    a = g.adjacency
-    sp = shortest_path_matrix(g)
-    deg = g.degrees.astype(np.float64)
-    scorable = np.isfinite(sp) & (a == 0)
-    np.fill_diagonal(scorable, False)
-    out = a.copy()
-    if scorable.any():
-        raw = np.zeros_like(a)
-        raw[scorable] = (deg[:, None] * deg[None, :])[scorable] / sp[scorable] ** 2
-        lo, hi = raw[scorable].min(), raw[scorable].max()
-        if hi > lo:
-            out[scorable] = (raw[scorable] - lo) / (hi - lo)
-        else:
-            # single distinct score: treat it as the maximum
-            out[scorable] = 1.0
-    return out
-
-
 def raw_gravity_scores(g: SocialGraph) -> np.ndarray:
-    """Pre-normalization gravity scores (0 where not applicable); exposed for
-    verification against the per-pair formula."""
+    """Pre-normalization gravity scores: degree product over squared
+    shortest-path length for every unconnected reachable pair, 0 elsewhere.
+    Exposed for verification against the per-pair formula."""
     sp = shortest_path_matrix(g)
     deg = g.degrees.astype(np.float64)
     scorable = np.isfinite(sp) & (g.adjacency == 0)
@@ -138,6 +116,23 @@ def raw_gravity_scores(g: SocialGraph) -> np.ndarray:
     raw = np.zeros((g.n, g.n))
     raw[scorable] = (deg[:, None] * deg[None, :])[scorable] / sp[scorable] ** 2
     return raw
+
+
+def gg_matrix(g: SocialGraph) -> np.ndarray:
+    """Gravity scores (:func:`raw_gravity_scores`) min-max normalized to
+    [0, 1] and added onto the adjacency matrix.  Existing edges therefore sit
+    at exactly 1; unreachable pairs and the diagonal stay 0."""
+    raw = raw_gravity_scores(g)
+    scorable = raw > 0  # a reachable non-adjacent pair has both degrees >= 1
+    out = g.adjacency.copy()
+    if scorable.any():
+        lo, hi = raw[scorable].min(), raw[scorable].max()
+        if hi > lo:
+            out[scorable] = (raw[scorable] - lo) / (hi - lo)
+        else:
+            # single distinct score: treat it as the maximum
+            out[scorable] = 1.0
+    return out
 
 
 def l2_row_normalize(matrix: np.ndarray) -> np.ndarray:
@@ -211,13 +206,14 @@ def save_representative(rep: GraphRepresentative, path: str | Path) -> None:
 
 
 def load_representative_matrix(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a representative file (bad magic {magic!r})")
-        (n,) = struct.unpack("<I", fh.read(4))
-        data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")
-    return data.reshape(n, n).astype(np.float64)
+    data = Path(path).read_bytes()
+    if data[:4] != _MAGIC:
+        raise ValueError(f"{path}: not a representative file (bad magic {data[:4]!r})")
+    n = struct.unpack("<I", data[4:8])[0] if len(data) >= 8 else 0
+    if len(data) != 8 + 8 * n * n:
+        raise ValueError(f"{path}: representative file for n={n} must be {8 + 8 * n * n} "
+                         f"bytes, got {len(data)}")
+    return np.frombuffer(data, dtype="<f8", offset=8).reshape(n, n).astype(np.float64)
 
 
 def save_representative_csv(rep: GraphRepresentative, path: str | Path) -> None:

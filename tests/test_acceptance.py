@@ -43,6 +43,8 @@ from socsim.similarity import (
     rpr_matrix,
 )
 
+pytestmark = pytest.mark.acceptance
+
 SIMILARITY_MARKERS = ("katz", "rpr", "gg")
 
 
@@ -184,7 +186,7 @@ def test_criterion_4_score_algebra():
                         r=float(case % 5) / 4, c=(1.0, 0.5), z=0.0, seed=seed)
         g0, sdnas = generate_population(cfg)
         rng = derive_rng(seed, "edges")
-        extra = [tuple(p) for p in unconnected_pairs(g0).pairs[rng.random(15) < 0.35]]
+        extra = unconnected_pairs(g0)[rng.random(15) < 0.35]
         g = g0.with_edges(extra)
         i, j = (0, 1) if case % 2 else (2, 5)
         # exact symmetry

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -413,6 +415,16 @@ def test_divergence_reports_epoch_and_norms():
         train(inputs, cfg)
     assert err.value.epoch > 0
     assert err.value.norms
+
+
+def test_training_diverged_pickles():
+    exc = TrainingDiverged(3, {"kernel0": float("inf"), "kernel1": 2.5}, fold=2)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is TrainingDiverged
+    assert back.epoch == 3
+    assert back.norms == exc.norms
+    assert back.fold == 2
+    assert str(back) == str(exc)
 
 
 def fold_inputs(inputs, k=3):

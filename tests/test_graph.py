@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from socsim.graph import (
-    PairUniverse,
     SocialGraph,
     degree,
     load_graph_dir,
@@ -18,7 +17,7 @@ from socsim.graph import (
 def make_graph(n, edges, f=2):
     rng = np.random.default_rng(0)
     return SocialGraph(
-        n=n, edges=frozenset(edges), features=rng.random((n, f)),
+        n=n, edges=edges, features=rng.random((n, f)),
         sdna_of=np.zeros(n, dtype=np.int64),
     )
 
@@ -48,11 +47,32 @@ def test_degree_out_of_range():
 def test_no_self_loops():
     with pytest.raises(ValueError):
         make_graph(3, [(1, 1)])
+    with pytest.raises(ValueError, match="self-loop on node 2"):
+        make_graph(4, np.array([[0, 1], [2, 2]]))
 
 
 def test_duplicate_and_reversed_edges_collapse():
-    g = make_graph(3, [(0, 1), (1, 0), (0, 1)])
-    assert g.edges == frozenset({(0, 1)})
+    pairs = [(2, 3), (0, 1), (1, 0), (0, 1), (3, 2)]
+    g = make_graph(4, np.array(pairs))
+    assert g.edges.dtype == np.int64
+    assert g.edges.tolist() == [[0, 1], [2, 3]]
+    assert not g.edges.flags.writeable
+    with pytest.raises(ValueError):
+        g.edges[0, 0] = 1
+    assert np.array_equal(make_graph(4, pairs).edges, g.edges)
+    assert np.array_equal(make_graph(4, frozenset(pairs)).edges, g.edges)
+    assert make_graph(4, []).edges.shape == (0, 2)
+
+
+def test_with_edges_merges_into_canonical_array():
+    g = make_graph(5, [(0, 1), (3, 4)])
+    grown = g.with_edges(np.array([[2, 1], [1, 0], [4, 3], [0, 4]]), snapshot_index=3)
+    assert grown.edges.tolist() == [[0, 1], [0, 4], [1, 2], [3, 4]]
+    assert not grown.edges.flags.writeable
+    assert grown.snapshot_index == 3
+    assert g.edges.tolist() == [[0, 1], [3, 4]]
+    assert grown.degrees.tolist() == [2, 2, 1, 1, 2]
+    assert grown.features is g.features
 
 
 def test_path_exists_path_graph():
@@ -130,13 +150,15 @@ def test_shortest_paths_match_floyd_warshall():
 
 
 def test_unconnected_pairs_ordering_and_counts():
-    g = make_graph(3, [])
-    assert list(unconnected_pairs(g)) == [(0, 1), (0, 2), (1, 2)]
-    assert len(unconnected_pairs(make_graph(3, TRIANGLE))) == 0
+    universe = unconnected_pairs(make_graph(3, []))
+    assert universe.dtype == np.int64
+    assert universe.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert universe[1].tolist() == [0, 2]
+    assert unconnected_pairs(make_graph(3, TRIANGLE)).shape == (0, 2)
     g = make_graph(4, [(0, 1)])
     universe = unconnected_pairs(g)
     assert len(universe) == 5
-    assert (0, 1) not in set(universe)
+    assert [0, 1] not in universe.tolist()
 
 
 def test_unconnected_pairs_complement_identity():
@@ -148,22 +170,16 @@ def test_unconnected_pairs_complement_identity():
         assert len(unconnected_pairs(g)) + len(g.edges) == n * (n - 1) // 2
 
 
-def test_pair_universe_indexing():
-    universe = unconnected_pairs(make_graph(3, []))
-    assert isinstance(universe, PairUniverse)
-    assert universe[1] == (0, 2)
-
-
 def test_graph_dir_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     g = SocialGraph(
-        n=5, edges=frozenset({(0, 1), (2, 4)}), features=rng.random((5, 3)),
+        n=5, edges=[(0, 1), (2, 4)], features=rng.random((5, 3)),
         sdna_of=np.array([0, 0, 1, 1, 2]), snapshot_index=2,
     )
     save_graph_dir(g, tmp_path / "snap")
     back = load_graph_dir(tmp_path / "snap", snapshot_index=2)
     assert back.n == g.n
-    assert back.edges == g.edges
+    assert np.array_equal(back.edges, g.edges)
     assert np.array_equal(back.features, g.features)
     assert np.array_equal(back.sdna_of, g.sdna_of)
     assert back.snapshot_index == 2
@@ -171,8 +187,42 @@ def test_graph_dir_round_trip(tmp_path):
 
 def test_features_shape_validated():
     with pytest.raises(ValueError):
-        SocialGraph(n=3, edges=frozenset(), features=np.zeros((2, 2)),
+        SocialGraph(n=3, edges=[], features=np.zeros((2, 2)),
                     sdna_of=np.zeros(3, dtype=np.int64))
-    with pytest.raises(ValueError):
-        SocialGraph(n=3, edges=frozenset({(0, 5)}), features=np.zeros((3, 2)),
-                    sdna_of=np.zeros(3, dtype=np.int64))
+    for bad, message in [([(0, 5)], "out of range"), ([(-1, 2)], "out of range"),
+                         (np.array([[0, 1, 2]]), "node pairs")]:
+        with pytest.raises(ValueError, match=message):
+            SocialGraph(n=3, edges=bad, features=np.zeros((3, 2)),
+                        sdna_of=np.zeros(3, dtype=np.int64))
+
+
+def test_graph_dir_file_format(tmp_path):
+    g = SocialGraph(n=3, edges=[(2, 0), (0, 1)], features=np.zeros((3, 1)),
+                    sdna_of=np.array([4, 0, 7]))
+    save_graph_dir(g, tmp_path / "snap")
+    assert (tmp_path / "snap" / "edges.tsv").read_text() == "0\t1\n0\t2\n"
+    assert (tmp_path / "snap" / "labels.csv").read_bytes() == b"0,4\r\n1,0\r\n2,7\r\n"
+    save_graph_dir(make_graph(3, []), tmp_path / "empty")
+    assert (tmp_path / "empty" / "edges.tsv").read_text() == ""
+    assert load_graph_dir(tmp_path / "empty").edges.shape == (0, 2)
+
+
+@pytest.mark.parametrize("labels", [
+    "0,1\n2,1\n",             # node 1 missing
+    "0,1\n1,1\n1,0\n",        # node 1 twice, node 2 missing
+    "0,1\n1,1\n2,1\n3,0\n",   # node 3 does not exist
+    "",                       # no labels at all
+])
+def test_load_graph_dir_rejects_incomplete_labels(tmp_path, labels):
+    save_graph_dir(make_graph(3, [(0, 1)]), tmp_path / "snap")
+    (tmp_path / "snap" / "labels.csv").write_text(labels)
+    with pytest.raises(ValueError, match="labels.csv: must name every node 0..2 exactly once"):
+        load_graph_dir(tmp_path / "snap")
+
+
+@pytest.mark.parametrize("edges", ["0\t1\n1\tx\n", "0\t1\n2\n", "0\t1\t2\n", "0 1\n"])
+def test_load_graph_dir_rejects_malformed_edge_rows(tmp_path, edges):
+    save_graph_dir(make_graph(3, []), tmp_path / "snap")
+    (tmp_path / "snap" / "edges.tsv").write_text(edges)
+    with pytest.raises(ValueError, match="edges.tsv: every row must be two tab-separated integers"):
+        load_graph_dir(tmp_path / "snap")

@@ -393,3 +393,11 @@ def test_plan_validation():
         tiny_plan(folds=1)
     with pytest.raises(ValueError):
         tiny_plan(cells=("NOPE",))
+
+
+@pytest.mark.parametrize("section, key", [(None, "fold"), ("sim", "nodes"), ("gcn", "lr")])
+def test_plan_from_dict_names_unknown_key(section, key):
+    d = tiny_plan().to_dict()
+    (d if section is None else d[section])[key] = 1
+    with pytest.raises(ValueError, match=f"bad experiment plan: .*'{key}'"):
+        ExperimentPlan.from_dict(d)

@@ -7,7 +7,6 @@ import socsim
 from socsim.graph import SocialGraph, unconnected_pairs
 from socsim.rng import derive_rng
 from socsim.sdna import (
-    ScoredPair,
     Sdna,
     SimConfig,
     emit_event_stream,
@@ -32,7 +31,7 @@ def small_cfg(**kw):
 
 
 def make_graph(n, edges, features, sdna_of):
-    return SocialGraph(n=n, edges=frozenset(edges),
+    return SocialGraph(n=n, edges=edges,
                        features=np.asarray(features, dtype=float),
                        sdna_of=np.asarray(sdna_of))
 
@@ -78,6 +77,17 @@ def test_sdna_invariants_enforced():
         Sdna(id=0, w=[0.5], l=[0.0], d=0.5, k=[0.9])
     with pytest.raises(ValueError):
         Sdna(id=0, w=[0.5], l=[1.0], d=0.5, k=[0.4, 0.6])
+
+
+@pytest.mark.parametrize("kw", [dict(n=0, y=0), dict(n=-3, y=1), dict(y=0), dict(y=-1)])
+def test_sim_config_rejects_empty_population(kw):
+    with pytest.raises(ValueError, match="n and y must be at least 1"):
+        small_cfg(**kw)
+
+
+def test_sim_config_from_json_names_unknown_key():
+    with pytest.raises(ValueError, match="unexpected keyword argument 'nodes'"):
+        SimConfig.from_json('{"nodes": 5}')
 
 
 # --- component scores -----------------------------------------------------
@@ -160,7 +170,7 @@ def test_pair_score_symmetric(seed):
     cfg = small_cfg(n=6, y=3, seed=seed)
     g0, sdnas = generate_population(cfg)
     rng = derive_rng(seed, "edges")
-    extra = [tuple(p) for p in unconnected_pairs(g0).pairs[rng.random(15) < 0.4]]
+    extra = unconnected_pairs(g0)[rng.random(15) < 0.4]
     g = g0.with_edges(extra)
     for i, j in [(0, 1), (2, 5), (1, 4)]:
         assert pair_score(i, j, g, sdnas, cfg) == pair_score(j, i, g, sdnas, cfg)
@@ -203,13 +213,20 @@ def test_socialise_connect_count():
 def test_socialise_scores_sorted_and_audited():
     cfg = small_cfg(n=10, p=0.7, t=0.1)
     g, sdnas = generate_population(cfg)
-    _, audit = socialise(g, sdnas, cfg)
-    scores = [sp.score for sp in audit]
+    grown, audit = socialise(g, sdnas, cfg)
+    assert audit.dtype.names == ("i", "j", "score")
+    assert audit.i.dtype == np.int64 and audit.score.dtype == np.float64
+    assert len(audit) > 0
+    scores = audit.score.tolist()
     assert scores == sorted(scores, reverse=True)
-    for sp in audit:
-        assert isinstance(sp, ScoredPair)
-        assert sp.i < sp.j
-        assert sp.score == pytest.approx(pair_score(sp.i, sp.j, g, sdnas, cfg), rel=1e-9)
+    assert np.all(audit.i < audit.j)
+    for i, j, score in audit.tolist():
+        assert score == pytest.approx(pair_score(i, j, g, sdnas, cfg), rel=1e-9)
+    # the connected pairs are the audit's head
+    n_connect = len(grown.edges)
+    assert n_connect > 0
+    head = np.column_stack([audit.i[:n_connect], audit.j[:n_connect]])
+    assert np.array_equal(grown.edges, np.unique(head, axis=0))
 
 
 def test_socialise_deterministic():
@@ -217,8 +234,8 @@ def test_socialise_deterministic():
     g, sdnas = generate_population(cfg)
     g1, a1 = socialise(g, sdnas, cfg)
     g2, a2 = socialise(g, sdnas, cfg)
-    assert g1.edges == g2.edges
-    assert a1 == a2
+    assert np.array_equal(g1.edges, g2.edges)
+    assert np.array_equal(a1, a2)
 
 
 def test_socialise_snapshot_index_unchanged():
@@ -294,7 +311,7 @@ def test_run_dynamic_monotone_growth():
     cfg = small_cfg(n=14, t=0.1, z=0.4)
     snaps = run_dynamic(cfg, 4)
     for earlier, later in zip(snaps, snaps[1:]):
-        assert earlier.edges <= later.edges
+        assert np.all(later.adjacency[earlier.edges[:, 0], earlier.edges[:, 1]] == 1)
         assert np.array_equal(earlier.features, later.features)
     assert [s.snapshot_index for s in snaps] == [0, 1, 2, 3]
 

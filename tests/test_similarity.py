@@ -284,3 +284,20 @@ def test_representative_file_bad_magic(tmp_path):
     bad.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError):
         load_representative_matrix(bad)
+
+
+def test_representative_file_truncated(tmp_path):
+    g = random_graph(10, 0.4, 1)
+    out = tmp_path / "G.bin"
+    save_representative(build_representative(g, SimilaritySpec()), out)
+    data = out.read_bytes()
+    assert len(data) == 808
+    out.write_bytes(data[:-9])
+    with pytest.raises(ValueError, match="for n=10 must be 808 bytes, got 799"):
+        load_representative_matrix(out)
+    out.write_bytes(data + b"\x00")
+    with pytest.raises(ValueError, match="must be 808 bytes, got 809"):
+        load_representative_matrix(out)
+    out.write_bytes(data[:6])
+    with pytest.raises(ValueError, match="must be 8 bytes, got 6"):
+        load_representative_matrix(out)
