@@ -153,12 +153,20 @@ def test_unconnected_pairs_ordering_and_counts():
     universe = unconnected_pairs(make_graph(3, []))
     assert universe.dtype == np.int64
     assert universe.tolist() == [[0, 1], [0, 2], [1, 2]]
-    assert universe[1].tolist() == [0, 2]
     assert unconnected_pairs(make_graph(3, TRIANGLE)).shape == (0, 2)
     g = make_graph(4, [(0, 1)])
     universe = unconnected_pairs(g)
     assert len(universe) == 5
     assert [0, 1] not in universe.tolist()
+
+
+def test_pair_universe_indexing():
+    universe = unconnected_pairs(make_graph(3, []))
+    assert universe.shape == (3, 2)
+    assert universe[1].tolist() == [0, 2]
+    universe = unconnected_pairs(make_graph(4, [(0, 1)]))
+    assert universe[0].tolist() == [0, 2]
+    assert universe[[1, 4]].tolist() == [[0, 3], [2, 3]]
 
 
 def test_unconnected_pairs_complement_identity():
