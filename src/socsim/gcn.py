@@ -14,29 +14,37 @@ representative.  Four variants cover the ablation axes:
 
 Independently of the variant, ``use_s`` multiplies the input features by a
 learnable per-feature weight vector (shared across nodes) before the first
-layer.  Hidden layers use ReLU with inverted dropout; the output layer is a
-softmax over class scores, trained with masked cross-entropy plus L2 decay
-on the hidden kernels, optimized with Adam.
+layer.  Hidden layers use ReLU with inverted dropout, applied as one float
+gate per layer, (ReLU active and unit kept) / keep, that the backward pass
+reuses; the output layer is a softmax over class scores, trained with
+masked cross-entropy plus L2 decay on the hidden kernels, optimized with
+Adam.
 
 The math is written once, for a stack of k models that share a config, G
 and X and differ only in their masks, init seed and dropout stream (the
 folds of one cross-validation cell).  Every parameter, Adam moment,
-activation and dropout mask carries a leading fold axis, so each hidden
-layer propagates all folds with one product  G @ [H_1 ... H_k], and a
-feature model without S computes its first propagation G @ X once for the
-whole run.  ``train_folds`` trains a stack without scoring it every epoch.
-``forward``, ``backward``, ``loss``, ``adam_step``, ``evaluate`` and
-``train`` (which records a per-epoch history) are the k = 1 case of the
-same code.
+activation and gate carries a leading fold axis.  Each G product runs at
+the narrower of its layer's kernel widths: (G @ H) @ W where the kernel
+keeps or widens the width, G @ (H @ W) where it narrows it (the output
+layer, num_classes wide), and TLR's first layer as (G @ Wa) @ Wb, one
+column wide.  A feature model computes its first propagation G @ X once
+for the whole run; S scales its columns per fold, since
+G (X diag s) = (G X) diag s.  ``train_folds`` trains a stack without
+scoring it every epoch.  ``forward``, ``backward``, ``loss``,
+``adam_step``, ``evaluate`` and ``train`` (which records a per-epoch
+history) are the k = 1 case of the same code.
 
 Batching leaves each fold's arithmetic unchanged except for how BLAS
-tiles the stacked products.  With OpenBLAS 0.3.31 (x86-64, AVX-512
-kernels) a fold's columns of G @ [H_1 ... H_k] equal G @ H_i bit for bit
-when the layer width is a multiple of 8, as the default 32 is; at other
-widths their last bits can differ from training the fold alone (on
-desk-scale cells at widths 12 and 20 the accuracies still matched).  The
-first-layer products of S models, G @ (X * s_i) at the feature width, are
-taken one fold at a time for that reason.
+tiles the products.  A G product at least 8 columns wide per fold is taken
+for all folds at once, G @ [H_1 ... H_k].  With OpenBLAS 0.3.31 (x86-64,
+AVX-512 kernels) a fold's columns of it equal G @ H_i bit for bit when
+that width is a multiple of 8, as the default 32 is; at other widths their
+last bits can differ from training the fold alone (on desk-scale cells at
+widths 12 and 20 the accuracies still matched).  Narrower products, such
+as the output layer's G @ (H @ W) and TLR's G @ Wa, are taken one fold at
+a time, as one ``np.matmul`` over the stack: stacked, they changed bits
+against training the fold alone, and at n = 200 they cost about the same
+either way.
 """
 
 from __future__ import annotations
@@ -91,6 +99,10 @@ class GcnConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         object.__setattr__(self, "variant", variant)
         object.__setattr__(self, "layer_units", tuple(int(u) for u in self.layer_units))
+        if self.num_classes < 1:
+            raise ValueError(f"num_classes must be >= 1, got {self.num_classes!r}")
+        if any(u < 1 for u in self.layer_units):
+            raise ValueError(f"layer_units entries must be >= 1, got {self.layer_units!r}")
         if self.use_s and variant in ("t", "tlr"):
             raise ValueError("use_s weights features; topology-only variants have none")
         if not (0.0 <= self.dropout_p < 1.0):
@@ -251,17 +263,15 @@ class _Stack:
 
 
 class _Shared:
-    """What every fold reads: G (None for variant f), the features X, and
-    the first layer's propagated input where it is the same for every fold
-    (G itself for t/tlr; G @ X, or X for f, without S)."""
+    """What every fold reads: G (None for variant f), the features X and,
+    for a feature model, the first layer's propagated input G @ X (X for
+    f), computed once; S scales it per fold."""
 
     def __init__(self, cfg: GcnConfig, inputs: TrainInputs):
         self.gm = None if cfg.variant == "f" else inputs.g_matrix
         self.x = inputs.x
         self.prop0 = None
-        if cfg.variant in ("t", "tlr"):
-            self.prop0 = self.gm
-        elif not cfg.use_s:
+        if cfg.variant not in ("t", "tlr"):
             self.prop0 = self.x if self.gm is None else self.gm @ self.x
 
 
@@ -290,7 +300,13 @@ class _Rows:
     def head(self, folds: int) -> "_Rows":
         return _Rows(self.labels, self.train[:folds], self.test[:folds])
 
-    def check(self, train: bool = False, test: bool = False) -> None:
+    def check(self, classes: int, train: bool = False, test: bool = False) -> None:
+        """Reject labels outside 0..classes-1 and, where asked, empty
+        training or test masks."""
+        labels = self.labels
+        if labels.size and (labels.min() < 0 or labels.max() >= classes):
+            raise ValueError(f"labels must lie in 0..{classes - 1} for num_classes={classes}, "
+                             f"got {labels.min()}..{labels.max()}")
         if train and any(rows.size == 0 for rows in self.train):
             raise ValueError("empty training mask")
         if test and any(rows.size == 0 for rows in self.test):
@@ -317,13 +333,27 @@ class _Rows:
                 for fold, rows in enumerate(self.test)]
 
 
+# Stacks narrower than this take their G products one fold at a time.
+_STACKED_MIN_WIDTH = 8
+
+
 def _propagate(g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """``g @ h[i]`` for every fold i as one product over the folds'
-    side-by-side columns, ``g @ [h_1 ... h_k]``; a (k, rows, width) view
-    laid out like _empty_wide()."""
+    """``g @ h[i]`` for every fold i.  A stack at least _STACKED_MIN_WIDTH
+    wide takes one product over the folds' side-by-side columns,
+    ``g @ [h_1 ... h_k]``, and comes back as a (k, rows, width) view laid
+    out like _empty_wide(); a narrower one takes one product per fold."""
     k, n, width = h.shape
+    if width < _STACKED_MIN_WIDTH:
+        return np.matmul(g, h)
     wide = h.transpose(1, 0, 2).reshape(n, k * width)
     return (g @ wide).reshape(g.shape[0], k, width).transpose(1, 0, 2)
+
+
+def _propagates_output(kernel: np.ndarray) -> bool:
+    """Whether a layer with this kernel computes G @ (H @ W), not
+    (G @ H) @ W: its G product runs at the narrower of the kernel's in and
+    out widths (an equal pair keeps (G @ H) @ W)."""
+    return kernel.shape[-1] < kernel.shape[-2]
 
 
 def _empty_wide(k: int, n: int, width: int, dtype=np.float64) -> np.ndarray:
@@ -348,48 +378,48 @@ def _forward(cfg: GcnConfig, params: dict[str, np.ndarray], shared: _Shared,
              training: bool = False,
              rngs: list[np.random.Generator] | None = None) -> tuple[np.ndarray, dict]:
     """forward() for a stack: probabilities (k, n, classes) and the cache
-    _backward() replays (each layer's propagated input, each hidden layer's
-    ReLU and dropout masks as bool)."""
+    _backward() replays: each layer's left operand of its kernel product
+    ("prop": G @ H, or H where the layer propagates its output; None for
+    t's first layer) and each hidden layer's gate, the float
+    (ReLU active and dropout kept) / keep that scales it."""
     gm = shared.gm
     n_layers = len(cfg.layer_units) + 1
-    keep = 1.0 - cfg.dropout_p
     dropout = training and cfg.dropout_p > 0.0
     if dropout and rngs is None:
         raise ValueError("training forward with dropout needs an rng")
     k = len(next(iter(params.values())))  # every parameter leads with the fold axis
     n = shared.x.shape[0]
-    cache: dict = {"prop": [], "active": [], "dropmask": []}
+    cache: dict = {"prop": [], "gate": []}
     h = None
     for layer in range(n_layers):
         hidden = layer < n_layers - 1
-        if layer == 0 and cfg.variant in ("t", "tlr"):
-            # identity features: the first propagation collapses to G itself
-            prop = shared.prop0
-            kernel = (np.matmul(params["Wa"], params["Wb"]) if cfg.variant == "tlr"
-                      else params["W0"])
-            z = _propagate(gm, kernel)
+        if layer == 0 and cfg.variant == "t":
+            # identity features: the first propagation collapses to G @ W0
+            prop, z = None, _propagate(gm, params["W0"])
+        elif layer == 0 and cfg.variant == "tlr":
+            prop = _propagate(gm, params["Wa"])
+            z = np.matmul(prop, params["Wb"])
         else:
-            if layer > 0:
-                prop = h if gm is None else _propagate(gm, h)
-            elif cfg.use_s:
-                x0 = shared.x * params["S"][:, None, :]
-                # one product per fold: stacking these narrow ones changes their bits
-                prop = x0 if gm is None else np.matmul(gm, x0)
-            else:
-                prop = shared.prop0
             kernel = params[f"W{layer}"]
-            z = np.matmul(prop, kernel,
-                          out=_empty_wide(k, n, kernel.shape[-1]) if hidden else None)
+            if layer > 0 and gm is not None and _propagates_output(kernel):
+                prop = h
+                z = _propagate(gm, np.matmul(h, kernel))
+            else:
+                if layer == 0:
+                    prop = shared.prop0 if not cfg.use_s else shared.prop0 * params["S"][:, None, :]
+                else:
+                    prop = h if gm is None else _propagate(gm, h)
+                z = np.matmul(prop, kernel,
+                              out=_empty_wide(k, n, kernel.shape[-1]) if hidden else None)
         cache["prop"].append(prop)
         if hidden:
-            cache["active"].append(z > 0.0)
-            h = np.maximum(z, 0.0, out=z)
-            mask = None
+            gate = np.greater(z, 0.0, out=np.empty_like(z))
             if dropout:
-                mask = _dropout_masks(rngs, h.shape, cfg.dropout_p)
-                h *= mask
-                h /= keep
-            cache["dropmask"].append(mask)
+                gate *= _dropout_masks(rngs, z.shape, cfg.dropout_p)
+                gate *= 1.0 / (1.0 - cfg.dropout_p)
+            cache["gate"].append(gate)
+            h = z
+            h *= gate
     cache["logits"] = z
     cache["probs"] = softmax_rows(z)
     return cache["probs"], cache
@@ -420,35 +450,31 @@ def _backward(cfg: GcnConfig, params: dict[str, np.ndarray], cache: dict, shared
     """backward() for a stack: every fold's gradients, fold axis first."""
     gm = shared.gm
     n_layers = len(cfg.layer_units) + 1
-    keep = 1.0 - cfg.dropout_p
     dz = rows.output_grad(cache["probs"])
     grads: dict[str, np.ndarray] = {}
-    for layer in range(n_layers - 1, -1, -1):
-        if layer == 0 and cfg.variant in ("t", "tlr"):
-            dw = _propagate(gm.T, dz)  # the first layer's propagated input is G
-        else:
-            dw = np.matmul(np.swapaxes(cache["prop"][layer], -1, -2), dz)
-        if cfg.variant == "tlr" and layer == 0:
-            grads["Wa"] = np.matmul(dw, np.swapaxes(params["Wb"], 1, 2))
-            grads["Wb"] = np.matmul(np.swapaxes(params["Wa"], 1, 2), dw)
-        else:
-            grads[f"W{layer}"] = dw
-        if layer > 0:
-            kernel = params[f"W{layer}"]
-            dh = np.matmul(dz, np.swapaxes(kernel, 1, 2),
-                           out=_empty_wide(*dz.shape[:2], kernel.shape[1]))
-            if gm is not None:
-                dh = _propagate(gm.T, dh)
-            mask = cache["dropmask"][layer - 1]
-            if mask is not None:
-                dh *= mask
-                dh /= keep
-            dh *= cache["active"][layer - 1]
-            dz = dh
-        elif cfg.use_s:
+    for layer in range(n_layers - 1, 0, -1):
+        kernel = params[f"W{layer}"]
+        propagates_output = gm is not None and _propagates_output(kernel)
+        if propagates_output:
+            dz = _propagate(gm.T, dz)  # now the gradient w.r.t. H @ W
+        grads[f"W{layer}"] = np.matmul(np.swapaxes(cache["prop"][layer], -1, -2), dz)
+        dh = np.matmul(dz, np.ascontiguousarray(np.swapaxes(kernel, 1, 2)),
+                       out=_empty_wide(*dz.shape[:2], kernel.shape[1]))
+        if gm is not None and not propagates_output:
+            dh = _propagate(gm.T, dh)
+        dh *= cache["gate"][layer - 1]
+        dz = dh
+    prop = cache["prop"][0]
+    if cfg.variant == "t":
+        grads["W0"] = _propagate(gm.T, dz)  # the first layer's propagated input is G
+    elif cfg.variant == "tlr":
+        grads["Wb"] = np.matmul(np.swapaxes(prop, 1, 2), dz)
+        grads["Wa"] = _propagate(gm.T, np.matmul(dz, np.swapaxes(params["Wb"], 1, 2)))
+    else:
+        grads["W0"] = np.matmul(np.swapaxes(prop, -1, -2), dz)
+        if cfg.use_s:
             dprop = np.matmul(dz, np.swapaxes(params["W0"], 1, 2))
-            dx0 = dprop if gm is None else np.matmul(gm.T, dprop)
-            grads["S"] = (dx0 * shared.x).sum(axis=1)
+            grads["S"] = (dprop * shared.prop0).sum(axis=1)
 
     wd = cfg.weight_decay
     if wd:
@@ -534,7 +560,7 @@ def train_folds(inputs: list[TrainInputs], cfgs: list[GcnConfig]) -> list[float]
     if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
         raise ValueError("fold configs may differ only in their seed")
     rows = _Rows.of(inputs)
-    rows.check(train=cfg.epochs > 0, test=True)
+    rows.check(cfg.num_classes, train=cfg.epochs > 0, test=True)
     n, f = first.x.shape
     stack = _Stack.init(cfgs, n, f)
     shared = _Shared(cfg, first)
@@ -555,8 +581,9 @@ def forward(
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Run the net; returns row-softmax class probabilities and the cache
-    backward() replays (propagated inputs, ReLU and dropout masks, logits),
-    each per-model entry with a leading fold axis of length 1."""
+    backward() replays (each layer's kernel input, each hidden layer's
+    ReLU-and-dropout gate, logits), each per-model entry with a leading
+    fold axis of length 1."""
     probs, cache = _forward(model.config, _fold_view(model), _Shared(model.config, inputs),
                             training, None if rng is None else [rng])
     return probs[0], cache
@@ -571,7 +598,7 @@ def loss(
 ) -> float:
     """Masked mean cross-entropy plus L2 decay over hidden kernels."""
     rows = _Rows(labels, [np.flatnonzero(train_mask)])
-    rows.check(train=True)
+    rows.check(probs.shape[-1], train=True)
     return _losses(probs[None], rows, _fold_view(model),
                    _hidden_kernel_names(model.config), weight_decay)[0]
 
@@ -595,7 +622,7 @@ def adam_step(model: GcnModel, grads: dict[str, np.ndarray]) -> GcnModel:
 def evaluate(model: GcnModel, inputs: TrainInputs) -> float:
     """Argmax accuracy over the test mask, dropout off."""
     rows = _Rows.of([inputs])
-    rows.check(test=True)
+    rows.check(model.config.num_classes, test=True)
     probs, _ = _forward(model.config, _fold_view(model), _Shared(model.config, inputs))
     return rows.accuracies(probs)[0]
 
@@ -610,7 +637,7 @@ def train(inputs: TrainInputs, cfg: GcnConfig) -> tuple[GcnModel, list[dict]]:
     model = init_model(cfg, n_nodes=inputs.x.shape[0], n_features=inputs.x.shape[1])
     stack = _Stack.of_model(model)
     rows = _Rows.of([inputs])
-    rows.check(train=cfg.epochs > 0)
+    rows.check(cfg.num_classes, train=cfg.epochs > 0)
     history = []
 
     def record(epoch: int, losses: list[float]) -> None:

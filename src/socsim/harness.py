@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace, asdict
@@ -28,6 +29,8 @@ from .sdna import SimConfig, simulate_snapshots
 from .similarity import AUTO, GraphRepresentative, SimilaritySpec, build_representative
 
 HYPOTHESIS_CELLS = ("FTvanilla", "F", "T", "TLR")
+
+log = logging.getLogger(__name__)
 
 _KIND_TOKENS = {"vanilla": "adjacency", "katz": "katz", "rpr": "rpr", "gg": "gg"}
 
@@ -107,6 +110,9 @@ class ExperimentPlan:
             raise ValueError("cell names must be unique")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
+        if self.gcn.num_classes < self.sim.y:
+            raise ValueError(f"gcn.num_classes ({self.gcn.num_classes}) is below sim.y "
+                             f"({self.sim.y}), the number of sDNA labels")
         for cell in self.cells:
             parse_cell(cell, self.gcn)
 
@@ -269,15 +275,19 @@ def _run_cell_folds(
     fold_masks: list[tuple[np.ndarray, np.ndarray]],
     fold_cfgs: list[GcnConfig],
 ) -> CellResult:
-    rep = GraphRepresentative(matrix=rep_matrix, spec=spec)
-    inputs = [
-        TrainInputs(rep=rep, x=x, labels=labels, train_mask=train_mask, test_mask=test_mask)
-        for train_mask, test_mask in fold_masks
-    ]
     try:
+        rep = GraphRepresentative(matrix=rep_matrix, spec=spec)
+        inputs = [
+            TrainInputs(rep=rep, x=x, labels=labels, train_mask=train_mask, test_mask=test_mask)
+            for train_mask, test_mask in fold_masks
+        ]
         accs = train_folds(inputs, fold_cfgs)
     except TrainingDiverged as exc:
         return CellResult((), None, None, failed=True, error=f"fold {exc.fold}: {exc}")
+    except Exception as exc:  # one bad cell must not end the batch
+        cfg = fold_cfgs[0]
+        log.exception("cell failed: variant %s, use_s %s, %s", cfg.variant, cfg.use_s, spec)
+        return CellResult((), None, None, failed=True, error=f"{type(exc).__name__}: {exc}")
     return CellResult(
         tuple(accs), mean=float(np.mean(accs)), std=float(np.std(accs))
     )

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from socsim import harness
 from socsim.cli import main
 from socsim.gcn import GcnConfig
 from socsim.graph import load_graph_dir
@@ -101,3 +102,27 @@ def test_experiment_and_report_commands(tmp_path):
                "--out", str(redo)])
     assert rc == 0
     assert (redo / "summary.csv").read_text() == (results / "summary.csv").read_text()
+
+
+def test_experiment_exits_2_when_a_cell_raises(tmp_path, monkeypatch):
+    train_folds = harness.train_folds
+
+    def flaky(inputs, cfgs):
+        if cfgs[0].variant == "f":
+            raise ValueError("injected fault")
+        return train_folds(inputs, cfgs)
+
+    monkeypatch.setattr(harness, "train_folds", flaky)
+    plan = ExperimentPlan(
+        sim=SimConfig(n=24, f=3, y=4, q=2, p=0.7, t=0.08, r=0.25, c=(1.0,),
+                      z=0.2, seed=2),
+        networks=1, snapshots=1, cells=("FTvanilla", "F"), folds=3, seed=4,
+        gcn=GcnConfig(num_classes=4, layer_units=(6, 6, 6), epochs=4),
+    )
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan.to_dict()))
+    results = tmp_path / "results"
+    assert main(["experiment", "--plan", str(plan_path), "--out", str(results)]) == 2
+    cells = json.loads((results / "report.json").read_text())["snapshots"][0]["cells"]
+    assert cells["F"]["failed"] and cells["F"]["error"] == "ValueError: injected fault"
+    assert not cells["FTvanilla"]["failed"]

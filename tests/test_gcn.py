@@ -20,9 +20,10 @@ from socsim.gcn import (
     softmax_rows,
     train,
     train_folds,
+    _propagate,
 )
 from socsim.graph import SocialGraph
-from socsim.similarity import SimilaritySpec, build_representative
+from socsim.similarity import GraphRepresentative, SimilaritySpec, build_representative
 
 
 def toy_graph(n=6, f=3, seed=0, density=0.45):
@@ -53,7 +54,16 @@ def small_cfg(**kw):
     return GcnConfig(**defaults)
 
 
-def numerical_gradients(model, inputs, cfg, eps=1e-5):
+def numerical_gradients(model, inputs, cfg, eps=1e-5, dropout_seed=None):
+    """Central differences of loss(); with ``dropout_seed`` every forward
+    pass trains with dropout and replays the one mask that seed draws."""
+
+    def probs():
+        if dropout_seed is None:
+            return forward(model, inputs)[0]
+        return forward(model, inputs, training=True,
+                       rng=np.random.default_rng(dropout_seed))[0]
+
     grads = {}
     for name, p in model.parameters().items():
         g = np.zeros_like(p)
@@ -62,11 +72,9 @@ def numerical_gradients(model, inputs, cfg, eps=1e-5):
             ix = it.multi_index
             orig = p[ix]
             p[ix] = orig + eps
-            lp = loss(forward(model, inputs)[0], inputs.labels, inputs.train_mask,
-                      model, cfg.weight_decay)
+            lp = loss(probs(), inputs.labels, inputs.train_mask, model, cfg.weight_decay)
             p[ix] = orig - eps
-            lm = loss(forward(model, inputs)[0], inputs.labels, inputs.train_mask,
-                      model, cfg.weight_decay)
+            lm = loss(probs(), inputs.labels, inputs.train_mask, model, cfg.weight_decay)
             p[ix] = orig
             g[ix] = (lp - lm) / (2 * eps)
         grads[name] = g
@@ -100,6 +108,52 @@ def test_gradients_match_finite_differences(variant, use_s, kind):
     numeric = numerical_gradients(model, inputs, cfg)
     assert set(analytic) == set(numeric)
     assert_gradients_close(analytic, numeric)
+
+
+def row_normalized_inputs():
+    """toy_inputs() over D^-1 (A + I): a representative that is not
+    symmetric, so a backward pass that forgets a transpose of G shows."""
+    inputs = toy_inputs()
+    a = inputs.g_matrix > 0
+    rep = GraphRepresentative(matrix=a / a.sum(axis=1, keepdims=True),
+                              spec=SimilaritySpec(kind="adjacency"))
+    assert not np.allclose(rep.matrix, rep.matrix.T)
+    return TrainInputs(rep=rep, x=inputs.x, labels=inputs.labels,
+                       train_mask=inputs.train_mask, test_mask=inputs.test_mask)
+
+
+def assert_gates_pass_and_block(cache):
+    """Every hidden layer passes some units and blocks others, so gradient
+    reaches the first layer and the gates' zeros are exercised."""
+    for gate in cache["gate"]:
+        assert 0 < np.count_nonzero(gate) < gate.size
+
+
+# (3, 6, 6) hidden units over 2 classes: a widening, an equal and a narrowing
+# kernel, so G is propagated before the kernel in some layers and after it
+# in others
+@pytest.mark.parametrize("variant,use_s", [("ftvanilla", False), ("ftvanilla", True),
+                                           ("t", False), ("tlr", False)])
+def test_gradients_match_finite_differences_both_association_orders(variant, use_s):
+    inputs = row_normalized_inputs()
+    cfg = small_cfg(variant=variant, use_s=use_s, layer_units=(3, 6, 6), seed=1)
+    model = init_model(cfg, inputs.x.shape[0], inputs.x.shape[1])
+    _, cache = forward(model, inputs)
+    assert_gates_pass_and_block(cache)
+    assert_gradients_close(backward(model, cache, inputs),
+                           numerical_gradients(model, inputs, cfg))
+
+
+@pytest.mark.parametrize("variant,use_s", [("ftvanilla", True), ("tlr", False)])
+def test_gradients_match_finite_differences_with_dropout(variant, use_s):
+    inputs = toy_inputs(toy_graph(n=8, seed=3))
+    cfg = small_cfg(variant=variant, use_s=use_s, layer_units=(6, 6, 3), dropout_p=0.3)
+    model = init_model(cfg, inputs.x.shape[0], inputs.x.shape[1])
+    _, cache = forward(model, inputs, training=True, rng=np.random.default_rng(5))
+    assert_gates_pass_and_block(cache)
+    assert {0.0, 1.0 / 0.7} == set(np.concatenate([g.ravel() for g in cache["gate"]]))
+    assert_gradients_close(backward(model, cache, inputs),
+                           numerical_gradients(model, inputs, cfg, dropout_seed=5))
 
 
 def test_gradient_vanishes_when_perfectly_fitted():
@@ -226,6 +280,9 @@ def test_use_s_rejected_for_topology_variants():
     ("learning_rate", 0.0),
     ("learning_rate", float("nan")),
     ("learning_rate", float("inf")),
+    ("num_classes", 0),
+    ("layer_units", (-3,)),
+    ("layer_units", (4, 0)),
 ])
 def test_config_rejects_bad_training_settings(field, value):
     with pytest.raises(ValueError, match=field):
@@ -278,6 +335,23 @@ def test_loss_weight_decay_term():
     decayed = loss(probs, inputs.labels, inputs.train_mask, model, 0.01)
     frob = sum((w ** 2).sum() for w in model.weights[:-1])  # hidden kernels only
     assert decayed - base == pytest.approx(0.01 * frob)
+
+
+def test_labels_beyond_num_classes_rejected():
+    inputs = toy_inputs(toy_graph(n=8))
+    labels = np.arange(8) % 4
+    four = TrainInputs(rep=inputs.rep, x=inputs.x, labels=labels,
+                       train_mask=inputs.train_mask, test_mask=inputs.test_mask)
+    model = init_model(small_cfg(), 8, inputs.x.shape[1])
+    probs, _ = forward(model, four)
+    with pytest.raises(ValueError, match="labels must lie in 0..1 for num_classes=2"):
+        loss(probs, labels, four.train_mask, model, 0.0)
+    with pytest.raises(ValueError, match="num_classes=2"):
+        train_folds([four, four], [small_cfg(seed=1), small_cfg(seed=2)])
+    negative = TrainInputs(rep=inputs.rep, x=inputs.x, labels=labels - 1,
+                           train_mask=inputs.train_mask, test_mask=inputs.test_mask)
+    with pytest.raises(ValueError, match="got -1..2"):
+        train_folds([negative], [small_cfg(num_classes=4)])
 
 
 def test_loss_empty_mask_rejected():
@@ -439,11 +513,41 @@ def fold_inputs(inputs, k=3):
     return out
 
 
-def test_train_folds_matches_train_then_evaluate():
+def assert_train_folds_matches_train_then_evaluate(**cfg):
     folds = fold_inputs(toy_inputs(toy_graph(n=12, seed=6)))
-    cfgs = [small_cfg(layer_units=(8, 8), dropout_p=0.5, epochs=15, seed=s) for s in (4, 5, 6)]
+    cfgs = [small_cfg(layer_units=(8, 8), dropout_p=0.5, epochs=15, seed=s, **cfg)
+            for s in (4, 5, 6)]
     alone = [evaluate(train(inputs, cfg)[0], inputs) for inputs, cfg in zip(folds, cfgs)]
     assert train_folds(folds, cfgs) == alone
+
+
+def test_train_folds_matches_train_then_evaluate():
+    assert_train_folds_matches_train_then_evaluate()
+
+
+# a 4-class output propagates its kernel's output one fold at a time; so
+# does TLR's width-1 first layer
+@pytest.mark.parametrize("variant,use_s,num_classes", [
+    ("ftvanilla", False, 4),
+    ("ftvanilla", True, 4),
+    ("tlr", False, 4),
+    ("tlr", False, 2),
+])
+def test_train_folds_matches_train_then_evaluate_per_fold_products(variant, use_s, num_classes):
+    assert_train_folds_matches_train_then_evaluate(variant=variant, use_s=use_s,
+                                                   num_classes=num_classes)
+
+
+def test_narrow_products_equal_each_fold_alone():
+    # side by side, the k products of a stack under 8 columns per fold
+    # changed their last bits against each fold's own product at n = 200
+    rng = np.random.default_rng(0)
+    g = rng.random((200, 200))
+    for width in range(1, 8):
+        h = rng.normal(size=(10, 200, width))
+        stack = _propagate(g, h)
+        for fold in range(10):
+            assert np.array_equal(stack[fold], g @ h[fold]), f"width {width}"
 
 
 def test_train_folds_rejects_mismatched_folds():

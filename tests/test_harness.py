@@ -287,6 +287,28 @@ def test_failed_cell_recorded():
         assert snap.best_cell == ""
 
 
+def test_cell_raising_any_error_is_recorded_and_the_run_continues(monkeypatch):
+    # every T cell raises inside training; the other cells train as usual
+    train_folds = harness.train_folds
+
+    def flaky(inputs, cfgs):
+        if cfgs[0].variant == "t":
+            raise RuntimeError("injected fault")
+        return train_folds(inputs, cfgs)
+
+    monkeypatch.setattr(harness, "train_folds", flaky)
+    report = run_experiment(tiny_plan())
+    assert report.any_failed
+    for snap in report.snapshots:
+        failed = snap.cells["T"]
+        assert failed.failed and failed.error == "RuntimeError: injected fault"
+        assert failed.accuracies == () and failed.mean is None
+        for cell in ("FTvanilla", "F", "TLR"):
+            assert not snap.cells[cell].failed
+            assert len(snap.cells[cell].accuracies) == 5
+        assert snap.hypothesis is None and snap.best_cell != "T"
+
+
 # --- fold batching ----------------------------------------------------------------
 
 def train_each_fold_alone(graph, cell, fold_masks, base, plan_seed):
@@ -384,6 +406,12 @@ def test_plan_json_round_trip(tmp_path):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(plan.to_dict()))
     assert ExperimentPlan.load(path) == plan
+
+
+def test_plan_rejects_fewer_classes_than_labels():
+    with pytest.raises(ValueError, match=r"gcn.num_classes \(2\) is below sim.y \(4\)"):
+        tiny_plan(gcn=GcnConfig(num_classes=2))
+    assert tiny_plan(gcn=GcnConfig(num_classes=5)).gcn.num_classes == 5
 
 
 def test_plan_validation():
