@@ -20,19 +20,21 @@ reuses; the output layer is a softmax over class scores, trained with
 masked cross-entropy plus L2 decay on the hidden kernels, optimized with
 Adam.
 
-The math is written once, for a stack of k models that share a config, G
-and X and differ only in their masks, init seed and dropout stream (the
-folds of one cross-validation cell).  Every parameter, Adam moment,
-activation and gate carries a leading fold axis.  Each G product runs at
-the narrower of its layer's kernel widths: (G @ H) @ W where the kernel
-keeps or widens the width, G @ (H @ W) where it narrows it (the output
-layer, num_classes wide), and TLR's first layer as (G @ Wa) @ Wb, one
-column wide.  A feature model computes its first propagation G @ X once
-for the whole run; S scales its columns per fold, since
-G (X diag s) = (G X) diag s.  ``train_folds`` trains a stack without
-scoring it every epoch.  ``forward``, ``backward``, ``loss``,
-``adam_step``, ``evaluate`` and ``train`` (which records a per-epoch
-history) are the k = 1 case of the same code.
+There is one model type, ``GcnModel``: a stack of k models that share a
+config, G and X and differ only in their masks, init seed and dropout
+stream (the folds of one cross-validation cell), with k = 1 for a model
+trained alone.  Every parameter, Adam moment, activation and gate carries
+a leading fold axis, and the math is written once, for the stack.  Each G
+product runs at the narrower of its layer's kernel widths: (G @ H) @ W
+where the kernel keeps or widens the width, G @ (H @ W) where it narrows
+it (the output layer, num_classes wide), and TLR's first layer as
+(G @ Wa) @ Wb, one column wide.  A feature model computes its first
+propagation G @ X once for the whole run; S scales its columns per fold,
+since G (X diag s) = (G X) diag s.  The inputs are plain arrays: G, X,
+the labels and the masks.  ``train_folds`` trains a stack without scoring
+it every epoch.  ``forward``, ``backward``, ``loss``, ``adam_step``,
+``evaluate`` and ``train`` (which records a per-epoch history) run the
+same code on a k = 1 model.
 
 Batching leaves each fold's arithmetic unchanged except for how BLAS
 tiles the products.  A G product at least 8 columns wide per fold is taken
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
@@ -58,7 +61,6 @@ from pathlib import Path
 import numpy as np
 
 from .rng import derive_rng
-from .similarity import GraphRepresentative
 
 VARIANTS = ("ftvanilla", "f", "t", "tlr")
 
@@ -125,10 +127,11 @@ class GcnConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrainInputs:
-    """Everything one training run consumes; all nodes stay visible to the
+    """Everything one training run consumes: the representative G, the
+    features X, the labels and the masks.  All nodes stay visible to the
     propagation, the masks only gate the loss and the accuracy."""
 
-    rep: GraphRepresentative
+    g_matrix: np.ndarray
     x: np.ndarray
     labels: np.ndarray
     train_mask: np.ndarray
@@ -138,70 +141,39 @@ class TrainInputs:
         if np.any(self.train_mask & self.test_mask):
             raise ValueError("train and test masks overlap")
 
-    @property
-    def g_matrix(self) -> np.ndarray:
-        return self.rep.matrix
-
 
 @dataclass(eq=False)
 class GcnModel:
+    """k models that share a config, k = 1 for a model trained alone.
+
+    ``params`` names every trainable tensor: ``W<i>`` for layer i's kernel,
+    ``Wa`` and ``Wb`` for tlr's factored first kernel (G @ Wa @ Wb), and
+    ``S`` for the feature weights.  Every parameter and Adam moment leads
+    with the fold axis; moments missing at construction start at zero."""
+
     config: GcnConfig
-    weights: list[np.ndarray]                 # dense kernels; excludes the factored first kernel for tlr
-    s_vector: np.ndarray | None = None
-    lowrank_a: np.ndarray | None = None
-    lowrank_b: np.ndarray | None = None
+    params: dict[str, np.ndarray]
     adam_m: dict[str, np.ndarray] = field(default_factory=dict)
     adam_v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
 
+    def __post_init__(self):
+        for moments in (self.adam_m, self.adam_v):
+            for name, p in self.params.items():
+                moments.setdefault(name, np.zeros_like(p))
+
     def parameters(self) -> dict[str, np.ndarray]:
-        """Named live references to every trainable tensor."""
-        params: dict[str, np.ndarray] = {}
-        offset = 0
-        if self.config.variant == "tlr":
-            params["Wa"] = self.lowrank_a
-            params["Wb"] = self.lowrank_b
-            offset = 1
-        for idx, w in enumerate(self.weights):
-            params[f"W{idx + offset}"] = w
-        if self.s_vector is not None:
-            params["S"] = self.s_vector
-        return params
+        """Named live views of the first model's trainable tensors."""
+        return {name: p[0] for name, p in self.params.items()}
 
+    def norms(self, fold: int) -> dict[str, float]:
+        return {name: float(np.linalg.norm(p[fold])) for name, p in self.params.items()}
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
-def init_model(cfg: GcnConfig, n_nodes: int, n_features: int) -> GcnModel:
-    """Glorot-uniform kernels, all-ones feature weights (identity behaviour)."""
-    rng = derive_rng(cfg.seed, "init")
-    in_dim = n_nodes if cfg.variant in ("t", "tlr") else n_features
-    dims = [in_dim, *cfg.layer_units, cfg.num_classes]
-    lowrank_a = lowrank_b = None
-    weights = []
-    for layer in range(len(dims) - 1):
-        if cfg.variant == "tlr" and layer == 0:
-            lowrank_a = _glorot(rng, dims[0], 1)
-            lowrank_b = _glorot(rng, 1, dims[1])
-        else:
-            weights.append(_glorot(rng, dims[layer], dims[layer + 1]))
-    s_vector = np.ones(n_features) if cfg.use_s else None
-    model = GcnModel(
-        config=cfg, weights=weights, s_vector=s_vector,
-        lowrank_a=lowrank_a, lowrank_b=lowrank_b,
-    )
-    for name, p in model.parameters().items():
-        model.adam_m[name] = np.zeros_like(p)
-        model.adam_v[name] = np.zeros_like(p)
-    return model
-
-
-def softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis (class scores)."""
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    def keep(self, folds: int) -> None:
+        """Drop every fold from index ``folds`` on."""
+        for tensors in (self.params, self.adam_m, self.adam_v):
+            for name in tensors:
+                tensors[name] = tensors[name][:folds]
 
 
 def _hidden_kernel_names(cfg: GcnConfig) -> list[str]:
@@ -212,54 +184,58 @@ def _hidden_kernel_names(cfg: GcnConfig) -> list[str]:
     return [f"W{i}" for i in range(last)]
 
 
+def _param_names(cfg: GcnConfig) -> list[str]:
+    """Every trainable tensor's name, in the order a checkpoint stores them."""
+    kernels = [f"W{i}" for i in range(len(cfg.layer_units) + 1)]
+    if cfg.variant == "tlr":
+        kernels[:1] = ["Wa", "Wb"]
+    return kernels + (["S"] if cfg.use_s else [])
+
+
+def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+
+def _init_params(cfgs: list[GcnConfig], n_nodes: int, n_features: int) -> dict[str, np.ndarray]:
+    """Fresh parameters for one model per config, stacked on the fold axis:
+    Glorot-uniform kernels drawn in layer order from each config's own init
+    stream, and all-ones feature weights (identity behaviour)."""
+    cfg = cfgs[0]
+    in_dim = n_nodes if cfg.variant in ("t", "tlr") else n_features
+    dims = [in_dim, *cfg.layer_units, cfg.num_classes]
+    shapes = list(zip(dims[:-1], dims[1:]))
+    if cfg.variant == "tlr":
+        shapes[:1] = [(dims[0], 1), (1, dims[1])]
+    # the kernels' names come first; S, last, has no kernel shape
+    params = {name: np.empty((len(cfgs), *shape))
+              for name, shape in zip(_param_names(cfg), shapes)}
+    for fold, fold_cfg in enumerate(cfgs):
+        rng = derive_rng(fold_cfg.seed, "init")
+        for p in params.values():
+            p[fold] = _glorot(rng, *p.shape[1:])
+    if cfg.use_s:
+        params["S"] = np.ones((len(cfgs), n_features))
+    return params
+
+
+def init_model(cfg: GcnConfig, n_nodes: int, n_features: int) -> GcnModel:
+    """Glorot-uniform kernels, all-ones feature weights (identity behaviour)."""
+    return GcnModel(cfg, _init_params([cfg], n_nodes, n_features))
+
+
+def softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis (class scores)."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 # --- the fold axis -------------------------------------------------------------
 #
-# The math is written once, for a stack of k models that share a config, G
+# The math is written once, for a GcnModel of k models that share a config, G
 # and X.  Per-fold arrays lead with the fold axis: parameters and Adam
-# moments are (k, *shape), activations and masks (k, n, width).  The
-# per-model functions further down run it on k = 1 views of a GcnModel.
-
-
-def _fold_view(model: GcnModel) -> dict[str, np.ndarray]:
-    """k = 1 views of a model's parameters: writes land in the model."""
-    return {name: p[None] for name, p in model.parameters().items()}
-
-
-class _Stack:
-    """Parameters and Adam state of k models, keyed and ordered like
-    GcnModel.parameters(), every array with a leading fold axis."""
-
-    def __init__(self, config: GcnConfig, params: dict[str, np.ndarray],
-                 adam_m: dict[str, np.ndarray], adam_v: dict[str, np.ndarray], step: int = 0):
-        self.config = config
-        self.params = params
-        self.adam_m = adam_m
-        self.adam_v = adam_v
-        self.step = step
-
-    @classmethod
-    def of_model(cls, model: GcnModel) -> "_Stack":
-        params = _fold_view(model)
-        return cls(model.config, params,
-                   {name: model.adam_m[name][None] for name in params},
-                   {name: model.adam_v[name][None] for name in params}, model.step)
-
-    @classmethod
-    def init(cls, cfgs: list[GcnConfig], n_nodes: int, n_features: int) -> "_Stack":
-        """Fresh models, one per config, as init_model() makes them."""
-        per_fold = [init_model(cfg, n_nodes, n_features).parameters() for cfg in cfgs]
-        params = {name: np.stack([p[name] for p in per_fold]) for name in per_fold[0]}
-        return cls(cfgs[0], params, {name: np.zeros_like(p) for name, p in params.items()},
-                   {name: np.zeros_like(p) for name, p in params.items()})
-
-    def norms(self, fold: int) -> dict[str, float]:
-        return {name: float(np.linalg.norm(p[fold])) for name, p in self.params.items()}
-
-    def keep(self, folds: int) -> None:
-        """Drop every fold from index ``folds`` on."""
-        for tensors in (self.params, self.adam_m, self.adam_v):
-            for name in tensors:
-                tensors[name] = tensors[name][:folds]
+# moments are (k, *shape), activations and gates (k, n, width).  A model
+# trained alone is the k = 1 case.
 
 
 class _Shared:
@@ -374,15 +350,14 @@ def _dropout_masks(rngs: list[np.random.Generator], shape: tuple[int, ...],
     return masks
 
 
-def _forward(cfg: GcnConfig, params: dict[str, np.ndarray], shared: _Shared,
-             training: bool = False,
+def _forward(model: GcnModel, shared: _Shared, training: bool = False,
              rngs: list[np.random.Generator] | None = None) -> tuple[np.ndarray, dict]:
     """forward() for a stack: probabilities (k, n, classes) and the cache
     _backward() replays: each layer's left operand of its kernel product
     ("prop": G @ H, or H where the layer propagates its output; None for
     t's first layer) and each hidden layer's gate, the float
     (ReLU active and dropout kept) / keep that scales it."""
-    gm = shared.gm
+    cfg, params, gm = model.config, model.params, shared.gm
     n_layers = len(cfg.layer_units) + 1
     dropout = training and cfg.dropout_p > 0.0
     if dropout and rngs is None:
@@ -445,10 +420,10 @@ def _losses(probs: np.ndarray, rows: _Rows, params: dict[str, np.ndarray],
             for fold, ce in enumerate(rows.cross_entropy(probs))]
 
 
-def _backward(cfg: GcnConfig, params: dict[str, np.ndarray], cache: dict, shared: _Shared,
+def _backward(model: GcnModel, cache: dict, shared: _Shared,
               rows: _Rows) -> dict[str, np.ndarray]:
     """backward() for a stack: every fold's gradients, fold axis first."""
-    gm = shared.gm
+    cfg, params, gm = model.config, model.params, shared.gm
     n_layers = len(cfg.layer_units) + 1
     dz = rows.output_grad(cache["probs"])
     grads: dict[str, np.ndarray] = {}
@@ -483,13 +458,13 @@ def _backward(cfg: GcnConfig, params: dict[str, np.ndarray], cache: dict, shared
     return grads
 
 
-def _adam_step(stack: _Stack, grads: dict[str, np.ndarray]) -> None:
+def _adam_step(model: GcnModel, grads: dict[str, np.ndarray]) -> None:
     """adam_step() for a stack, in place; overwrites ``grads``."""
-    stack.step += 1
-    t = stack.step
-    lr = stack.config.learning_rate
-    for name, p in stack.params.items():
-        g, m, v = grads[name], stack.adam_m[name], stack.adam_v[name]
+    model.step += 1
+    t = model.step
+    lr = model.config.learning_rate
+    for name, p in model.params.items():
+        g, m, v = grads[name], model.adam_m[name], model.adam_v[name]
         g2 = g * g
         g2 *= 1.0 - ADAM_BETA2
         v *= ADAM_BETA2
@@ -506,7 +481,7 @@ def _adam_step(stack: _Stack, grads: dict[str, np.ndarray]) -> None:
         p -= g
 
 
-def _fit(stack: _Stack, shared: _Shared, rows: _Rows, rngs: list[np.random.Generator],
+def _fit(model: GcnModel, shared: _Shared, rows: _Rows, rngs: list[np.random.Generator],
          epochs: int, on_epoch=None) -> TrainingDiverged | None:
     """Run ``epochs`` full-batch Adam steps on a stack, in place.
 
@@ -516,24 +491,24 @@ def _fit(stack: _Stack, shared: _Shared, rows: _Rows, rngs: list[np.random.Gener
     and training the folds one by one in order would report it first.
     ``on_epoch(epoch, losses)`` runs after every step.
     """
-    cfg = stack.config
+    cfg = model.config
     hidden = _hidden_kernel_names(cfg)
     failure = None
     for epoch in range(epochs):
-        probs, cache = _forward(cfg, stack.params, shared, training=True, rngs=rngs)
-        losses = _losses(probs, rows, stack.params, hidden, cfg.weight_decay)
+        probs, cache = _forward(model, shared, training=True, rngs=rngs)
+        losses = _losses(probs, rows, model.params, hidden, cfg.weight_decay)
         finite = np.isfinite(losses)
         if not finite.all():
             fold = int(np.argmin(finite))
-            failure = TrainingDiverged(epoch, stack.norms(fold), fold=fold)
+            failure = TrainingDiverged(epoch, model.norms(fold), fold=fold)
             if fold == 0:
                 return failure
-            stack.keep(fold)
+            model.keep(fold)
             rows, rngs, losses = rows.head(fold), rngs[:fold], losses[:fold]
             cache = _cache_head(cache, fold)
-        grads = _backward(cfg, stack.params, cache, shared, rows)
+        grads = _backward(model, cache, shared, rows)
         del probs, cache  # never hold two epochs' activations
-        _adam_step(stack, grads)
+        _adam_step(model, grads)
         if on_epoch is not None:
             on_epoch(epoch, losses)
     return failure
@@ -561,13 +536,12 @@ def train_folds(inputs: list[TrainInputs], cfgs: list[GcnConfig]) -> list[float]
         raise ValueError("fold configs may differ only in their seed")
     rows = _Rows.of(inputs)
     rows.check(cfg.num_classes, train=cfg.epochs > 0, test=True)
-    n, f = first.x.shape
-    stack = _Stack.init(cfgs, n, f)
+    model = GcnModel(cfg, _init_params(cfgs, *first.x.shape))
     shared = _Shared(cfg, first)
-    failure = _fit(stack, shared, rows, [derive_rng(c.seed, "dropout") for c in cfgs], cfg.epochs)
+    failure = _fit(model, shared, rows, [derive_rng(c.seed, "dropout") for c in cfgs], cfg.epochs)
     if failure is not None:
         raise failure
-    probs, _ = _forward(cfg, stack.params, shared)
+    probs, _ = _forward(model, shared)
     return rows.accuracies(probs)
 
 
@@ -584,8 +558,8 @@ def forward(
     backward() replays (each layer's kernel input, each hidden layer's
     ReLU-and-dropout gate, logits), each per-model entry with a leading
     fold axis of length 1."""
-    probs, cache = _forward(model.config, _fold_view(model), _Shared(model.config, inputs),
-                            training, None if rng is None else [rng])
+    probs, cache = _forward(model, _Shared(model.config, inputs), training,
+                            None if rng is None else [rng])
     return probs[0], cache
 
 
@@ -599,23 +573,20 @@ def loss(
     """Masked mean cross-entropy plus L2 decay over hidden kernels."""
     rows = _Rows(labels, [np.flatnonzero(train_mask)])
     rows.check(probs.shape[-1], train=True)
-    return _losses(probs[None], rows, _fold_view(model),
+    return _losses(probs[None], rows, model.params,
                    _hidden_kernel_names(model.config), weight_decay)[0]
 
 
 def backward(model: GcnModel, cache: dict, inputs: TrainInputs) -> dict[str, np.ndarray]:
     """Exact gradients of loss() w.r.t. every parameter, replaying the
     forward cache (dropout masks included)."""
-    grads = _backward(model.config, _fold_view(model), cache,
-                      _Shared(model.config, inputs), _Rows.of([inputs]))
+    grads = _backward(model, cache, _Shared(model.config, inputs), _Rows.of([inputs]))
     return {name: g[0] for name, g in grads.items()}
 
 
 def adam_step(model: GcnModel, grads: dict[str, np.ndarray]) -> GcnModel:
     """One Adam update (bias-corrected, canonical betas), in place."""
-    stack = _Stack.of_model(model)
-    _adam_step(stack, {name: np.array(g, dtype=np.float64)[None] for name, g in grads.items()})
-    model.step = stack.step
+    _adam_step(model, {name: np.array(g, dtype=np.float64)[None] for name, g in grads.items()})
     return model
 
 
@@ -623,7 +594,7 @@ def evaluate(model: GcnModel, inputs: TrainInputs) -> float:
     """Argmax accuracy over the test mask, dropout off."""
     rows = _Rows.of([inputs])
     rows.check(model.config.num_classes, test=True)
-    probs, _ = _forward(model.config, _fold_view(model), _Shared(model.config, inputs))
+    probs, _ = _forward(model, _Shared(model.config, inputs))
     return rows.accuracies(probs)[0]
 
 
@@ -635,7 +606,6 @@ def train(inputs: TrainInputs, cfg: GcnConfig) -> tuple[GcnModel, list[dict]]:
     per epoch; train_folds() trains without it.
     """
     model = init_model(cfg, n_nodes=inputs.x.shape[0], n_features=inputs.x.shape[1])
-    stack = _Stack.of_model(model)
     rows = _Rows.of([inputs])
     rows.check(cfg.num_classes, train=cfg.epochs > 0)
     history = []
@@ -644,9 +614,8 @@ def train(inputs: TrainInputs, cfg: GcnConfig) -> tuple[GcnModel, list[dict]]:
         history.append({"epoch": epoch, "train_loss": losses[0],
                         "test_acc": evaluate(model, inputs)})
 
-    failure = _fit(stack, _Shared(cfg, inputs), rows, [derive_rng(cfg.seed, "dropout")],
+    failure = _fit(model, _Shared(cfg, inputs), rows, [derive_rng(cfg.seed, "dropout")],
                    cfg.epochs, record)
-    model.step = stack.step
     if failure is not None:
         raise failure
     return model, history
@@ -684,33 +653,37 @@ def save_model(model: GcnModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> GcnModel:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint")
-        (cfg_len,) = struct.unpack("<I", fh.read(4))
-        cfg = GcnConfig.from_dict(json.loads(fh.read(cfg_len).decode()))
-        (count,) = struct.unpack("<I", fh.read(4))
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode()
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
-            size = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * size), dtype="<f8").astype(np.float64)
-            tensors[name] = data.reshape(shape)
+    """Read a save_model() checkpoint.  A file that is not one, that ends
+    early or runs on past its last tensor, or whose tensors are not the ones
+    its config names, raises ValueError."""
+    data = Path(path).read_bytes()
+    if data[:4] != _MAGIC:
+        raise ValueError(f"{path}: not a model checkpoint")
+    pos = 4
 
-    offset = 1 if cfg.variant == "tlr" else 0
-    n_kernels = len(cfg.layer_units) + 1 - offset
-    weights = [tensors[f"W{i + offset}"] for i in range(n_kernels)]
-    model = GcnModel(
-        config=cfg,
-        weights=weights,
-        s_vector=tensors.get("S"),
-        lowrank_a=tensors.get("Wa"),
-        lowrank_b=tensors.get("Wb"),
-    )
-    for name, p in model.parameters().items():
-        model.adam_m[name] = np.zeros_like(p)
-        model.adam_v[name] = np.zeros_like(p)
-    return model
+    def take(size: int) -> bytes:
+        nonlocal pos
+        if pos + size > len(data):
+            raise ValueError(f"{path}: checkpoint truncated: {pos + size} bytes needed, "
+                             f"{len(data)} present")
+        pos += size
+        return data[pos - size:pos]
+
+    def unpack(fmt: str) -> int:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))[0]
+
+    try:
+        cfg = GcnConfig.from_dict(json.loads(take(unpack("<I")).decode()))
+    except TypeError as exc:
+        raise ValueError(f"{path}: bad config: {exc}") from exc
+    names, tensors = [], []
+    for _ in range(unpack("<I")):
+        names.append(take(unpack("<I")).decode())
+        shape = tuple(unpack("<Q") for _ in range(unpack("<B")))
+        raw = take(8 * math.prod(shape))
+        tensors.append(np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape))
+    if pos != len(data):
+        raise ValueError(f"{path}: {len(data) - pos} bytes after the last tensor")
+    if names != _param_names(cfg):
+        raise ValueError(f"{path}: tensors {names} do not match the config's {_param_names(cfg)}")
+    return GcnModel(cfg, {name: t[None] for name, t in zip(names, tensors)})

@@ -26,7 +26,7 @@ from .gcn import GcnConfig, TrainInputs, TrainingDiverged, train_folds
 from .graph import SocialGraph
 from .rng import derive_rng, derive_seed
 from .sdna import SimConfig, simulate_snapshots
-from .similarity import AUTO, GraphRepresentative, SimilaritySpec, build_representative
+from .similarity import AUTO, SimilaritySpec, build_representative
 
 HYPOTHESIS_CELLS = ("FTvanilla", "F", "T", "TLR")
 
@@ -247,9 +247,7 @@ def make_folds(
             raise ValueError(
                 f"class {cls} has {members.size} members, fewer than {folds} folds"
             )
-        members = members[rng.permutation(members.size)]
-        for g in range(folds):
-            groups[members[g::folds]] = g
+        groups[members[rng.permutation(members.size)]] = np.arange(members.size) % folds
     out = []
     for k in range(folds):
         test = groups == k
@@ -258,9 +256,10 @@ def make_folds(
 
 
 def _fold_configs(
-    base: GcnConfig, cell: str, plan_seed: int, network: int, snapshot: int, folds: int
+    cfg: GcnConfig, cell: str, plan_seed: int, network: int, snapshot: int, folds: int
 ) -> list[GcnConfig]:
-    cfg, _ = parse_cell(cell, base)
+    """The cell's config (as parse_cell() returns it) once per fold, each
+    with the fold's derived training seed."""
     return [
         replace(cfg, seed=derive_seed(plan_seed, "train", network, snapshot, cell, fold))
         for fold in range(folds)
@@ -268,25 +267,24 @@ def _fold_configs(
 
 
 def _run_cell_folds(
-    rep_matrix: np.ndarray,
-    spec: SimilaritySpec,
+    cell: str,
+    g_matrix: np.ndarray,
     x: np.ndarray,
     labels: np.ndarray,
     fold_masks: list[tuple[np.ndarray, np.ndarray]],
     fold_cfgs: list[GcnConfig],
 ) -> CellResult:
     try:
-        rep = GraphRepresentative(matrix=rep_matrix, spec=spec)
         inputs = [
-            TrainInputs(rep=rep, x=x, labels=labels, train_mask=train_mask, test_mask=test_mask)
+            TrainInputs(g_matrix=g_matrix, x=x, labels=labels, train_mask=train_mask,
+                        test_mask=test_mask)
             for train_mask, test_mask in fold_masks
         ]
         accs = train_folds(inputs, fold_cfgs)
     except TrainingDiverged as exc:
         return CellResult((), None, None, failed=True, error=f"fold {exc.fold}: {exc}")
     except Exception as exc:  # one bad cell must not end the batch
-        cfg = fold_cfgs[0]
-        log.exception("cell failed: variant %s, use_s %s, %s", cfg.variant, cfg.use_s, spec)
+        log.exception("cell %s failed", cell)
         return CellResult((), None, None, failed=True, error=f"{type(exc).__name__}: {exc}")
     return CellResult(
         tuple(accs), mean=float(np.mean(accs)), std=float(np.std(accs))
@@ -303,13 +301,10 @@ def run_cell(
     snapshot: int = 0,
 ) -> CellResult:
     """Cross-validate one cell on one snapshot (representative built once)."""
-    base = base or GcnConfig()
-    _, spec = parse_cell(cell, base)
+    cfg, spec = parse_cell(cell, base)
     rep = build_representative(graph, spec, provenance=f"{network}-{snapshot}")
-    cfgs = _fold_configs(base, cell, plan_seed, network, snapshot, len(fold_masks))
-    return _run_cell_folds(
-        rep.matrix, spec, graph.features, graph.sdna_of, fold_masks, cfgs
-    )
+    cfgs = _fold_configs(cfg, cell, plan_seed, network, snapshot, len(fold_masks))
+    return _run_cell_folds(cell, rep.matrix, graph.features, graph.sdna_of, fold_masks, cfgs)
 
 
 def _snapshot_hypothesis(cells: dict[str, CellResult]) -> bool | None:
@@ -378,25 +373,22 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
                 fold_masks = make_folds(
                     labels, plan.folds, derive_seed(plan.seed, "folds", net, snap_idx)
                 )
-                rep_cache: dict[SimilaritySpec, GraphRepresentative] = {}
+                matrices: dict[SimilaritySpec, np.ndarray] = {}
                 jobs = []
                 for cell in plan.cells:
-                    _, spec = parse_cell(cell, plan.gcn)
-                    if spec not in rep_cache:
-                        rep_cache[spec] = build_representative(
+                    cfg, spec = parse_cell(cell, plan.gcn)
+                    if spec not in matrices:
+                        matrices[spec] = build_representative(
                             graph, spec, provenance=f"{net}-{snap_idx}"
-                        )
-                    cfgs = _fold_configs(plan.gcn, cell, plan.seed, net, snap_idx, plan.folds)
-                    jobs.append(
-                        (cell, rep_cache[spec].matrix, spec, graph.features, labels,
-                         fold_masks, cfgs)
-                    )
+                        ).matrix
+                    cfgs = _fold_configs(cfg, cell, plan.seed, net, snap_idx, plan.folds)
+                    jobs.append((cell, matrices[spec], graph.features, labels, fold_masks, cfgs))
 
                 if pool is not None:
-                    futures = {cell: pool.submit(_run_cell_folds, *args) for cell, *args in jobs}
-                    results = {cell: futures[cell].result() for cell, *_ in jobs}
+                    futures = {job[0]: pool.submit(_run_cell_folds, *job) for job in jobs}
+                    results = {cell: future.result() for cell, future in futures.items()}
                 else:
-                    results = {cell: _run_cell_folds(*args) for cell, *args in jobs}
+                    results = {job[0]: _run_cell_folds(*job) for job in jobs}
 
                 snapshots.append(
                     SnapshotReport(

@@ -80,7 +80,7 @@ def test_criterion_1_gradient_oracle():
     worst_ratio = 0.0
     for label, variant, use_s, kind in configs:
         rep = build_representative(g, SimilaritySpec(kind=kind))
-        inputs = TrainInputs(rep=rep, x=g.features, labels=g.sdna_of,
+        inputs = TrainInputs(g_matrix=rep.matrix, x=g.features, labels=g.sdna_of,
                              train_mask=train_mask, test_mask=~train_mask)
         cfg = GcnConfig(variant=variant, use_s=use_s, layer_units=(5, 4, 3),
                         num_classes=2, dropout_p=0.0, seed=3)

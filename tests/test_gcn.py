@@ -1,7 +1,11 @@
 import pickle
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socsim.gcn import (
     GcnConfig,
@@ -23,7 +27,7 @@ from socsim.gcn import (
     _propagate,
 )
 from socsim.graph import SocialGraph
-from socsim.similarity import GraphRepresentative, SimilaritySpec, build_representative
+from socsim.similarity import SimilaritySpec, build_representative
 
 
 def toy_graph(n=6, f=3, seed=0, density=0.45):
@@ -43,7 +47,7 @@ def toy_inputs(g=None, kind="adjacency", seed=0):
     rep = build_representative(g, SimilaritySpec(kind=kind))
     train_mask = np.zeros(g.n, dtype=bool)
     train_mask[: g.n - 2] = True
-    return TrainInputs(rep=rep, x=g.features, labels=g.sdna_of,
+    return TrainInputs(g_matrix=rep.matrix, x=g.features, labels=g.sdna_of,
                        train_mask=train_mask, test_mask=~train_mask)
 
 
@@ -115,10 +119,9 @@ def row_normalized_inputs():
     symmetric, so a backward pass that forgets a transpose of G shows."""
     inputs = toy_inputs()
     a = inputs.g_matrix > 0
-    rep = GraphRepresentative(matrix=a / a.sum(axis=1, keepdims=True),
-                              spec=SimilaritySpec(kind="adjacency"))
-    assert not np.allclose(rep.matrix, rep.matrix.T)
-    return TrainInputs(rep=rep, x=inputs.x, labels=inputs.labels,
+    g = a / a.sum(axis=1, keepdims=True)
+    assert not np.allclose(g, g.T)
+    return TrainInputs(g_matrix=g, x=inputs.x, labels=inputs.labels,
                        train_mask=inputs.train_mask, test_mask=inputs.test_mask)
 
 
@@ -164,12 +167,12 @@ def test_gradient_vanishes_when_perfectly_fitted():
                     features=np.ones((n, 2)), sdna_of=np.zeros(n, dtype=np.int64))
     rep = build_representative(g, SimilaritySpec(kind="adjacency"))
     mask = np.array([True] * 4 + [False])
-    inputs = TrainInputs(rep=rep, x=g.features, labels=g.sdna_of,
+    inputs = TrainInputs(g_matrix=rep.matrix, x=g.features, labels=g.sdna_of,
                          train_mask=mask, test_mask=~mask)
     cfg = GcnConfig(variant="ftvanilla", layer_units=(), num_classes=2,
                     dropout_p=0.0, weight_decay=0.0, seed=0)
     model = init_model(cfg, n, 2)
-    model.weights[0][:] = [[60.0, -60.0], [60.0, -60.0]]
+    model.parameters()["W0"][:] = [[60.0, -60.0], [60.0, -60.0]]
     _, cache = forward(model, inputs)
     grads = backward(model, cache, inputs)
     assert all(np.linalg.norm(g_) < 1e-8 for g_ in grads.values())
@@ -197,9 +200,9 @@ def test_forward_identity_chain():
     cfg = GcnConfig(variant="ftvanilla", layer_units=(), num_classes=3,
                     dropout_p=0.0, seed=0)
     model = init_model(cfg, n, n)
-    model.weights[0][:] = np.eye(n)
+    model.parameters()["W0"][:] = np.eye(n)
     mask = np.array([True, True, False])
-    inputs = TrainInputs(rep=rep, x=np.eye(n), labels=g.sdna_of,
+    inputs = TrainInputs(g_matrix=rep.matrix, x=np.eye(n), labels=g.sdna_of,
                          train_mask=mask, test_mask=~mask)
     probs, cache = forward(model, inputs)
     assert np.array_equal(cache["logits"][0], np.eye(n))
@@ -236,9 +239,9 @@ def test_neighbor_averaging_two_nodes():
     cfg = GcnConfig(variant="ftvanilla", layer_units=(), num_classes=2,
                     dropout_p=0.0, seed=0)
     model = init_model(cfg, 2, 2)
-    model.weights[0][:] = np.eye(2)
+    model.parameters()["W0"][:] = np.eye(2)
     mask = np.array([True, False])
-    inputs = TrainInputs(rep=rep, x=np.eye(2), labels=g.sdna_of,
+    inputs = TrainInputs(g_matrix=rep.matrix, x=np.eye(2), labels=g.sdna_of,
                          train_mask=mask, test_mask=~mask)
     _, cache = forward(model, inputs)
     assert np.allclose(cache["logits"][0], [[0.5, 0.5], [0.5, 0.5]])
@@ -249,7 +252,8 @@ def test_s_at_ones_matches_plain_forward():
     cfg_s = small_cfg(use_s=True)
     model_s = init_model(cfg_s, inputs.x.shape[0], inputs.x.shape[1])
     model_plain = GcnModel(config=small_cfg(use_s=False),
-                           weights=[w.copy() for w in model_s.weights])
+                           params={name: p.copy() for name, p in model_s.params.items()
+                                   if name != "S"})
     p_s, _ = forward(model_s, inputs)
     p_plain, _ = forward(model_plain, inputs)
     assert np.array_equal(p_s, p_plain)
@@ -262,9 +266,9 @@ def test_tlr_parameter_count():
     cfg_t = small_cfg(variant="t", layer_units=(units, 3, 3))
     tlr = init_model(cfg_tlr, n, g.features.shape[1])
     t = init_model(cfg_t, n, g.features.shape[1])
-    first_tlr = tlr.lowrank_a.size + tlr.lowrank_b.size
+    first_tlr = tlr.parameters()["Wa"].size + tlr.parameters()["Wb"].size
     assert first_tlr == n + units
-    assert t.weights[0].size == n * units
+    assert t.parameters()["W0"].size == n * units
 
 
 def test_use_s_rejected_for_topology_variants():
@@ -308,7 +312,7 @@ def test_loss_perfect_predictions():
     model = init_model(small_cfg(), inputs.x.shape[0], inputs.x.shape[1])
     probs = np.zeros((inputs.x.shape[0], 2))
     probs[np.arange(inputs.x.shape[0]), inputs.labels] = 1.0
-    for w in model.weights:
+    for w in model.parameters().values():
         w[:] = 0.0
     assert loss(probs, inputs.labels, inputs.train_mask, model, 0.0) == 0.0
 
@@ -319,7 +323,7 @@ def test_loss_uniform_predictions():
     rep = build_representative(g, SimilaritySpec(kind="adjacency"))
     labels = np.arange(n) % classes
     mask = np.ones(n, dtype=bool); mask[-1] = False
-    inputs = TrainInputs(rep=rep, x=g.features, labels=labels,
+    inputs = TrainInputs(g_matrix=rep.matrix, x=g.features, labels=labels,
                          train_mask=mask, test_mask=~mask)
     model = init_model(small_cfg(num_classes=classes), n, g.features.shape[1])
     probs = np.full((n, classes), 1.0 / classes)
@@ -333,14 +337,15 @@ def test_loss_weight_decay_term():
     probs, _ = forward(model, inputs)
     base = loss(probs, inputs.labels, inputs.train_mask, model, 0.0)
     decayed = loss(probs, inputs.labels, inputs.train_mask, model, 0.01)
-    frob = sum((w ** 2).sum() for w in model.weights[:-1])  # hidden kernels only
+    params = model.parameters()
+    frob = sum((params[f"W{i}"] ** 2).sum() for i in range(3))  # hidden kernels only
     assert decayed - base == pytest.approx(0.01 * frob)
 
 
 def test_labels_beyond_num_classes_rejected():
     inputs = toy_inputs(toy_graph(n=8))
     labels = np.arange(8) % 4
-    four = TrainInputs(rep=inputs.rep, x=inputs.x, labels=labels,
+    four = TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=labels,
                        train_mask=inputs.train_mask, test_mask=inputs.test_mask)
     model = init_model(small_cfg(), 8, inputs.x.shape[1])
     probs, _ = forward(model, four)
@@ -348,7 +353,7 @@ def test_labels_beyond_num_classes_rejected():
         loss(probs, labels, four.train_mask, model, 0.0)
     with pytest.raises(ValueError, match="num_classes=2"):
         train_folds([four, four], [small_cfg(seed=1), small_cfg(seed=2)])
-    negative = TrainInputs(rep=inputs.rep, x=inputs.x, labels=labels - 1,
+    negative = TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=labels - 1,
                            train_mask=inputs.train_mask, test_mask=inputs.test_mask)
     with pytest.raises(ValueError, match="got -1..2"):
         train_folds([negative], [small_cfg(num_classes=4)])
@@ -367,31 +372,28 @@ def test_loss_empty_mask_rejected():
 def scalar_model(lr=0.01):
     cfg = GcnConfig(variant="ftvanilla", layer_units=(), num_classes=1,
                     learning_rate=lr, dropout_p=0.0, seed=0)
-    model = GcnModel(config=cfg, weights=[np.array([[1.0]])])
-    model.adam_m["W0"] = np.zeros((1, 1))
-    model.adam_v["W0"] = np.zeros((1, 1))
-    return model
+    return GcnModel(config=cfg, params={"W0": np.array([[[1.0]]])})
 
 
 def test_adam_first_step_magnitude():
     model = scalar_model(lr=0.05)
     adam_step(model, {"W0": np.array([[3.7]])})
     # first Adam step moves by ~lr regardless of gradient scale
-    assert model.weights[0][0, 0] == pytest.approx(1.0 - 0.05, abs=1e-6)
+    assert model.parameters()["W0"][0, 0] == pytest.approx(1.0 - 0.05, abs=1e-6)
 
 
 def test_adam_zero_gradient_no_move():
     model = scalar_model()
     adam_step(model, {"W0": np.zeros((1, 1))})
-    assert model.weights[0][0, 0] == 1.0
+    assert model.parameters()["W0"][0, 0] == 1.0
 
 
 def test_adam_minimizes_quadratic():
     model = scalar_model(lr=0.1)
     for _ in range(100):
-        w = model.weights[0][0, 0]
+        w = model.parameters()["W0"][0, 0]
         adam_step(model, {"W0": np.array([[2.0 * w]])})
-    assert abs(model.weights[0][0, 0]) < 0.1
+    assert abs(model.parameters()["W0"][0, 0]) < 0.1
     assert model.step == 100
 
 
@@ -406,7 +408,7 @@ def separable_inputs(n=10, seed=3):
     rep = build_representative(g, SimilaritySpec(kind="adjacency"))
     train_mask = np.ones(n, dtype=bool)
     train_mask[-2:] = False
-    return TrainInputs(rep=rep, x=x, labels=labels, train_mask=train_mask,
+    return TrainInputs(g_matrix=rep.matrix, x=x, labels=labels, train_mask=train_mask,
                        test_mask=~train_mask)
 
 
@@ -434,8 +436,8 @@ def test_train_deterministic_with_dropout():
     m1, h1 = train(inputs, cfg)
     m2, h2 = train(inputs, cfg)
     assert h1 == h2
-    for w1, w2 in zip(m1.weights, m2.weights):
-        assert np.array_equal(w1, w2)
+    for name, w1 in m1.params.items():
+        assert np.array_equal(w1, m2.params[name])
 
 
 def test_untrained_model_near_chance():
@@ -449,7 +451,7 @@ def test_untrained_model_near_chance():
     for seed in range(30):
         mask = np.zeros(n, dtype=bool)
         mask[: n // 2] = True
-        inputs = TrainInputs(rep=rep, x=g.features, labels=labels,
+        inputs = TrainInputs(g_matrix=rep.matrix, x=g.features, labels=labels,
                              train_mask=mask, test_mask=~mask)
         cfg = small_cfg(num_classes=classes, epochs=0, seed=seed)
         model, history = train(inputs, cfg)
@@ -465,7 +467,7 @@ def test_evaluate_extremes():
     assert evaluate(model, inputs) in (0.0, 0.5, 1.0)
     single_mask = np.zeros(inputs.x.shape[0], dtype=bool)
     single_mask[-1] = True
-    single = TrainInputs(rep=inputs.rep, x=inputs.x, labels=inputs.labels,
+    single = TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=inputs.labels,
                          train_mask=inputs.train_mask, test_mask=single_mask)
     assert evaluate(model, single) in (0.0, 1.0)
 
@@ -473,7 +475,7 @@ def test_evaluate_extremes():
 def test_evaluate_empty_mask_rejected():
     inputs = separable_inputs()
     model = init_model(small_cfg(), inputs.x.shape[0], inputs.x.shape[1])
-    empty = TrainInputs(rep=inputs.rep, x=inputs.x, labels=inputs.labels,
+    empty = TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=inputs.labels,
                         train_mask=inputs.train_mask,
                         test_mask=np.zeros(inputs.x.shape[0], dtype=bool))
     with pytest.raises(ValueError):
@@ -508,7 +510,7 @@ def fold_inputs(inputs, k=3):
     for fold in range(k):
         test = np.zeros(n, dtype=bool)
         test[fold] = True
-        out.append(TrainInputs(rep=inputs.rep, x=inputs.x, labels=inputs.labels,
+        out.append(TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=inputs.labels,
                                train_mask=~test, test_mask=test))
     return out
 
@@ -557,7 +559,7 @@ def test_train_folds_rejects_mismatched_folds():
         train_folds(folds, [small_cfg(seed=1)])
     with pytest.raises(ValueError):
         train_folds(folds, [small_cfg(seed=1), small_cfg(seed=2, epochs=3)])
-    other = TrainInputs(rep=inputs.rep, x=inputs.x + 1.0, labels=inputs.labels,
+    other = TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x + 1.0, labels=inputs.labels,
                         train_mask=inputs.train_mask, test_mask=inputs.test_mask)
     with pytest.raises(ValueError):
         train_folds([folds[0], other], [small_cfg(seed=1), small_cfg(seed=2)])
@@ -566,11 +568,11 @@ def test_train_folds_rejects_mismatched_folds():
 def test_train_folds_empty_masks_rejected():
     inputs = toy_inputs()
     empty = np.zeros(inputs.x.shape[0], dtype=bool)
-    no_test = TrainInputs(rep=inputs.rep, x=inputs.x, labels=inputs.labels,
+    no_test = TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=inputs.labels,
                           train_mask=inputs.train_mask, test_mask=empty)
     with pytest.raises(ValueError, match="empty test mask"):
         train_folds([inputs, no_test], [small_cfg(seed=1), small_cfg(seed=2)])
-    no_train = TrainInputs(rep=inputs.rep, x=inputs.x, labels=inputs.labels,
+    no_train = TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=inputs.labels,
                            train_mask=empty, test_mask=inputs.test_mask)
     with pytest.raises(ValueError, match="empty training mask"):
         train_folds([inputs, no_train], [small_cfg(seed=1), small_cfg(seed=2)])
@@ -579,7 +581,7 @@ def test_train_folds_empty_masks_rejected():
 def test_masks_must_be_disjoint():
     inputs = separable_inputs()
     with pytest.raises(ValueError):
-        TrainInputs(rep=inputs.rep, x=inputs.x, labels=inputs.labels,
+        TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=inputs.labels,
                     train_mask=inputs.train_mask, test_mask=inputs.train_mask)
 
 
@@ -596,6 +598,43 @@ def test_model_checkpoint_round_trip(tmp_path, variant, use_s):
     assert back.config == model.config
     p1, p2 = forward(model, inputs)[0], forward(back, inputs)[0]
     assert np.array_equal(p1, p2)
+
+
+@st.composite
+def model_configs(draw):
+    variant = draw(st.sampled_from(["ftvanilla", "f", "t", "tlr"]))
+    use_s = variant in ("ftvanilla", "f") and draw(st.booleans())
+    units = draw(st.lists(st.integers(1, 3), max_size=3))
+    return small_cfg(variant=variant, use_s=use_s, layer_units=units)
+
+
+@given(model_configs())
+@settings(max_examples=15, deadline=None)
+def test_model_checkpoint_cut_at_every_length_rejected(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        save_model(init_model(cfg, 4, 3), path)
+        data = path.read_bytes()
+        assert load_model(path).config == cfg
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError):
+                load_model(path)
+        path.write_bytes(data + b"\x00")
+        with pytest.raises(ValueError, match="1 bytes after the last tensor"):
+            load_model(path)
+
+
+def test_model_checkpoint_tensors_must_match_config(tmp_path):
+    path = tmp_path / "model.bin"
+    plain = init_model(small_cfg(), 4, 3)
+    save_model(GcnModel(config=small_cfg(use_s=True), params=plain.params), path)
+    expected = r"do not match the config's \['W0', 'W1', 'W2', 'W3', 'S'\]"
+    with pytest.raises(ValueError, match=expected):
+        load_model(path)
+    save_model(GcnModel(config=small_cfg(variant="tlr"), params=plain.params), path)
+    with pytest.raises(ValueError, match="do not match"):
+        load_model(path)
 
 
 def test_history_csv(tmp_path):

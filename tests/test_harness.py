@@ -314,12 +314,12 @@ def test_cell_raising_any_error_is_recorded_and_the_run_continues(monkeypatch):
 def train_each_fold_alone(graph, cell, fold_masks, base, plan_seed):
     """Reference for run_cell: train() then evaluate() on each fold in turn,
     stopping at the first divergence as the harness reports it."""
-    spec = parse_cell(cell, base)[1]
+    cell_cfg, spec = parse_cell(cell, base)
     rep = build_representative(graph, spec)
     accs = []
-    cfgs = _fold_configs(base, cell, plan_seed, 0, 0, len(fold_masks))
+    cfgs = _fold_configs(cell_cfg, cell, plan_seed, 0, 0, len(fold_masks))
     for fold, ((train_mask, test_mask), cfg) in enumerate(zip(fold_masks, cfgs)):
-        inputs = TrainInputs(rep=rep, x=graph.features, labels=graph.sdna_of,
+        inputs = TrainInputs(g_matrix=rep.matrix, x=graph.features, labels=graph.sdna_of,
                              train_mask=train_mask, test_mask=test_mask)
         try:
             model, _ = train(inputs, cfg)

@@ -1,4 +1,6 @@
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,3 +303,17 @@ def test_representative_file_truncated(tmp_path):
     out.write_bytes(data[:6])
     with pytest.raises(ValueError, match="must be 8 bytes, got 6"):
         load_representative_matrix(out)
+
+
+@given(st.integers(0, 6))
+@settings(max_examples=7, deadline=None)
+def test_representative_file_cut_at_every_length_rejected(n):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "G.bin"
+        save_representative(build_representative(random_graph(n, 0.5, n), SimilaritySpec()), out)
+        data = out.read_bytes()
+        assert len(data) == 8 + 8 * n * n
+        for cut in range(len(data)):
+            out.write_bytes(data[:cut])
+            with pytest.raises(ValueError):
+                load_representative_matrix(out)
