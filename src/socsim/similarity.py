@@ -136,9 +136,9 @@ def gg_matrix(g: SocialGraph) -> np.ndarray:
 
 
 def l2_row_normalize(matrix: np.ndarray) -> np.ndarray:
-    """Divide each row by its L2 norm over non-zero entries; zero rows pass."""
-    norms = np.sqrt((matrix ** 2).sum(axis=1))
-    return np.where(norms[:, None] > 0, matrix / np.maximum(norms, 1.0)[:, None], matrix)
+    """Divide each row by its L2 norm; zero rows pass."""
+    norms = np.sqrt((matrix ** 2).sum(axis=1, keepdims=True))
+    return matrix / np.where(norms > 0, norms, 1.0)
 
 
 def auto_binarize(matrix: np.ndarray) -> np.ndarray:

@@ -148,10 +148,12 @@ def test_gravity_matches_per_pair_formula():
 # --- augmentation --------------------------------------------------------------
 
 def test_l2_row_normalization():
-    m = np.array([[3.0, 4.0], [0.0, 0.0]])
+    # row norms 5, 0 and 0.005: a sub-unit row is scaled up to unit norm
+    m = np.array([[3.0, 4.0], [0.0, 0.0], [0.003, 0.004]])
     out = l2_row_normalize(m)
     assert np.allclose(out[0], [0.6, 0.8])
     assert np.array_equal(out[1], [0.0, 0.0])
+    assert np.allclose(out[2], [0.6, 0.8])
 
 
 def test_augment_open_thresholds_only_normalizes():
