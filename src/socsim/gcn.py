@@ -176,22 +176,6 @@ class GcnModel:
                 tensors[name] = tensors[name][:folds]
 
 
-def _hidden_kernel_names(cfg: GcnConfig) -> list[str]:
-    # every kernel but the output layer's; decay exempts S and the output
-    last = len(cfg.layer_units)
-    if cfg.variant == "tlr":
-        return ["Wa", "Wb", *(f"W{i}" for i in range(1, last))]
-    return [f"W{i}" for i in range(last)]
-
-
-def _param_names(cfg: GcnConfig) -> list[str]:
-    """Every trainable tensor's name, in the order a checkpoint stores them."""
-    kernels = [f"W{i}" for i in range(len(cfg.layer_units) + 1)]
-    if cfg.variant == "tlr":
-        kernels[:1] = ["Wa", "Wb"]
-    return kernels + (["S"] if cfg.use_s else [])
-
-
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
@@ -230,12 +214,28 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _hidden_kernel_names(cfg: GcnConfig) -> list[str]:
+    # every kernel but the output layer's; decay exempts S and the output
+    last = len(cfg.layer_units)
+    if cfg.variant == "tlr":
+        return ["Wa", "Wb", *(f"W{i}" for i in range(1, last))]
+    return [f"W{i}" for i in range(last)]
+
+
+def _param_names(cfg: GcnConfig) -> list[str]:
+    """Every trainable tensor's name, in the order a checkpoint stores them."""
+    kernels = [f"W{i}" for i in range(len(cfg.layer_units) + 1)]
+    if cfg.variant == "tlr":
+        kernels[:1] = ["Wa", "Wb"]
+    return kernels + (["S"] if cfg.use_s else [])
+
+
 # --- the fold axis -------------------------------------------------------------
 #
-# The math is written once, for a GcnModel of k models that share a config, G
+# The math is written once, for a stack of k models that share a config, G
 # and X.  Per-fold arrays lead with the fold axis: parameters and Adam
-# moments are (k, *shape), activations and gates (k, n, width).  A model
-# trained alone is the k = 1 case.
+# moments are (k, *shape), activations and gates (k, n, width).  The
+# per-model functions further down run it on a k = 1 GcnModel.
 
 
 class _Shared:
