@@ -1,4 +1,6 @@
+import json
 import pickle
+import struct
 import tempfile
 from pathlib import Path
 
@@ -634,6 +636,14 @@ def test_model_checkpoint_tensors_must_match_config(tmp_path):
         load_model(path)
     save_model(GcnModel(config=small_cfg(variant="tlr"), params=plain.params), path)
     with pytest.raises(ValueError, match="do not match"):
+        load_model(path)
+
+
+def test_model_checkpoint_unknown_config_key_rejected(tmp_path):
+    blob = json.dumps(small_cfg().to_dict() | {"bogus": 1}).encode()
+    path = tmp_path / "model.bin"
+    path.write_bytes(b"SOCM" + struct.pack("<I", len(blob)) + blob + struct.pack("<I", 0))
+    with pytest.raises(ValueError, match="bad config.*bogus"):
         load_model(path)
 
 
