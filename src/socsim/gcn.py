@@ -47,6 +47,27 @@ as the output layer's G @ (H @ W) and TLR's G @ Wa, are taken one fold at
 a time, as one ``np.matmul`` over the stack: stacked, they changed bits
 against training the fold alone, and at n = 200 they cost about the same
 either way.
+
+A training run allocates its arrays once, in a workspace that every epoch
+reuses, and writes them with ``out=`` in the same arithmetic and order as
+fresh arrays, so no result depends on it.  The workspace is sized by
+liveness, not by role: each (k, n, width) stack (activations, gates, G
+products, backward gradients, logits, probabilities) lives in a slot that
+the pass takes when the stack is born and gives back when it dies, so a
+layer's activation reuses the slot of the one before it once that one is
+propagated, and the backward pass writes only into slots whose forward
+stacks are dead.  The default 32-32-32 net holds 8 slots (9 with S or
+for tlr), each one stack at the widest width of the run, 500 KB for a
+10-fold desk cell.  Gradients, Adam's temporaries and the transposed
+kernels are kept per parameter.  ``forward``, ``backward`` and
+``evaluate`` run the same code on a workspace of their own, which leaves a
+caller's cache as it was.
+
+Dropout draws one stream per fold.  In each training forward pass, fold i
+makes one ``random`` call on its stream that covers all its hidden layers
+in layer order, each layer's (n, width) block row by row, and thresholds
+the draws into its keep-masks at once.  As PCG64 turns each 64-bit output
+into one double, these are the bits that one call per layer would draw.
 """
 
 from __future__ import annotations
@@ -54,6 +75,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
@@ -109,10 +131,12 @@ class GcnConfig:
             raise ValueError("use_s weights features; topology-only variants have none")
         if not (0.0 <= self.dropout_p < 1.0):
             raise ValueError("dropout_p must lie in [0, 1)")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs!r}")
+        if not isinstance(self.epochs, numbers.Integral) or self.epochs < 0:
+            raise ValueError(f"epochs must be an integer >= 0, got {self.epochs!r}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -169,12 +193,6 @@ class GcnModel:
     def norms(self, fold: int) -> dict[str, float]:
         return {name: float(np.linalg.norm(p[fold])) for name, p in self.params.items()}
 
-    def keep(self, folds: int) -> None:
-        """Drop every fold from index ``folds`` on."""
-        for tensors in (self.params, self.adam_m, self.adam_v):
-            for name in tensors:
-                tensors[name] = tensors[name][:folds]
-
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -210,24 +228,36 @@ def init_model(cfg: GcnConfig, n_nodes: int, n_features: int) -> GcnModel:
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis (class scores)."""
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax(z, np.empty_like(z), np.empty((*z.shape[:-1], 1)))
 
 
-def _hidden_kernel_names(cfg: GcnConfig) -> list[str]:
-    # every kernel but the output layer's; decay exempts S and the output
-    last = len(cfg.layer_units)
+def _softmax(z: np.ndarray, out: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """softmax_rows() written into ``out``; ``row`` holds each row's max,
+    then its sum."""
+    np.subtract(z, np.max(z, axis=-1, keepdims=True, out=row), out=out)
+    np.exp(out, out=out)
+    return np.divide(out, np.sum(out, axis=-1, keepdims=True, out=row), out=out)
+
+
+def _layer_kernels(cfg: GcnConfig) -> list[list[str]]:
+    """Each layer's kernel names, in layer order; tlr factors its first
+    kernel into Wa and Wb."""
+    layers = [[f"W{i}"] for i in range(len(cfg.layer_units) + 1)]
     if cfg.variant == "tlr":
-        return ["Wa", "Wb", *(f"W{i}" for i in range(1, last))]
-    return [f"W{i}" for i in range(last)]
+        layers[0] = ["Wa", "Wb"]
+    return layers
 
 
 def _param_names(cfg: GcnConfig) -> list[str]:
     """Every trainable tensor's name, in the order a checkpoint stores them."""
-    kernels = [f"W{i}" for i in range(len(cfg.layer_units) + 1)]
-    if cfg.variant == "tlr":
-        kernels[:1] = ["Wa", "Wb"]
-    return kernels + (["S"] if cfg.use_s else [])
+    return [name for layer in _layer_kernels(cfg) for name in layer] + (["S"] if cfg.use_s else [])
+
+
+def _decayed_names(cfg: GcnConfig) -> list[str]:
+    """The kernels L2 decay applies to: _param_names() less S and the output
+    layer's kernels (tlr's Wa and Wb when it has no hidden layer)."""
+    output = _layer_kernels(cfg)[-1]
+    return [name for name in _param_names(cfg) if name != "S" and name not in output]
 
 
 # --- the fold axis -------------------------------------------------------------
@@ -265,16 +295,14 @@ class _Rows:
         self._fold = np.repeat(np.arange(len(train)), sizes)
         self._row = np.concatenate(train)
         self._label = labels[self._row]
-        self._size = np.repeat(np.array(sizes, dtype=np.float64), sizes)[:, None]
         self._ends = np.cumsum(sizes)
+        self._sizes = np.array(sizes, dtype=np.float64)[:, None, None]
+        self._target = self._untrained = None
 
     @classmethod
     def of(cls, inputs: list[TrainInputs]) -> "_Rows":
         return cls(inputs[0].labels, [np.flatnonzero(i.train_mask) for i in inputs],
                    [np.flatnonzero(i.test_mask) for i in inputs])
-
-    def head(self, folds: int) -> "_Rows":
-        return _Rows(self.labels, self.train[:folds], self.test[:folds])
 
     def check(self, classes: int, train: bool = False, test: bool = False) -> None:
         """Reject labels outside 0..classes-1 and, where asked, empty
@@ -294,14 +322,19 @@ class _Rows:
         nll = -np.log(np.maximum(picked, 1e-300))
         return [float(nll[end - rows.size:end].mean()) for rows, end in zip(self.train, self._ends)]
 
-    def output_grad(self, probs: np.ndarray) -> np.ndarray:
-        """Gradient of each fold's cross-entropy w.r.t. its logits."""
-        fold, row = self._fold, self._row
-        dz = np.zeros_like(probs)
-        dz[fold, row] = probs[fold, row]
-        dz[fold, row, self._label] -= 1.0
-        dz[fold, row] /= self._size
-        return dz
+    def output_grad(self, probs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Gradient of each fold's cross-entropy w.r.t. its logits, written
+        into ``out``: (probs - one-hot label) / the fold's training rows on
+        those rows, 0 on every other row."""
+        if self._target is None:
+            self._target = np.zeros(probs.shape)
+            self._target[self._fold, self._row, self._label] = 1.0
+            self._untrained = np.ones((*probs.shape[:2], 1), dtype=bool)
+            self._untrained[self._fold, self._row] = False
+        np.subtract(probs, self._target, out=out)
+        out /= self._sizes
+        np.copyto(out, 0.0, where=self._untrained)
+        return out
 
     def accuracies(self, probs: np.ndarray) -> list[float]:
         pred = probs.argmax(axis=-1)
@@ -313,16 +346,30 @@ class _Rows:
 _STACKED_MIN_WIDTH = 8
 
 
-def _propagate(g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """``g @ h[i]`` for every fold i.  A stack at least _STACKED_MIN_WIDTH
-    wide takes one product over the folds' side-by-side columns,
-    ``g @ [h_1 ... h_k]``, and comes back as a (k, rows, width) view laid
-    out like _empty_wide(); a narrower one takes one product per fold."""
+def _stack(flat: np.ndarray, k: int, n: int, width: int) -> np.ndarray:
+    """The first k * n * width entries of ``flat`` as a (k, n, width)
+    stack.  One at least _STACKED_MIN_WIDTH wide is stored as the
+    (n, k * width) block that _propagate() multiplies, so passing it there
+    copies nothing (and elementwise work with its outputs runs over
+    matching layouts); a narrower one is stored fold by fold."""
+    flat = flat[:k * n * width]
+    if width < _STACKED_MIN_WIDTH:
+        return flat.reshape(k, n, width)
+    return flat.reshape(n, k, width).transpose(1, 0, 2)
+
+
+def _propagate(g: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``g @ h[i]`` for every fold i, written into ``out``, laid out as a
+    _stack().  A stack at least _STACKED_MIN_WIDTH wide takes
+    one product over the folds' side-by-side columns, ``g @ [h_1 ... h_k]``
+    (h is copied only when it is not laid out that way); a narrower one
+    takes one product per fold."""
     k, n, width = h.shape
     if width < _STACKED_MIN_WIDTH:
-        return np.matmul(g, h)
+        return np.matmul(g, h, out=out)
     wide = h.transpose(1, 0, 2).reshape(n, k * width)
-    return (g @ wide).reshape(g.shape[0], k, width).transpose(1, 0, 2)
+    np.matmul(g, wide, out=out.transpose(1, 0, 2).reshape(g.shape[0], k * width))
+    return out
 
 
 def _propagates_output(kernel: np.ndarray) -> bool:
@@ -332,140 +379,225 @@ def _propagates_output(kernel: np.ndarray) -> bool:
     return kernel.shape[-1] < kernel.shape[-2]
 
 
-def _empty_wide(k: int, n: int, width: int, dtype=np.float64) -> np.ndarray:
-    """An uninitialised (k, n, width) stack stored as the (n, k * width)
-    block that _propagate() multiplies, so passing it there copies nothing
-    (and elementwise work with its outputs runs over matching layouts)."""
-    return np.empty((n, k, width), dtype=dtype).transpose(1, 0, 2)
+def _nan(shape: tuple[int, ...]) -> np.ndarray:
+    return np.full(shape, np.nan)
 
 
-def _dropout_masks(rngs: list[np.random.Generator], shape: tuple[int, ...],
-                   p: float) -> np.ndarray:
-    """Keep-masks for one hidden layer; fold i draws its (n, width) block
-    from its own stream."""
-    masks = _empty_wide(*shape, dtype=bool)
-    draws = np.empty(shape[1:])
-    for rng, mask in zip(rngs, masks):
-        np.greater_equal(rng.random(out=draws), p, out=mask)
-    return masks
+class _Workspace:
+    """Every array an epoch of one stack writes, allocated once per training
+    run and reused every epoch.
+
+    The (k, n, width) stacks (activations, gates, G products, the backward
+    pass's gradients, the output gradient, the logits and the
+    probabilities) live in slots: flat buffers, each big enough for the
+    widest stack of the run.  The passes take() a slot when a stack is
+    born and give() it back when the stack dies, and the slot given back
+    last is taken first, while it is still in cache.  So the workspace
+    holds only as many slots as are ever live at once, the backward pass
+    writes into the slots of forward stacks that are already dead, and
+    every epoch walks the same slots in the same order.  give() leaves
+    alone a stack it does not own, such as a cache another workspace
+    filled, so a caller's cache is never overwritten.
+
+    Per parameter it also holds the gradient, a scratch array (the squared
+    kernel of the decay term, then the decay itself, then Adam's squared
+    gradient) and, for a kernel past the first layer, its transpose.
+    Dropout reads one buffer of draws and writes a bool keep-mask per
+    hidden layer.  Float buffers start as NaN, so a read before the first
+    write shows up as a non-finite loss."""
+
+    def __init__(self, model: GcnModel, shared: _Shared):
+        cfg, params = model.config, model.params
+        k = len(next(iter(params.values())))  # every parameter leads with the fold axis
+        n, features = shared.x.shape
+        self.k, self.n = k, n
+        widest = max(*cfg.layer_units, cfg.num_classes, features if cfg.use_s else 1)
+        self._slot_size = k * n * widest
+        self._slots: dict[int, np.ndarray] = {}
+        self._free: list[np.ndarray] = []
+        self.grads = {name: _nan(p.shape) for name, p in params.items()}
+        if cfg.variant == "t":
+            # t's first-layer gradient is a G product; give it the stack layout
+            self.grads["W0"] = _stack(_nan(params["W0"].size), *params["W0"].shape)
+        self.scratch = {name: _nan(p.shape) for name, p in params.items()}
+        self.transposed = {name: _nan(np.swapaxes(params[name], 1, 2).shape)
+                           for layer in _layer_kernels(cfg)[1:] for name in layer}
+        self.row = _nan((k, n, 1))
+        self._draws = _nan(n * sum(cfg.layer_units))
+        ends = np.cumsum([0, *cfg.layer_units]) * n
+        self._draw_blocks = [self._draws[a:b].reshape(n, -1) for a, b in zip(ends, ends[1:])]
+        self._keep = [_stack(np.empty(k * n * width, dtype=bool), k, n, width)
+                      for width in cfg.layer_units]
+
+    def take(self, width: int) -> np.ndarray:
+        """A free slot as a (k, n, width) _stack()."""
+        if self._free:
+            slot = self._free.pop()
+        else:
+            slot = _nan(self._slot_size)
+            self._slots[id(slot)] = slot
+        return _stack(slot, self.k, self.n, width)
+
+    def give(self, *stacks: np.ndarray | None) -> None:
+        """Return the slots of stacks that are dead; each exactly once."""
+        for stack in stacks:
+            if stack is not None and id(stack.base) in self._slots:
+                self._free.append(stack.base)
+
+    def release(self, cache: dict) -> None:
+        """give() every stack a forward pass left in ``cache``."""
+        self.give(*cache["prop"], *cache["gate"], cache["logits"], cache["probs"])
+
+    def keep_masks(self, rngs: list[np.random.Generator], p: float) -> list[np.ndarray]:
+        """Each hidden layer's bool keep-mask over the stack.  Fold i draws
+        all its hidden units with one call on its own stream, layer after
+        layer, each layer's (n, width) block row by row, and thresholds them
+        while the draws are still in cache."""
+        for fold, rng in enumerate(rngs):
+            rng.random(out=self._draws)
+            for keep, draws in zip(self._keep, self._draw_blocks):
+                np.greater_equal(draws, p, out=keep[fold])
+        return self._keep
 
 
-def _forward(model: GcnModel, shared: _Shared, training: bool = False,
+def _forward(model: GcnModel, shared: _Shared, ws: _Workspace, training: bool = False,
              rngs: list[np.random.Generator] | None = None) -> tuple[np.ndarray, dict]:
-    """forward() for a stack: probabilities (k, n, classes) and the cache
-    _backward() replays: each layer's left operand of its kernel product
-    ("prop": G @ H, or H where the layer propagates its output; None for
-    t's first layer) and each hidden layer's gate, the float
-    (ReLU active and dropout kept) / keep that scales it."""
+    """forward() for a stack, in the slots of ``ws``: probabilities
+    (k, n, classes) and the cache _backward() replays: each layer's left
+    operand of its kernel product ("prop": G @ H, or H where the layer
+    propagates its output; None for t's first layer), each hidden layer's
+    gate, the float (ReLU active and dropout kept) / keep that scales it,
+    the logits and the probabilities."""
     cfg, params, gm = model.config, model.params, shared.gm
     n_layers = len(cfg.layer_units) + 1
-    dropout = training and cfg.dropout_p > 0.0
-    if dropout and rngs is None:
-        raise ValueError("training forward with dropout needs an rng")
-    k = len(next(iter(params.values())))  # every parameter leads with the fold axis
-    n = shared.x.shape[0]
+    keep = None
+    if training and cfg.dropout_p > 0.0:
+        if rngs is None:
+            raise ValueError("training forward with dropout needs an rng")
+        keep = ws.keep_masks(rngs, cfg.dropout_p)
     cache: dict = {"prop": [], "gate": []}
     h = None
     for layer in range(n_layers):
         hidden = layer < n_layers - 1
+        width = cfg.layer_units[layer] if hidden else cfg.num_classes
         if layer == 0 and cfg.variant == "t":
             # identity features: the first propagation collapses to G @ W0
-            prop, z = None, _propagate(gm, params["W0"])
+            w0 = ws.take(width)
+            np.copyto(w0, params["W0"])
+            prop, z = None, _propagate(gm, w0, out=ws.take(width))
+            ws.give(w0)
         elif layer == 0 and cfg.variant == "tlr":
-            prop = _propagate(gm, params["Wa"])
-            z = np.matmul(prop, params["Wb"])
+            prop = _propagate(gm, params["Wa"], out=ws.take(1))
+            z = np.matmul(prop, params["Wb"], out=ws.take(width))
         else:
             kernel = params[f"W{layer}"]
             if layer > 0 and gm is not None and _propagates_output(kernel):
                 prop = h
-                z = _propagate(gm, np.matmul(h, kernel))
+                hw = np.matmul(h, kernel, out=ws.take(width))
+                z = _propagate(gm, hw, out=ws.take(width))
+                ws.give(hw)
             else:
                 if layer == 0:
-                    prop = shared.prop0 if not cfg.use_s else shared.prop0 * params["S"][:, None, :]
+                    prop = shared.prop0
+                    if cfg.use_s:
+                        s = params["S"][:, None, :]
+                        prop = np.multiply(prop, s, out=ws.take(prop.shape[-1]))
+                elif gm is None:
+                    prop = h
                 else:
-                    prop = h if gm is None else _propagate(gm, h)
-                z = np.matmul(prop, kernel,
-                              out=_empty_wide(k, n, kernel.shape[-1]) if hidden else None)
+                    prop = _propagate(gm, h, out=ws.take(h.shape[-1]))
+                    ws.give(h)
+                z = np.matmul(prop, kernel, out=ws.take(width))
         cache["prop"].append(prop)
         if hidden:
-            gate = np.greater(z, 0.0, out=np.empty_like(z))
-            if dropout:
-                gate *= _dropout_masks(rngs, z.shape, cfg.dropout_p)
+            gate = np.greater(z, 0.0, out=ws.take(width))
+            if keep is not None:
+                gate *= keep[layer]
                 gate *= 1.0 / (1.0 - cfg.dropout_p)
             cache["gate"].append(gate)
             h = z
             h *= gate
     cache["logits"] = z
-    cache["probs"] = softmax_rows(z)
+    cache["probs"] = _softmax(z, ws.take(width), ws.row)
     return cache["probs"], cache
 
 
-def _cache_head(cache: dict, folds: int) -> dict:
-    """The first ``folds`` folds of a cache; the shared first-layer input
-    (G, X or G @ X) is 2-D, has no fold axis and stays whole."""
-
-    def cut(a):
-        return a if a is None or a.ndim == 2 else a[:folds]
-
-    return {key: [cut(a) for a in value] if isinstance(value, list) else cut(value)
-            for key, value in cache.items()}
-
-
 def _losses(probs: np.ndarray, rows: _Rows, params: dict[str, np.ndarray],
-            hidden: list[str], weight_decay: float) -> list[float]:
-    """loss() of every fold of a stack."""
-    squares = [(params[name] ** 2).sum(axis=tuple(range(1, params[name].ndim)))
-               for name in hidden]
+            decayed: list[str], weight_decay: float,
+            scratch: dict[str, np.ndarray]) -> list[float]:
+    """loss() of every fold of a stack; the squared kernels go to
+    ``scratch``."""
+    squares = [np.multiply(params[name], params[name], out=scratch[name])
+               .sum(axis=tuple(range(1, params[name].ndim))) for name in decayed]
     return [ce + weight_decay * sum(float(sq[fold]) for sq in squares)
             for fold, ce in enumerate(rows.cross_entropy(probs))]
 
 
-def _backward(model: GcnModel, cache: dict, shared: _Shared,
-              rows: _Rows) -> dict[str, np.ndarray]:
-    """backward() for a stack: every fold's gradients, fold axis first."""
-    cfg, params, gm = model.config, model.params, shared.gm
-    n_layers = len(cfg.layer_units) + 1
-    dz = rows.output_grad(cache["probs"])
-    grads: dict[str, np.ndarray] = {}
-    for layer in range(n_layers - 1, 0, -1):
-        kernel = params[f"W{layer}"]
+def _backward(model: GcnModel, cache: dict, shared: _Shared, rows: _Rows,
+              ws: _Workspace) -> dict[str, np.ndarray]:
+    """backward() for a stack: every fold's gradients, fold axis first, in
+    ``ws.grads``.  Each stack of ``cache`` that ``ws`` owns goes back to it
+    once read for the last time."""
+    cfg, params, gm, grads = model.config, model.params, shared.gm, ws.grads
+    ws.give(cache["logits"])
+    dz = rows.output_grad(cache["probs"], out=ws.take(cfg.num_classes))
+    ws.give(cache["probs"])
+    for layer in range(len(cfg.layer_units), 0, -1):
+        name = f"W{layer}"
+        kernel, prop = params[name], cache["prop"][layer]
         propagates_output = gm is not None and _propagates_output(kernel)
         if propagates_output:
-            dz = _propagate(gm.T, dz)  # now the gradient w.r.t. H @ W
-        grads[f"W{layer}"] = np.matmul(np.swapaxes(cache["prop"][layer], -1, -2), dz)
-        dh = np.matmul(dz, np.ascontiguousarray(np.swapaxes(kernel, 1, 2)),
-                       out=_empty_wide(*dz.shape[:2], kernel.shape[1]))
+            dw = _propagate(gm.T, dz, out=ws.take(dz.shape[-1]))  # w.r.t. H @ W
+            ws.give(dz)
+            dz = dw
+        np.matmul(np.swapaxes(prop, -1, -2), dz, out=grads[name])
+        ws.give(prop)
+        kernel_t = ws.transposed[name]
+        np.copyto(kernel_t, np.swapaxes(kernel, 1, 2))
+        dh = np.matmul(dz, kernel_t, out=ws.take(kernel.shape[1]))
+        ws.give(dz)
         if gm is not None and not propagates_output:
-            dh = _propagate(gm.T, dh)
-        dh *= cache["gate"][layer - 1]
+            dg = _propagate(gm.T, dh, out=ws.take(dh.shape[-1]))
+            ws.give(dh)
+            dh = dg
+        gate = cache["gate"][layer - 1]
+        dh *= gate
+        ws.give(gate)
         dz = dh
     prop = cache["prop"][0]
     if cfg.variant == "t":
-        grads["W0"] = _propagate(gm.T, dz)  # the first layer's propagated input is G
+        _propagate(gm.T, dz, out=grads["W0"])  # the first layer's propagated input is G
     elif cfg.variant == "tlr":
-        grads["Wb"] = np.matmul(np.swapaxes(prop, 1, 2), dz)
-        grads["Wa"] = _propagate(gm.T, np.matmul(dz, np.swapaxes(params["Wb"], 1, 2)))
+        np.matmul(np.swapaxes(prop, 1, 2), dz, out=grads["Wb"])
+        da = np.matmul(dz, np.swapaxes(params["Wb"], 1, 2), out=ws.take(1))
+        _propagate(gm.T, da, out=grads["Wa"])
+        ws.give(da)
     else:
-        grads["W0"] = np.matmul(np.swapaxes(prop, -1, -2), dz)
+        np.matmul(np.swapaxes(prop, -1, -2), dz, out=grads["W0"])
         if cfg.use_s:
-            dprop = np.matmul(dz, np.swapaxes(params["W0"], 1, 2))
-            grads["S"] = (dprop * shared.prop0).sum(axis=1)
+            dprop = np.matmul(dz, np.swapaxes(params["W0"], 1, 2), out=ws.take(shared.x.shape[1]))
+            dprop *= shared.prop0
+            np.sum(dprop, axis=1, out=grads["S"])
+            ws.give(dprop)
+    ws.give(prop, dz)
 
     wd = cfg.weight_decay
     if wd:
-        for name in _hidden_kernel_names(cfg):
-            grads[name] += 2.0 * wd * params[name]
+        for name in _decayed_names(cfg):
+            grads[name] += np.multiply(params[name], 2.0 * wd, out=ws.scratch[name])
     return grads
 
 
-def _adam_step(model: GcnModel, grads: dict[str, np.ndarray]) -> None:
-    """adam_step() for a stack, in place; overwrites ``grads``."""
+def _adam_step(model: GcnModel, grads: dict[str, np.ndarray],
+               scratch: dict[str, np.ndarray]) -> None:
+    """adam_step() for a stack, in place; overwrites ``grads`` and
+    ``scratch``."""
     model.step += 1
     t = model.step
     lr = model.config.learning_rate
     for name, p in model.params.items():
         g, m, v = grads[name], model.adam_m[name], model.adam_v[name]
-        g2 = g * g
+        g2 = np.multiply(g, g, out=scratch[name])
         g2 *= 1.0 - ADAM_BETA2
         v *= ADAM_BETA2
         v += g2
@@ -482,36 +614,26 @@ def _adam_step(model: GcnModel, grads: dict[str, np.ndarray]) -> None:
 
 
 def _fit(model: GcnModel, shared: _Shared, rows: _Rows, rngs: list[np.random.Generator],
-         epochs: int, on_epoch=None) -> TrainingDiverged | None:
-    """Run ``epochs`` full-batch Adam steps on a stack, in place.
+         ws: _Workspace, epochs: int, on_epoch=None) -> None:
+    """Run ``epochs`` full-batch Adam steps on a stack, in place, every
+    epoch on the one workspace ``ws``.
 
-    Returns the divergence of the lowest-index fold whose loss went
-    non-finite, or None.  That fold and every later one leave the stack at
-    that epoch.  Earlier folds keep training: one of them may still diverge,
-    and training the folds one by one in order would report it first.
-    ``on_epoch(epoch, losses)`` runs after every step.
+    Raises TrainingDiverged at the first epoch in which any fold's loss is
+    non-finite, for the lowest-index such fold.  ``on_epoch(epoch, losses)``
+    runs after every step.
     """
     cfg = model.config
-    hidden = _hidden_kernel_names(cfg)
-    failure = None
+    decayed = _decayed_names(cfg)
     for epoch in range(epochs):
-        probs, cache = _forward(model, shared, training=True, rngs=rngs)
-        losses = _losses(probs, rows, model.params, hidden, cfg.weight_decay)
+        probs, cache = _forward(model, shared, ws, training=True, rngs=rngs)
+        losses = _losses(probs, rows, model.params, decayed, cfg.weight_decay, ws.scratch)
         finite = np.isfinite(losses)
         if not finite.all():
             fold = int(np.argmin(finite))
-            failure = TrainingDiverged(epoch, model.norms(fold), fold=fold)
-            if fold == 0:
-                return failure
-            model.keep(fold)
-            rows, rngs, losses = rows.head(fold), rngs[:fold], losses[:fold]
-            cache = _cache_head(cache, fold)
-        grads = _backward(model, cache, shared, rows)
-        del probs, cache  # never hold two epochs' activations
-        _adam_step(model, grads)
+            raise TrainingDiverged(epoch, model.norms(fold), fold=fold)
+        _adam_step(model, _backward(model, cache, shared, rows, ws), ws.scratch)
         if on_epoch is not None:
             on_epoch(epoch, losses)
-    return failure
 
 
 def train_folds(inputs: list[TrainInputs], cfgs: list[GcnConfig]) -> list[float]:
@@ -522,7 +644,8 @@ def train_folds(inputs: list[TrainInputs], cfgs: list[GcnConfig]) -> list[float]
     every config field but the seed.  Each fold keeps its own init and
     dropout streams, so the accuracies are those of train() followed by
     evaluate() on each fold alone.  Raises TrainingDiverged, with ``fold``
-    set, for the lowest-index fold whose loss goes non-finite.
+    set, at the first epoch in which any fold's loss goes non-finite, for
+    the lowest-index such fold.
     """
     if not cfgs or len(inputs) != len(cfgs):
         raise ValueError("train_folds needs one config per fold and at least one fold")
@@ -538,10 +661,9 @@ def train_folds(inputs: list[TrainInputs], cfgs: list[GcnConfig]) -> list[float]
     rows.check(cfg.num_classes, train=cfg.epochs > 0, test=True)
     model = GcnModel(cfg, _init_params(cfgs, *first.x.shape))
     shared = _Shared(cfg, first)
-    failure = _fit(model, shared, rows, [derive_rng(c.seed, "dropout") for c in cfgs], cfg.epochs)
-    if failure is not None:
-        raise failure
-    probs, _ = _forward(model, shared)
+    ws = _Workspace(model, shared)
+    _fit(model, shared, rows, [derive_rng(c.seed, "dropout") for c in cfgs], ws, cfg.epochs)
+    probs, _ = _forward(model, shared, ws)
     return rows.accuracies(probs)
 
 
@@ -558,7 +680,8 @@ def forward(
     backward() replays (each layer's kernel input, each hidden layer's
     ReLU-and-dropout gate, logits), each per-model entry with a leading
     fold axis of length 1."""
-    probs, cache = _forward(model, _Shared(model.config, inputs), training,
+    shared = _Shared(model.config, inputs)
+    probs, cache = _forward(model, shared, _Workspace(model, shared), training,
                             None if rng is None else [rng])
     return probs[0], cache
 
@@ -573,20 +696,23 @@ def loss(
     """Masked mean cross-entropy plus L2 decay over hidden kernels."""
     rows = _Rows(labels, [np.flatnonzero(train_mask)])
     rows.check(probs.shape[-1], train=True)
-    return _losses(probs[None], rows, model.params,
-                   _hidden_kernel_names(model.config), weight_decay)[0]
+    decayed = _decayed_names(model.config)
+    scratch = {name: np.empty_like(model.params[name]) for name in decayed}
+    return _losses(probs[None], rows, model.params, decayed, weight_decay, scratch)[0]
 
 
 def backward(model: GcnModel, cache: dict, inputs: TrainInputs) -> dict[str, np.ndarray]:
     """Exact gradients of loss() w.r.t. every parameter, replaying the
-    forward cache (dropout masks included)."""
-    grads = _backward(model, cache, _Shared(model.config, inputs), _Rows.of([inputs]))
+    forward cache (dropout masks included); the cache is left as it was."""
+    shared = _Shared(model.config, inputs)
+    grads = _backward(model, cache, shared, _Rows.of([inputs]), _Workspace(model, shared))
     return {name: g[0] for name, g in grads.items()}
 
 
 def adam_step(model: GcnModel, grads: dict[str, np.ndarray]) -> GcnModel:
     """One Adam update (bias-corrected, canonical betas), in place."""
-    _adam_step(model, {name: np.array(g, dtype=np.float64)[None] for name, g in grads.items()})
+    stacked = {name: np.array(g, dtype=np.float64)[None] for name, g in grads.items()}
+    _adam_step(model, stacked, {name: np.empty_like(g) for name, g in stacked.items()})
     return model
 
 
@@ -594,7 +720,8 @@ def evaluate(model: GcnModel, inputs: TrainInputs) -> float:
     """Argmax accuracy over the test mask, dropout off."""
     rows = _Rows.of([inputs])
     rows.check(model.config.num_classes, test=True)
-    probs, _ = _forward(model, _Shared(model.config, inputs))
+    shared = _Shared(model.config, inputs)
+    probs, _ = _forward(model, shared, _Workspace(model, shared))
     return rows.accuracies(probs)[0]
 
 
@@ -602,22 +729,24 @@ def train(inputs: TrainInputs, cfg: GcnConfig) -> tuple[GcnModel, list[dict]]:
     """Full-batch training loop; deterministic given cfg.seed.
 
     History holds one record per epoch: the training loss the step saw and
-    the post-step test accuracy.  Scoring every epoch costs a forward pass
-    per epoch; train_folds() trains without it.
+    the post-step test accuracy, which is what evaluate() would return.
+    Scoring every epoch costs a forward pass per epoch; train_folds()
+    trains without it.
     """
     model = init_model(cfg, n_nodes=inputs.x.shape[0], n_features=inputs.x.shape[1])
     rows = _Rows.of([inputs])
-    rows.check(cfg.num_classes, train=cfg.epochs > 0)
+    rows.check(cfg.num_classes, train=cfg.epochs > 0, test=cfg.epochs > 0)
+    shared = _Shared(cfg, inputs)
+    ws = _Workspace(model, shared)
     history = []
 
     def record(epoch: int, losses: list[float]) -> None:
+        probs, cache = _forward(model, shared, ws)
         history.append({"epoch": epoch, "train_loss": losses[0],
-                        "test_acc": evaluate(model, inputs)})
+                        "test_acc": rows.accuracies(probs)[0]})
+        ws.release(cache)
 
-    failure = _fit(model, _Shared(cfg, inputs), rows, [derive_rng(cfg.seed, "dropout")],
-                   cfg.epochs, record)
-    if failure is not None:
-        raise failure
+    _fit(model, shared, rows, [derive_rng(cfg.seed, "dropout")], ws, cfg.epochs, record)
     return model, history
 
 

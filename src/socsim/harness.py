@@ -105,11 +105,18 @@ class ExperimentPlan:
     workers: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.cells, (list, tuple)):
+            raise ValueError(f"cells must be a list of cell names, got {self.cells!r}")
         object.__setattr__(self, "cells", tuple(self.cells))
         if len(set(self.cells)) != len(self.cells):
             raise ValueError("cell names must be unique")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
+        for name in ("networks", "snapshots"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.workers < 0:
+            raise ValueError(f"workers must be >= 0 (0 means one), got {self.workers!r}")
         if self.gcn.num_classes < self.sim.y:
             raise ValueError(f"gcn.num_classes ({self.gcn.num_classes}) is below sim.y "
                              f"({self.sim.y}), the number of sDNA labels")
@@ -131,7 +138,6 @@ class ExperimentPlan:
         try:
             d["sim"] = SimConfig(**d.get("sim", {}))
             d["gcn"] = GcnConfig.from_dict(d.get("gcn", {}))
-            d["cells"] = tuple(d.get("cells", default_model_grid(include_s=False)))
             return cls(**d)
         except TypeError as exc:
             raise ValueError(f"bad experiment plan: {exc}") from exc

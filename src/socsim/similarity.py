@@ -45,6 +45,8 @@ class SimilaritySpec:
         if kind not in _KINDS:
             raise ValueError(f"unknown similarity kind {self.kind!r}")
         object.__setattr__(self, "kind", kind)
+        if not self.katz_beta > 0.0:
+            raise ValueError(f"katz_beta must be > 0, got {self.katz_beta!r}")
         if self.katz_max_power < 1:
             raise ValueError("katz_max_power must be >= 1")
         if not (0.0 < self.rpr_alpha < 1.0):
@@ -52,6 +54,8 @@ class SimilaritySpec:
         lo, hi = self.threshold_lo, self.threshold_hi
         if (lo == AUTO) != (hi == AUTO):
             raise ValueError("auto thresholding applies to both thresholds")
+        if lo != AUTO and (np.isnan(float(lo)) or np.isnan(float(hi))):
+            raise ValueError(f"thresholds must be numbers or 'auto', got {lo!r} and {hi!r}")
         if lo != AUTO and float(lo) > float(hi):
             raise ValueError("threshold_lo must not exceed threshold_hi")
 

@@ -2,6 +2,7 @@ import json
 import pickle
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,12 @@ from socsim.gcn import (
     softmax_rows,
     train,
     train_folds,
+    _Rows,
+    _Shared,
+    _Workspace,
+    _fit,
+    _forward,
+    _init_params,
     _propagate,
 )
 from socsim.graph import SocialGraph
@@ -289,6 +296,9 @@ def test_use_s_rejected_for_topology_variants():
     ("num_classes", 0),
     ("layer_units", (-3,)),
     ("layer_units", (4, 0)),
+    ("epochs", 2.5),
+    ("weight_decay", float("nan")),
+    ("weight_decay", -1.0),
 ])
 def test_config_rejects_bad_training_settings(field, value):
     with pytest.raises(ValueError, match=field):
@@ -342,6 +352,34 @@ def test_loss_weight_decay_term():
     params = model.parameters()
     frob = sum((params[f"W{i}"] ** 2).sum() for i in range(3))  # hidden kernels only
     assert decayed - base == pytest.approx(0.01 * frob)
+
+
+# the kernels each variant decays at 0 and 2 hidden layers: all but the
+# output layer's, which is tlr's factored Wa, Wb when it has no hidden layer
+@pytest.mark.parametrize("variant,units,decayed", [
+    ("ftvanilla", (), []),
+    ("f", (), []),
+    ("t", (), []),
+    ("tlr", (), []),
+    ("ftvanilla", (4, 3), ["W0", "W1"]),
+    ("f", (4, 3), ["W0", "W1"]),
+    ("t", (4, 3), ["W0", "W1"]),
+    ("tlr", (4, 3), ["Wa", "Wb", "W1"]),
+])
+def test_weight_decay_spares_the_output_layer(variant, units, decayed):
+    inputs = toy_inputs()
+    cfg = small_cfg(variant=variant, layer_units=units, weight_decay=0.01)
+    model = init_model(cfg, inputs.x.shape[0], inputs.x.shape[1])
+    probs, cache = forward(model, inputs)
+    params = model.parameters()
+    frob = sum((params[name] ** 2).sum() for name in decayed)
+    args = probs, inputs.labels, inputs.train_mask, model
+    assert loss(*args, 0.01) - loss(*args, 0.0) == pytest.approx(0.01 * frob, abs=1e-15)
+    undecayed = GcnModel(replace(cfg, weight_decay=0.0), model.params)
+    plain = backward(undecayed, cache, inputs)
+    for name, grad in backward(model, cache, inputs).items():
+        expected = 2 * 0.01 * params[name] if name in decayed else np.zeros_like(grad)
+        assert np.allclose(grad - plain[name], expected, rtol=1e-9, atol=1e-15), name
 
 
 def test_labels_beyond_num_classes_rejected():
@@ -525,6 +563,53 @@ def assert_train_folds_matches_train_then_evaluate(**cfg):
     assert train_folds(folds, cfgs) == alone
 
 
+def test_dropout_draws_each_folds_layers_in_order_from_its_stream():
+    # positive features, G and kernels keep every ReLU on, so each gate is
+    # the keep-mask over keep; fold i draws layer after layer from its own
+    # stream, each layer's (n, width) block row by row
+    inputs = toy_inputs(toy_graph(n=9, seed=4))
+    widths, p, seeds = (8, 3, 5), 0.4, (11, 12, 13)
+    cfgs = [small_cfg(layer_units=widths, dropout_p=p, seed=s) for s in (1, 2, 3)]
+    model = GcnModel(cfgs[0], _init_params(cfgs, *inputs.x.shape))
+    for param in model.params.values():
+        np.abs(param, out=param)
+    shared = _Shared(cfgs[0], inputs)
+    _, cache = _forward(model, shared, _Workspace(model, shared), training=True,
+                        rngs=[np.random.default_rng(seed) for seed in seeds])
+    for fold, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        for gate, width in zip(cache["gate"], widths):
+            expected = (rng.random((9, width)) >= p) * (1.0 / (1.0 - p))
+            assert np.array_equal(gate[fold], expected)
+
+
+# (8, 3, 9) hidden units over 2 classes: the layers take every G product
+# order and both stack layouts
+@pytest.mark.parametrize("variant,use_s", [("ftvanilla", True), ("f", False), ("t", False),
+                                           ("tlr", False)])
+def test_one_workspace_trains_as_a_fresh_one_every_epoch(variant, use_s):
+    # a buffer read before the epoch writes it would carry the last epoch's
+    # values into this one on a reused workspace, and NaN on a fresh one
+    folds = fold_inputs(toy_inputs(toy_graph(n=12, seed=6)))
+    cfgs = [small_cfg(variant=variant, use_s=use_s, layer_units=(8, 3, 9), dropout_p=0.5,
+                      seed=s) for s in (4, 5, 6)]
+    rows = _Rows.of(folds)
+
+    def train_5_epochs(epochs_per_workspace):
+        model = GcnModel(cfgs[0], _init_params(cfgs, *folds[0].x.shape))
+        shared = _Shared(cfgs[0], folds[0])
+        rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
+        for _ in range(5 // epochs_per_workspace):
+            _fit(model, shared, rows, rngs, _Workspace(model, shared), epochs_per_workspace)
+        return model
+
+    reused, fresh = train_5_epochs(5), train_5_epochs(1)
+    assert reused.step == fresh.step == 5
+    for name, param in reused.params.items():
+        assert np.all(np.isfinite(param))
+        assert np.array_equal(param, fresh.params[name]), name
+
+
 def test_train_folds_matches_train_then_evaluate():
     assert_train_folds_matches_train_then_evaluate()
 
@@ -549,7 +634,7 @@ def test_narrow_products_equal_each_fold_alone():
     g = rng.random((200, 200))
     for width in range(1, 8):
         h = rng.normal(size=(10, 200, width))
-        stack = _propagate(g, h)
+        stack = _propagate(g, h, out=np.empty_like(h))
         for fold in range(10):
             assert np.array_equal(stack[fold], g @ h[fold]), f"width {width}"
 

@@ -311,22 +311,36 @@ def test_cell_raising_any_error_is_recorded_and_the_run_continues(monkeypatch):
 
 # --- fold batching ----------------------------------------------------------------
 
-def train_each_fold_alone(graph, cell, fold_masks, base, plan_seed):
-    """Reference for run_cell: train() then evaluate() on each fold in turn,
-    stopping at the first divergence as the harness reports it."""
+def train_folds_alone(graph, cell, fold_masks, base, plan_seed):
+    """train() then evaluate() on each fold alone: its accuracy, or the
+    TrainingDiverged it raised."""
     cell_cfg, spec = parse_cell(cell, base)
     rep = build_representative(graph, spec)
-    accs = []
+    out = []
     cfgs = _fold_configs(cell_cfg, cell, plan_seed, 0, 0, len(fold_masks))
-    for fold, ((train_mask, test_mask), cfg) in enumerate(zip(fold_masks, cfgs)):
+    for (train_mask, test_mask), cfg in zip(fold_masks, cfgs):
         inputs = TrainInputs(g_matrix=rep.matrix, x=graph.features, labels=graph.sdna_of,
                              train_mask=train_mask, test_mask=test_mask)
         try:
             model, _ = train(inputs, cfg)
         except TrainingDiverged as exc:
-            return f"fold {fold}: {exc}"
-        accs.append(evaluate(model, inputs))
-    return accs
+            out.append(exc)
+            continue
+        out.append(evaluate(model, inputs))
+    return out
+
+
+def train_each_fold_alone(graph, cell, fold_masks, base, plan_seed):
+    """Reference for run_cell: the accuracies of train_folds_alone(), or,
+    as the harness reports it, the divergence at the earliest epoch, of the
+    lowest-index fold among those diverging then."""
+    results = train_folds_alone(graph, cell, fold_masks, base, plan_seed)
+    diverged = [(r.epoch, fold, r) for fold, r in enumerate(results)
+                if isinstance(r, TrainingDiverged)]
+    if diverged:
+        _, fold, exc = min(diverged, key=lambda d: d[:2])
+        return f"fold {fold}: {exc}"
+    return results
 
 
 @pytest.mark.parametrize("cell", ["FTvanilla", "SFTvanilla", "F", "SF", "T", "TLR",
@@ -377,12 +391,16 @@ def test_only_later_folds_diverge():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_earlier_fold_diverging_later_is_reported():
-    # fold 2 diverges first; fold 1 keeps training and diverges epochs later,
-    # so training the folds in order reports fold 1
+def test_fold_diverging_first_is_reported():
+    # fold 2 diverges first and is reported, although fold 1, trained alone,
+    # diverges epochs later and is the lower index: training stops at the
+    # first epoch any fold goes non-finite
     g, folds, base = hot_node_cell(second_hot=1e120)
+    alone = train_folds_alone(g, "F", folds, base, 3)
+    assert isinstance(alone[1], TrainingDiverged) and isinstance(alone[2], TrainingDiverged)
+    assert alone[2].epoch < alone[1].epoch
     expected = train_each_fold_alone(g, "F", folds, base, 3)
-    assert expected.startswith("fold 1: ")
+    assert expected == f"fold 2: {alone[2]}"
     result = run_cell(g, "F", folds, base=base, plan_seed=3)
     assert result.failed and result.error == expected
 
@@ -421,6 +439,26 @@ def test_plan_validation():
         tiny_plan(folds=1)
     with pytest.raises(ValueError):
         tiny_plan(cells=("NOPE",))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("networks", 0, "networks must be >= 1"),
+    ("snapshots", -1, "snapshots must be >= 1"),
+    ("workers", -3, "workers must be >= 0"),
+    ("cells", "FTvanilla", "cells must be a list of cell names"),
+])
+def test_plan_rejects_bad_values(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        tiny_plan(**{field: value})
+    d = tiny_plan().to_dict() | {field: value}
+    with pytest.raises(ValueError, match=message):
+        ExperimentPlan.from_dict(d)
+
+
+def test_plan_accepts_zero_workers(monkeypatch):
+    monkeypatch.delenv("SOCSIM_WORKERS", raising=False)
+    assert tiny_plan(workers=0).workers == 0
+    assert _worker_budget(tiny_plan(workers=0)) == 1
 
 
 @pytest.mark.parametrize("section, key", [(None, "fold"), ("sim", "nodes"), ("gcn", "lr")])

@@ -234,12 +234,6 @@ def test_representative_edgeless_identity():
     assert np.array_equal(rep.matrix, np.eye(3))
 
 
-def test_representative_katz_beta_zero_identity():
-    g = random_graph(5, 0.5, 3)
-    rep = build_representative(g, SimilaritySpec(kind="katz", katz_beta=0.0))
-    assert np.array_equal(rep.matrix, np.eye(5))
-
-
 def test_representative_symmetric_bounded_spectrum():
     for kind in ("adjacency", "katz", "rpr", "gg"):
         for seed in range(4):
@@ -258,6 +252,18 @@ def test_representative_matches_renormalized_operator():
     a_tilde = g.adjacency + np.eye(6)
     d = np.diag(1 / np.sqrt(a_tilde.sum(axis=1)))
     assert np.allclose(rep.matrix, d @ a_tilde @ d, atol=1e-12)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("katz_beta", 0.0, "katz_beta must be > 0"),
+    ("katz_beta", -1.0, "katz_beta must be > 0"),
+    ("katz_beta", float("nan"), "katz_beta must be > 0"),
+    ("threshold_lo", float("nan"), "thresholds must be numbers"),
+    ("threshold_hi", float("nan"), "thresholds must be numbers"),
+])
+def test_spec_rejects_bad_values(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        SimilaritySpec(kind="katz", **{field: value})
 
 
 def test_spec_validation():
