@@ -73,9 +73,11 @@ class SocialGraph:
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "sdna_of", sdna_of)
 
-    @property
-    def num_features(self) -> int:
-        return self.features.shape[1]
+    def __reduce__(self):
+        # rebuilt through __init__: a pickled graph carries its fields, not
+        # the cached n x n adjacency, and comes back with read-only edges
+        return SocialGraph, (self.n, self.edges, self.features, self.sdna_of,
+                             self.snapshot_index)
 
     @cached_property
     def adjacency(self) -> np.ndarray:

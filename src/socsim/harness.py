@@ -7,14 +7,20 @@ the ablation variants; ``FT<kind><thresholds>`` picks a similarity-based
 representative.  Every cell of a snapshot shares the same stratified folds,
 and all randomness is derived from (plan seed, network, snapshot, cell,
 fold) so reports are byte-reproducible regardless of scheduling.
+
+:func:`run_cell` is the one unit of work, serial or pooled: it builds the
+cell's representative inside the cell's fault boundary, so a failed build
+fails only its cell, and no n x n matrix crosses the process pool.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import logging
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace, asdict
@@ -102,7 +108,7 @@ class ExperimentPlan:
     folds: int = 10
     seed: int = 0
     gcn: GcnConfig = field(default_factory=GcnConfig)
-    workers: int = 1
+    workers: int = 1  # 0 means one
 
     def __post_init__(self):
         if not isinstance(self.cells, (list, tuple)):
@@ -110,13 +116,12 @@ class ExperimentPlan:
         object.__setattr__(self, "cells", tuple(self.cells))
         if len(set(self.cells)) != len(self.cells):
             raise ValueError("cell names must be unique")
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
-        for name in ("networks", "snapshots"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0 (0 means one), got {self.workers!r}")
+        for name, low in (("folds", 2), ("networks", 1), ("snapshots", 1), ("workers", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
         if self.gcn.num_classes < self.sim.y:
             raise ValueError(f"gcn.num_classes ({self.gcn.num_classes}) is below sim.y "
                              f"({self.sim.y}), the number of sDNA labels")
@@ -261,42 +266,6 @@ def make_folds(
     return out
 
 
-def _fold_configs(
-    cfg: GcnConfig, cell: str, plan_seed: int, network: int, snapshot: int, folds: int
-) -> list[GcnConfig]:
-    """The cell's config (as parse_cell() returns it) once per fold, each
-    with the fold's derived training seed."""
-    return [
-        replace(cfg, seed=derive_seed(plan_seed, "train", network, snapshot, cell, fold))
-        for fold in range(folds)
-    ]
-
-
-def _run_cell_folds(
-    cell: str,
-    g_matrix: np.ndarray,
-    x: np.ndarray,
-    labels: np.ndarray,
-    fold_masks: list[tuple[np.ndarray, np.ndarray]],
-    fold_cfgs: list[GcnConfig],
-) -> CellResult:
-    try:
-        inputs = [
-            TrainInputs(g_matrix=g_matrix, x=x, labels=labels, train_mask=train_mask,
-                        test_mask=test_mask)
-            for train_mask, test_mask in fold_masks
-        ]
-        accs = train_folds(inputs, fold_cfgs)
-    except TrainingDiverged as exc:
-        return CellResult((), None, None, failed=True, error=f"fold {exc.fold}: {exc}")
-    except Exception as exc:  # one bad cell must not end the batch
-        log.exception("cell %s failed", cell)
-        return CellResult((), None, None, failed=True, error=f"{type(exc).__name__}: {exc}")
-    return CellResult(
-        tuple(accs), mean=float(np.mean(accs)), std=float(np.std(accs))
-    )
-
-
 def run_cell(
     graph: SocialGraph,
     cell: str,
@@ -306,11 +275,32 @@ def run_cell(
     network: int = 0,
     snapshot: int = 0,
 ) -> CellResult:
-    """Cross-validate one cell on one snapshot (representative built once)."""
-    cfg, spec = parse_cell(cell, base)
-    rep = build_representative(graph, spec, provenance=f"{network}-{snapshot}")
-    cfgs = _fold_configs(cfg, cell, plan_seed, network, snapshot, len(fold_masks))
-    return _run_cell_folds(cell, rep.matrix, graph.features, graph.sdna_of, fold_masks, cfgs)
+    """Cross-validate one cell on one snapshot: parse the cell, build its
+    representative, give each fold its derived training seed and train the
+    folds as one stack.
+
+    All of it runs inside the cell's fault boundary, so any exception,
+    a failed build included, fails only this cell.  Building here means a
+    pool task ships the graph and the fold masks, not an n x n matrix, and
+    the workers build in parallel.
+    """
+    try:
+        cfg, spec = parse_cell(cell, base)
+        g_matrix = build_representative(graph, spec, provenance=f"{network}-{snapshot}").matrix
+        inputs = [TrainInputs(g_matrix=g_matrix, x=graph.features, labels=graph.sdna_of,
+                              train_mask=train_mask, test_mask=test_mask)
+                  for train_mask, test_mask in fold_masks]
+        cfgs = [replace(cfg, seed=derive_seed(plan_seed, "train", network, snapshot, cell, fold))
+                for fold in range(len(fold_masks))]
+        accs = train_folds(inputs, cfgs)
+    except TrainingDiverged as exc:
+        return CellResult((), None, None, failed=True, error=f"fold {exc.fold}: {exc}")
+    except Exception as exc:  # one bad cell must not end the batch
+        log.exception("cell %s failed", cell)
+        return CellResult((), None, None, failed=True, error=f"{type(exc).__name__}: {exc}")
+    return CellResult(
+        tuple(accs), mean=float(np.mean(accs)), std=float(np.std(accs))
+    )
 
 
 def _snapshot_hypothesis(cells: dict[str, CellResult]) -> bool | None:
@@ -358,44 +348,34 @@ def _worker_budget(plan: ExperimentPlan) -> int:
 
 
 def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
-    """Full batch: per network, simulate snapshots; per snapshot, build each
-    cell's representative once, cross-validate every cell on shared folds.
+    """Full batch: per network, simulate snapshots; per snapshot, map
+    :func:`run_cell` over the cells on shared folds.
 
-    Cell failures are recorded and the run completes.  Independent cells are
-    scheduled onto one process pool for the whole run when the worker budget
-    exceeds one, a snapshot at a time, so only one snapshot's matrices are
-    in flight; output is schedule-independent because every result is keyed
-    and every random draw comes from a derived stream.
+    Each cell builds its own representative inside its fault boundary, so a
+    cell whose build or training raises is recorded and the run completes.
+    When the worker budget exceeds one, one process pool serves the whole
+    run, a snapshot at a time; a task ships the graph and the fold masks and
+    the workers build their matrices in parallel.  Output is
+    schedule-independent because results keep the plan's cell order and
+    every random draw comes from a derived stream.
     """
     workers = _worker_budget(plan)
     pooled = workers > 1 and len(plan.cells) > 1
     snapshots: list[SnapshotReport] = []
     with (ProcessPoolExecutor(max_workers=workers) if pooled
           else contextlib.nullcontext()) as pool:
+        run_cells = pool.map if pool is not None else map
         for net in range(plan.networks):
             sim_cfg = replace(plan.sim, seed=derive_seed(plan.seed, "network", net))
             for snap_idx, (graph, _) in enumerate(simulate_snapshots(sim_cfg, plan.snapshots)):
-                labels = graph.sdna_of
                 fold_masks = make_folds(
-                    labels, plan.folds, derive_seed(plan.seed, "folds", net, snap_idx)
+                    graph.sdna_of, plan.folds, derive_seed(plan.seed, "folds", net, snap_idx)
                 )
-                matrices: dict[SimilaritySpec, np.ndarray] = {}
-                jobs = []
-                for cell in plan.cells:
-                    cfg, spec = parse_cell(cell, plan.gcn)
-                    if spec not in matrices:
-                        matrices[spec] = build_representative(
-                            graph, spec, provenance=f"{net}-{snap_idx}"
-                        ).matrix
-                    cfgs = _fold_configs(cfg, cell, plan.seed, net, snap_idx, plan.folds)
-                    jobs.append((cell, matrices[spec], graph.features, labels, fold_masks, cfgs))
-
-                if pool is not None:
-                    futures = {job[0]: pool.submit(_run_cell_folds, *job) for job in jobs}
-                    results = {cell: future.result() for cell, future in futures.items()}
-                else:
-                    results = {job[0]: _run_cell_folds(*job) for job in jobs}
-
+                cell_on_snapshot = functools.partial(
+                    run_cell, graph, fold_masks=fold_masks, base=plan.gcn,
+                    plan_seed=plan.seed, network=net, snapshot=snap_idx,
+                )
+                results = dict(zip(plan.cells, run_cells(cell_on_snapshot, plan.cells)))
                 snapshots.append(
                     SnapshotReport(
                         name=f"{net}-{snap_idx}",

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace, asdict
 from pathlib import Path
 
@@ -116,6 +117,9 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "c", tuple(float(x) for x in self.c))
+        for name in ("n", "f", "y"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 1 or self.y < 1:
             raise ValueError("n and y must be at least 1")
         if self.y > self.n:

@@ -63,12 +63,6 @@ class SimilaritySpec:
     def auto_threshold(self) -> bool:
         return self.threshold_lo == AUTO
 
-    def label(self) -> str:
-        if self.kind == "adjacency":
-            return "vanilla"
-        thr = "auto" if self.auto_threshold else f"{self.threshold_lo}-{self.threshold_hi}"
-        return f"{self.kind}{thr}"
-
 
 @dataclass(frozen=True, eq=False)
 class GraphRepresentative:

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -191,6 +192,20 @@ def test_graph_dir_round_trip(tmp_path):
     assert np.array_equal(back.features, g.features)
     assert np.array_equal(back.sdna_of, g.sdna_of)
     assert back.snapshot_index == 2
+
+
+def test_pickled_graph_is_rebuilt_without_its_cached_views():
+    g = SocialGraph(n=4, edges=[(0, 1), (1, 3)], features=np.eye(4)[:, :2],
+                    sdna_of=np.array([0, 1, 0, 1]), snapshot_index=3)
+    adjacency, degrees = g.adjacency, g.degrees
+    back = pickle.loads(pickle.dumps(g))
+    assert "adjacency" not in vars(back) and "degrees" not in vars(back)
+    assert back.n == 4 and back.snapshot_index == 3
+    assert np.array_equal(back.edges, g.edges) and not back.edges.flags.writeable
+    assert np.array_equal(back.features, g.features)
+    assert np.array_equal(back.sdna_of, g.sdna_of)
+    assert np.array_equal(back.adjacency, adjacency)
+    assert np.array_equal(back.degrees, degrees)
 
 
 def test_features_shape_validated():

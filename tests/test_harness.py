@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from socsim import harness
 from socsim.gcn import GcnConfig, TrainInputs, TrainingDiverged, evaluate, train
 from socsim.graph import SocialGraph
+from socsim.rng import derive_seed
 from socsim.harness import (
     CellResult,
     ExperimentPlan,
@@ -18,7 +20,6 @@ from socsim.harness import (
     parse_cell,
     run_cell,
     run_experiment,
-    _fold_configs,
     _worker_budget,
 )
 from socsim.sdna import SimConfig, simulate_snapshots
@@ -288,25 +289,39 @@ def test_failed_cell_recorded():
 
 
 def test_cell_raising_any_error_is_recorded_and_the_run_continues(monkeypatch):
-    # every T cell raises inside training; the other cells train as usual
-    train_folds = harness.train_folds
+    # every T cell raises inside training, or every FTkatz0.0-0.5 cell inside
+    # its representative build; only that cell fails, serially and in a
+    # two-worker pool (workers fork, so the patch reaches them)
+    train_folds, build = harness.train_folds, harness.build_representative
 
-    def flaky(inputs, cfgs):
+    def flaky_train(inputs, cfgs):
         if cfgs[0].variant == "t":
             raise RuntimeError("injected fault")
         return train_folds(inputs, cfgs)
 
-    monkeypatch.setattr(harness, "train_folds", flaky)
-    report = run_experiment(tiny_plan())
-    assert report.any_failed
-    for snap in report.snapshots:
-        failed = snap.cells["T"]
-        assert failed.failed and failed.error == "RuntimeError: injected fault"
-        assert failed.accuracies == () and failed.mean is None
-        for cell in ("FTvanilla", "F", "TLR"):
-            assert not snap.cells[cell].failed
-            assert len(snap.cells[cell].accuracies) == 5
-        assert snap.hypothesis is None and snap.best_cell != "T"
+    def flaky_build(graph, spec, **kwargs):
+        if spec.kind == "katz":
+            raise RuntimeError("injected fault")
+        return build(graph, spec, **kwargs)
+
+    plan = tiny_plan(cells=("FTvanilla", "F", "T", "TLR", "FTkatz0.0-0.5"))
+    for attr, flaky, faulty in (("train_folds", flaky_train, "T"),
+                                ("build_representative", flaky_build, "FTkatz0.0-0.5")):
+        for workers in ("1", "2"):
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, attr, flaky)
+                patch.setenv("SOCSIM_WORKERS", workers)
+                report = run_experiment(plan)
+            assert report.any_failed
+            for snap in report.snapshots:
+                failed = snap.cells[faulty]
+                assert failed.failed and failed.error == "RuntimeError: injected fault"
+                assert failed.accuracies == () and failed.mean is None
+                for cell in set(plan.cells) - {faulty}:
+                    assert not snap.cells[cell].failed
+                    assert len(snap.cells[cell].accuracies) == 5
+                assert snap.best_cell != faulty
+                assert (snap.hypothesis is None) == (faulty == "T")
 
 
 # --- fold batching ----------------------------------------------------------------
@@ -317,8 +332,8 @@ def train_folds_alone(graph, cell, fold_masks, base, plan_seed):
     cell_cfg, spec = parse_cell(cell, base)
     rep = build_representative(graph, spec)
     out = []
-    cfgs = _fold_configs(cell_cfg, cell, plan_seed, 0, 0, len(fold_masks))
-    for (train_mask, test_mask), cfg in zip(fold_masks, cfgs):
+    for fold, (train_mask, test_mask) in enumerate(fold_masks):
+        cfg = replace(cell_cfg, seed=derive_seed(plan_seed, "train", 0, 0, cell, fold))
         inputs = TrainInputs(g_matrix=rep.matrix, x=graph.features, labels=graph.sdna_of,
                              train_mask=train_mask, test_mask=test_mask)
         try:
@@ -445,6 +460,10 @@ def test_plan_validation():
     ("networks", 0, "networks must be >= 1"),
     ("snapshots", -1, "snapshots must be >= 1"),
     ("workers", -3, "workers must be >= 0"),
+    ("folds", 2.5, "folds must be an integer, got 2.5"),
+    ("networks", 1.5, "networks must be an integer, got 1.5"),
+    ("snapshots", 2.0, "snapshots must be an integer, got 2.0"),
+    ("workers", 1.5, "workers must be an integer, got 1.5"),
     ("cells", "FTvanilla", "cells must be a list of cell names"),
 ])
 def test_plan_rejects_bad_values(field, value, message):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,14 @@ def test_sdna_invariants_enforced():
 def test_sim_config_rejects_empty_population(kw):
     with pytest.raises(ValueError, match="n and y must be at least 1"):
         small_cfg(**kw)
+
+
+@pytest.mark.parametrize("name, value", [("n", 40.5), ("f", 3.0), ("y", 2.5)])
+def test_sim_config_rejects_non_integer_sizes(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+        small_cfg(**{name: value})
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+        SimConfig.from_json(json.dumps(json.loads(small_cfg().to_json()) | {name: value}))
 
 
 def test_sim_config_from_json_names_unknown_key():
