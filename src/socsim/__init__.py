@@ -16,6 +16,7 @@ from .sdna import (
     feature_score,
     feature_score_one_way,
     generate_population,
+    iter_snapshots,
     mutate,
     pair_score,
     path_score,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .graph import load_graph_dir, save_graph_dir
 from .harness import ExperimentPlan, emit_report, load_report, run_experiment
-from .sdna import SimConfig, emit_event_stream, simulate_snapshots
+from .sdna import SimConfig, emit_event_stream, iter_snapshots
 from .similarity import (
     AUTO,
     SimilaritySpec,
@@ -35,7 +35,7 @@ def _cmd_simulate(args) -> int:
     cfg = SimConfig.load(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for idx, (graph, sdnas) in enumerate(simulate_snapshots(cfg, args.snapshots)):
+    for idx, (graph, sdnas) in enumerate(iter_snapshots(cfg, args.snapshots)):
         snap_dir = out / f"snap-{idx:03d}"
         save_graph_dir(graph, snap_dir)
         (snap_dir / "sdna.json").write_text(

@@ -118,24 +118,34 @@ class GcnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        variant = self.variant.lower()
-        if variant not in VARIANTS:
+        if not isinstance(self.variant, str) or self.variant.lower() not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "variant", self.variant.lower())
+        if not isinstance(self.use_s, bool):
+            raise ValueError(f"use_s must be true or false, got {self.use_s!r}")
+        if not (isinstance(self.layer_units, (list, tuple))
+                and all(isinstance(u, numbers.Integral) for u in self.layer_units)):
+            raise ValueError(f"layer_units must be a list of integers, got {self.layer_units!r}")
         object.__setattr__(self, "layer_units", tuple(int(u) for u in self.layer_units))
+        for name in ("num_classes", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("learning_rate", "weight_decay", "dropout_p"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.num_classes < 1:
             raise ValueError(f"num_classes must be >= 1, got {self.num_classes!r}")
         if any(u < 1 for u in self.layer_units):
             raise ValueError(f"layer_units entries must be >= 1, got {self.layer_units!r}")
-        if self.use_s and variant in ("t", "tlr"):
+        if self.use_s and self.variant in ("t", "tlr"):
             raise ValueError("use_s weights features; topology-only variants have none")
         if not (0.0 <= self.dropout_p < 1.0):
             raise ValueError("dropout_p must lie in [0, 1)")
         if not isinstance(self.epochs, numbers.Integral) or self.epochs < 0:
             raise ValueError(f"epochs must be an integer >= 0, got {self.epochs!r}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
-        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
 
     def to_dict(self) -> dict:
@@ -143,10 +153,12 @@ class GcnConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GcnConfig":
-        d = dict(d)
-        if "layer_units" in d:
-            d["layer_units"] = tuple(d["layer_units"])
-        return cls(**d)
+        if not isinstance(d, dict):
+            raise ValueError(f"a model config must be a JSON object, got {d!r}")
+        try:
+            return cls(**d)
+        except TypeError as exc:  # unknown or missing keys
+            raise ValueError(f"bad model config: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +185,8 @@ class GcnModel:
     ``params`` names every trainable tensor: ``W<i>`` for layer i's kernel,
     ``Wa`` and ``Wb`` for tlr's factored first kernel (G @ Wa @ Wb), and
     ``S`` for the feature weights.  Every parameter and Adam moment leads
-    with the fold axis; moments missing at construction start at zero."""
+    with the fold axis; moments missing at construction start at zero,
+    laid out like their parameter."""
 
     config: GcnConfig
     params: dict[str, np.ndarray]
@@ -205,13 +218,12 @@ def _init_params(cfgs: list[GcnConfig], n_nodes: int, n_features: int) -> dict[s
     stream, and all-ones feature weights (identity behaviour)."""
     cfg = cfgs[0]
     in_dim = n_nodes if cfg.variant in ("t", "tlr") else n_features
-    dims = [in_dim, *cfg.layer_units, cfg.num_classes]
-    shapes = list(zip(dims[:-1], dims[1:]))
-    if cfg.variant == "tlr":
-        shapes[:1] = [(dims[0], 1), (1, dims[1])]
-    # the kernels' names come first; S, last, has no kernel shape
     params = {name: np.empty((len(cfgs), *shape))
-              for name, shape in zip(_param_names(cfg), shapes)}
+              for name, shape in _kernel_shapes(cfg, in_dim).items()}
+    if cfg.variant == "t":
+        # t's first layer propagates W0 itself, and its gradient is a G
+        # product: keep W0 (and so its Adam moments) in the _stack() layout
+        params["W0"] = _stack(np.empty(params["W0"].size), *params["W0"].shape)
     for fold, fold_cfg in enumerate(cfgs):
         rng = derive_rng(fold_cfg.seed, "init")
         for p in params.values():
@@ -251,6 +263,17 @@ def _layer_kernels(cfg: GcnConfig) -> list[list[str]]:
 def _param_names(cfg: GcnConfig) -> list[str]:
     """Every trainable tensor's name, in the order a checkpoint stores them."""
     return [name for layer in _layer_kernels(cfg) for name in layer] + (["S"] if cfg.use_s else [])
+
+
+def _kernel_shapes(cfg: GcnConfig, in_dim: int) -> dict[str, tuple[int, int]]:
+    """Every kernel's (fan_in, fan_out), in layer order, for a model whose
+    first layer reads ``in_dim`` columns (nodes for t/tlr, else features)."""
+    dims = [in_dim, *cfg.layer_units, cfg.num_classes]
+    shapes = list(zip(dims[:-1], dims[1:]))
+    if cfg.variant == "tlr":
+        shapes[:1] = [(dims[0], 1), (1, dims[1])]
+    # the kernels' names come first; S, last, has no kernel shape
+    return dict(zip(_param_names(cfg), shapes))
 
 
 def _decayed_names(cfg: GcnConfig) -> list[str]:
@@ -415,11 +438,9 @@ class _Workspace:
         self._slot_size = k * n * widest
         self._slots: dict[int, np.ndarray] = {}
         self._free: list[np.ndarray] = []
-        self.grads = {name: _nan(p.shape) for name, p in params.items()}
-        if cfg.variant == "t":
-            # t's first-layer gradient is a G product; give it the stack layout
-            self.grads["W0"] = _stack(_nan(params["W0"].size), *params["W0"].shape)
-        self.scratch = {name: _nan(p.shape) for name, p in params.items()}
+        # laid out like their parameters, so Adam's passes match layouts
+        self.grads = {name: np.full_like(p, np.nan) for name, p in params.items()}
+        self.scratch = {name: np.full_like(p, np.nan) for name, p in params.items()}
         self.transposed = {name: _nan(np.swapaxes(params[name], 1, 2).shape)
                            for layer in _layer_kernels(cfg)[1:] for name in layer}
         self.row = _nan((k, n, 1))
@@ -482,10 +503,7 @@ def _forward(model: GcnModel, shared: _Shared, ws: _Workspace, training: bool = 
         width = cfg.layer_units[layer] if hidden else cfg.num_classes
         if layer == 0 and cfg.variant == "t":
             # identity features: the first propagation collapses to G @ W0
-            w0 = ws.take(width)
-            np.copyto(w0, params["W0"])
-            prop, z = None, _propagate(gm, w0, out=ws.take(width))
-            ws.give(w0)
+            prop, z = None, _propagate(gm, params["W0"], out=ws.take(width))
         elif layer == 0 and cfg.variant == "tlr":
             prop = _propagate(gm, params["Wa"], out=ws.take(1))
             z = np.matmul(prop, params["Wb"], out=ws.take(width))
@@ -783,8 +801,9 @@ def save_model(model: GcnModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> GcnModel:
     """Read a save_model() checkpoint.  A file that is not one, that ends
-    early or runs on past its last tensor, or whose tensors are not the ones
-    its config names, raises ValueError."""
+    early or runs on past its last tensor, whose config is not a valid one,
+    or whose tensors are not the ones its config names (by name and by
+    shape), raises ValueError."""
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise ValueError(f"{path}: not a model checkpoint")
@@ -801,9 +820,10 @@ def load_model(path: str | Path) -> GcnModel:
     def unpack(fmt: str) -> int:
         return struct.unpack(fmt, take(struct.calcsize(fmt)))[0]
 
+    blob = take(unpack("<I"))
     try:
-        cfg = GcnConfig.from_dict(json.loads(take(unpack("<I")).decode()))
-    except TypeError as exc:
+        cfg = GcnConfig.from_dict(json.loads(blob.decode()))
+    except ValueError as exc:  # UTF-8, JSON and config errors alike
         raise ValueError(f"{path}: bad config: {exc}") from exc
     names, tensors = [], []
     for _ in range(unpack("<I")):
@@ -815,4 +835,9 @@ def load_model(path: str | Path) -> GcnModel:
         raise ValueError(f"{path}: {len(data) - pos} bytes after the last tensor")
     if names != _param_names(cfg):
         raise ValueError(f"{path}: tensors {names} do not match the config's {_param_names(cfg)}")
+    in_dim = tensors[0].shape[0] if tensors and tensors[0].ndim else 0
+    shapes = [*_kernel_shapes(cfg, in_dim).values(), *([(in_dim,)] if cfg.use_s else [])]
+    if [t.shape for t in tensors] != shapes:
+        raise ValueError(f"{path}: tensor shapes {[t.shape for t in tensors]} do not match "
+                         f"the config's {shapes}")
     return GcnModel(cfg, {name: t[None] for name, t in zip(names, tensors)})

@@ -205,10 +205,14 @@ def _read_int_pairs(path: Path, delimiter: str, what: str) -> np.ndarray:
 
 def load_graph_dir(path: str | Path, snapshot_index: int = 0) -> SocialGraph:
     """Read a graph directory written by :func:`save_graph_dir`; raises
-    ``ValueError`` unless labels.csv names every node 0..n-1 exactly once
-    and every edges.tsv row is two tab-separated integers."""
+    ``ValueError`` unless features.csv holds at least one row, labels.csv
+    names every node 0..n-1 exactly once with an sdna id >= 0, and every
+    edges.tsv row is two tab-separated integers."""
     path = Path(path)
-    features = np.loadtxt(path / "features.csv", delimiter=",", ndmin=2)
+    text = (path / "features.csv").read_text()
+    if not text.strip():
+        raise ValueError(f"{path / 'features.csv'}: no feature rows")
+    features = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
     n = features.shape[0]
     labels = _read_int_pairs(path / "labels.csv", ",", "two comma-separated integers")
     nodes = labels[:, 0]
@@ -218,6 +222,8 @@ def load_graph_dir(path: str | Path, snapshot_index: int = 0) -> SocialGraph:
             f"{path / 'labels.csv'}: must name every node 0..{n - 1} exactly once, got "
             f"{len(nodes)} rows; unlabelled nodes {np.flatnonzero(counts == 0)[:5].tolist()}"
         )
+    if np.any(labels[:, 1] < 0):
+        raise ValueError(f"{path / 'labels.csv'}: sdna ids must be >= 0")
     sdna_of = np.empty(n, dtype=np.int64)
     sdna_of[nodes] = labels[:, 1]
     edges_file = path / "edges.tsv"

@@ -11,18 +11,27 @@ fold) so reports are byte-reproducible regardless of scheduling.
 :func:`run_cell` is the one unit of work, serial or pooled: it builds the
 cell's representative inside the cell's fault boundary, so a failed build
 fails only its cell, and no n x n matrix crosses the process pool.
+:func:`run_experiment` streams every (snapshot, cell) task of a run through
+one code path: into a fork pool whose workers run BLAS on one thread each,
+one worker per available core by default, or straight through in-process
+when there is one worker or one task.  A snapshot's tasks are submitted as
+soon as it is simulated, and its results are collected only after the next
+snapshot's tasks are queued, so the workers never wait on the simulator.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import functools
 import json
 import logging
+import multiprocessing
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterator
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace, asdict
 from pathlib import Path
 
@@ -31,7 +40,7 @@ import numpy as np
 from .gcn import GcnConfig, TrainInputs, TrainingDiverged, train_folds
 from .graph import SocialGraph
 from .rng import derive_rng, derive_seed
-from .sdna import SimConfig, simulate_snapshots
+from .sdna import SimConfig, iter_snapshots
 from .similarity import AUTO, SimilaritySpec, build_representative
 
 HYPOTHESIS_CELLS = ("FTvanilla", "F", "T", "TLR")
@@ -108,14 +117,17 @@ class ExperimentPlan:
     folds: int = 10
     seed: int = 0
     gcn: GcnConfig = field(default_factory=GcnConfig)
-    workers: int = 1  # 0 means one
+    workers: int = 0  # 0 means every core this process may run on
 
     def __post_init__(self):
-        if not isinstance(self.cells, (list, tuple)):
+        if not (isinstance(self.cells, (list, tuple))
+                and all(isinstance(cell, str) for cell in self.cells)):
             raise ValueError(f"cells must be a list of cell names, got {self.cells!r}")
         object.__setattr__(self, "cells", tuple(self.cells))
         if len(set(self.cells)) != len(self.cells):
             raise ValueError("cell names must be unique")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         for name, low in (("folds", 2), ("networks", 1), ("snapshots", 1), ("workers", 0)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
@@ -139,12 +151,12 @@ class ExperimentPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentPlan":
-        d = dict(d)
+        if not isinstance(d, dict):
+            raise ValueError(f"an experiment plan must be a JSON object, got {d!r}")
         try:
-            d["sim"] = SimConfig(**d.get("sim", {}))
-            d["gcn"] = GcnConfig.from_dict(d.get("gcn", {}))
-            return cls(**d)
-        except TypeError as exc:
+            return cls(**d | {"sim": SimConfig.from_dict(d.get("sim", {})),
+                              "gcn": GcnConfig.from_dict(d.get("gcn", {}))})
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"bad experiment plan: {exc}") from exc
 
     @classmethod
@@ -344,46 +356,111 @@ def _worker_budget(plan: ExperimentPlan) -> int:
         if workers < 1:
             raise ValueError(f"SOCSIM_WORKERS must be a positive integer, got {env!r}")
         return workers
-    return max(1, plan.workers)
+    return plan.workers or len(os.sched_getaffinity(0))
+
+
+# OpenBLAS's thread-count setter, by build: numpy's scipy-openblas ILP64
+# build, a plain ILP64 build, a plain LP64 build
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                 "openblas_set_num_threads")
+
+
+@functools.cache
+def _blas_thread_setter():
+    """OpenBLAS's ``set_num_threads`` from numpy's bundled library, or None
+    (with one warning per process) when there is none to call."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in _BLAS_SETTERS:
+            setter = getattr(handle, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return setter
+    log.warning("no OpenBLAS thread setter in %s: pool workers keep the BLAS "
+                "library's default thread count", libs)
+    return None
+
+
+def _pin_blas() -> None:
+    """Pool initializer: BLAS on one thread in this worker.  The products
+    are too small to gain from threads, and w workers that each keep
+    OpenBLAS's default of one thread per core oversubscribe the cores."""
+    setter = _blas_thread_setter()
+    if setter is not None:
+        setter(1)
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """A pool of ``workers`` forked processes with BLAS pinned to one thread.
+    Fork starts a worker in milliseconds, with numpy and socsim already
+    imported; spawn and forkserver take a third of a second or more per
+    pool.  A fork pool forks all its workers at its first submit, before it
+    starts its own threads.  The setter is looked up here, so a missing one
+    is logged once, in this process."""
+    _blas_thread_setter()
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_pin_blas)
+
+
+def _run_now(fn, *args) -> Future:
+    """``pool.submit`` without a pool: run ``fn`` here and now."""
+    future: Future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
+def _snapshot_tasks(plan: ExperimentPlan) -> Iterator[tuple[str, functools.partial]]:
+    """Per snapshot, in plan order, its name and :func:`run_cell` bound to
+    its graph and folds.  Lazy: a snapshot is simulated and its folds drawn
+    when it is asked for."""
+    for net in range(plan.networks):
+        sim_cfg = replace(plan.sim, seed=derive_seed(plan.seed, "network", net))
+        for snap_idx, (graph, _) in enumerate(iter_snapshots(sim_cfg, plan.snapshots)):
+            fold_masks = make_folds(
+                graph.sdna_of, plan.folds, derive_seed(plan.seed, "folds", net, snap_idx)
+            )
+            yield f"{net}-{snap_idx}", functools.partial(
+                run_cell, graph, fold_masks=fold_masks, base=plan.gcn,
+                plan_seed=plan.seed, network=net, snapshot=snap_idx,
+            )
+
+
+def _snapshot_report(cells: tuple[str, ...], name: str, futures: list[Future]) -> SnapshotReport:
+    results = {cell: future.result() for cell, future in zip(cells, futures)}
+    return SnapshotReport(name=name, cells=results, best_cell=_best_cell(results),
+                          hypothesis=_snapshot_hypothesis(results))
 
 
 def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
-    """Full batch: per network, simulate snapshots; per snapshot, map
-    :func:`run_cell` over the cells on shared folds.
+    """Full batch: per network, simulate snapshots; per snapshot, run
+    :func:`run_cell` on every cell over shared folds.
 
     Each cell builds its own representative inside its fault boundary, so a
     cell whose build or training raises is recorded and the run completes.
-    When the worker budget exceeds one, one process pool serves the whole
-    run, a snapshot at a time; a task ships the graph and the fold masks and
-    the workers build their matrices in parallel.  Output is
-    schedule-independent because results keep the plan's cell order and
-    every random draw comes from a derived stream.
+    Every (snapshot, cell) task goes through one stream.  With a worker
+    budget above one and more than one task, one fork pool (BLAS pinned to
+    one thread per worker) serves the whole run; otherwise the tasks run
+    in-process as they are submitted.  A snapshot's tasks are submitted as
+    soon as it is simulated and its folds drawn, and its results are
+    collected only once the next snapshot, across networks too, has been
+    submitted: the workers always have queued work, the next simulation
+    overlaps training, and at most two snapshots' graphs are held here.
+    Output is schedule-independent because results keep the plan's cell
+    order and every random draw comes from a derived stream.
     """
-    workers = _worker_budget(plan)
-    pooled = workers > 1 and len(plan.cells) > 1
+    tasks = plan.networks * plan.snapshots * len(plan.cells)
+    workers = min(_worker_budget(plan), tasks)
     snapshots: list[SnapshotReport] = []
-    with (ProcessPoolExecutor(max_workers=workers) if pooled
-          else contextlib.nullcontext()) as pool:
-        run_cells = pool.map if pool is not None else map
-        for net in range(plan.networks):
-            sim_cfg = replace(plan.sim, seed=derive_seed(plan.seed, "network", net))
-            for snap_idx, (graph, _) in enumerate(simulate_snapshots(sim_cfg, plan.snapshots)):
-                fold_masks = make_folds(
-                    graph.sdna_of, plan.folds, derive_seed(plan.seed, "folds", net, snap_idx)
-                )
-                cell_on_snapshot = functools.partial(
-                    run_cell, graph, fold_masks=fold_masks, base=plan.gcn,
-                    plan_seed=plan.seed, network=net, snapshot=snap_idx,
-                )
-                results = dict(zip(plan.cells, run_cells(cell_on_snapshot, plan.cells)))
-                snapshots.append(
-                    SnapshotReport(
-                        name=f"{net}-{snap_idx}",
-                        cells=results,
-                        best_cell=_best_cell(results),
-                        hypothesis=_snapshot_hypothesis(results),
-                    )
-                )
+    with _pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        submit = pool.submit if pool is not None else _run_now
+        previous = None
+        for name, cell_on_snapshot in _snapshot_tasks(plan):
+            futures = [submit(cell_on_snapshot, cell) for cell in plan.cells]
+            if previous is not None:
+                snapshots.append(_snapshot_report(plan.cells, *previous))
+            previous = name, futures
+        snapshots.append(_snapshot_report(plan.cells, *previous))
     return ExperimentReport(plan=plan.to_dict(), snapshots=tuple(snapshots))
 
 

@@ -25,6 +25,7 @@ import json
 import logging
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass, replace, asdict
 from pathlib import Path
 
@@ -116,10 +117,20 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (isinstance(self.c, (list, tuple))
+                and all(isinstance(x, numbers.Real) and math.isfinite(x) for x in self.c)):
+            raise ValueError(f"c must be a list of finite numbers, got {self.c!r}")
         object.__setattr__(self, "c", tuple(float(x) for x in self.c))
-        for name in ("n", "f", "y"):
+        for name in ("n", "f", "y", "q", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("p", "t", "r", "z"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.mutate_preference, bool):
+            raise ValueError(f"mutate_preference must be true or false, "
+                             f"got {self.mutate_preference!r}")
         if self.n < 1 or self.y < 1:
             raise ValueError("n and y must be at least 1")
         if self.y > self.n:
@@ -137,11 +148,17 @@ class SimConfig:
         return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "SimConfig":
+    def from_dict(cls, d: dict) -> "SimConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"a simulation config must be a JSON object, got {d!r}")
         try:
-            return cls(**json.loads(text))
-        except TypeError as exc:
+            return cls(**d)
+        except TypeError as exc:  # unknown or missing keys
             raise ValueError(f"bad simulation config: {exc}") from exc
+
+    @classmethod
+    def from_json(cls, text: str) -> "SimConfig":
+        return cls.from_dict(json.loads(text))
 
     @classmethod
     def load(cls, path: str | Path) -> "SimConfig":
@@ -345,29 +362,36 @@ def mutate(
     return out
 
 
-def simulate_snapshots(cfg: SimConfig, snapshots: int) -> list[tuple[SocialGraph, list[Sdna]]]:
-    """Full dynamic run, returning (graph, sdnas-in-effect) per snapshot.
+def iter_snapshots(cfg: SimConfig, snapshots: int) -> Iterator[tuple[SocialGraph, list[Sdna]]]:
+    """Full dynamic run, yielding (graph, sdnas-in-effect) per snapshot.
 
     Snapshot 0 socialises a fresh population; each later snapshot first
     mutates the sDNAs and then socialises over the pairs that are still
     unconnected, so edge sets grow monotonically while features stay fixed.
+    A snapshot is simulated only when it is asked for, and the generator
+    holds only the latest graph (the next snapshot grows from it), so a
+    caller that drops an earlier snapshot frees it, together with the
+    adjacency that socialising its successor cached on it.
     """
     if snapshots < 1:
         raise ValueError("snapshots must be >= 1")
     graph, sdnas = generate_population(cfg)
-    out = []
     for s in range(snapshots):
         if s > 0:
             sdnas = mutate(sdnas, cfg, derive_rng(cfg.seed, "mutate", s))
         graph, _ = socialise(graph, sdnas, cfg, derive_rng(cfg.seed, "socialise", s))
         graph = replace(graph, snapshot_index=s)
-        out.append((graph, sdnas))
-    return out
+        yield graph, sdnas
+
+
+def simulate_snapshots(cfg: SimConfig, snapshots: int) -> list[tuple[SocialGraph, list[Sdna]]]:
+    """Every snapshot of :func:`iter_snapshots` at once, as a list."""
+    return list(iter_snapshots(cfg, snapshots))
 
 
 def run_dynamic(cfg: SimConfig, snapshots: int) -> list[SocialGraph]:
-    """Snapshot graphs only; see :func:`simulate_snapshots`."""
-    return [g for g, _ in simulate_snapshots(cfg, snapshots)]
+    """Snapshot graphs only; see :func:`iter_snapshots`."""
+    return [g for g, _ in iter_snapshots(cfg, snapshots)]
 
 
 _EVENT_MAX_RETRIES = 100

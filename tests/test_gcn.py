@@ -724,6 +724,14 @@ def test_model_checkpoint_tensors_must_match_config(tmp_path):
         load_model(path)
 
 
+def test_model_checkpoint_tensor_shapes_must_match_config(tmp_path):
+    path = tmp_path / "model.bin"
+    wider = init_model(small_cfg(layer_units=(3, 5)), 4, 3)
+    save_model(GcnModel(config=small_cfg(layer_units=(3, 4)), params=wider.params), path)
+    with pytest.raises(ValueError, match=r"tensor shapes .*\(3, 5\).* do not match"):
+        load_model(path)
+
+
 def test_model_checkpoint_unknown_config_key_rejected(tmp_path):
     blob = json.dumps(small_cfg().to_dict() | {"bogus": 1}).encode()
     path = tmp_path / "model.bin"

@@ -249,3 +249,16 @@ def test_load_graph_dir_rejects_malformed_edge_rows(tmp_path, edges):
     (tmp_path / "snap" / "edges.tsv").write_text(edges)
     with pytest.raises(ValueError, match="edges.tsv: every row must be two tab-separated integers"):
         load_graph_dir(tmp_path / "snap")
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("features.csv", "", "features.csv: no feature rows"),
+    ("features.csv", " \n", "features.csv: no feature rows"),
+    ("labels.csv", "0,1\n1,-1\n2,0\n", "labels.csv: sdna ids must be >= 0"),
+])
+def test_load_graph_dir_rejects_empty_features_and_negative_labels(tmp_path, name, content,
+                                                                   message):
+    save_graph_dir(make_graph(3, [(0, 1)]), tmp_path / "snap")
+    (tmp_path / "snap" / name).write_text(content)
+    with pytest.raises(ValueError, match=message):
+        load_graph_dir(tmp_path / "snap")

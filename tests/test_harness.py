@@ -1,5 +1,10 @@
+import ctypes
+import gc
 import json
+import os
+import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,9 +213,7 @@ def test_experiment_deterministic_bytes(tmp_path):
     assert (tmp_path / "a/report.json").read_bytes() == (tmp_path / "b/report.json").read_bytes()
 
 
-def test_experiment_parallel_matches_serial(tmp_path, monkeypatch):
-    plan = tiny_plan(cells=("FTvanilla", "F", "T"), snapshots=2)
-    serial = run_experiment(plan)
+def _count_pools(monkeypatch) -> list:
     pools = []
 
     class CountedPool(harness.ProcessPoolExecutor):
@@ -219,6 +222,14 @@ def test_experiment_parallel_matches_serial(tmp_path, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+    return pools
+
+
+def test_experiment_parallel_matches_serial(tmp_path, monkeypatch):
+    monkeypatch.delenv("SOCSIM_WORKERS", raising=False)
+    plan = tiny_plan(cells=("FTvanilla", "F", "T"), snapshots=2, workers=1)
+    serial = run_experiment(plan)
+    pools = _count_pools(monkeypatch)
     monkeypatch.setenv("SOCSIM_WORKERS", "3")
     parallel = run_experiment(plan)
     monkeypatch.delenv("SOCSIM_WORKERS")
@@ -228,6 +239,90 @@ def test_experiment_parallel_matches_serial(tmp_path, monkeypatch):
     assert (tmp_path / "serial/report.json").read_bytes() == (
         tmp_path / "parallel/report.json"
     ).read_bytes()
+
+
+def test_stream_across_networks_matches_serial_with_a_failing_cell(monkeypatch):
+    # the katz cell of snapshot 1-0 raises in its build; one pool serves
+    # both networks, and every snapshot comes out as it does serially
+    monkeypatch.delenv("SOCSIM_WORKERS", raising=False)
+    build = harness.build_representative
+
+    def flaky_build(graph, spec, provenance=""):
+        if spec.kind == "katz" and provenance == "1-0":
+            raise RuntimeError("injected fault")
+        return build(graph, spec, provenance=provenance)
+
+    monkeypatch.setattr(harness, "build_representative", flaky_build)
+    pools = _count_pools(monkeypatch)
+    plan = tiny_plan(networks=2, snapshots=2, cells=("FTvanilla", "F", "FTkatz0.0-0.5"),
+                     workers=1)
+    serial = run_experiment(plan)
+    assert pools == []
+    pooled = run_experiment(replace(plan, workers=2))
+    assert len(pools) == 1
+    assert [snap.name for snap in pooled.snapshots] == ["0-0", "0-1", "1-0", "1-1"]
+    assert pooled.snapshots == serial.snapshots
+    failed = [(snap.name, cell) for snap in pooled.snapshots
+              for cell, result in snap.cells.items() if result.failed]
+    assert failed == [("1-0", "FTkatz0.0-0.5")]
+    assert pooled.snapshot("1-0").cells["FTkatz0.0-0.5"].error == "RuntimeError: injected fault"
+
+
+def test_one_cell_plan_pools_over_its_snapshots(monkeypatch):
+    monkeypatch.delenv("SOCSIM_WORKERS", raising=False)
+    pools = _count_pools(monkeypatch)
+    plan = tiny_plan(cells=("FTvanilla",), snapshots=2, workers=2)
+    pooled = run_experiment(plan)
+    assert len(pools) == 1
+    assert pooled.snapshots == run_experiment(replace(plan, workers=1)).snapshots
+    assert len(pools) == 1
+
+
+def test_stream_frees_the_graph_two_snapshots_back(monkeypatch):
+    # while snapshot s runs, nothing holds snapshot s-2's graph any more
+    monkeypatch.delenv("SOCSIM_WORKERS", raising=False)
+    graphs, freed = {}, []
+    run_cell = harness.run_cell
+
+    def watching(graph, cell, fold_masks, **kwargs):
+        s = kwargs["snapshot"]
+        graphs[s] = weakref.ref(graph)
+        if s >= 2:
+            gc.collect()
+            freed.append(graphs[s - 2]() is None)
+        return run_cell(graph, cell, fold_masks, **kwargs)
+
+    monkeypatch.setattr(harness, "run_cell", watching)
+    run_experiment(tiny_plan(cells=("F",), snapshots=4, workers=1))
+    assert freed == [True, True]
+
+
+def _openblas_threads() -> int | None:
+    """OpenBLAS's own thread count in this process, None without a getter."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            getter = getattr(handle, symbol, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return int(getter())
+    return None
+
+
+def test_pool_workers_run_blas_on_one_thread():
+    setter = harness._blas_thread_setter()
+    if setter is None or _openblas_threads() is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread setter and getter")
+    before = _openblas_threads()
+    setter(2)  # a parent running more than one BLAS thread, on any host
+    try:
+        with harness._pool(2) as pool:
+            assert pool.submit(_openblas_threads).result() == 1
+        assert _openblas_threads() == 2
+    finally:
+        setter(before)
 
 
 def test_experiment_shared_folds_and_hypothesis_flag():
@@ -477,7 +572,14 @@ def test_plan_rejects_bad_values(field, value, message):
 def test_plan_accepts_zero_workers(monkeypatch):
     monkeypatch.delenv("SOCSIM_WORKERS", raising=False)
     assert tiny_plan(workers=0).workers == 0
-    assert _worker_budget(tiny_plan(workers=0)) == 1
+    assert _worker_budget(tiny_plan(workers=0)) == len(os.sched_getaffinity(0))
+
+
+def test_default_plan_uses_every_core(monkeypatch):
+    monkeypatch.delenv("SOCSIM_WORKERS", raising=False)
+    assert ExperimentPlan().workers == 0
+    assert tiny_plan().workers == 0
+    assert _worker_budget(ExperimentPlan()) == len(os.sched_getaffinity(0))
 
 
 @pytest.mark.parametrize("section, key", [(None, "fold"), ("sim", "nodes"), ("gcn", "lr")])
