@@ -30,11 +30,11 @@ where the kernel keeps or widens the width, G @ (H @ W) where it narrows
 it (the output layer, num_classes wide), and TLR's first layer as
 (G @ Wa) @ Wb, one column wide.  A feature model computes its first
 propagation G @ X once for the whole run; S scales its columns per fold,
-since G (X diag s) = (G X) diag s.  The inputs are plain arrays: G, X,
-the labels and the masks.  ``train_folds`` trains a stack without scoring
-it every epoch.  ``forward``, ``backward``, ``loss``, ``adam_step``,
-``evaluate`` and ``train`` (which records a per-epoch history) run the
-same code on a k = 1 model.
+since G (X diag s) = (G X) diag s.  ``train_folds`` trains a stack from
+one ``TrainInputs`` with (k, n) masks, one config and one seed per fold,
+without scoring it every epoch.  ``forward``, ``backward``, ``loss``,
+``adam_step``, ``evaluate`` and ``train`` (which records a per-epoch
+history) run the same code on a k = 1 model, with (n,) masks.
 
 Batching leaves each fold's arithmetic unchanged except for how BLAS
 tiles the products.  A G product at least 8 columns wide per fold is taken
@@ -77,7 +77,7 @@ import json
 import math
 import numbers
 import struct
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
@@ -163,9 +163,11 @@ class GcnConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrainInputs:
-    """Everything one training run consumes: the representative G, the
-    features X, the labels and the masks.  All nodes stay visible to the
-    propagation, the masks only gate the loss and the accuracy."""
+    """Everything one training run consumes: the (n, n) representative G,
+    the (n, f) features X, the (n,) labels and the bool masks, (n,) for one
+    model or (k, n) for a stack of k folds, one row per fold.  All nodes
+    stay visible to the propagation, the masks only gate the loss and the
+    accuracy."""
 
     g_matrix: np.ndarray
     x: np.ndarray
@@ -174,6 +176,23 @@ class TrainInputs:
     test_mask: np.ndarray
 
     def __post_init__(self):
+        if np.ndim(self.x) != 2:
+            raise ValueError(f"x must be an (n, f) matrix, got shape {np.shape(self.x)}")
+        n = self.x.shape[0]
+        for name, shape in (("g_matrix", (n, n)), ("labels", (n,))):
+            if np.shape(getattr(self, name)) != shape:
+                raise ValueError(f"{name} must be {shape} for {n} nodes, "
+                                 f"got {np.shape(getattr(self, name))}")
+        for name in ("train_mask", "test_mask"):
+            mask = getattr(self, name)
+            if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.ndim in (1, 2)
+                    and mask.shape[-1] == n and 0 not in mask.shape[:-1]):
+                raise ValueError(f"{name} must be a bool array of shape ({n},) or (k, {n}) "
+                                 f"with k >= 1, got {getattr(mask, 'dtype', type(mask))} "
+                                 f"of shape {np.shape(mask)}")
+        if self.train_mask.shape != self.test_mask.shape:
+            raise ValueError(f"train_mask {self.train_mask.shape} and test_mask "
+                             f"{self.test_mask.shape} must have the same shape")
         if np.any(self.train_mask & self.test_mask):
             raise ValueError("train and test masks overlap")
 
@@ -212,30 +231,30 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _init_params(cfgs: list[GcnConfig], n_nodes: int, n_features: int) -> dict[str, np.ndarray]:
-    """Fresh parameters for one model per config, stacked on the fold axis:
-    Glorot-uniform kernels drawn in layer order from each config's own init
+def _init_params(cfg: GcnConfig, seeds: list[int], n_nodes: int,
+                 n_features: int) -> dict[str, np.ndarray]:
+    """Fresh parameters for one model per seed, stacked on the fold axis:
+    Glorot-uniform kernels drawn in layer order from each seed's own init
     stream, and all-ones feature weights (identity behaviour)."""
-    cfg = cfgs[0]
     in_dim = n_nodes if cfg.variant in ("t", "tlr") else n_features
-    params = {name: np.empty((len(cfgs), *shape))
+    params = {name: np.empty((len(seeds), *shape))
               for name, shape in _kernel_shapes(cfg, in_dim).items()}
     if cfg.variant == "t":
         # t's first layer propagates W0 itself, and its gradient is a G
         # product: keep W0 (and so its Adam moments) in the _stack() layout
         params["W0"] = _stack(np.empty(params["W0"].size), *params["W0"].shape)
-    for fold, fold_cfg in enumerate(cfgs):
-        rng = derive_rng(fold_cfg.seed, "init")
+    for fold, seed in enumerate(seeds):
+        rng = derive_rng(seed, "init")
         for p in params.values():
             p[fold] = _glorot(rng, *p.shape[1:])
     if cfg.use_s:
-        params["S"] = np.ones((len(cfgs), n_features))
+        params["S"] = np.ones((len(seeds), n_features))
     return params
 
 
 def init_model(cfg: GcnConfig, n_nodes: int, n_features: int) -> GcnModel:
     """Glorot-uniform kernels, all-ones feature weights (identity behaviour)."""
-    return GcnModel(cfg, _init_params([cfg], n_nodes, n_features))
+    return GcnModel(cfg, _init_params(cfg, [cfg.seed], n_nodes, n_features))
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -291,69 +310,49 @@ def _decayed_names(cfg: GcnConfig) -> list[str]:
 # per-model functions further down run it on a k = 1 GcnModel.
 
 
-class _Shared:
-    """What every fold reads: G (None for variant f), the features X and,
-    for a feature model, the first layer's propagated input G @ X (X for
-    f), computed once; S scales it per fold."""
-
-    def __init__(self, cfg: GcnConfig, inputs: TrainInputs):
-        self.gm = None if cfg.variant == "f" else inputs.g_matrix
-        self.x = inputs.x
-        self.prop0 = None
-        if cfg.variant not in ("t", "tlr"):
-            self.prop0 = self.x if self.gm is None else self.gm @ self.x
-
-
 class _Rows:
-    """Each fold's training and test rows over shared labels.  The training
-    rows of all folds are also flattened into (fold, row, label) index
-    arrays, so a gather or scatter over every fold is one fancy index."""
+    """The (k, n) training and test masks of ``folds`` folds over shared
+    labels, and what the loss reads of them, built once: a one-hot pick of
+    each fold's training rows' labels (k, n, classes), as bools and as the
+    output gradient's float target, the rows each fold does not train on
+    and each fold's training row count."""
 
-    def __init__(self, labels: np.ndarray, train: list[np.ndarray],
-                 test: list[np.ndarray] | None = None):
-        self.labels = labels
-        self.train = train
-        self.test = test or []
-        sizes = [rows.size for rows in train]
-        self._fold = np.repeat(np.arange(len(train)), sizes)
-        self._row = np.concatenate(train)
-        self._label = labels[self._row]
-        self._ends = np.cumsum(sizes)
-        self._sizes = np.array(sizes, dtype=np.float64)[:, None, None]
-        self._target = self._untrained = None
-
-    @classmethod
-    def of(cls, inputs: list[TrainInputs]) -> "_Rows":
-        return cls(inputs[0].labels, [np.flatnonzero(i.train_mask) for i in inputs],
-                   [np.flatnonzero(i.test_mask) for i in inputs])
-
-    def check(self, classes: int, train: bool = False, test: bool = False) -> None:
-        """Reject labels outside 0..classes-1 and, where asked, empty
-        training or test masks."""
-        labels = self.labels
+    def __init__(self, labels: np.ndarray, classes: int, train: np.ndarray,
+                 test: np.ndarray | None = None, folds: int = 1):
         if labels.size and (labels.min() < 0 or labels.max() >= classes):
             raise ValueError(f"labels must lie in 0..{classes - 1} for num_classes={classes}, "
                              f"got {labels.min()}..{labels.max()}")
-        if train and any(rows.size == 0 for rows in self.train):
+        self.labels = labels
+        self.train = np.reshape(train, (-1, labels.size))
+        self.test = None if test is None else np.reshape(test, (-1, labels.size))
+        if len(self.train) != folds:
+            raise ValueError(f"masks of {len(self.train)} folds for {folds} seed(s): a stack "
+                             f"takes one seed per fold, one model (n,) masks")
+        self._picks = self.train[:, :, None] & (labels[:, None] == np.arange(classes))
+        self._target = self._picks.astype(np.float64)
+        self._untrained = ~self.train[:, :, None]
+        self._sizes = self.train.sum(axis=1, dtype=np.float64)[:, None, None]
+
+    @classmethod
+    def of(cls, inputs: TrainInputs, classes: int, folds: int = 1) -> "_Rows":
+        return cls(inputs.labels, classes, inputs.train_mask, inputs.test_mask, folds)
+
+    def check(self, train: bool = False, test: bool = False) -> None:
+        """Where asked, reject a fold with an empty training or test mask."""
+        if train and not self.train.any(axis=1).all():
             raise ValueError("empty training mask")
-        if test and any(rows.size == 0 for rows in self.test):
+        if test and not self.test.any(axis=1).all():
             raise ValueError("empty test mask")
 
     def cross_entropy(self, probs: np.ndarray) -> list[float]:
         """Each fold's mean cross-entropy over its training rows."""
-        picked = probs[self._fold, self._row, self._label]
-        nll = -np.log(np.maximum(picked, 1e-300))
-        return [float(nll[end - rows.size:end].mean()) for rows, end in zip(self.train, self._ends)]
+        return [float(-np.log(np.maximum(fold[picks], 1e-300)).mean())
+                for fold, picks in zip(probs, self._picks)]
 
     def output_grad(self, probs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Gradient of each fold's cross-entropy w.r.t. its logits, written
         into ``out``: (probs - one-hot label) / the fold's training rows on
         those rows, 0 on every other row."""
-        if self._target is None:
-            self._target = np.zeros(probs.shape)
-            self._target[self._fold, self._row, self._label] = 1.0
-            self._untrained = np.ones((*probs.shape[:2], 1), dtype=bool)
-            self._untrained[self._fold, self._row] = False
         np.subtract(probs, self._target, out=out)
         out /= self._sizes
         np.copyto(out, 0.0, where=self._untrained)
@@ -361,8 +360,8 @@ class _Rows:
 
     def accuracies(self, probs: np.ndarray) -> list[float]:
         pred = probs.argmax(axis=-1)
-        return [float((pred[fold, rows] == self.labels[rows]).mean())
-                for fold, rows in enumerate(self.test)]
+        return [float((fold[rows] == self.labels[rows]).mean())
+                for fold, rows in zip(pred, self.test)]
 
 
 # Stacks narrower than this take their G products one fold at a time.
@@ -427,12 +426,21 @@ class _Workspace:
     gradient) and, for a kernel past the first layer, its transpose.
     Dropout reads one buffer of draws and writes a bool keep-mask per
     hidden layer.  Float buffers start as NaN, so a read before the first
-    write shows up as a non-finite loss."""
+    write shows up as a non-finite loss.
 
-    def __init__(self, model: GcnModel, shared: _Shared):
+    It also holds what every fold reads: G (``gm``, None for variant f),
+    the features X and, for a feature model, the first layer's propagated
+    input G @ X (X for f), computed once; S scales it per fold."""
+
+    def __init__(self, model: GcnModel, inputs: TrainInputs):
         cfg, params = model.config, model.params
         k = len(next(iter(params.values())))  # every parameter leads with the fold axis
-        n, features = shared.x.shape
+        n, features = inputs.x.shape
+        self.gm = None if cfg.variant == "f" else inputs.g_matrix
+        self.x = inputs.x
+        self.prop0 = None
+        if cfg.variant not in ("t", "tlr"):
+            self.prop0 = self.x if self.gm is None else self.gm @ self.x
         self.k, self.n = k, n
         widest = max(*cfg.layer_units, cfg.num_classes, features if cfg.use_s else 1)
         self._slot_size = k * n * widest
@@ -481,7 +489,7 @@ class _Workspace:
         return self._keep
 
 
-def _forward(model: GcnModel, shared: _Shared, ws: _Workspace, training: bool = False,
+def _forward(model: GcnModel, ws: _Workspace, training: bool = False,
              rngs: list[np.random.Generator] | None = None) -> tuple[np.ndarray, dict]:
     """forward() for a stack, in the slots of ``ws``: probabilities
     (k, n, classes) and the cache _backward() replays: each layer's left
@@ -489,7 +497,7 @@ def _forward(model: GcnModel, shared: _Shared, ws: _Workspace, training: bool = 
     propagates its output; None for t's first layer), each hidden layer's
     gate, the float (ReLU active and dropout kept) / keep that scales it,
     the logits and the probabilities."""
-    cfg, params, gm = model.config, model.params, shared.gm
+    cfg, params, gm = model.config, model.params, ws.gm
     n_layers = len(cfg.layer_units) + 1
     keep = None
     if training and cfg.dropout_p > 0.0:
@@ -516,7 +524,7 @@ def _forward(model: GcnModel, shared: _Shared, ws: _Workspace, training: bool = 
                 ws.give(hw)
             else:
                 if layer == 0:
-                    prop = shared.prop0
+                    prop = ws.prop0
                     if cfg.use_s:
                         s = params["S"][:, None, :]
                         prop = np.multiply(prop, s, out=ws.take(prop.shape[-1]))
@@ -551,12 +559,11 @@ def _losses(probs: np.ndarray, rows: _Rows, params: dict[str, np.ndarray],
             for fold, ce in enumerate(rows.cross_entropy(probs))]
 
 
-def _backward(model: GcnModel, cache: dict, shared: _Shared, rows: _Rows,
-              ws: _Workspace) -> dict[str, np.ndarray]:
+def _backward(model: GcnModel, cache: dict, rows: _Rows, ws: _Workspace) -> dict[str, np.ndarray]:
     """backward() for a stack: every fold's gradients, fold axis first, in
     ``ws.grads``.  Each stack of ``cache`` that ``ws`` owns goes back to it
     once read for the last time."""
-    cfg, params, gm, grads = model.config, model.params, shared.gm, ws.grads
+    cfg, params, gm, grads = model.config, model.params, ws.gm, ws.grads
     ws.give(cache["logits"])
     dz = rows.output_grad(cache["probs"], out=ws.take(cfg.num_classes))
     ws.give(cache["probs"])
@@ -593,8 +600,8 @@ def _backward(model: GcnModel, cache: dict, shared: _Shared, rows: _Rows,
     else:
         np.matmul(np.swapaxes(prop, -1, -2), dz, out=grads["W0"])
         if cfg.use_s:
-            dprop = np.matmul(dz, np.swapaxes(params["W0"], 1, 2), out=ws.take(shared.x.shape[1]))
-            dprop *= shared.prop0
+            dprop = np.matmul(dz, np.swapaxes(params["W0"], 1, 2), out=ws.take(ws.x.shape[1]))
+            dprop *= ws.prop0
             np.sum(dprop, axis=1, out=grads["S"])
             ws.give(dprop)
     ws.give(prop, dz)
@@ -631,8 +638,8 @@ def _adam_step(model: GcnModel, grads: dict[str, np.ndarray],
         p -= g
 
 
-def _fit(model: GcnModel, shared: _Shared, rows: _Rows, rngs: list[np.random.Generator],
-         ws: _Workspace, epochs: int, on_epoch=None) -> None:
+def _fit(model: GcnModel, rows: _Rows, rngs: list[np.random.Generator], ws: _Workspace,
+         epochs: int, on_epoch=None) -> None:
     """Run ``epochs`` full-batch Adam steps on a stack, in place, every
     epoch on the one workspace ``ws``.
 
@@ -643,45 +650,34 @@ def _fit(model: GcnModel, shared: _Shared, rows: _Rows, rngs: list[np.random.Gen
     cfg = model.config
     decayed = _decayed_names(cfg)
     for epoch in range(epochs):
-        probs, cache = _forward(model, shared, ws, training=True, rngs=rngs)
+        probs, cache = _forward(model, ws, training=True, rngs=rngs)
         losses = _losses(probs, rows, model.params, decayed, cfg.weight_decay, ws.scratch)
         finite = np.isfinite(losses)
         if not finite.all():
             fold = int(np.argmin(finite))
             raise TrainingDiverged(epoch, model.norms(fold), fold=fold)
-        _adam_step(model, _backward(model, cache, shared, rows, ws), ws.scratch)
+        _adam_step(model, _backward(model, cache, rows, ws), ws.scratch)
         if on_epoch is not None:
             on_epoch(epoch, losses)
 
 
-def train_folds(inputs: list[TrainInputs], cfgs: list[GcnConfig]) -> list[float]:
-    """Train fold i on ``inputs[i]`` under ``cfgs[i]``, all folds at once,
-    and return each fold's test accuracy after the last epoch.
+def train_folds(inputs: TrainInputs, cfg: GcnConfig, seeds: list[int]) -> list[float]:
+    """Train fold i on row i of the (k, n) masks of ``inputs``, from
+    ``seeds[i]``, all folds at once under ``cfg``, and return each fold's
+    test accuracy after the last epoch.
 
-    The folds must share the representative, the features, the labels and
-    every config field but the seed.  Each fold keeps its own init and
-    dropout streams, so the accuracies are those of train() followed by
-    evaluate() on each fold alone.  Raises TrainingDiverged, with ``fold``
-    set, at the first epoch in which any fold's loss goes non-finite, for
-    the lowest-index such fold.
+    ``cfg.seed`` is not read: each fold draws its init and dropout streams
+    from its own seed, so the accuracies are those of train() followed by
+    evaluate() on each fold alone, with ``cfg.seed = seeds[i]``.  Raises
+    TrainingDiverged, with ``fold`` set, at the first epoch in which any
+    fold's loss goes non-finite, for the lowest-index such fold.
     """
-    if not cfgs or len(inputs) != len(cfgs):
-        raise ValueError("train_folds needs one config per fold and at least one fold")
-    first, cfg = inputs[0], cfgs[0]
-    for other in inputs[1:]:
-        for a, b in ((first.g_matrix, other.g_matrix), (first.x, other.x),
-                     (first.labels, other.labels)):
-            if a is not b and not np.array_equal(a, b):
-                raise ValueError("folds must share the representative, features and labels")
-    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
-        raise ValueError("fold configs may differ only in their seed")
-    rows = _Rows.of(inputs)
-    rows.check(cfg.num_classes, train=cfg.epochs > 0, test=True)
-    model = GcnModel(cfg, _init_params(cfgs, *first.x.shape))
-    shared = _Shared(cfg, first)
-    ws = _Workspace(model, shared)
-    _fit(model, shared, rows, [derive_rng(c.seed, "dropout") for c in cfgs], ws, cfg.epochs)
-    probs, _ = _forward(model, shared, ws)
+    rows = _Rows.of(inputs, cfg.num_classes, len(seeds))
+    rows.check(train=cfg.epochs > 0, test=True)
+    model = GcnModel(cfg, _init_params(cfg, seeds, *inputs.x.shape))
+    ws = _Workspace(model, inputs)
+    _fit(model, rows, [derive_rng(seed, "dropout") for seed in seeds], ws, cfg.epochs)
+    probs, _ = _forward(model, ws)
     return rows.accuracies(probs)
 
 
@@ -698,8 +694,7 @@ def forward(
     backward() replays (each layer's kernel input, each hidden layer's
     ReLU-and-dropout gate, logits), each per-model entry with a leading
     fold axis of length 1."""
-    shared = _Shared(model.config, inputs)
-    probs, cache = _forward(model, shared, _Workspace(model, shared), training,
+    probs, cache = _forward(model, _Workspace(model, inputs), training,
                             None if rng is None else [rng])
     return probs[0], cache
 
@@ -712,8 +707,8 @@ def loss(
     weight_decay: float,
 ) -> float:
     """Masked mean cross-entropy plus L2 decay over hidden kernels."""
-    rows = _Rows(labels, [np.flatnonzero(train_mask)])
-    rows.check(probs.shape[-1], train=True)
+    rows = _Rows(labels, probs.shape[-1], train_mask)
+    rows.check(train=True)
     decayed = _decayed_names(model.config)
     scratch = {name: np.empty_like(model.params[name]) for name in decayed}
     return _losses(probs[None], rows, model.params, decayed, weight_decay, scratch)[0]
@@ -722,8 +717,8 @@ def loss(
 def backward(model: GcnModel, cache: dict, inputs: TrainInputs) -> dict[str, np.ndarray]:
     """Exact gradients of loss() w.r.t. every parameter, replaying the
     forward cache (dropout masks included); the cache is left as it was."""
-    shared = _Shared(model.config, inputs)
-    grads = _backward(model, cache, shared, _Rows.of([inputs]), _Workspace(model, shared))
+    rows = _Rows.of(inputs, model.config.num_classes)
+    grads = _backward(model, cache, rows, _Workspace(model, inputs))
     return {name: g[0] for name, g in grads.items()}
 
 
@@ -736,10 +731,9 @@ def adam_step(model: GcnModel, grads: dict[str, np.ndarray]) -> GcnModel:
 
 def evaluate(model: GcnModel, inputs: TrainInputs) -> float:
     """Argmax accuracy over the test mask, dropout off."""
-    rows = _Rows.of([inputs])
-    rows.check(model.config.num_classes, test=True)
-    shared = _Shared(model.config, inputs)
-    probs, _ = _forward(model, shared, _Workspace(model, shared))
+    rows = _Rows.of(inputs, model.config.num_classes)
+    rows.check(test=True)
+    probs, _ = _forward(model, _Workspace(model, inputs))
     return rows.accuracies(probs)[0]
 
 
@@ -752,19 +746,18 @@ def train(inputs: TrainInputs, cfg: GcnConfig) -> tuple[GcnModel, list[dict]]:
     trains without it.
     """
     model = init_model(cfg, n_nodes=inputs.x.shape[0], n_features=inputs.x.shape[1])
-    rows = _Rows.of([inputs])
-    rows.check(cfg.num_classes, train=cfg.epochs > 0, test=cfg.epochs > 0)
-    shared = _Shared(cfg, inputs)
-    ws = _Workspace(model, shared)
+    rows = _Rows.of(inputs, cfg.num_classes)
+    rows.check(train=cfg.epochs > 0, test=cfg.epochs > 0)
+    ws = _Workspace(model, inputs)
     history = []
 
     def record(epoch: int, losses: list[float]) -> None:
-        probs, cache = _forward(model, shared, ws)
+        probs, cache = _forward(model, ws)
         history.append({"epoch": epoch, "train_loss": losses[0],
                         "test_acc": rows.accuracies(probs)[0]})
         ws.release(cache)
 
-    _fit(model, shared, rows, [derive_rng(cfg.seed, "dropout")], ws, cfg.epochs, record)
+    _fit(model, rows, [derive_rng(cfg.seed, "dropout")], ws, cfg.epochs, record)
     return model, history
 
 

@@ -299,12 +299,12 @@ def run_cell(
     try:
         cfg, spec = parse_cell(cell, base)
         g_matrix = build_representative(graph, spec, provenance=f"{network}-{snapshot}").matrix
-        inputs = [TrainInputs(g_matrix=g_matrix, x=graph.features, labels=graph.sdna_of,
-                              train_mask=train_mask, test_mask=test_mask)
-                  for train_mask, test_mask in fold_masks]
-        cfgs = [replace(cfg, seed=derive_seed(plan_seed, "train", network, snapshot, cell, fold))
-                for fold in range(len(fold_masks))]
-        accs = train_folds(inputs, cfgs)
+        train_masks, test_masks = (np.array(masks) for masks in zip(*fold_masks))
+        inputs = TrainInputs(g_matrix=g_matrix, x=graph.features, labels=graph.sdna_of,
+                             train_mask=train_masks, test_mask=test_masks)
+        seeds = [derive_seed(plan_seed, "train", network, snapshot, cell, fold)
+                 for fold in range(len(fold_masks))]
+        accs = train_folds(inputs, cfg, seeds)
     except TrainingDiverged as exc:
         return CellResult((), None, None, failed=True, error=f"fold {exc.fold}: {exc}")
     except Exception as exc:  # one bad cell must not end the batch
@@ -344,19 +344,6 @@ def _best_cell(cells: dict[str, CellResult]) -> str:
         return ""
     # ties break toward the lexicographically first name, for determinism
     return min(ranked, key=lambda pair: (-pair[0], pair[1]))[1]
-
-
-def _worker_budget(plan: ExperimentPlan) -> int:
-    env = os.environ.get("SOCSIM_WORKERS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ValueError(f"SOCSIM_WORKERS must be a positive integer, got {env!r}")
-        return workers
-    return plan.workers or len(os.sched_getaffinity(0))
 
 
 # OpenBLAS's thread-count setter, by build: numpy's scipy-openblas ILP64
@@ -438,9 +425,10 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
 
     Each cell builds its own representative inside its fault boundary, so a
     cell whose build or training raises is recorded and the run completes.
-    Every (snapshot, cell) task goes through one stream.  With a worker
-    budget above one and more than one task, one fork pool (BLAS pinned to
-    one thread per worker) serves the whole run; otherwise the tasks run
+    Every (snapshot, cell) task goes through one stream.  With more than
+    one worker (``plan.workers``, 0 meaning one per core this process may
+    run on) and more than one task, one fork pool (BLAS pinned to one
+    thread per worker) serves the whole run; otherwise the tasks run
     in-process as they are submitted.  A snapshot's tasks are submitted as
     soon as it is simulated and its folds drawn, and its results are
     collected only once the next snapshot, across networks too, has been
@@ -450,7 +438,7 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     order and every random draw comes from a derived stream.
     """
     tasks = plan.networks * plan.snapshots * len(plan.cells)
-    workers = min(_worker_budget(plan), tasks)
+    workers = min(plan.workers or len(os.sched_getaffinity(0)), tasks)
     snapshots: list[SnapshotReport] = []
     with _pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
         submit = pool.submit if pool is not None else _run_now

@@ -204,6 +204,10 @@ def save_representative(rep: GraphRepresentative, path: str | Path) -> None:
 
 
 def load_representative_matrix(path: str | Path) -> np.ndarray:
+    """Read a save_representative() file.  A file of the wrong magic or
+    length, or whose matrix has a non-finite or negative entry or is not
+    symmetric within rtol 1e-12, atol 1e-15 (a built one is to about an
+    ulp), raises ValueError; low mantissa bit flips pass unseen."""
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise ValueError(f"{path}: not a representative file (bad magic {data[:4]!r})")
@@ -211,7 +215,12 @@ def load_representative_matrix(path: str | Path) -> np.ndarray:
     if len(data) != 8 + 8 * n * n:
         raise ValueError(f"{path}: representative file for n={n} must be {8 + 8 * n * n} "
                          f"bytes, got {len(data)}")
-    return np.frombuffer(data, dtype="<f8", offset=8).reshape(n, n).astype(np.float64)
+    m = np.frombuffer(data, dtype="<f8", offset=8).reshape(n, n).astype(np.float64)
+    if not np.all(np.isfinite(m) & (m >= 0)):
+        raise ValueError(f"{path}: representative has non-finite or negative entries")
+    if not np.allclose(m, m.T, rtol=1e-12, atol=1e-15):
+        raise ValueError(f"{path}: representative is not symmetric")
+    return m
 
 
 def save_representative_csv(rep: GraphRepresentative, path: str | Path) -> None:

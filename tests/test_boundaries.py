@@ -104,6 +104,21 @@ def test_corrupted_representative_loads_or_raises_value_error(data):
         matrix = loads_or_value_error(load_representative_matrix, path)
     if matrix is not None:
         assert matrix.shape == (5, 5)
+        assert np.all(np.isfinite(matrix)) and np.all(matrix >= 0)
+        assert np.allclose(matrix, matrix.T, rtol=1e-12, atol=1e-15)
+
+
+def test_representative_with_a_corrupted_entry_rejected(tmp_path):
+    # the top byte of entry [0, 1] set to 0xff makes it -7.0e307, while
+    # [1, 0] stays 0.39; the file's magic and length are still right
+    data = bytearray(REPRESENTATIVE)
+    data[8 + 8 * 1 + 7] = 0xFF
+    path = tmp_path / "G.bin"
+    path.write_bytes(bytes(data))
+    entry = np.frombuffer(bytes(data), dtype="<f8", offset=8).reshape(5, 5)[0, 1]
+    assert entry == pytest.approx(-7.0e307, rel=0.01)
+    with pytest.raises(ValueError, match="G.bin: representative has non-finite or negative entries"):
+        load_representative_matrix(path)
 
 
 @given(st.data(), st.sampled_from(CHECKPOINTS))

@@ -107,10 +107,10 @@ def test_experiment_and_report_commands(tmp_path):
 def test_experiment_exits_2_when_a_cell_raises(tmp_path, monkeypatch):
     train_folds = harness.train_folds
 
-    def flaky(inputs, cfgs):
-        if cfgs[0].variant == "f":
+    def flaky(inputs, cfg, seeds):
+        if cfg.variant == "f":
             raise ValueError("injected fault")
-        return train_folds(inputs, cfgs)
+        return train_folds(inputs, cfg, seeds)
 
     monkeypatch.setattr(harness, "train_folds", flaky)
     plan = ExperimentPlan(

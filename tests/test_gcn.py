@@ -28,7 +28,6 @@ from socsim.gcn import (
     train,
     train_folds,
     _Rows,
-    _Shared,
     _Workspace,
     _fit,
     _forward,
@@ -392,11 +391,11 @@ def test_labels_beyond_num_classes_rejected():
     with pytest.raises(ValueError, match="labels must lie in 0..1 for num_classes=2"):
         loss(probs, labels, four.train_mask, model, 0.0)
     with pytest.raises(ValueError, match="num_classes=2"):
-        train_folds([four, four], [small_cfg(seed=1), small_cfg(seed=2)])
+        train_folds(fold_inputs(four, k=2), small_cfg(), [1, 2])
     negative = TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=labels - 1,
                            train_mask=inputs.train_mask, test_mask=inputs.test_mask)
     with pytest.raises(ValueError, match="got -1..2"):
-        train_folds([negative], [small_cfg(num_classes=4)])
+        train_folds(negative, small_cfg(num_classes=4), [7])
 
 
 def test_loss_empty_mask_rejected():
@@ -544,23 +543,25 @@ def test_training_diverged_pickles():
 
 
 def fold_inputs(inputs, k=3):
-    """k folds over the same graph: fold i tests on node i, trains on the rest."""
-    n = inputs.x.shape[0]
-    out = []
-    for fold in range(k):
-        test = np.zeros(n, dtype=bool)
-        test[fold] = True
-        out.append(TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=inputs.labels,
-                               train_mask=~test, test_mask=test))
-    return out
+    """k folds over the same graph, (k, n) masks: fold i tests on node i,
+    trains on the rest."""
+    test = np.eye(k, inputs.x.shape[0], dtype=bool)
+    return TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=inputs.labels,
+                       train_mask=~test, test_mask=test)
+
+
+def one_fold(folds, fold):
+    """Fold ``fold`` of a fold_inputs() stack as one model's inputs."""
+    return replace(folds, train_mask=folds.train_mask[fold], test_mask=folds.test_mask[fold])
 
 
 def assert_train_folds_matches_train_then_evaluate(**cfg):
     folds = fold_inputs(toy_inputs(toy_graph(n=12, seed=6)))
-    cfgs = [small_cfg(layer_units=(8, 8), dropout_p=0.5, epochs=15, seed=s, **cfg)
-            for s in (4, 5, 6)]
-    alone = [evaluate(train(inputs, cfg)[0], inputs) for inputs, cfg in zip(folds, cfgs)]
-    assert train_folds(folds, cfgs) == alone
+    cfg = small_cfg(layer_units=(8, 8), dropout_p=0.5, epochs=15, **cfg)
+    seeds = (4, 5, 6)
+    alone = [evaluate(train(one_fold(folds, fold), replace(cfg, seed=seed))[0],
+                      one_fold(folds, fold)) for fold, seed in enumerate(seeds)]
+    assert train_folds(folds, cfg, seeds) == alone
 
 
 def test_dropout_draws_each_folds_layers_in_order_from_its_stream():
@@ -569,12 +570,11 @@ def test_dropout_draws_each_folds_layers_in_order_from_its_stream():
     # stream, each layer's (n, width) block row by row
     inputs = toy_inputs(toy_graph(n=9, seed=4))
     widths, p, seeds = (8, 3, 5), 0.4, (11, 12, 13)
-    cfgs = [small_cfg(layer_units=widths, dropout_p=p, seed=s) for s in (1, 2, 3)]
-    model = GcnModel(cfgs[0], _init_params(cfgs, *inputs.x.shape))
+    cfg = small_cfg(layer_units=widths, dropout_p=p)
+    model = GcnModel(cfg, _init_params(cfg, (1, 2, 3), *inputs.x.shape))
     for param in model.params.values():
         np.abs(param, out=param)
-    shared = _Shared(cfgs[0], inputs)
-    _, cache = _forward(model, shared, _Workspace(model, shared), training=True,
+    _, cache = _forward(model, _Workspace(model, inputs), training=True,
                         rngs=[np.random.default_rng(seed) for seed in seeds])
     for fold, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
@@ -591,16 +591,14 @@ def test_one_workspace_trains_as_a_fresh_one_every_epoch(variant, use_s):
     # a buffer read before the epoch writes it would carry the last epoch's
     # values into this one on a reused workspace, and NaN on a fresh one
     folds = fold_inputs(toy_inputs(toy_graph(n=12, seed=6)))
-    cfgs = [small_cfg(variant=variant, use_s=use_s, layer_units=(8, 3, 9), dropout_p=0.5,
-                      seed=s) for s in (4, 5, 6)]
-    rows = _Rows.of(folds)
+    cfg = small_cfg(variant=variant, use_s=use_s, layer_units=(8, 3, 9), dropout_p=0.5)
+    rows = _Rows.of(folds, cfg.num_classes, 3)
 
     def train_5_epochs(epochs_per_workspace):
-        model = GcnModel(cfgs[0], _init_params(cfgs, *folds[0].x.shape))
-        shared = _Shared(cfgs[0], folds[0])
+        model = GcnModel(cfg, _init_params(cfg, (4, 5, 6), *folds.x.shape))
         rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
         for _ in range(5 // epochs_per_workspace):
-            _fit(model, shared, rows, rngs, _Workspace(model, shared), epochs_per_workspace)
+            _fit(model, rows, rngs, _Workspace(model, folds), epochs_per_workspace)
         return model
 
     reused, fresh = train_5_epochs(5), train_5_epochs(1)
@@ -640,29 +638,24 @@ def test_narrow_products_equal_each_fold_alone():
 
 
 def test_train_folds_rejects_mismatched_folds():
-    inputs = toy_inputs()
-    folds = fold_inputs(inputs, k=2)
-    with pytest.raises(ValueError):
-        train_folds(folds, [small_cfg(seed=1)])
-    with pytest.raises(ValueError):
-        train_folds(folds, [small_cfg(seed=1), small_cfg(seed=2, epochs=3)])
-    other = TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x + 1.0, labels=inputs.labels,
-                        train_mask=inputs.train_mask, test_mask=inputs.test_mask)
-    with pytest.raises(ValueError):
-        train_folds([folds[0], other], [small_cfg(seed=1), small_cfg(seed=2)])
+    folds = fold_inputs(toy_inputs(), k=2)
+    with pytest.raises(ValueError, match=r"masks of 2 folds for 1 seed\(s\)"):
+        train_folds(folds, small_cfg(), [1])
+    with pytest.raises(ValueError, match=r"masks of 2 folds for 3 seed\(s\)"):
+        train_folds(folds, small_cfg(), [1, 2, 3])
 
 
 def test_train_folds_empty_masks_rejected():
     inputs = toy_inputs()
     empty = np.zeros(inputs.x.shape[0], dtype=bool)
-    no_test = TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=inputs.labels,
-                          train_mask=inputs.train_mask, test_mask=empty)
+    no_test = replace(inputs, train_mask=np.stack([inputs.train_mask, inputs.train_mask]),
+                      test_mask=np.stack([inputs.test_mask, empty]))
     with pytest.raises(ValueError, match="empty test mask"):
-        train_folds([inputs, no_test], [small_cfg(seed=1), small_cfg(seed=2)])
-    no_train = TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=inputs.labels,
-                           train_mask=empty, test_mask=inputs.test_mask)
+        train_folds(no_test, small_cfg(), [1, 2])
+    no_train = replace(inputs, train_mask=np.stack([inputs.train_mask, empty]),
+                       test_mask=np.stack([inputs.test_mask, inputs.test_mask]))
     with pytest.raises(ValueError, match="empty training mask"):
-        train_folds([inputs, no_train], [small_cfg(seed=1), small_cfg(seed=2)])
+        train_folds(no_train, small_cfg(), [1, 2])
 
 
 def test_masks_must_be_disjoint():
@@ -670,6 +663,74 @@ def test_masks_must_be_disjoint():
     with pytest.raises(ValueError):
         TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=inputs.labels,
                     train_mask=inputs.train_mask, test_mask=inputs.train_mask)
+
+
+def test_mask_shorter_than_the_nodes_rejected():
+    # a short mask used to leave its tail nodes out of training and testing
+    inputs = separable_inputs()
+    with pytest.raises(ValueError, match=r"train_mask must be a bool array of shape \(10,\) "
+                                         r"or \(k, 10\) .* of shape \(8,\)"):
+        replace(inputs, train_mask=inputs.train_mask[:8], test_mask=inputs.test_mask[:8])
+
+
+def test_mask_longer_than_the_nodes_rejected():
+    # a long mask used to raise IndexError deep in evaluate()
+    inputs = separable_inputs()
+    longer = np.concatenate([inputs.test_mask, [True]])
+    with pytest.raises(ValueError, match=r"test_mask must be .* of shape \(11,\)"):
+        replace(inputs, test_mask=longer)
+
+
+def test_mask_that_is_not_bool_rejected():
+    inputs = separable_inputs()
+    with pytest.raises(ValueError, match="train_mask must be a bool array .* got int64"):
+        replace(inputs, train_mask=inputs.train_mask.astype(np.int64))
+
+
+def test_mask_without_folds_rejected():
+    inputs = separable_inputs()
+    none = np.zeros((0, 10), dtype=bool)
+    with pytest.raises(ValueError, match=r"k >= 1, got bool of shape \(0, 10\)"):
+        replace(inputs, train_mask=none, test_mask=none)
+
+
+def test_train_and_test_masks_of_different_shapes_rejected():
+    inputs = separable_inputs()
+    with pytest.raises(ValueError, match=r"train_mask \(2, 10\) and test_mask \(10,\) must "
+                                         r"have the same shape"):
+        replace(inputs, train_mask=np.stack([inputs.train_mask] * 2))
+
+
+def test_representative_of_the_wrong_size_rejected():
+    # a G of the wrong size used to raise a raw numpy matmul error
+    inputs = separable_inputs()
+    with pytest.raises(ValueError, match=r"g_matrix must be \(10, 10\) for 10 nodes, "
+                                         r"got \(9, 9\)"):
+        replace(inputs, g_matrix=inputs.g_matrix[:9, :9])
+
+
+def test_labels_of_the_wrong_shape_rejected():
+    inputs = separable_inputs()
+    with pytest.raises(ValueError, match=r"labels must be \(10,\) for 10 nodes, got \(10, 1\)"):
+        replace(inputs, labels=inputs.labels[:, None])
+
+
+def test_one_model_rejects_a_stack_of_masks():
+    inputs = separable_inputs()
+    folds = fold_inputs(inputs, k=2)
+    cfg = small_cfg(epochs=2)
+    model = init_model(cfg, *inputs.x.shape)
+    probs, cache = forward(model, inputs)
+    message = r"masks of 2 folds for 1 seed\(s\): .* one model \(n,\) masks"
+    with pytest.raises(ValueError, match=message):
+        train(folds, cfg)
+    with pytest.raises(ValueError, match=message):
+        evaluate(model, folds)
+    with pytest.raises(ValueError, match=message):
+        backward(model, cache, folds)
+    with pytest.raises(ValueError, match=message):
+        loss(probs, inputs.labels, folds.train_mask, model, 0.0)
+    assert evaluate(model, one_fold(folds, 0)) in (0.0, 1.0)
 
 
 # --- persistence --------------------------------------------------------------

@@ -25,7 +25,6 @@ from socsim.harness import (
     parse_cell,
     run_cell,
     run_experiment,
-    _worker_budget,
 )
 from socsim.sdna import SimConfig, simulate_snapshots
 from socsim.similarity import AUTO, build_representative
@@ -226,16 +225,15 @@ def _count_pools(monkeypatch) -> list:
 
 
 def test_experiment_parallel_matches_serial(tmp_path, monkeypatch):
-    monkeypatch.delenv("SOCSIM_WORKERS", raising=False)
     plan = tiny_plan(cells=("FTvanilla", "F", "T"), snapshots=2, workers=1)
     serial = run_experiment(plan)
     pools = _count_pools(monkeypatch)
-    monkeypatch.setenv("SOCSIM_WORKERS", "3")
-    parallel = run_experiment(plan)
-    monkeypatch.delenv("SOCSIM_WORKERS")
+    parallel = run_experiment(replace(plan, workers=3))
     assert len(pools) == 1  # one pool serves both snapshots
+    assert parallel.plan == serial.plan | {"workers": 3}
     emit_report(serial, tmp_path / "serial")
-    emit_report(parallel, tmp_path / "parallel")
+    # the plan echoes its workers; every other byte must match
+    emit_report(replace(parallel, plan=serial.plan), tmp_path / "parallel")
     assert (tmp_path / "serial/report.json").read_bytes() == (
         tmp_path / "parallel/report.json"
     ).read_bytes()
@@ -244,7 +242,6 @@ def test_experiment_parallel_matches_serial(tmp_path, monkeypatch):
 def test_stream_across_networks_matches_serial_with_a_failing_cell(monkeypatch):
     # the katz cell of snapshot 1-0 raises in its build; one pool serves
     # both networks, and every snapshot comes out as it does serially
-    monkeypatch.delenv("SOCSIM_WORKERS", raising=False)
     build = harness.build_representative
 
     def flaky_build(graph, spec, provenance=""):
@@ -269,7 +266,6 @@ def test_stream_across_networks_matches_serial_with_a_failing_cell(monkeypatch):
 
 
 def test_one_cell_plan_pools_over_its_snapshots(monkeypatch):
-    monkeypatch.delenv("SOCSIM_WORKERS", raising=False)
     pools = _count_pools(monkeypatch)
     plan = tiny_plan(cells=("FTvanilla",), snapshots=2, workers=2)
     pooled = run_experiment(plan)
@@ -280,7 +276,6 @@ def test_one_cell_plan_pools_over_its_snapshots(monkeypatch):
 
 def test_stream_frees_the_graph_two_snapshots_back(monkeypatch):
     # while snapshot s runs, nothing holds snapshot s-2's graph any more
-    monkeypatch.delenv("SOCSIM_WORKERS", raising=False)
     graphs, freed = {}, []
     run_cell = harness.run_cell
 
@@ -389,10 +384,10 @@ def test_cell_raising_any_error_is_recorded_and_the_run_continues(monkeypatch):
     # two-worker pool (workers fork, so the patch reaches them)
     train_folds, build = harness.train_folds, harness.build_representative
 
-    def flaky_train(inputs, cfgs):
-        if cfgs[0].variant == "t":
+    def flaky_train(inputs, cfg, seeds):
+        if cfg.variant == "t":
             raise RuntimeError("injected fault")
-        return train_folds(inputs, cfgs)
+        return train_folds(inputs, cfg, seeds)
 
     def flaky_build(graph, spec, **kwargs):
         if spec.kind == "katz":
@@ -402,11 +397,10 @@ def test_cell_raising_any_error_is_recorded_and_the_run_continues(monkeypatch):
     plan = tiny_plan(cells=("FTvanilla", "F", "T", "TLR", "FTkatz0.0-0.5"))
     for attr, flaky, faulty in (("train_folds", flaky_train, "T"),
                                 ("build_representative", flaky_build, "FTkatz0.0-0.5")):
-        for workers in ("1", "2"):
+        for workers in (1, 2):
             with monkeypatch.context() as patch:
                 patch.setattr(harness, attr, flaky)
-                patch.setenv("SOCSIM_WORKERS", workers)
-                report = run_experiment(plan)
+                report = run_experiment(replace(plan, workers=workers))
             assert report.any_failed
             for snap in report.snapshots:
                 failed = snap.cells[faulty]
@@ -515,20 +509,6 @@ def test_fold_diverging_first_is_reported():
     assert result.failed and result.error == expected
 
 
-@pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
-def test_worker_budget_rejects_bad_env(monkeypatch, value):
-    monkeypatch.setenv("SOCSIM_WORKERS", value)
-    with pytest.raises(ValueError, match=f"SOCSIM_WORKERS.*{value}"):
-        _worker_budget(tiny_plan())
-
-
-def test_worker_budget_reads_env(monkeypatch):
-    monkeypatch.setenv("SOCSIM_WORKERS", "3")
-    assert _worker_budget(tiny_plan()) == 3
-    monkeypatch.delenv("SOCSIM_WORKERS")
-    assert _worker_budget(tiny_plan(workers=2)) == 2
-
-
 def test_plan_json_round_trip(tmp_path):
     plan = tiny_plan()
     path = tmp_path / "plan.json"
@@ -569,17 +549,26 @@ def test_plan_rejects_bad_values(field, value, message):
         ExperimentPlan.from_dict(d)
 
 
-def test_plan_accepts_zero_workers(monkeypatch):
-    monkeypatch.delenv("SOCSIM_WORKERS", raising=False)
+def test_plan_accepts_zero_workers():
     assert tiny_plan(workers=0).workers == 0
-    assert _worker_budget(tiny_plan(workers=0)) == len(os.sched_getaffinity(0))
+    assert ExperimentPlan.from_dict(tiny_plan(workers=0).to_dict()).workers == 0
 
 
 def test_default_plan_uses_every_core(monkeypatch):
-    monkeypatch.delenv("SOCSIM_WORKERS", raising=False)
     assert ExperimentPlan().workers == 0
     assert tiny_plan().workers == 0
-    assert _worker_budget(ExperimentPlan()) == len(os.sched_getaffinity(0))
+    sizes = []
+
+    class SizedPool(harness.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SizedPool)
+    plan = tiny_plan(cells=("F",), snapshots=2, gcn=replace(tiny_plan().gcn, epochs=2))
+    run_experiment(plan)
+    workers = min(len(os.sched_getaffinity(0)), 2)  # one per core, at most one per task
+    assert sizes == ([workers] if workers > 1 else [])
 
 
 @pytest.mark.parametrize("section, key", [(None, "fold"), ("sim", "nodes"), ("gcn", "lr")])

@@ -1,5 +1,6 @@
 import itertools
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,34 @@ def test_representative_file_round_trip(tmp_path):
     assert np.array_equal(load_representative_matrix(out), rep.matrix)
     save_representative_csv(rep, tmp_path / "G.csv")
     assert np.allclose(np.loadtxt(tmp_path / "G.csv", delimiter=","), rep.matrix)
+
+
+@pytest.mark.parametrize("spec", [
+    SimilaritySpec(kind="adjacency"),
+    SimilaritySpec(kind="katz", threshold_lo=0.0, threshold_hi=0.5),
+    SimilaritySpec(kind="rpr", threshold_lo=0.1, threshold_hi=1.0),
+    SimilaritySpec(kind="gg", threshold_lo=AUTO, threshold_hi=AUTO),
+])
+def test_every_built_representative_loads_back(tmp_path, spec):
+    # a built representative is symmetric only to about an ulp
+    rep = build_representative(random_graph(40, 0.15, 3), spec)
+    save_representative(rep, tmp_path / "G.bin")
+    assert np.array_equal(load_representative_matrix(tmp_path / "G.bin"), rep.matrix)
+
+
+@pytest.mark.parametrize("entry, message", [
+    (np.nan, "non-finite or negative entries"),
+    (np.inf, "non-finite or negative entries"),
+    (-0.25, "non-finite or negative entries"),
+    (0.75, "not symmetric"),
+])
+def test_representative_file_bad_matrix_rejected(tmp_path, entry, message):
+    rep = build_representative(random_graph(5, 0.4, 1), SimilaritySpec(kind="katz"))
+    matrix = rep.matrix.copy()
+    matrix[0, 1] = entry
+    save_representative(replace(rep, matrix=matrix), tmp_path / "G.bin")
+    with pytest.raises(ValueError, match=message):
+        load_representative_matrix(tmp_path / "G.bin")
 
 
 def test_representative_file_bad_magic(tmp_path):

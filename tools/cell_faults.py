@@ -60,8 +60,8 @@ def main(argv: list[str] | None = None) -> int:
             runs.append({"minor_faults": faults, "wall_s": round(wall, 3),
                          "mean_acc": result.mean, "error": result.error})
         cells[cell] = runs
-    print(json.dumps({"nproc": os.cpu_count(), "numpy": np.__version__, "blas": _blas(),
-                      "seed": args.seed, "folds": 10, "epochs": base.epochs,
+    print(json.dumps({"nproc": len(os.sched_getaffinity(0)), "numpy": np.__version__,
+                      "blas": _blas(), "seed": args.seed, "folds": 10, "epochs": base.epochs,
                       "cells": cells}, indent=1))
     return 0
 
