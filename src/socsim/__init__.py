@@ -21,8 +21,6 @@ from .sdna import (
     pair_score,
     path_score,
     popularity_score,
-    run_dynamic,
-    simulate_snapshots,
     socialise,
 )
 from .similarity import (
@@ -55,7 +53,6 @@ from .harness import (
     ExperimentPlan,
     ExperimentReport,
     SnapshotReport,
-    check_hypothesis,
     default_model_grid,
     desk_plan,
     desk_sim_config,

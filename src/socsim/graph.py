@@ -53,14 +53,12 @@ class SocialGraph:
     features        (n, f) real feature matrix, one row per node
     sdna_of         (n,) id of the preference record each node subscribes to;
                     doubles as the node's class label
-    snapshot_index  position of this snapshot in its lineage
     """
 
     n: int
     edges: np.ndarray
     features: np.ndarray
     sdna_of: np.ndarray
-    snapshot_index: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "edges", normalize_edges(self.edges, self.n))
@@ -76,8 +74,7 @@ class SocialGraph:
     def __reduce__(self):
         # rebuilt through __init__: a pickled graph carries its fields, not
         # the cached n x n adjacency, and comes back with read-only edges
-        return SocialGraph, (self.n, self.edges, self.features, self.sdna_of,
-                             self.snapshot_index)
+        return SocialGraph, (self.n, self.edges, self.features, self.sdna_of)
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -93,13 +90,10 @@ class SocialGraph:
         """(n,) integer degree of every node."""
         return np.bincount(self.edges.ravel(), minlength=self.n)
 
-    def with_edges(self, new_edges, snapshot_index: int | None = None) -> "SocialGraph":
+    def with_edges(self, new_edges) -> "SocialGraph":
         """Copy of this graph with extra edges (features and labels shared)."""
-        return replace(
-            self,
-            edges=np.concatenate([self.edges, normalize_edges(new_edges, self.n)]),
-            snapshot_index=self.snapshot_index if snapshot_index is None else snapshot_index,
-        )
+        extra = normalize_edges(new_edges, self.n)
+        return replace(self, edges=np.concatenate([self.edges, extra]))
 
 
 def degree(g: SocialGraph, i: int) -> int:
@@ -203,7 +197,7 @@ def _read_int_pairs(path: Path, delimiter: str, what: str) -> np.ndarray:
     return rows
 
 
-def load_graph_dir(path: str | Path, snapshot_index: int = 0) -> SocialGraph:
+def load_graph_dir(path: str | Path) -> SocialGraph:
     """Read a graph directory written by :func:`save_graph_dir`; raises
     ``ValueError`` unless features.csv holds at least one row, labels.csv
     names every node 0..n-1 exactly once with an sdna id >= 0, and every
@@ -229,5 +223,4 @@ def load_graph_dir(path: str | Path, snapshot_index: int = 0) -> SocialGraph:
     edges_file = path / "edges.tsv"
     edges = (_read_int_pairs(edges_file, "\t", "two tab-separated integers")
              if edges_file.exists() else [])
-    return SocialGraph(n=n, edges=edges, features=features, sdna_of=sdna_of,
-                       snapshot_index=snapshot_index)
+    return SocialGraph(n=n, edges=edges, features=features, sdna_of=sdna_of)

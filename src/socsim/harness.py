@@ -123,6 +123,8 @@ class ExperimentPlan:
         if not (isinstance(self.cells, (list, tuple))
                 and all(isinstance(cell, str) for cell in self.cells)):
             raise ValueError(f"cells must be a list of cell names, got {self.cells!r}")
+        if not self.cells:
+            raise ValueError("cells must name at least one cell")
         object.__setattr__(self, "cells", tuple(self.cells))
         if len(set(self.cells)) != len(self.cells):
             raise ValueError("cell names must be unique")
@@ -137,6 +139,8 @@ class ExperimentPlan:
         if self.gcn.num_classes < self.sim.y:
             raise ValueError(f"gcn.num_classes ({self.gcn.num_classes}) is below sim.y "
                              f"({self.sim.y}), the number of sDNA labels")
+        if self.folds > self.sim.n // self.sim.y:
+            raise ValueError(f"folds ({self.folds}) exceed sim.n // sim.y, the smallest class")
         for cell in self.cells:
             parse_cell(cell, self.gcn)
 
@@ -194,14 +198,12 @@ class CellResult:
     failed: bool = False
     error: str = ""
 
-    def to_dict(self) -> dict:
-        return asdict(self) | {"accuracies": list(self.accuracies)}
-
     @classmethod
     def from_dict(cls, d: dict) -> "CellResult":
-        d = dict(d)
-        d["accuracies"] = tuple(d["accuracies"])
-        return cls(**d)
+        result = cls(**d | {"accuracies": tuple(d["accuracies"])})
+        if not all(v is None or isinstance(v, numbers.Real) for v in (result.mean, result.std)):
+            raise ValueError(f"mean and std must be numbers or null, got {d!r}")
+        return result
 
 
 @dataclass(frozen=True)
@@ -211,22 +213,12 @@ class SnapshotReport:
     best_cell: str
     hypothesis: bool | None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "cells": {k: v.to_dict() for k, v in self.cells.items()},
-            "best_cell": self.best_cell,
-            "hypothesis": self.hypothesis,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "SnapshotReport":
-        return cls(
-            name=d["name"],
-            cells={k: CellResult.from_dict(v) for k, v in d["cells"].items()},
-            best_cell=d["best_cell"],
-            hypothesis=d["hypothesis"],
-        )
+        snap = cls(**d | {"cells": {k: CellResult.from_dict(v) for k, v in d["cells"].items()}})
+        if not isinstance(snap.best_cell, str):
+            raise ValueError(f"best_cell must be a cell name, got {snap.best_cell!r}")
+        return snap
 
 
 @dataclass(frozen=True)
@@ -234,21 +226,10 @@ class ExperimentReport:
     plan: dict
     snapshots: tuple[SnapshotReport, ...]
 
-    def to_dict(self) -> dict:
-        return {"plan": self.plan, "snapshots": [s.to_dict() for s in self.snapshots]}
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
-        return cls(
-            plan=d["plan"],
-            snapshots=tuple(SnapshotReport.from_dict(s) for s in d["snapshots"]),
-        )
-
-    def snapshot(self, name: str) -> SnapshotReport:
-        for snap in self.snapshots:
-            if snap.name == name:
-                return snap
-        raise KeyError(name)
+        ExperimentPlan.from_dict(d["plan"])  # the echo must be a valid plan
+        return cls(**d | {"snapshots": tuple(SnapshotReport.from_dict(s) for s in d["snapshots"])})
 
     @property
     def any_failed(self) -> bool:
@@ -326,12 +307,6 @@ def _snapshot_hypothesis(cells: dict[str, CellResult]) -> bool | None:
         means[name] = result.mean
     ft = means["FTvanilla"]
     return ft > means["F"] and (ft > means["T"] or ft > means["TLR"])
-
-
-def check_hypothesis(report: ExperimentReport, snapshot: str) -> bool | None:
-    """Evaluate the integration predicate for one snapshot of a report; None
-    when a required cell is missing or failed."""
-    return _snapshot_hypothesis(report.snapshot(snapshot).cells)
 
 
 def _best_cell(cells: dict[str, CellResult]) -> str:
@@ -467,9 +442,7 @@ def emit_report(report: ExperimentReport, out_dir: str | Path) -> dict[str, Path
         "summary": out_dir / "summary.csv",
         "best": out_dir / "best.csv",
     }
-    paths["report"].write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-    )
+    paths["report"].write_text(json.dumps(asdict(report), sort_keys=True, indent=2) + "\n")
 
     cell_names = list(report.plan.get("cells", []))
     if not cell_names and report.snapshots:
@@ -506,4 +479,9 @@ def emit_report(report: ExperimentReport, out_dir: str | Path) -> dict[str, Path
 
 
 def load_report(path: str | Path) -> ExperimentReport:
-    return ExperimentReport.from_dict(json.loads(Path(path).read_text()))
+    """Read a report.json written by :func:`emit_report`; a file that is not
+    JSON or not a report raises ``ValueError`` naming ``path``."""
+    try:
+        return ExperimentReport.from_dict(json.loads(Path(path).read_text()))
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a socsim report: {type(exc).__name__}: {exc}") from exc

@@ -26,7 +26,7 @@ import logging
 import math
 import numbers
 from collections.abc import Iterator
-from dataclasses import dataclass, replace, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -380,18 +380,7 @@ def iter_snapshots(cfg: SimConfig, snapshots: int) -> Iterator[tuple[SocialGraph
         if s > 0:
             sdnas = mutate(sdnas, cfg, derive_rng(cfg.seed, "mutate", s))
         graph, _ = socialise(graph, sdnas, cfg, derive_rng(cfg.seed, "socialise", s))
-        graph = replace(graph, snapshot_index=s)
         yield graph, sdnas
-
-
-def simulate_snapshots(cfg: SimConfig, snapshots: int) -> list[tuple[SocialGraph, list[Sdna]]]:
-    """Every snapshot of :func:`iter_snapshots` at once, as a list."""
-    return list(iter_snapshots(cfg, snapshots))
-
-
-def run_dynamic(cfg: SimConfig, snapshots: int) -> list[SocialGraph]:
-    """Snapshot graphs only; see :func:`iter_snapshots`."""
-    return [g for g, _ in iter_snapshots(cfg, snapshots)]
 
 
 _EVENT_MAX_RETRIES = 100

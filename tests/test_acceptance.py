@@ -254,7 +254,7 @@ report_elapsed: dict[str, float] = {}
 def test_criterion_5_feature_only_chance_level():
     start = time.time()
     cfg = desk_sim_config(seed=77)
-    snaps = socsim.simulate_snapshots(cfg, 1)
+    snaps = list(socsim.iter_snapshots(cfg, 1))
     g, _ = snaps[0]
     masks = make_folds(g.sdna_of, 10, seed=derive_seed(77, "folds"))
     result = run_cell(g, "F", masks, base=GcnConfig(num_classes=4), plan_seed=77)

@@ -2,11 +2,13 @@
 raises ValueError, never a deeper exception.
 
 Binary files (``SOCG`` representatives, ``SOCM`` checkpoints) and graph
-directories get corrupted bytes, not only cuts; config dicts get fields of
-the wrong JSON type, unknown keys and missing keys.
+directories get corrupted bytes, not only cuts; config dicts and report
+documents get fields of the wrong JSON type, unknown keys and missing keys.
 """
 
+import copy
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -17,7 +19,15 @@ from hypothesis import strategies as st
 
 from socsim.gcn import GcnConfig, init_model, load_model, save_model
 from socsim.graph import SocialGraph, load_graph_dir, save_graph_dir
-from socsim.harness import ExperimentPlan, desk_plan
+from socsim.harness import (
+    CellResult,
+    ExperimentPlan,
+    ExperimentReport,
+    SnapshotReport,
+    desk_plan,
+    emit_report,
+    load_report,
+)
 from socsim.sdna import SimConfig
 from socsim.similarity import (
     SimilaritySpec,
@@ -87,11 +97,29 @@ def saved_graph_dir() -> dict[str, bytes]:
         return {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
 
 
+def saved_report() -> dict:
+    plan = desk_plan(networks=1, snapshots=1)
+    cells = {"FTvanilla": CellResult((0.5, 0.7), 0.6, 0.1),
+             "F": CellResult((), None, None, failed=True, error="boom")}
+    report = ExperimentReport(plan=plan.to_dict(), snapshots=(
+        SnapshotReport("0-0", cells, best_cell="FTvanilla", hypothesis=None),))
+    with tempfile.TemporaryDirectory() as tmp:
+        return json.loads(emit_report(report, tmp)["report"].read_text())
+
+
+def load_report_document(document, tmp: str):
+    """``load_report`` of ``document`` written to a file under ``tmp``."""
+    path = Path(tmp) / "report.json"
+    path.write_text(json.dumps(document))
+    return load_report(path)
+
+
 REPRESENTATIVE = saved_representative()
 CHECKPOINTS = [saved_checkpoint(GcnConfig(variant=variant, use_s=use_s,
                                           layer_units=(3, 2), num_classes=2))
                for variant, use_s in (("ftvanilla", True), ("t", False), ("tlr", False))]
 GRAPH_DIR = saved_graph_dir()
+REPORT = saved_report()
 
 
 @given(st.data())
@@ -201,6 +229,54 @@ def test_any_json_document_as_a_plan_loads_or_raises_value_error(document):
     loads_or_value_error(ExperimentPlan.from_dict, document)
     loads_or_value_error(GcnConfig.from_dict, document)
     loads_or_value_error(SimConfig.from_json, json.dumps(document))
+    with tempfile.TemporaryDirectory() as tmp:
+        loads_or_value_error(load_report_document, document, tmp)
+
+
+@given(st.data(), st.sampled_from([None, "plan", "snapshot", "cell"]))
+@FUZZ
+def test_fuzzed_report_loads_or_raises_value_error(data, section):
+    d = copy.deepcopy(REPORT)
+    snap = d["snapshots"][0]
+    if section is None:
+        d = data.draw(fuzzed(d))
+    elif section == "plan":
+        d["plan"] = data.draw(fuzzed(d["plan"]))
+    elif section == "snapshot":
+        d["snapshots"][0] = data.draw(fuzzed(snap))
+    else:
+        snap["cells"]["FTvanilla"] = data.draw(fuzzed(snap["cells"]["FTvanilla"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        report = loads_or_value_error(load_report_document, d, tmp)
+        if report is not None:  # what loads can be re-emitted, and loads back
+            load_report(emit_report(report, Path(tmp) / "out")["report"])
+
+
+def test_saved_report_loads():
+    with tempfile.TemporaryDirectory() as tmp:
+        report = load_report_document(REPORT, tmp)
+    assert [snap.name for snap in report.snapshots] == ["0-0"]
+    assert report.snapshots[0].cells["FTvanilla"] == CellResult((0.5, 0.7), 0.6, 0.1)
+
+
+@pytest.mark.parametrize("text, cause", [
+    ("[1, 2]", "TypeError"),
+    ('{"plan": {}}', "KeyError: 'snapshots'"),
+    ('{"plan": {}, "snapshots": [{"name": "0-0", "best_cell": "", "hypothesis": null}]}',
+     "KeyError: 'cells'"),
+    ('{"plan": {}, "snapshots": [{"name": "0-0", "best_cell": "", "hypothesis": null, '
+     '"cells": {"F": {"accuracies": []}}}]}', "TypeError: .*'mean'"),
+    ('{"plan": {}, "snapshots": [{"name": "0-0", "best_cell": "", "hypothesis": null, '
+     '"cells": {"F": {"accuracies": [], "mean": "0.5", "std": 0.1}}}]}',
+     "ValueError: mean and std must be numbers or null"),
+    ('{"plan": {"folds": 1}, "snapshots": []}', "ValueError: bad experiment plan"),
+    ('{"plan": {', "JSONDecodeError"),
+])
+def test_malformed_report_raises_value_error_naming_the_path(tmp_path, text, cause):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: not a socsim report: {cause}"):
+        load_report(path)
 
 
 @pytest.mark.parametrize("build, message", [

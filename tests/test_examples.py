@@ -1,0 +1,43 @@
+"""The README's library example and the scripts under tools/ run as written.
+
+Nothing else imports them, so a rename in ``socsim`` would otherwise break
+them silently.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_library_surface_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library surface", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    edges = [int(line.split()[1]) for line in lines[:3]]
+    assert [line.split()[0] for line in lines[:3]] == ["0", "1", "2"]
+    assert 0 < edges[0] < edges[1] < edges[2]
+    mean, std = map(float, lines[3].split())
+    assert 0.0 <= mean <= 1.0 and std >= 0.0
+
+
+def test_cell_faults_tool_prints_one_json_object():
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "cell_faults.py"), "--cells", "F", "--repeat", "1"],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    ).stdout
+    report = json.loads(out)
+    assert report["folds"] == 10 and report["seed"] == 2026
+    assert report["blas"]["threads"] == 1
+    (run,) = report["cells"]["F"]
+    assert run["error"] == ""
+    assert 0.0 <= run["mean_acc"] <= 1.0
+    assert run["minor_faults"] >= 0 and run["wall_s"] > 0

@@ -67,10 +67,9 @@ def test_duplicate_and_reversed_edges_collapse():
 
 def test_with_edges_merges_into_canonical_array():
     g = make_graph(5, [(0, 1), (3, 4)])
-    grown = g.with_edges(np.array([[2, 1], [1, 0], [4, 3], [0, 4]]), snapshot_index=3)
+    grown = g.with_edges(np.array([[2, 1], [1, 0], [4, 3], [0, 4]]))
     assert grown.edges.tolist() == [[0, 1], [0, 4], [1, 2], [3, 4]]
     assert not grown.edges.flags.writeable
-    assert grown.snapshot_index == 3
     assert g.edges.tolist() == [[0, 1], [3, 4]]
     assert grown.degrees.tolist() == [2, 2, 1, 1, 2]
     assert grown.features is g.features
@@ -183,24 +182,23 @@ def test_graph_dir_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     g = SocialGraph(
         n=5, edges=[(0, 1), (2, 4)], features=rng.random((5, 3)),
-        sdna_of=np.array([0, 0, 1, 1, 2]), snapshot_index=2,
+        sdna_of=np.array([0, 0, 1, 1, 2]),
     )
     save_graph_dir(g, tmp_path / "snap")
-    back = load_graph_dir(tmp_path / "snap", snapshot_index=2)
+    back = load_graph_dir(tmp_path / "snap")
     assert back.n == g.n
     assert np.array_equal(back.edges, g.edges)
     assert np.array_equal(back.features, g.features)
     assert np.array_equal(back.sdna_of, g.sdna_of)
-    assert back.snapshot_index == 2
 
 
 def test_pickled_graph_is_rebuilt_without_its_cached_views():
     g = SocialGraph(n=4, edges=[(0, 1), (1, 3)], features=np.eye(4)[:, :2],
-                    sdna_of=np.array([0, 1, 0, 1]), snapshot_index=3)
+                    sdna_of=np.array([0, 1, 0, 1]))
     adjacency, degrees = g.adjacency, g.degrees
     back = pickle.loads(pickle.dumps(g))
     assert "adjacency" not in vars(back) and "degrees" not in vars(back)
-    assert back.n == 4 and back.snapshot_index == 3
+    assert back.n == 4
     assert np.array_equal(back.edges, g.edges) and not back.edges.flags.writeable
     assert np.array_equal(back.features, g.features)
     assert np.array_equal(back.sdna_of, g.sdna_of)

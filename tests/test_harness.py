@@ -17,7 +17,6 @@ from socsim.harness import (
     CellResult,
     ExperimentPlan,
     ExperimentReport,
-    check_hypothesis,
     default_model_grid,
     emit_report,
     load_report,
@@ -26,7 +25,7 @@ from socsim.harness import (
     run_cell,
     run_experiment,
 )
-from socsim.sdna import SimConfig, simulate_snapshots
+from socsim.sdna import SimConfig, iter_snapshots
 from socsim.similarity import AUTO, build_representative
 
 
@@ -166,9 +165,8 @@ def test_hypothesis_missing_cell_indeterminate():
 # --- run_cell / experiment -------------------------------------------------------
 
 def test_run_cell_shapes():
-    from socsim.sdna import simulate_snapshots
     plan = tiny_plan()
-    (g, _), = simulate_snapshots(plan.sim, 1)
+    (g, _), = iter_snapshots(plan.sim, 1)
     folds = make_folds(g.sdna_of, 5, seed=1)
     result = run_cell(g, "FTvanilla", folds, base=plan.gcn, plan_seed=3)
     assert len(result.accuracies) == 5
@@ -262,7 +260,8 @@ def test_stream_across_networks_matches_serial_with_a_failing_cell(monkeypatch):
     failed = [(snap.name, cell) for snap in pooled.snapshots
               for cell, result in snap.cells.items() if result.failed]
     assert failed == [("1-0", "FTkatz0.0-0.5")]
-    assert pooled.snapshot("1-0").cells["FTkatz0.0-0.5"].error == "RuntimeError: injected fault"
+    by_name = {snap.name: snap for snap in pooled.snapshots}
+    assert by_name["1-0"].cells["FTkatz0.0-0.5"].error == "RuntimeError: injected fault"
 
 
 def test_one_cell_plan_pools_over_its_snapshots(monkeypatch):
@@ -325,7 +324,7 @@ def test_experiment_shared_folds_and_hypothesis_flag():
     report = run_experiment(plan)
     for snap in report.snapshots:
         assert snap.hypothesis in (True, False)
-        assert check_hypothesis(report, snap.name) == snap.hypothesis
+        assert harness._snapshot_hypothesis(snap.cells) == snap.hypothesis
 
 
 def test_report_round_trip(tmp_path):
@@ -450,7 +449,7 @@ def train_each_fold_alone(graph, cell, fold_masks, base, plan_seed):
 @pytest.mark.parametrize("cell", ["FTvanilla", "SFTvanilla", "F", "SF", "T", "TLR",
                                   "FTkatz0.0-0.5"])
 def test_batched_folds_match_training_each_fold_alone(cell):
-    (g, _), = simulate_snapshots(tiny_plan().sim, 1)
+    (g, _), = iter_snapshots(tiny_plan().sim, 1)
     folds = make_folds(g.sdna_of, 4, seed=2)
     base = GcnConfig(num_classes=4, epochs=12, dropout_p=0.5)
     result = run_cell(g, cell, folds, base=base, plan_seed=11)
@@ -540,6 +539,7 @@ def test_plan_validation():
     ("snapshots", 2.0, "snapshots must be an integer, got 2.0"),
     ("workers", 1.5, "workers must be an integer, got 1.5"),
     ("cells", "FTvanilla", "cells must be a list of cell names"),
+    ("cells", (), "cells must name at least one cell"),
 ])
 def test_plan_rejects_bad_values(field, value, message):
     with pytest.raises(ValueError, match=message):
@@ -547,6 +547,19 @@ def test_plan_rejects_bad_values(field, value, message):
     d = tiny_plan().to_dict() | {field: value}
     with pytest.raises(ValueError, match=message):
         ExperimentPlan.from_dict(d)
+
+
+@pytest.mark.parametrize("n", [20, 22])
+def test_plan_rejects_more_folds_than_the_smallest_class(n):
+    # y = 4 labels: n = 20 gives four classes of 5, n = 22 gives 6, 6, 5, 5
+    sim = replace(tiny_plan().sim, n=n)
+    plan = tiny_plan(sim=sim, folds=5)
+    (graph, _), = iter_snapshots(sim, 1)
+    assert len(make_folds(graph.sdna_of, plan.folds, seed=0)) == 5
+    with pytest.raises(ValueError, match=r"folds \(6\) exceed sim.n // sim.y"):
+        tiny_plan(sim=sim, folds=6)
+    with pytest.raises(ValueError, match=r"folds \(10\) exceed sim.n // sim.y"):
+        ExperimentPlan.from_dict(plan.to_dict() | {"folds": 10})
 
 
 def test_plan_accepts_zero_workers():

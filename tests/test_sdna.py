@@ -15,12 +15,11 @@ from socsim.sdna import (
     feature_score,
     feature_score_one_way,
     generate_population,
+    iter_snapshots,
     mutate,
     pair_score,
     path_score,
     popularity_score,
-    run_dynamic,
-    simulate_snapshots,
     socialise,
 )
 
@@ -248,13 +247,6 @@ def test_socialise_deterministic():
     assert np.array_equal(a1, a2)
 
 
-def test_socialise_snapshot_index_unchanged():
-    cfg = small_cfg()
-    g, sdnas = generate_population(cfg)
-    grown, _ = socialise(g, sdnas, cfg)
-    assert grown.snapshot_index == g.snapshot_index
-
-
 # --- mutation ---------------------------------------------------------------
 
 def test_mutate_zero_intensity_is_identity():
@@ -312,23 +304,26 @@ def test_mutate_fraction_matches_intensity():
 
 def test_run_dynamic_single_snapshot():
     cfg = small_cfg()
-    snaps = run_dynamic(cfg, 1)
+    snaps = [g for g, _ in iter_snapshots(cfg, 1)]
     assert len(snaps) == 1
-    assert snaps[0].snapshot_index == 0
+    # snapshot 0 is one socialise round on the fresh population
+    g0, sdnas = generate_population(cfg)
+    expected, _ = socialise(g0, sdnas, cfg, derive_rng(cfg.seed, "socialise", 0))
+    assert np.array_equal(snaps[0].edges, expected.edges)
 
 
 def test_run_dynamic_monotone_growth():
     cfg = small_cfg(n=14, t=0.1, z=0.4)
-    snaps = run_dynamic(cfg, 4)
+    snaps = [g for g, _ in iter_snapshots(cfg, 4)]
+    assert len(snaps) == 4
     for earlier, later in zip(snaps, snaps[1:]):
         assert np.all(later.adjacency[earlier.edges[:, 0], earlier.edges[:, 1]] == 1)
         assert np.array_equal(earlier.features, later.features)
-    assert [s.snapshot_index for s in snaps] == [0, 1, 2, 3]
 
 
 def test_run_dynamic_grows_even_without_mutation():
     cfg = small_cfg(n=14, t=0.1, z=0.0)
-    snaps = run_dynamic(cfg, 2)
+    snaps = [g for g, _ in iter_snapshots(cfg, 2)]
     assert len(snaps[1].edges) > len(snaps[0].edges)
 
 
@@ -337,7 +332,7 @@ def test_run_dynamic_full_scale_shape():
     # 50 features, 4 equal-size label groups
     cfg = SimConfig(n=1000, f=50, y=4, q=3, p=0.3, t=0.005, r=0.25,
                     c=(1.0, 0.5), z=0.3, seed=1)
-    snaps = run_dynamic(cfg, 3)
+    snaps = [g for g, _ in iter_snapshots(cfg, 3)]
     assert len(snaps) == 3
     for g in snaps:
         assert g.features.shape == (1000, 50)
@@ -347,7 +342,7 @@ def test_run_dynamic_full_scale_shape():
 
 def test_simulate_snapshots_sdna_drift():
     cfg = small_cfg(n=8, z=1.0)
-    snaps = simulate_snapshots(cfg, 2)
+    snaps = list(iter_snapshots(cfg, 2))
     (g0, s0), (g1, s1) = snaps
     assert any(not np.array_equal(a.w, b.w) for a, b in zip(s0, s1))
 

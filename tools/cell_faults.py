@@ -28,7 +28,7 @@ import numpy as np  # noqa: E402
 
 from socsim.harness import desk_sim_config, make_folds, run_cell  # noqa: E402
 from socsim.gcn import GcnConfig  # noqa: E402
-from socsim.sdna import simulate_snapshots  # noqa: E402
+from socsim.sdna import iter_snapshots  # noqa: E402
 
 CELLS = ("FTvanilla", "SFTvanilla", "F", "T", "TLR")
 
@@ -45,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cells", nargs="*", default=list(CELLS))
     args = parser.parse_args(argv)
 
-    (graph, _), = simulate_snapshots(desk_sim_config(args.seed), 1)
+    (graph, _), = iter_snapshots(desk_sim_config(args.seed), 1)
     folds = make_folds(graph.sdna_of, 10, seed=args.seed)
     base = GcnConfig(num_classes=4)
     cells = {}
