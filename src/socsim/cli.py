@@ -7,8 +7,16 @@
     socsim experiment --plan plan.json --out results/
     socsim report --in results/report.json --format csv [--out dir/]
 
-Exit code 0 on success; ``experiment`` exits 2 when some cells failed but
-the run completed.
+Exit codes:
+
+    0   success
+    1   bad input: a file that cannot be read or is malformed, or an
+        argument value the command rejects; one ``socsim: error:`` line on
+        stderr names it
+    2   usage error: an unknown command or option, or a missing one
+        (argparse)
+    3   ``experiment`` completed, but some cells failed (each failed cell
+        carries its error in report.json)
 """
 
 from __future__ import annotations
@@ -34,7 +42,6 @@ from .similarity import (
 def _cmd_simulate(args) -> int:
     cfg = SimConfig.load(args.config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for idx, (graph, sdnas) in enumerate(iter_snapshots(cfg, args.snapshots)):
         snap_dir = out / f"snap-{idx:03d}"
         save_graph_dir(graph, snap_dir)
@@ -64,14 +71,17 @@ def _cmd_events(args) -> int:
 def _parse_thresholds(tokens: list[str]) -> tuple[float | str, float | str]:
     if len(tokens) == 1 and tokens[0].lower() == "auto":
         return AUTO, AUTO
-    if len(tokens) == 2:
-        return float(tokens[0]), float(tokens[1])
-    raise SystemExit("--thresholds takes LO HI or the single word 'auto'")
+    try:
+        lo, hi = map(float, tokens)
+    except ValueError:
+        raise ValueError(f"--thresholds takes LO HI or the single word 'auto', "
+                         f"got {' '.join(tokens)!r}") from None
+    return lo, hi
 
 
 def _cmd_representative(args) -> int:
-    graph = load_graph_dir(args.graph)
     lo, hi = _parse_thresholds(args.thresholds)
+    graph = load_graph_dir(args.graph)
     spec = SimilaritySpec(
         kind=args.kind,
         katz_beta=args.beta,
@@ -97,14 +107,12 @@ def _cmd_experiment(args) -> int:
         failures = sum(c.failed for c in snap.cells.values())
         tail = f" ({failures} failed cells)" if failures else ""
         print(f"  {snap.name}: best={snap.best_cell} hypothesis={snap.hypothesis}{tail}")
-    return 2 if report.any_failed else 0
+    return 3 if report.any_failed else 0
 
 
 def _cmd_report(args) -> int:
     report = load_report(args.input)
     out = Path(args.out) if args.out else Path(args.input).parent
-    if args.format != "csv":
-        raise SystemExit(f"unsupported format {args.format!r}")
     paths = emit_report(report, out)
     print(f"wrote {paths['summary']} and {paths['best']}")
     return 0
@@ -146,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="re-emit CSVs from a stored report")
     p.add_argument("--in", dest="input", required=True, help="report.json path")
-    p.add_argument("--format", default="csv")
+    p.add_argument("--format", default="csv", choices=["csv"])
     p.add_argument("--out", default=None, help="output directory (default: alongside input)")
     p.set_defaults(func=_cmd_report)
     return parser
@@ -154,7 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"socsim: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

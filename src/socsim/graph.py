@@ -103,22 +103,58 @@ def degree(g: SocialGraph, i: int) -> int:
     return int(g.degrees[i])
 
 
+def _pack_rows(matrix: np.ndarray) -> np.ndarray:
+    """(n, n) boolean matrix as (n, w) uint64 bit rows: the ``np.packbits``
+    bytes of each row, zero-padded to whole 64-bit words."""
+    n = matrix.shape[0]
+    rows = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
+    rows[:, : -(-n // 8)] = np.packbits(matrix, axis=1)
+    return rows.view(np.uint64)
+
+
+def _unpack_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`_pack_rows`: the (n, n) boolean matrix."""
+    return np.unpackbits(rows.view(np.uint8), axis=1, count=n).view(bool)
+
+
+def _neighbour_lists(g: SocialGraph) -> tuple[np.ndarray, np.ndarray]:
+    """CSR view of the canonical edges: every node's neighbours back to back
+    in node order, and the offset of each node's run among them."""
+    src = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
+    dst = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
+    return dst[np.argsort(src, kind="stable")], np.cumsum(g.degrees) - g.degrees
+
+
+def _neighbour_or(rows: np.ndarray, neighbours: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Boolean product A @ R on bit rows: row i of the result is the bitwise
+    OR of ``rows[k]`` over the neighbours k of i (see :func:`_neighbour_lists`).
+
+    A step costs O(m * n / 64) word operations instead of a dense n^3
+    product; a node with no neighbour gets a zero row.
+    """
+    out = np.zeros_like(rows)
+    has = np.diff(starts, append=len(neighbours)) > 0
+    out[has] = np.bitwise_or.reduceat(rows[neighbours], starts[has], axis=0)
+    return out
+
+
 def walk_indicators(g: SocialGraph, max_length: int) -> list[np.ndarray]:
     """Boolean walk-existence matrices for lengths 2..max_length.
 
     Entry [x-2][i, j] is True iff some walk of length exactly x joins i and j,
     i.e. the x-th boolean-semiring power of the adjacency matrix is nonzero
-    there.  Boolean powers avoid the count overflow plain integer powers
-    would hit on dense graphs.
+    there.  Each power stays as packed bit rows, and the next one ORs the
+    rows of each node's neighbours (A^x = A @ A^(x-1)); no walk is counted,
+    so nothing can overflow.
     """
     if max_length < 2:
         return []
-    a = g.adjacency > 0
+    lists = _neighbour_lists(g)
+    power = _pack_rows(g.adjacency > 0)
     out = []
-    power = a
     for _ in range(2, max_length + 1):
-        power = (power.astype(np.float64) @ a.astype(np.float64)) > 0
-        out.append(power)
+        power = _neighbour_or(power, *lists)
+        out.append(_unpack_rows(power, g.n))
     return out
 
 
@@ -139,22 +175,24 @@ def shortest_path_matrix(g: SocialGraph) -> np.ndarray:
     """All-pairs hop counts via breadth-first search, np.inf where unreachable.
 
     The search runs level-synchronously from every source at once: the
-    frontier of each BFS is a row of a boolean matrix and one adjacency
-    multiply advances all of them a level.
+    frontier of each BFS is a packed bit row, and one neighbour-OR step
+    advances all of them a level (the nodes one hop beyond source s's
+    frontier are those some neighbour of s has at that depth, because hop
+    counts are symmetric).
     """
     n = g.n
-    a = g.adjacency > 0
     sp = np.full((n, n), np.inf)
     np.fill_diagonal(sp, 0.0)
-    reached = np.eye(n, dtype=bool)
+    lists = _neighbour_lists(g)
+    reached = _pack_rows(np.eye(n, dtype=bool))
     frontier = reached
     dist = 0
     while True:
         dist += 1
-        frontier = ((frontier.astype(np.float64) @ a.astype(np.float64)) > 0) & ~reached
+        frontier = _neighbour_or(frontier, *lists) & ~reached
         if not frontier.any():
             break
-        sp[frontier] = dist
+        sp[_unpack_rows(frontier, n)] = dist
         reached |= frontier
     return sp
 

@@ -317,7 +317,8 @@ def socialise(
 
     if stopping_len is None:
         stopping_len = int(math.floor(cfg.t * len(universe)))
-    order = np.lexsort((selected[:, 1], selected[:, 0], -scores))
+    # selected is in (i, j) order, so a stable sort is the (i, j) tie-break
+    order = np.argsort(-scores, kind="stable")
     ranked = selected[order]
     ranked_scores = scores[order]
 

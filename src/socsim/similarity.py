@@ -74,17 +74,29 @@ class GraphRepresentative:
 def katz_matrix(g: SocialGraph, beta: float, max_power: int) -> np.ndarray:
     """Damped walk-count sum: beta^x A^x for x = 1..max_power.
 
-    Walk counts are exact integers well inside float64 range at this scale,
-    so iterated multiplication loses nothing.
+    An even power is the product of the half power with its transpose
+    (A^2 = A A^T, A^4 = A^2 (A^2)^T, which numpy computes as a symmetric
+    product at half cost), an odd one is the previous power times A.  Entry
+    (i, j) of A^x counts walks and is at most (max degree)^x; while that
+    stays below 2^53 every partial sum of every product is an exact integer
+    in float64, so the powers, and hence the sum, do not depend on the order
+    of the products.
     """
     if beta < 0:
         raise ValueError("beta must be non-negative")
     a = g.adjacency
     total = np.zeros_like(a)
-    power = np.eye(g.n)
+    halves = {}
+    power = a
     for x in range(1, max_power + 1):
-        power = power @ a
-        total = total + (beta ** x) * power
+        if x % 2 == 0:
+            half = halves.pop(x // 2)
+            power = half @ half.T
+        elif x > 1:
+            power = power @ a
+        if 2 * x <= max_power:
+            halves[x] = power
+        total += (beta ** x) * power
     return total
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,7 +108,7 @@ def test_experiment_and_report_commands(tmp_path):
     assert (redo / "summary.csv").read_text() == (results / "summary.csv").read_text()
 
 
-def test_experiment_exits_2_when_a_cell_raises(tmp_path, monkeypatch):
+def test_experiment_exits_3_when_a_cell_raises(tmp_path, monkeypatch):
     train_folds = harness.train_folds
 
     def flaky(inputs, cfg, seeds):
@@ -122,7 +126,44 @@ def test_experiment_exits_2_when_a_cell_raises(tmp_path, monkeypatch):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(plan.to_dict()))
     results = tmp_path / "results"
-    assert main(["experiment", "--plan", str(plan_path), "--out", str(results)]) == 2
+    assert main(["experiment", "--plan", str(plan_path), "--out", str(results)]) == 3
     cells = json.loads((results / "report.json").read_text())["snapshots"][0]["cells"]
     assert cells["F"]["failed"] and cells["F"]["error"] == "ValueError: injected fault"
     assert not cells["FTvanilla"]["failed"]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*argv, cwd):
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-m", "socsim.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["report", "--in", "bad.json"], "bad.json", id="report-not-an-object"),
+    pytest.param(["simulate", "--config", "cfg.json", "--out", "sim", "--snapshots", "0"],
+                 "snapshots must be >= 1", id="simulate-no-snapshots"),
+    pytest.param(["experiment", "--plan", "missing.json", "--out", "results"], "missing.json",
+                 id="experiment-missing-plan"),
+    pytest.param(["representative", "--graph", "data/snap-000", "--thresholds", "a", "b",
+                  "--out", "G.bin"], "--thresholds takes LO HI", id="representative-bad-thresholds"),
+])
+def test_bad_input_exits_1_with_one_error_line(tmp_path, sim_config_file, argv, message):
+    (tmp_path / "bad.json").write_text("[1,2]")
+    main(["simulate", "--config", str(sim_config_file), "--out", str(tmp_path / "data")])
+    files = sorted(tmp_path.rglob("*"))
+    done = run_cli(*argv, cwd=tmp_path)
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("socsim: error: ") and message in done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert sorted(tmp_path.rglob("*")) == files  # a rejected command writes nothing
+
+
+def test_usage_error_exits_2(tmp_path):
+    done = run_cli("report", "--in", "r.json", "--format", "xml", cwd=tmp_path)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and "invalid choice: 'xml'" in done.stderr

@@ -27,9 +27,13 @@ def test_readme_library_surface_runs(capsys):
     assert 0.0 <= mean <= 1.0 and std >= 0.0
 
 
-def test_cell_faults_tool_prints_one_json_object():
-    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+def tool_env():
+    return os.environ | {"PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
+def test_cell_faults_tool_prints_one_json_object():
+    env = tool_env()
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "cell_faults.py"), "--cells", "F", "--repeat", "1"],
         capture_output=True, text=True, env=env, timeout=120, check=True,
@@ -41,3 +45,20 @@ def test_cell_faults_tool_prints_one_json_object():
     assert run["error"] == ""
     assert 0.0 <= run["mean_acc"] <= 1.0
     assert run["minor_faults"] >= 0 and run["wall_s"] > 0
+
+
+def test_graph_kernel_bench_tool_finds_every_kernel_identical(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_graph_kernels.py"), "--repeat", "1",
+         "--out", str(out)],
+        capture_output=True, text=True, env=tool_env(), timeout=300, check=True,
+    )
+    report = json.loads(out.read_text())
+    assert report["machine"]["blas_threads"] == 1
+    assert [len(report["sets"][name]["graphs"]) for name in ("sim_build", "desk", "dense")] == [6, 9, 3]
+    for group in report["sets"].values():
+        for row in group["graphs"]:
+            for kernel in ("walk_indicators", "shortest_path_matrix", "katz_matrix", "rank_sort"):
+                assert row[kernel]["identical"], (row["edges"], kernel)
+                assert row[kernel]["before_ms"] > 0 and row[kernel]["after_ms"] > 0

@@ -12,6 +12,7 @@ from socsim.graph import (
     save_graph_dir,
     shortest_path_matrix,
     unconnected_pairs,
+    walk_indicators,
 )
 
 
@@ -147,6 +148,80 @@ def test_shortest_paths_match_floyd_warshall():
         pairs = list(itertools.combinations(range(n), 2))
         g = make_graph(n, [p for p in pairs if rng.random() < 0.1])
         assert np.array_equal(shortest_path_matrix(g), floyd_warshall(g.adjacency))
+
+
+def dense_walk_indicators(adj, max_length):
+    """Reference: boolean powers as float matrix products."""
+    a = adj > 0
+    power, out = a, []
+    for _ in range(2, max_length + 1):
+        power = (power.astype(np.float64) @ a.astype(np.float64)) > 0
+        out.append(power)
+    return out
+
+
+def dense_bfs(adj):
+    """Reference: level-synchronous BFS from every source, one dense
+    frontier @ adjacency product per level."""
+    n = adj.shape[0]
+    a = adj > 0
+    sp = np.full((n, n), np.inf)
+    np.fill_diagonal(sp, 0.0)
+    reached = np.eye(n, dtype=bool)
+    frontier, dist = reached, 0
+    while True:
+        dist += 1
+        frontier = ((frontier.astype(np.float64) @ a.astype(np.float64)) > 0) & ~reached
+        if not frontier.any():
+            return sp
+        sp[frontier] = dist
+        reached |= frontier
+
+
+def assert_walks_match_dense(g, max_length):
+    got = walk_indicators(g, max_length)
+    want = dense_walk_indicators(g.adjacency, max_length)
+    assert len(got) == len(want) == max_length - 1
+    for x, (a, b) in enumerate(zip(got, want), start=2):
+        assert a.dtype == np.bool_ and a.shape == (g.n, g.n), x
+        assert np.array_equal(a, b), x
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65, 130])
+def test_walk_indicators_match_dense_powers(n):
+    # sizes around the byte and word boundaries of the packed rows
+    rng = np.random.default_rng(n)
+    pairs = list(itertools.combinations(range(n), 2))
+    for density in (0.0, 0.05, 0.3):
+        g = make_graph(n, [p for p in pairs if rng.random() < density])
+        for q in (2, 3, 4):
+            assert_walks_match_dense(g, q)
+
+
+def test_walk_indicators_isolated_nodes_and_no_edges():
+    g = make_graph(11, [(1, 4), (4, 9), (2, 3)])  # 0, 5-8 and 10 isolated
+    assert_walks_match_dense(g, 4)
+    assert not walk_indicators(g, 4)[0][[0, 5, 10]].any()
+    for power in walk_indicators(make_graph(13, []), 4):
+        assert power.shape == (13, 13) and not power.any()
+    assert walk_indicators(g, 1) == []
+
+
+def test_walk_indicators_and_bfs_match_dense_on_hub_snapshot(hub_snapshot):
+    g = hub_snapshot
+    assert g.n == 800 and g.degrees.max() > 400 and (g.degrees <= 2).any()
+    assert_walks_match_dense(g, 4)
+    sp = shortest_path_matrix(g)
+    assert sp.tobytes() == dense_bfs(g.adjacency).tobytes()
+
+
+def test_shortest_paths_match_dense_bfs_on_sparse_graphs():
+    rng = np.random.default_rng(21)
+    for n in (1, 9, 64, 100):
+        pairs = list(itertools.combinations(range(n), 2))
+        for density in (0.0, 0.02, 0.2):
+            g = make_graph(n, [p for p in pairs if rng.random() < density])
+            assert np.array_equal(shortest_path_matrix(g), dense_bfs(g.adjacency))
 
 
 def test_unconnected_pairs_ordering_and_counts():

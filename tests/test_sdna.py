@@ -238,6 +238,20 @@ def test_socialise_scores_sorted_and_audited():
     assert np.array_equal(grown.edges, np.unique(head, axis=0))
 
 
+def test_socialise_breaks_score_ties_in_pair_order():
+    # equal features and no edges: every scored pair has the score 0
+    cfg = small_cfg(n=12, p=0.6, t=0.1)
+    g, sdnas = generate_population(cfg)
+    flat = make_graph(cfg.n, [], np.ones((cfg.n, cfg.f)), g.sdna_of)
+    grown, audit = socialise(flat, sdnas, cfg)
+    assert len(audit) > 1 and np.all(audit.score == 0.0)
+    pairs = np.column_stack([audit.i, audit.j])
+    assert pairs.tolist() == sorted(pairs.tolist())
+    n_connect = int(cfg.t * len(unconnected_pairs(flat)))
+    assert 0 < n_connect < len(audit)
+    assert np.array_equal(grown.edges, pairs[:n_connect])
+
+
 def test_socialise_deterministic():
     cfg = small_cfg(n=12, p=0.5, t=0.2)
     g, sdnas = generate_population(cfg)

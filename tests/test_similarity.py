@@ -68,6 +68,20 @@ def test_katz_matches_explicit_powers():
         assert np.array_equal(katz_matrix(g, beta=0.005, max_power=5), expected)
 
 
+def test_katz_matches_left_to_right_powers_on_hub_snapshot(hub_snapshot):
+    # walk counts reach ~4e7 at the fifth power here, far below 2^53, so the
+    # symmetric even-power products must give the very same bytes
+    a = hub_snapshot.adjacency
+    for max_power in (1, 2, 5):
+        expected = np.zeros_like(a)
+        power = np.eye(hub_snapshot.n)
+        for x in range(1, max_power + 1):
+            power = power @ a
+            expected = expected + 0.005 ** x * power
+        got = katz_matrix(hub_snapshot, beta=0.005, max_power=max_power)
+        assert got.tobytes() == expected.tobytes()
+
+
 # --- rooted pagerank ----------------------------------------------------------
 
 def test_rpr_isolated_node_keeps_restart_mass():
