@@ -38,15 +38,10 @@ from .gcn import (
     GcnModel,
     TrainInputs,
     TrainingDiverged,
-    adam_step,
     backward,
-    evaluate,
     forward,
-    init_model,
-    load_model,
     loss,
-    save_model,
-    train,
+    train_folds,
 )
 from .harness import (
     CellResult,

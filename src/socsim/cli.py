@@ -161,7 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # argparse of Python 3.11 reads ``--opt=--`` as an empty list, skipping
+    # the option's type and choices
+    for name, value in vars(args).items():
+        if value == []:
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -32,9 +32,9 @@ it (the output layer, num_classes wide), and TLR's first layer as
 propagation G @ X once for the whole run; S scales its columns per fold,
 since G (X diag s) = (G X) diag s.  ``train_folds`` trains a stack from
 one ``TrainInputs`` with (k, n) masks, one config and one seed per fold,
-without scoring it every epoch.  ``forward``, ``backward``, ``loss``,
-``adam_step``, ``evaluate`` and ``train`` (which records a per-epoch
-history) run the same code on a k = 1 model, with (n,) masks.
+without scoring it every epoch; it is the one way to train.  ``forward``,
+``backward`` and ``loss`` run the same code on a k = 1 model, with (n,)
+masks.
 
 Batching leaves each fold's arithmetic unchanged except for how BLAS
 tiles the products.  A G product at least 8 columns wide per fold is taken
@@ -59,9 +59,7 @@ propagated, and the backward pass writes only into slots whose forward
 stacks are dead.  The default 32-32-32 net holds 8 slots (9 with S or
 for tlr), each one stack at the widest width of the run, 500 KB for a
 10-fold desk cell.  Gradients, Adam's temporaries and the transposed
-kernels are kept per parameter.  ``forward``, ``backward`` and
-``evaluate`` run the same code on a workspace of their own, which leaves a
-caller's cache as it was.
+kernels are kept per parameter.
 
 Dropout draws one stream per fold.  In each training forward pass, fold i
 makes one ``random`` call on its stream that covers all its hidden layers
@@ -72,13 +70,9 @@ into one double, these are the bits that one call per layer would draw.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import numbers
-import struct
 from dataclasses import dataclass, field, asdict
-from pathlib import Path
 
 import numpy as np
 
@@ -218,10 +212,6 @@ class GcnModel:
             for name, p in self.params.items():
                 moments.setdefault(name, np.zeros_like(p))
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        """Named live views of the first model's trainable tensors."""
-        return {name: p[0] for name, p in self.params.items()}
-
     def norms(self, fold: int) -> dict[str, float]:
         return {name: float(np.linalg.norm(p[fold])) for name, p in self.params.items()}
 
@@ -252,19 +242,9 @@ def _init_params(cfg: GcnConfig, seeds: list[int], n_nodes: int,
     return params
 
 
-def init_model(cfg: GcnConfig, n_nodes: int, n_features: int) -> GcnModel:
-    """Glorot-uniform kernels, all-ones feature weights (identity behaviour)."""
-    return GcnModel(cfg, _init_params(cfg, [cfg.seed], n_nodes, n_features))
-
-
-def softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis (class scores)."""
-    return _softmax(z, np.empty_like(z), np.empty((*z.shape[:-1], 1)))
-
-
 def _softmax(z: np.ndarray, out: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """softmax_rows() written into ``out``; ``row`` holds each row's max,
-    then its sum."""
+    """Softmax over the last axis (class scores), written into ``out``;
+    ``row`` holds each row's max, then its sum."""
     np.subtract(z, np.max(z, axis=-1, keepdims=True, out=row), out=out)
     np.exp(out, out=out)
     return np.divide(out, np.sum(out, axis=-1, keepdims=True, out=row), out=out)
@@ -280,7 +260,7 @@ def _layer_kernels(cfg: GcnConfig) -> list[list[str]]:
 
 
 def _param_names(cfg: GcnConfig) -> list[str]:
-    """Every trainable tensor's name, in the order a checkpoint stores them."""
+    """Every trainable tensor's name: the kernels in layer order, then S."""
     return [name for layer in _layer_kernels(cfg) for name in layer] + (["S"] if cfg.use_s else [])
 
 
@@ -473,10 +453,6 @@ class _Workspace:
             if stack is not None and id(stack.base) in self._slots:
                 self._free.append(stack.base)
 
-    def release(self, cache: dict) -> None:
-        """give() every stack a forward pass left in ``cache``."""
-        self.give(*cache["prop"], *cache["gate"], cache["logits"], cache["probs"])
-
     def keep_masks(self, rngs: list[np.random.Generator], p: float) -> list[np.ndarray]:
         """Each hidden layer's bool keep-mask over the stack.  Fold i draws
         all its hidden units with one call on its own stream, layer after
@@ -615,8 +591,8 @@ def _backward(model: GcnModel, cache: dict, rows: _Rows, ws: _Workspace) -> dict
 
 def _adam_step(model: GcnModel, grads: dict[str, np.ndarray],
                scratch: dict[str, np.ndarray]) -> None:
-    """adam_step() for a stack, in place; overwrites ``grads`` and
-    ``scratch``."""
+    """One Adam update (bias-corrected, canonical betas) of every fold of a
+    stack, in place; overwrites ``grads`` and ``scratch``."""
     model.step += 1
     t = model.step
     lr = model.config.learning_rate
@@ -639,13 +615,12 @@ def _adam_step(model: GcnModel, grads: dict[str, np.ndarray],
 
 
 def _fit(model: GcnModel, rows: _Rows, rngs: list[np.random.Generator], ws: _Workspace,
-         epochs: int, on_epoch=None) -> None:
+         epochs: int) -> None:
     """Run ``epochs`` full-batch Adam steps on a stack, in place, every
     epoch on the one workspace ``ws``.
 
     Raises TrainingDiverged at the first epoch in which any fold's loss is
-    non-finite, for the lowest-index such fold.  ``on_epoch(epoch, losses)``
-    runs after every step.
+    non-finite, for the lowest-index such fold.
     """
     cfg = model.config
     decayed = _decayed_names(cfg)
@@ -657,8 +632,6 @@ def _fit(model: GcnModel, rows: _Rows, rngs: list[np.random.Generator], ws: _Wor
             fold = int(np.argmin(finite))
             raise TrainingDiverged(epoch, model.norms(fold), fold=fold)
         _adam_step(model, _backward(model, cache, rows, ws), ws.scratch)
-        if on_epoch is not None:
-            on_epoch(epoch, losses)
 
 
 def train_folds(inputs: TrainInputs, cfg: GcnConfig, seeds: list[int]) -> list[float]:
@@ -667,8 +640,8 @@ def train_folds(inputs: TrainInputs, cfg: GcnConfig, seeds: list[int]) -> list[f
     test accuracy after the last epoch.
 
     ``cfg.seed`` is not read: each fold draws its init and dropout streams
-    from its own seed, so the accuracies are those of train() followed by
-    evaluate() on each fold alone, with ``cfg.seed = seeds[i]``.  Raises
+    from its own seed, so the accuracies are those of each fold trained
+    alone, as a k = 1 stack with its (1, n) masks and ``[seeds[i]]``.  Raises
     TrainingDiverged, with ``fold`` set, at the first epoch in which any
     fold's loss goes non-finite, for the lowest-index such fold.
     """
@@ -720,117 +693,3 @@ def backward(model: GcnModel, cache: dict, inputs: TrainInputs) -> dict[str, np.
     rows = _Rows.of(inputs, model.config.num_classes)
     grads = _backward(model, cache, rows, _Workspace(model, inputs))
     return {name: g[0] for name, g in grads.items()}
-
-
-def adam_step(model: GcnModel, grads: dict[str, np.ndarray]) -> GcnModel:
-    """One Adam update (bias-corrected, canonical betas), in place."""
-    stacked = {name: np.array(g, dtype=np.float64)[None] for name, g in grads.items()}
-    _adam_step(model, stacked, {name: np.empty_like(g) for name, g in stacked.items()})
-    return model
-
-
-def evaluate(model: GcnModel, inputs: TrainInputs) -> float:
-    """Argmax accuracy over the test mask, dropout off."""
-    rows = _Rows.of(inputs, model.config.num_classes)
-    rows.check(test=True)
-    probs, _ = _forward(model, _Workspace(model, inputs))
-    return rows.accuracies(probs)[0]
-
-
-def train(inputs: TrainInputs, cfg: GcnConfig) -> tuple[GcnModel, list[dict]]:
-    """Full-batch training loop; deterministic given cfg.seed.
-
-    History holds one record per epoch: the training loss the step saw and
-    the post-step test accuracy, which is what evaluate() would return.
-    Scoring every epoch costs a forward pass per epoch; train_folds()
-    trains without it.
-    """
-    model = init_model(cfg, n_nodes=inputs.x.shape[0], n_features=inputs.x.shape[1])
-    rows = _Rows.of(inputs, cfg.num_classes)
-    rows.check(train=cfg.epochs > 0, test=cfg.epochs > 0)
-    ws = _Workspace(model, inputs)
-    history = []
-
-    def record(epoch: int, losses: list[float]) -> None:
-        probs, cache = _forward(model, ws)
-        history.append({"epoch": epoch, "train_loss": losses[0],
-                        "test_acc": rows.accuracies(probs)[0]})
-        ws.release(cache)
-
-    _fit(model, rows, [derive_rng(cfg.seed, "dropout")], ws, cfg.epochs, record)
-    return model, history
-
-
-def save_history(history: list[dict], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "test_acc"])
-        for row in history:
-            writer.writerow([row["epoch"], repr(row["train_loss"]), repr(row["test_acc"])])
-
-
-_MAGIC = b"SOCM"
-
-
-def save_model(model: GcnModel, path: str | Path) -> None:
-    """Checkpoint: magic ``SOCM``, config echo as JSON, then named tensors
-    with shape headers, all little-endian f64."""
-    cfg_blob = json.dumps(model.config.to_dict(), sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(cfg_blob)))
-        fh.write(cfg_blob)
-        params = model.parameters()
-        fh.write(struct.pack("<I", len(params)))
-        for name, tensor in params.items():
-            blob = name.encode()
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<B", tensor.ndim))
-            for dim in tensor.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
-
-
-def load_model(path: str | Path) -> GcnModel:
-    """Read a save_model() checkpoint.  A file that is not one, that ends
-    early or runs on past its last tensor, whose config is not a valid one,
-    or whose tensors are not the ones its config names (by name and by
-    shape), raises ValueError."""
-    data = Path(path).read_bytes()
-    if data[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a model checkpoint")
-    pos = 4
-
-    def take(size: int) -> bytes:
-        nonlocal pos
-        if pos + size > len(data):
-            raise ValueError(f"{path}: checkpoint truncated: {pos + size} bytes needed, "
-                             f"{len(data)} present")
-        pos += size
-        return data[pos - size:pos]
-
-    def unpack(fmt: str) -> int:
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))[0]
-
-    blob = take(unpack("<I"))
-    try:
-        cfg = GcnConfig.from_dict(json.loads(blob.decode()))
-    except ValueError as exc:  # UTF-8, JSON and config errors alike
-        raise ValueError(f"{path}: bad config: {exc}") from exc
-    names, tensors = [], []
-    for _ in range(unpack("<I")):
-        names.append(take(unpack("<I")).decode())
-        shape = tuple(unpack("<Q") for _ in range(unpack("<B")))
-        raw = take(8 * math.prod(shape))
-        tensors.append(np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape))
-    if pos != len(data):
-        raise ValueError(f"{path}: {len(data) - pos} bytes after the last tensor")
-    if names != _param_names(cfg):
-        raise ValueError(f"{path}: tensors {names} do not match the config's {_param_names(cfg)}")
-    in_dim = tensors[0].shape[0] if tensors and tensors[0].ndim else 0
-    shapes = [*_kernel_shapes(cfg, in_dim).values(), *([(in_dim,)] if cfg.use_s else [])]
-    if [t.shape for t in tensors] != shapes:
-        raise ValueError(f"{path}: tensor shapes {[t.shape for t in tensors]} do not match "
-                         f"the config's {shapes}")
-    return GcnModel(cfg, {name: t[None] for name, t in zip(names, tensors)})

@@ -10,6 +10,7 @@ self-loops and renormalize.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,8 +46,8 @@ class SimilaritySpec:
         if kind not in _KINDS:
             raise ValueError(f"unknown similarity kind {self.kind!r}")
         object.__setattr__(self, "kind", kind)
-        if not self.katz_beta > 0.0:
-            raise ValueError(f"katz_beta must be > 0, got {self.katz_beta!r}")
+        if not (self.katz_beta > 0.0 and math.isfinite(self.katz_beta)):
+            raise ValueError(f"katz_beta must be > 0 and finite, got {self.katz_beta!r}")
         if self.katz_max_power < 1:
             raise ValueError("katz_max_power must be >= 1")
         if not (0.0 < self.rpr_alpha < 1.0):
@@ -98,6 +99,22 @@ def katz_matrix(g: SocialGraph, beta: float, max_power: int) -> np.ndarray:
             halves[x] = power
         total += (beta ** x) * power
     return total
+
+
+def _finite_katz(g: SocialGraph, spec: SimilaritySpec) -> np.ndarray:
+    """katz_matrix() for ``spec``.  Raises ValueError naming katz_beta where
+    the damped sum or a row's squared L2 norm overflows float64: augment()
+    would normalize such a row to zeros, a silent identity representative."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            walks = katz_matrix(g, spec.katz_beta, spec.katz_max_power)
+            finite = np.isfinite(np.square(walks).sum(axis=1)).all()
+        except OverflowError:  # beta ** x beyond float64
+            finite = False
+    if not finite:
+        raise ValueError(f"katz_beta={spec.katz_beta!r} with katz_max_power="
+                         f"{spec.katz_max_power} overflows the Katz sum or its row norms")
+    return walks
 
 
 def rpr_matrix(g: SocialGraph, alpha: float) -> np.ndarray:
@@ -192,7 +209,7 @@ def build_representative(
     if spec.kind == "adjacency":
         a_hat = g.adjacency
     elif spec.kind == "katz":
-        a_hat = augment(katz_matrix(g, spec.katz_beta, spec.katz_max_power), spec)
+        a_hat = augment(_finite_katz(g, spec), spec)
     elif spec.kind == "rpr":
         a_hat = augment(rpr_matrix(g, spec.rpr_alpha), spec)
     else:

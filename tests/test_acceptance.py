@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import socsim
-from socsim.gcn import GcnConfig, TrainInputs, backward, forward, init_model, loss
+from socsim.gcn import GcnConfig, GcnModel, TrainInputs, _init_params, backward, forward, loss
 from socsim.graph import SocialGraph, shortest_path_matrix, unconnected_pairs
 from socsim.harness import (
     ExperimentPlan,
@@ -84,10 +84,11 @@ def test_criterion_1_gradient_oracle():
                              train_mask=train_mask, test_mask=~train_mask)
         cfg = GcnConfig(variant=variant, use_s=use_s, layer_units=(5, 4, 3),
                         num_classes=2, dropout_p=0.0, seed=3)
-        model = init_model(cfg, g.n, g.features.shape[1])
+        model = GcnModel(cfg, _init_params(cfg, [cfg.seed], g.n, g.features.shape[1]))
         _, cache = forward(model, inputs, training=False)
         analytic = backward(model, cache, inputs)
-        for name, p in model.parameters().items():
+        for name, stacked in model.params.items():
+            p = stacked[0]  # the k = 1 model's tensor, a live view
             numeric = np.zeros_like(p)
             it = np.nditer(p, flags=["multi_index"])
             for _ in it:

@@ -1,12 +1,17 @@
 """Boundary fuzzing: every file and config socsim reads either loads or
-raises ValueError, never a deeper exception.
+raises ValueError, never a deeper exception, and the command line ends
+with one of its documented exit codes.
 
-Binary files (``SOCG`` representatives, ``SOCM`` checkpoints) and graph
-directories get corrupted bytes, not only cuts; config dicts and report
-documents get fields of the wrong JSON type, unknown keys and missing keys.
+``SOCG`` representative files and graph directories get corrupted bytes,
+not only cuts; config dicts and report documents get fields of the wrong
+JSON type, unknown keys and missing keys.  ``socsim.cli.main`` runs
+in-process on fuzzed argv for every subcommand and on corrupted bytes of
+each file a subcommand reads.
 """
 
+import contextlib
 import copy
+import io
 import json
 import re
 import tempfile
@@ -17,7 +22,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from socsim.gcn import GcnConfig, init_model, load_model, save_model
+from socsim import cli
+from socsim.gcn import GcnConfig
 from socsim.graph import SocialGraph, load_graph_dir, save_graph_dir
 from socsim.harness import (
     CellResult,
@@ -84,13 +90,6 @@ def saved_representative() -> bytes:
         return path.read_bytes()
 
 
-def saved_checkpoint(cfg: GcnConfig) -> bytes:
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.bin"
-        save_model(init_model(cfg, 5, 3), path)
-        return path.read_bytes()
-
-
 def saved_graph_dir() -> dict[str, bytes]:
     with tempfile.TemporaryDirectory() as tmp:
         save_graph_dir(small_graph(), tmp)
@@ -115,9 +114,6 @@ def load_report_document(document, tmp: str):
 
 
 REPRESENTATIVE = saved_representative()
-CHECKPOINTS = [saved_checkpoint(GcnConfig(variant=variant, use_s=use_s,
-                                          layer_units=(3, 2), num_classes=2))
-               for variant, use_s in (("ftvanilla", True), ("t", False), ("tlr", False))]
 GRAPH_DIR = saved_graph_dir()
 REPORT = saved_report()
 
@@ -147,18 +143,6 @@ def test_representative_with_a_corrupted_entry_rejected(tmp_path):
     assert entry == pytest.approx(-7.0e307, rel=0.01)
     with pytest.raises(ValueError, match="G.bin: representative has non-finite or negative entries"):
         load_representative_matrix(path)
-
-
-@given(st.data(), st.sampled_from(CHECKPOINTS))
-@FUZZ
-def test_corrupted_checkpoint_loads_or_raises_value_error(data, checkpoint):
-    blob = data.draw(corruptions(checkpoint))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.bin"
-        path.write_bytes(blob)
-        model = loads_or_value_error(load_model, path)
-    if model is not None:
-        assert set(model.params) == set(model.adam_m) == set(model.adam_v)
 
 
 @given(st.data(), st.sampled_from(sorted(GRAPH_DIR)))
@@ -301,3 +285,168 @@ def test_malformed_report_raises_value_error_naming_the_path(tmp_path, text, cau
 def test_bad_config_field_types_raise_named_errors(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# --- the command line -------------------------------------------------------------
+#
+# Every run is made in a fresh directory holding one valid file of each kind
+# a subcommand reads: a simulation config, a plan, a snapshot directory and a
+# report.  The config and plan are compact JSON, so a corrupted byte can
+# change a digit of a size but not add one: every run stays tiny.
+
+CLI_FUZZ = settings(max_examples=15, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+CLI_SIM = SimConfig(n=12, f=3, y=2, q=2, p=0.8, t=0.1, r=0.25, c=(1.0,), z=0.2, seed=11)
+CLI_PLAN = ExperimentPlan(sim=CLI_SIM, networks=1, snapshots=1,
+                          cells=("FTvanilla", "FTkatz0.0-0.5"), folds=2, seed=1,
+                          gcn=GcnConfig(num_classes=2, layer_units=(4,), epochs=2), workers=1)
+
+
+def compact_json(d: dict) -> bytes:
+    return json.dumps(d, separators=(",", ":")).encode()
+
+
+def cli_exit_code(argv: list[str]) -> int:
+    """``socsim.cli.main(argv)`` in-process, its output swallowed; an
+    argparse SystemExit counts as its code, any other exception escapes."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory) -> dict[str, bytes]:
+    """Each input file by its name in a run's directory: cfg.json,
+    plan.json, snap/<file> and report.json."""
+    files = {"cfg.json": compact_json(json.loads(CLI_SIM.to_json())),
+             "plan.json": compact_json(CLI_PLAN.to_dict())}
+    with contextlib.chdir(tmp_path_factory.mktemp("cli")):
+        for name, blob in files.items():
+            Path(name).write_bytes(blob)
+        assert cli_exit_code(["simulate", "--config", "cfg.json", "--out", "sim"]) == 0
+        for path in Path("sim/snap-000").iterdir():
+            files[f"snap/{path.name}"] = path.read_bytes()
+        assert cli_exit_code(["experiment", "--plan", "plan.json", "--out", "results"]) == 0
+        files["report.json"] = Path("results/report.json").read_bytes()
+    return files
+
+
+def run_in(files: dict[str, bytes], argv: list[str]) -> int:
+    """Write ``files`` and a plain file.txt into a fresh directory, run
+    ``argv`` there, and check that what a command that exits 0 wrote loads
+    back.  Returns the exit code."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        Path("snap").mkdir()
+        for name, blob in files.items():
+            Path(name).write_bytes(blob)
+        Path("file.txt").write_text("not a directory\n")
+        code = cli_exit_code(argv)
+        if code == 0:
+            args = cli.build_parser().parse_args(argv)
+            if args.command == "simulate":
+                for snap in Path(args.out).glob("snap-*"):
+                    load_graph_dir(snap)
+            elif args.command == "representative" and args.out != args.out_csv:
+                load_representative_matrix(args.out)
+            elif args.command == "experiment":
+                load_report(Path(args.out) / "report.json")
+            elif args.command == "report":
+                load_report(Path(args.out or Path(args.input).parent) / "report.json")
+    return code
+
+
+PATH_OPTIONS = ("--config", "--out", "--graph", "--out-csv", "--plan", "--in")
+
+
+# a valid run of every subcommand, one option per entry
+COMMANDS = {
+    "simulate": {"--config": "cfg.json", "--out": "out", "--snapshots": "2"},
+    "events": {"--config": "cfg.json", "--out": "out", "--events": "3"},
+    "representative": {"--graph": "snap", "--kind": "katz", "--beta": "0.005",
+                       "--max-power": "5", "--alpha": "0.85", "--thresholds": ["0.0", "0.5"],
+                       "--out": "out", "--out-csv": "out.csv"},
+    "experiment": {"--plan": "plan.json", "--out": "out"},
+    "report": {"--in": "report.json", "--format": "csv", "--out": "out"},
+}
+KINDS = ("adjacency", "katz", "rpr", "gg")
+# the representative kind that reads each numeric option
+READ_BY = {"--beta": "katz", "--max-power": "katz", "--alpha": "rpr"}
+
+JUNK = st.sampled_from(["", "x", "1.5", "1e3", "nan", "-inf", "--", "0x10"])
+INTEGERS = st.integers(-2, 6).map(str) | JUNK
+FLOATS = (st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-5, 0.5, 1.0, 1e10, 1e60, 1e62, 1e300,
+                           float("inf"), -1.0, float("nan")])
+          | st.floats(allow_nan=True, allow_infinity=True)).map(repr) | JUNK
+PATHS = st.sampled_from(["cfg.json", "plan.json", "snap", "report.json", "missing.json",
+                         "file.txt", "out", "out/nested", "missing/deep/out", ""])
+FUZZED = {
+    "--snapshots": INTEGERS, "--events": INTEGERS, "--max-power": INTEGERS,
+    "--beta": FLOATS, "--alpha": FLOATS,
+    "--kind": st.sampled_from(["adjacency", "katz", "rpr", "gg", "KATZ", "x"]),
+    "--thresholds": st.lists(st.sampled_from(["auto", "AUTO", "0.0", "0.5", "1", "-1"])
+                             | FLOATS, min_size=1, max_size=3),
+    "--format": st.sampled_from(["csv", "xml", ""]),
+} | {option: PATHS for option in PATH_OPTIONS}
+
+
+def option_tokens(option: str, value: str | list[str]) -> list[str]:
+    return [option, *value] if isinstance(value, list) else [option, value]
+
+
+@st.composite
+def valid_options(draw, command: str, option: str | None = None) -> dict:
+    """The options of a valid run of ``command``; representative's kind is
+    the one that reads ``option``, else any."""
+    options = dict(COMMANDS[command])
+    if command == "representative":
+        options["--kind"] = READ_BY.get(option) or draw(st.sampled_from(KINDS))
+    return options
+
+
+@st.composite
+def fuzzed_argv(draw, command: str, option: str) -> list[str]:
+    """A valid run of ``command`` with ``option`` given a fuzzed value or
+    dropped, maybe one more option fuzzed too, now and then an unknown
+    option, the options in any order, each as ``--opt value`` or
+    ``--opt=value``."""
+    options = draw(valid_options(command, option))
+    fuzzed = {option} | set(draw(st.lists(st.sampled_from(sorted(options)), max_size=1)))
+    for name in sorted(fuzzed):
+        if draw(st.integers(0, 7)) == 0:
+            del options[name]
+        else:
+            options[name] = draw(FUZZED[name])
+    tokens = [[f"{name}={value}"] if isinstance(value, str) and draw(st.booleans())
+              else option_tokens(name, value) for name, value in options.items()]
+    if draw(st.integers(0, 9)) == 0:
+        tokens.append(["--bogus"])
+    return [command, *(token for group in draw(st.permutations(tokens)) for token in group)]
+
+
+@pytest.mark.parametrize("command, option",
+                         [(command, option) for command, options in COMMANDS.items()
+                          for option in options])
+@given(data=st.data())
+@CLI_FUZZ
+def test_fuzzed_argv_exits_with_a_documented_code(cli_files, command, option, data):
+    assert run_in(cli_files, data.draw(fuzzed_argv(command, option))) in (0, 1, 2, 3)
+
+
+# each file a subcommand reads, with the subcommands that read it
+READERS = {"cfg.json": ["simulate", "events"], "plan.json": ["experiment"],
+           "report.json": ["report"]} | {f"snap/{name}": ["representative"]
+                                         for name in ("edges.tsv", "features.csv", "labels.csv")}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@given(data=st.data())
+@CLI_FUZZ
+def test_corrupted_input_file_exits_with_a_documented_code(cli_files, name, data):
+    files = cli_files | {name: data.draw(corruptions(cli_files[name]))}
+    command = data.draw(st.sampled_from(READERS[name]))
+    argv = [command, *(token for option, value in data.draw(valid_options(command)).items()
+                       for token in option_tokens(option, value))]
+    assert run_in(files, argv) in (0, 1, 3)

@@ -150,6 +150,12 @@ def run_cli(*argv, cwd):
                  id="experiment-missing-plan"),
     pytest.param(["representative", "--graph", "data/snap-000", "--thresholds", "a", "b",
                   "--out", "G.bin"], "--thresholds takes LO HI", id="representative-bad-thresholds"),
+    pytest.param(["representative", "--graph", "data/snap-000", "--kind", "katz", "--beta", "inf",
+                  "--out", "G.bin"], "katz_beta must be > 0 and finite", id="katz-beta-inf"),
+    pytest.param(["representative", "--graph", "data/snap-000", "--kind", "katz", "--beta", "1e62",
+                  "--out", "G.bin"], "katz_beta=1e+62", id="katz-power-overflows"),
+    pytest.param(["representative", "--graph", "data/snap-000", "--kind", "katz", "--beta", "1e60",
+                  "--out", "G.bin"], "katz_beta=1e+60", id="katz-row-norms-overflow"),
 ])
 def test_bad_input_exits_1_with_one_error_line(tmp_path, sim_config_file, argv, message):
     (tmp_path / "bad.json").write_text("[1,2]")
@@ -167,3 +173,17 @@ def test_usage_error_exits_2(tmp_path):
     done = run_cli("report", "--in", "r.json", "--format", "xml", cwd=tmp_path)
     assert done.returncode == 2
     assert "Traceback" not in done.stderr and "invalid choice: 'xml'" in done.stderr
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["events", "--config", "cfg.json", "--out", "x.tsv", "--events=--"], "--events"),
+    (["representative", "--graph", "snap", "--kind=--", "--out", "G.bin"], "--kind"),
+    (["simulate", "--config=--", "--out", "sim"], "--config"),
+])
+def test_option_valued_double_dash_is_a_usage_error(capsys, argv, option):
+    # argparse reads --opt=-- as an empty list, past the option's type and
+    # choices; it used to reach the command as a list and raise TypeError
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert f"argument {option}: expected one argument" in capsys.readouterr().err

@@ -1,40 +1,29 @@
-import json
 import pickle
-import struct
-import tempfile
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from socsim.gcn import (
     GcnConfig,
     GcnModel,
     TrainInputs,
     TrainingDiverged,
-    adam_step,
     backward,
-    evaluate,
     forward,
-    init_model,
-    load_model,
     loss,
-    save_history,
-    save_model,
-    softmax_rows,
-    train,
     train_folds,
     _Rows,
     _Workspace,
+    _adam_step,
     _fit,
     _forward,
     _init_params,
     _propagate,
+    _softmax,
 )
 from socsim.graph import SocialGraph
+from socsim.rng import derive_rng
 from socsim.similarity import SimilaritySpec, build_representative
 
 
@@ -66,6 +55,15 @@ def small_cfg(**kw):
     return GcnConfig(**defaults)
 
 
+def one_model(cfg, n_nodes, n_features):
+    """A fresh k = 1 model, initialised from ``cfg.seed``."""
+    return GcnModel(cfg, _init_params(cfg, [cfg.seed], n_nodes, n_features))
+
+
+def softmax(z):
+    return _softmax(z, np.empty_like(z), np.empty((*z.shape[:-1], 1)))
+
+
 def numerical_gradients(model, inputs, cfg, eps=1e-5, dropout_seed=None):
     """Central differences of loss(); with ``dropout_seed`` every forward
     pass trains with dropout and replays the one mask that seed draws."""
@@ -77,7 +75,8 @@ def numerical_gradients(model, inputs, cfg, eps=1e-5, dropout_seed=None):
                        rng=np.random.default_rng(dropout_seed))[0]
 
     grads = {}
-    for name, p in model.parameters().items():
+    for name, stacked in model.params.items():
+        p = stacked[0]  # the k = 1 model's tensor, a live view
         g = np.zeros_like(p)
         it = np.nditer(p, flags=["multi_index"])
         for _ in it:
@@ -114,7 +113,7 @@ GRADIENT_CONFIGS = [
 def test_gradients_match_finite_differences(variant, use_s, kind):
     inputs = toy_inputs(kind=kind)
     cfg = small_cfg(variant=variant, use_s=use_s)
-    model = init_model(cfg, inputs.x.shape[0], inputs.x.shape[1])
+    model = one_model(cfg, inputs.x.shape[0], inputs.x.shape[1])
     probs, cache = forward(model, inputs, training=False)
     analytic = backward(model, cache, inputs)
     numeric = numerical_gradients(model, inputs, cfg)
@@ -148,7 +147,7 @@ def assert_gates_pass_and_block(cache):
 def test_gradients_match_finite_differences_both_association_orders(variant, use_s):
     inputs = row_normalized_inputs()
     cfg = small_cfg(variant=variant, use_s=use_s, layer_units=(3, 6, 6), seed=1)
-    model = init_model(cfg, inputs.x.shape[0], inputs.x.shape[1])
+    model = one_model(cfg, inputs.x.shape[0], inputs.x.shape[1])
     _, cache = forward(model, inputs)
     assert_gates_pass_and_block(cache)
     assert_gradients_close(backward(model, cache, inputs),
@@ -159,7 +158,7 @@ def test_gradients_match_finite_differences_both_association_orders(variant, use
 def test_gradients_match_finite_differences_with_dropout(variant, use_s):
     inputs = toy_inputs(toy_graph(n=8, seed=3))
     cfg = small_cfg(variant=variant, use_s=use_s, layer_units=(6, 6, 3), dropout_p=0.3)
-    model = init_model(cfg, inputs.x.shape[0], inputs.x.shape[1])
+    model = one_model(cfg, inputs.x.shape[0], inputs.x.shape[1])
     _, cache = forward(model, inputs, training=True, rng=np.random.default_rng(5))
     assert_gates_pass_and_block(cache)
     assert {0.0, 1.0 / 0.7} == set(np.concatenate([g.ravel() for g in cache["gate"]]))
@@ -179,8 +178,8 @@ def test_gradient_vanishes_when_perfectly_fitted():
                          train_mask=mask, test_mask=~mask)
     cfg = GcnConfig(variant="ftvanilla", layer_units=(), num_classes=2,
                     dropout_p=0.0, weight_decay=0.0, seed=0)
-    model = init_model(cfg, n, 2)
-    model.parameters()["W0"][:] = [[60.0, -60.0], [60.0, -60.0]]
+    model = one_model(cfg, n, 2)
+    model.params["W0"][0] = [[60.0, -60.0], [60.0, -60.0]]
     _, cache = forward(model, inputs)
     grads = backward(model, cache, inputs)
     assert all(np.linalg.norm(g_) < 1e-8 for g_ in grads.values())
@@ -193,7 +192,7 @@ def test_gradient_zero_for_dead_feature_column():
     g = SocialGraph(n=g.n, edges=g.edges, features=x, sdna_of=g.sdna_of)
     inputs = toy_inputs(g)
     cfg = small_cfg(use_s=True)
-    model = init_model(cfg, g.n, x.shape[1])
+    model = one_model(cfg, g.n, x.shape[1])
     _, cache = forward(model, inputs, training=False)
     grads = backward(model, cache, inputs)
     assert grads["S"][1] == 0.0
@@ -207,14 +206,14 @@ def test_forward_identity_chain():
     rep = build_representative(g, SimilaritySpec(kind="adjacency"))  # = I
     cfg = GcnConfig(variant="ftvanilla", layer_units=(), num_classes=3,
                     dropout_p=0.0, seed=0)
-    model = init_model(cfg, n, n)
-    model.parameters()["W0"][:] = np.eye(n)
+    model = one_model(cfg, n, n)
+    model.params["W0"][0] = np.eye(n)
     mask = np.array([True, True, False])
     inputs = TrainInputs(g_matrix=rep.matrix, x=np.eye(n), labels=g.sdna_of,
                          train_mask=mask, test_mask=~mask)
     probs, cache = forward(model, inputs)
     assert np.array_equal(cache["logits"][0], np.eye(n))
-    assert np.allclose(probs, softmax_rows(np.eye(n)))
+    assert np.allclose(probs, softmax(np.eye(n)))
 
 
 def test_variant_f_ignores_topology():
@@ -222,7 +221,7 @@ def test_variant_f_ignores_topology():
     g2 = SocialGraph(n=g1.n, edges=frozenset({(0, 1)}), features=g1.features,
                      sdna_of=g1.sdna_of)
     cfg = small_cfg(variant="f")
-    model = init_model(cfg, g1.n, g1.features.shape[1])
+    model = one_model(cfg, g1.n, g1.features.shape[1])
     p1, _ = forward(model, toy_inputs(g1))
     p2, _ = forward(model, toy_inputs(g2))
     assert np.array_equal(p1, p2)
@@ -233,7 +232,7 @@ def test_variant_t_ignores_features():
     shuffled = SocialGraph(n=g.n, edges=g.edges,
                            features=g.features[:, ::-1].copy(), sdna_of=g.sdna_of)
     cfg = small_cfg(variant="t")
-    model = init_model(cfg, g.n, g.features.shape[1])
+    model = one_model(cfg, g.n, g.features.shape[1])
     p1, _ = forward(model, toy_inputs(g))
     p2, _ = forward(model, toy_inputs(shuffled))
     assert np.array_equal(p1, p2)
@@ -246,8 +245,8 @@ def test_neighbor_averaging_two_nodes():
     assert np.allclose(rep.matrix, [[0.5, 0.5], [0.5, 0.5]])
     cfg = GcnConfig(variant="ftvanilla", layer_units=(), num_classes=2,
                     dropout_p=0.0, seed=0)
-    model = init_model(cfg, 2, 2)
-    model.parameters()["W0"][:] = np.eye(2)
+    model = one_model(cfg, 2, 2)
+    model.params["W0"][0] = np.eye(2)
     mask = np.array([True, False])
     inputs = TrainInputs(g_matrix=rep.matrix, x=np.eye(2), labels=g.sdna_of,
                          train_mask=mask, test_mask=~mask)
@@ -258,7 +257,7 @@ def test_neighbor_averaging_two_nodes():
 def test_s_at_ones_matches_plain_forward():
     inputs = toy_inputs()
     cfg_s = small_cfg(use_s=True)
-    model_s = init_model(cfg_s, inputs.x.shape[0], inputs.x.shape[1])
+    model_s = one_model(cfg_s, inputs.x.shape[0], inputs.x.shape[1])
     model_plain = GcnModel(config=small_cfg(use_s=False),
                            params={name: p.copy() for name, p in model_s.params.items()
                                    if name != "S"})
@@ -272,11 +271,11 @@ def test_tlr_parameter_count():
     g = toy_graph(n=n)
     cfg_tlr = small_cfg(variant="tlr", layer_units=(units, 3, 3))
     cfg_t = small_cfg(variant="t", layer_units=(units, 3, 3))
-    tlr = init_model(cfg_tlr, n, g.features.shape[1])
-    t = init_model(cfg_t, n, g.features.shape[1])
-    first_tlr = tlr.parameters()["Wa"].size + tlr.parameters()["Wb"].size
+    tlr = one_model(cfg_tlr, n, g.features.shape[1])
+    t = one_model(cfg_t, n, g.features.shape[1])
+    first_tlr = tlr.params["Wa"][0].size + tlr.params["Wb"][0].size
     assert first_tlr == n + units
-    assert t.parameters()["W0"].size == n * units
+    assert t.params["W0"][0].size == n * units
 
 
 def test_use_s_rejected_for_topology_variants():
@@ -312,7 +311,7 @@ def test_config_accepts_zero_epochs_and_huge_learning_rate():
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
     z = rng.normal(size=(40, 7)) * 20
-    p = softmax_rows(z)
+    p = softmax(z)
     assert np.all(np.abs(p.sum(axis=1) - 1.0) < 1e-12)
 
 
@@ -320,10 +319,10 @@ def test_softmax_rows_sum_to_one():
 
 def test_loss_perfect_predictions():
     inputs = toy_inputs()
-    model = init_model(small_cfg(), inputs.x.shape[0], inputs.x.shape[1])
+    model = one_model(small_cfg(), inputs.x.shape[0], inputs.x.shape[1])
     probs = np.zeros((inputs.x.shape[0], 2))
     probs[np.arange(inputs.x.shape[0]), inputs.labels] = 1.0
-    for w in model.parameters().values():
+    for w in model.params.values():
         w[:] = 0.0
     assert loss(probs, inputs.labels, inputs.train_mask, model, 0.0) == 0.0
 
@@ -336,7 +335,7 @@ def test_loss_uniform_predictions():
     mask = np.ones(n, dtype=bool); mask[-1] = False
     inputs = TrainInputs(g_matrix=rep.matrix, x=g.features, labels=labels,
                          train_mask=mask, test_mask=~mask)
-    model = init_model(small_cfg(num_classes=classes), n, g.features.shape[1])
+    model = one_model(small_cfg(num_classes=classes), n, g.features.shape[1])
     probs = np.full((n, classes), 1.0 / classes)
     assert loss(probs, labels, mask, model, 0.0) == pytest.approx(np.log(classes))
 
@@ -344,11 +343,11 @@ def test_loss_uniform_predictions():
 def test_loss_weight_decay_term():
     inputs = toy_inputs()
     cfg = small_cfg()
-    model = init_model(cfg, inputs.x.shape[0], inputs.x.shape[1])
+    model = one_model(cfg, inputs.x.shape[0], inputs.x.shape[1])
     probs, _ = forward(model, inputs)
     base = loss(probs, inputs.labels, inputs.train_mask, model, 0.0)
     decayed = loss(probs, inputs.labels, inputs.train_mask, model, 0.01)
-    params = model.parameters()
+    params = {name: p[0] for name, p in model.params.items()}
     frob = sum((params[f"W{i}"] ** 2).sum() for i in range(3))  # hidden kernels only
     assert decayed - base == pytest.approx(0.01 * frob)
 
@@ -368,9 +367,9 @@ def test_loss_weight_decay_term():
 def test_weight_decay_spares_the_output_layer(variant, units, decayed):
     inputs = toy_inputs()
     cfg = small_cfg(variant=variant, layer_units=units, weight_decay=0.01)
-    model = init_model(cfg, inputs.x.shape[0], inputs.x.shape[1])
+    model = one_model(cfg, inputs.x.shape[0], inputs.x.shape[1])
     probs, cache = forward(model, inputs)
-    params = model.parameters()
+    params = {name: p[0] for name, p in model.params.items()}
     frob = sum((params[name] ** 2).sum() for name in decayed)
     args = probs, inputs.labels, inputs.train_mask, model
     assert loss(*args, 0.01) - loss(*args, 0.0) == pytest.approx(0.01 * frob, abs=1e-15)
@@ -386,7 +385,7 @@ def test_labels_beyond_num_classes_rejected():
     labels = np.arange(8) % 4
     four = TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=labels,
                        train_mask=inputs.train_mask, test_mask=inputs.test_mask)
-    model = init_model(small_cfg(), 8, inputs.x.shape[1])
+    model = one_model(small_cfg(), 8, inputs.x.shape[1])
     probs, _ = forward(model, four)
     with pytest.raises(ValueError, match="labels must lie in 0..1 for num_classes=2"):
         loss(probs, labels, four.train_mask, model, 0.0)
@@ -400,7 +399,7 @@ def test_labels_beyond_num_classes_rejected():
 
 def test_loss_empty_mask_rejected():
     inputs = toy_inputs()
-    model = init_model(small_cfg(), inputs.x.shape[0], inputs.x.shape[1])
+    model = one_model(small_cfg(), inputs.x.shape[0], inputs.x.shape[1])
     probs, _ = forward(model, inputs)
     with pytest.raises(ValueError):
         loss(probs, inputs.labels, np.zeros(inputs.x.shape[0], dtype=bool), model, 0.0)
@@ -414,25 +413,29 @@ def scalar_model(lr=0.01):
     return GcnModel(config=cfg, params={"W0": np.array([[[1.0]]])})
 
 
+def scalar_step(model, grad):
+    """One _adam_step() of a scalar_model() on the gradient ``grad``."""
+    _adam_step(model, {"W0": np.full((1, 1, 1), grad)}, {"W0": np.empty((1, 1, 1))})
+
+
 def test_adam_first_step_magnitude():
     model = scalar_model(lr=0.05)
-    adam_step(model, {"W0": np.array([[3.7]])})
+    scalar_step(model, 3.7)
     # first Adam step moves by ~lr regardless of gradient scale
-    assert model.parameters()["W0"][0, 0] == pytest.approx(1.0 - 0.05, abs=1e-6)
+    assert model.params["W0"][0, 0, 0] == pytest.approx(1.0 - 0.05, abs=1e-6)
 
 
 def test_adam_zero_gradient_no_move():
     model = scalar_model()
-    adam_step(model, {"W0": np.zeros((1, 1))})
-    assert model.parameters()["W0"][0, 0] == 1.0
+    scalar_step(model, 0.0)
+    assert model.params["W0"][0, 0, 0] == 1.0
 
 
 def test_adam_minimizes_quadratic():
     model = scalar_model(lr=0.1)
     for _ in range(100):
-        w = model.parameters()["W0"][0, 0]
-        adam_step(model, {"W0": np.array([[2.0 * w]])})
-    assert abs(model.parameters()["W0"][0, 0]) < 0.1
+        scalar_step(model, 2.0 * model.params["W0"][0, 0, 0])
+    assert abs(model.params["W0"][0, 0, 0]) < 0.1
     assert model.step == 100
 
 
@@ -452,73 +455,70 @@ def separable_inputs(n=10, seed=3):
 
 
 def test_train_fits_separable_toy():
-    inputs = separable_inputs()
+    # every node held out in turn: ten leave-one-out folds from cfg.seed,
+    # each one right
+    folds = fold_inputs(separable_inputs(), k=10)
     cfg = small_cfg(epochs=200, dropout_p=0.0)
-    model, history = train(inputs, cfg)
-    probs, _ = forward(model, inputs)
-    train_rows = np.flatnonzero(inputs.train_mask)
-    acc = (probs.argmax(axis=1)[train_rows] == inputs.labels[train_rows]).mean()
-    assert acc == 1.0
-    assert len(history) == 200
+    assert train_folds(folds, cfg, [cfg.seed] * 10) == [1.0] * 10
 
 
 def test_train_loss_decreases_initially():
     inputs = toy_inputs(toy_graph(n=20, seed=5))
     cfg = small_cfg(epochs=12, dropout_p=0.0)
-    _, history = train(inputs, cfg)
-    assert history[10]["train_loss"] < history[0]["train_loss"]
+    model = one_model(cfg, *inputs.x.shape)
+
+    def current_loss():
+        return loss(forward(model, inputs)[0], inputs.labels, inputs.train_mask, model,
+                    cfg.weight_decay)
+
+    before = current_loss()
+    _fit(model, _Rows.of(inputs, cfg.num_classes), [], _Workspace(model, inputs), 10)
+    assert current_loss() < before
 
 
 def test_train_deterministic_with_dropout():
-    inputs = toy_inputs(toy_graph(n=12, seed=6))
-    cfg = small_cfg(epochs=15, dropout_p=0.5, seed=21)
-    m1, h1 = train(inputs, cfg)
-    m2, h2 = train(inputs, cfg)
-    assert h1 == h2
-    for name, w1 in m1.params.items():
-        assert np.array_equal(w1, m2.params[name])
+    folds = fold_inputs(toy_inputs(toy_graph(n=12, seed=6)), k=12)
+    cfg = small_cfg(epochs=15, dropout_p=0.5)
+    seeds = list(range(21, 33))
+    assert train_folds(folds, cfg, seeds) == train_folds(folds, cfg, seeds)
+    first, second = fit_stack(folds, cfg, seeds), fit_stack(folds, cfg, seeds)
+    for name, w1 in first.items():
+        assert np.array_equal(w1, second[name]), name
 
 
 def test_untrained_model_near_chance():
     rng = np.random.default_rng(0)
-    n, classes = 400, 4
+    n, classes, seeds = 400, 4, list(range(30))
     labels = np.arange(n) % classes
     g = SocialGraph(n=n, edges=frozenset(), features=rng.random((n, 5)),
                     sdna_of=labels)
     rep = build_representative(g, SimilaritySpec(kind="adjacency"))
-    accs = []
-    for seed in range(30):
-        mask = np.zeros(n, dtype=bool)
-        mask[: n // 2] = True
-        inputs = TrainInputs(g_matrix=rep.matrix, x=g.features, labels=labels,
-                             train_mask=mask, test_mask=~mask)
-        cfg = small_cfg(num_classes=classes, epochs=0, seed=seed)
-        model, history = train(inputs, cfg)
-        assert history == []
-        accs.append(evaluate(model, inputs))
+    mask = np.zeros((len(seeds), n), dtype=bool)
+    mask[:, : n // 2] = True
+    inputs = TrainInputs(g_matrix=rep.matrix, x=g.features, labels=labels,
+                         train_mask=mask, test_mask=~mask)
+    accs = train_folds(inputs, small_cfg(num_classes=classes, epochs=0), seeds)
     assert abs(np.mean(accs) - 0.25) < 0.06
 
 
 def test_evaluate_extremes():
+    # two test nodes, then one
     inputs = separable_inputs()
-    cfg = small_cfg(epochs=200)
-    model, _ = train(inputs, cfg)
-    assert evaluate(model, inputs) in (0.0, 0.5, 1.0)
     single_mask = np.zeros(inputs.x.shape[0], dtype=bool)
     single_mask[-1] = True
-    single = TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=inputs.labels,
-                         train_mask=inputs.train_mask, test_mask=single_mask)
-    assert evaluate(model, single) in (0.0, 1.0)
+    both = replace(inputs, train_mask=np.stack([inputs.train_mask] * 2),
+                   test_mask=np.stack([inputs.test_mask, single_mask]))
+    two, one = train_folds(both, small_cfg(epochs=200), [7, 7])
+    assert two in (0.0, 0.5, 1.0)
+    assert one in (0.0, 1.0)
 
 
 def test_evaluate_empty_mask_rejected():
     inputs = separable_inputs()
-    model = init_model(small_cfg(), inputs.x.shape[0], inputs.x.shape[1])
-    empty = TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=inputs.labels,
-                        train_mask=inputs.train_mask,
-                        test_mask=np.zeros(inputs.x.shape[0], dtype=bool))
-    with pytest.raises(ValueError):
-        evaluate(model, empty)
+    empty = replace(inputs, test_mask=np.zeros(inputs.x.shape[0], dtype=bool))
+    for epochs in (0, 10):
+        with pytest.raises(ValueError, match="empty test mask"):
+            train_folds(empty, small_cfg(epochs=epochs), [7])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -527,9 +527,10 @@ def test_divergence_reports_epoch_and_norms():
     # first step overflows the kernels, second epoch's loss goes non-finite
     cfg = small_cfg(epochs=50, learning_rate=1e160, weight_decay=0.0005)
     with pytest.raises(TrainingDiverged) as err:
-        train(inputs, cfg)
+        train_folds(inputs, cfg, [7])
     assert err.value.epoch > 0
     assert err.value.norms
+    assert err.value.fold == 0
 
 
 def test_training_diverged_pickles():
@@ -551,17 +552,34 @@ def fold_inputs(inputs, k=3):
 
 
 def one_fold(folds, fold):
-    """Fold ``fold`` of a fold_inputs() stack as one model's inputs."""
-    return replace(folds, train_mask=folds.train_mask[fold], test_mask=folds.test_mask[fold])
+    """Fold ``fold`` of a fold_inputs() stack as a k = 1 stack's inputs,
+    with (1, n) masks."""
+    return replace(folds, train_mask=folds.train_mask[fold:fold + 1],
+                   test_mask=folds.test_mask[fold:fold + 1])
 
 
-def assert_train_folds_matches_train_then_evaluate(**cfg):
+def fit_stack(inputs, cfg, seeds):
+    """The parameters train_folds() trains, fold i from ``seeds[i]``."""
+    model = GcnModel(cfg, _init_params(cfg, seeds, *inputs.x.shape))
+    _fit(model, _Rows.of(inputs, cfg.num_classes, len(seeds)),
+         [derive_rng(seed, "dropout") for seed in seeds], _Workspace(model, inputs), cfg.epochs)
+    return model.params
+
+
+def assert_train_folds_matches_each_fold_alone(**cfg):
+    """The stack's accuracies, and its trained parameters bit for bit,
+    equal those of each fold trained alone as a k = 1 stack from its own
+    seed."""
     folds = fold_inputs(toy_inputs(toy_graph(n=12, seed=6)))
     cfg = small_cfg(layer_units=(8, 8), dropout_p=0.5, epochs=15, **cfg)
     seeds = (4, 5, 6)
-    alone = [evaluate(train(one_fold(folds, fold), replace(cfg, seed=seed))[0],
-                      one_fold(folds, fold)) for fold, seed in enumerate(seeds)]
+    alone = [train_folds(one_fold(folds, fold), cfg, [seed])[0]
+             for fold, seed in enumerate(seeds)]
     assert train_folds(folds, cfg, seeds) == alone
+    stack = fit_stack(folds, cfg, seeds)
+    for fold, seed in enumerate(seeds):
+        for name, param in fit_stack(one_fold(folds, fold), cfg, [seed]).items():
+            assert np.array_equal(stack[name][fold], param[0]), (fold, name)
 
 
 def test_dropout_draws_each_folds_layers_in_order_from_its_stream():
@@ -608,8 +626,9 @@ def test_one_workspace_trains_as_a_fresh_one_every_epoch(variant, use_s):
         assert np.array_equal(param, fresh.params[name]), name
 
 
+# "train then evaluate": each fold trained alone, as a k = 1 stack, then scored
 def test_train_folds_matches_train_then_evaluate():
-    assert_train_folds_matches_train_then_evaluate()
+    assert_train_folds_matches_each_fold_alone()
 
 
 # a 4-class output propagates its kernel's output one fold at a time; so
@@ -621,8 +640,8 @@ def test_train_folds_matches_train_then_evaluate():
     ("tlr", False, 2),
 ])
 def test_train_folds_matches_train_then_evaluate_per_fold_products(variant, use_s, num_classes):
-    assert_train_folds_matches_train_then_evaluate(variant=variant, use_s=use_s,
-                                                   num_classes=num_classes)
+    assert_train_folds_matches_each_fold_alone(variant=variant, use_s=use_s,
+                                               num_classes=num_classes)
 
 
 def test_narrow_products_equal_each_fold_alone():
@@ -674,7 +693,7 @@ def test_mask_shorter_than_the_nodes_rejected():
 
 
 def test_mask_longer_than_the_nodes_rejected():
-    # a long mask used to raise IndexError deep in evaluate()
+    # a long mask used to raise IndexError deep in the test-accuracy pass
     inputs = separable_inputs()
     longer = np.concatenate([inputs.test_mask, [True]])
     with pytest.raises(ValueError, match=r"test_mask must be .* of shape \(11,\)"):
@@ -719,93 +738,13 @@ def test_one_model_rejects_a_stack_of_masks():
     inputs = separable_inputs()
     folds = fold_inputs(inputs, k=2)
     cfg = small_cfg(epochs=2)
-    model = init_model(cfg, *inputs.x.shape)
+    model = one_model(cfg, *inputs.x.shape)
     probs, cache = forward(model, inputs)
     message = r"masks of 2 folds for 1 seed\(s\): .* one model \(n,\) masks"
     with pytest.raises(ValueError, match=message):
-        train(folds, cfg)
-    with pytest.raises(ValueError, match=message):
-        evaluate(model, folds)
+        train_folds(folds, cfg, [7])
     with pytest.raises(ValueError, match=message):
         backward(model, cache, folds)
     with pytest.raises(ValueError, match=message):
         loss(probs, inputs.labels, folds.train_mask, model, 0.0)
-    assert evaluate(model, one_fold(folds, 0)) in (0.0, 1.0)
-
-
-# --- persistence --------------------------------------------------------------
-
-@pytest.mark.parametrize("variant,use_s", [("ftvanilla", True), ("tlr", False)])
-def test_model_checkpoint_round_trip(tmp_path, variant, use_s):
-    inputs = toy_inputs()
-    cfg = small_cfg(variant=variant, use_s=use_s, epochs=5)
-    model, _ = train(inputs, cfg)
-    path = tmp_path / "model.bin"
-    save_model(model, path)
-    back = load_model(path)
-    assert back.config == model.config
-    p1, p2 = forward(model, inputs)[0], forward(back, inputs)[0]
-    assert np.array_equal(p1, p2)
-
-
-@st.composite
-def model_configs(draw):
-    variant = draw(st.sampled_from(["ftvanilla", "f", "t", "tlr"]))
-    use_s = variant in ("ftvanilla", "f") and draw(st.booleans())
-    units = draw(st.lists(st.integers(1, 3), max_size=3))
-    return small_cfg(variant=variant, use_s=use_s, layer_units=units)
-
-
-@given(model_configs())
-@settings(max_examples=15, deadline=None)
-def test_model_checkpoint_cut_at_every_length_rejected(cfg):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.bin"
-        save_model(init_model(cfg, 4, 3), path)
-        data = path.read_bytes()
-        assert load_model(path).config == cfg
-        for cut in range(len(data)):
-            path.write_bytes(data[:cut])
-            with pytest.raises(ValueError):
-                load_model(path)
-        path.write_bytes(data + b"\x00")
-        with pytest.raises(ValueError, match="1 bytes after the last tensor"):
-            load_model(path)
-
-
-def test_model_checkpoint_tensors_must_match_config(tmp_path):
-    path = tmp_path / "model.bin"
-    plain = init_model(small_cfg(), 4, 3)
-    save_model(GcnModel(config=small_cfg(use_s=True), params=plain.params), path)
-    expected = r"do not match the config's \['W0', 'W1', 'W2', 'W3', 'S'\]"
-    with pytest.raises(ValueError, match=expected):
-        load_model(path)
-    save_model(GcnModel(config=small_cfg(variant="tlr"), params=plain.params), path)
-    with pytest.raises(ValueError, match="do not match"):
-        load_model(path)
-
-
-def test_model_checkpoint_tensor_shapes_must_match_config(tmp_path):
-    path = tmp_path / "model.bin"
-    wider = init_model(small_cfg(layer_units=(3, 5)), 4, 3)
-    save_model(GcnModel(config=small_cfg(layer_units=(3, 4)), params=wider.params), path)
-    with pytest.raises(ValueError, match=r"tensor shapes .*\(3, 5\).* do not match"):
-        load_model(path)
-
-
-def test_model_checkpoint_unknown_config_key_rejected(tmp_path):
-    blob = json.dumps(small_cfg().to_dict() | {"bogus": 1}).encode()
-    path = tmp_path / "model.bin"
-    path.write_bytes(b"SOCM" + struct.pack("<I", len(blob)) + blob + struct.pack("<I", 0))
-    with pytest.raises(ValueError, match="bad config.*bogus"):
-        load_model(path)
-
-
-def test_history_csv(tmp_path):
-    inputs = toy_inputs()
-    _, history = train(inputs, small_cfg(epochs=3))
-    path = tmp_path / "history.csv"
-    save_history(history, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "epoch,train_loss,test_acc"
-    assert len(lines) == 4
+    assert train_folds(one_fold(folds, 0), cfg, [7])[0] in (0.0, 1.0)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from socsim import harness
-from socsim.gcn import GcnConfig, TrainInputs, TrainingDiverged, evaluate, train
+from socsim.gcn import GcnConfig, TrainInputs, TrainingDiverged, train_folds
 from socsim.graph import SocialGraph
 from socsim.rng import derive_seed
 from socsim.harness import (
@@ -415,21 +415,19 @@ def test_cell_raising_any_error_is_recorded_and_the_run_continues(monkeypatch):
 # --- fold batching ----------------------------------------------------------------
 
 def train_folds_alone(graph, cell, fold_masks, base, plan_seed):
-    """train() then evaluate() on each fold alone: its accuracy, or the
-    TrainingDiverged it raised."""
-    cell_cfg, spec = parse_cell(cell, base)
+    """Each fold trained alone, as a k = 1 stack with (1, n) masks and its
+    own seed: its accuracy, or the TrainingDiverged it raised."""
+    cfg, spec = parse_cell(cell, base)
     rep = build_representative(graph, spec)
     out = []
     for fold, (train_mask, test_mask) in enumerate(fold_masks):
-        cfg = replace(cell_cfg, seed=derive_seed(plan_seed, "train", 0, 0, cell, fold))
+        seed = derive_seed(plan_seed, "train", 0, 0, cell, fold)
         inputs = TrainInputs(g_matrix=rep.matrix, x=graph.features, labels=graph.sdna_of,
-                             train_mask=train_mask, test_mask=test_mask)
+                             train_mask=train_mask[None], test_mask=test_mask[None])
         try:
-            model, _ = train(inputs, cfg)
+            out.extend(train_folds(inputs, cfg, [seed]))
         except TrainingDiverged as exc:
             out.append(exc)
-            continue
-        out.append(evaluate(model, inputs))
     return out
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -273,12 +274,25 @@ def test_representative_matches_renormalized_operator():
     ("katz_beta", 0.0, "katz_beta must be > 0"),
     ("katz_beta", -1.0, "katz_beta must be > 0"),
     ("katz_beta", float("nan"), "katz_beta must be > 0"),
+    ("katz_beta", float("inf"), "katz_beta must be > 0 and finite, got inf"),
     ("threshold_lo", float("nan"), "thresholds must be numbers"),
     ("threshold_hi", float("nan"), "thresholds must be numbers"),
 ])
 def test_spec_rejects_bad_values(field, value, message):
     with pytest.raises(ValueError, match=message):
         SimilaritySpec(kind="katz", **{field: value})
+
+
+@pytest.mark.parametrize("beta", [1e60, 1e62])
+def test_katz_build_whose_sum_or_row_norms_overflow_rejected(beta):
+    # at 1e62, beta ** 5 overflows; at 1e60 the sum is finite but its
+    # squared row norms are not, which used to normalize every row to zero
+    g = random_graph(8, 0.5, 3)
+    message = f"katz_beta={beta!r} with katz_max_power=5 overflows the Katz sum or its row norms"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_representative(g, SimilaritySpec(kind="katz", katz_beta=beta))
+    rep = build_representative(g, SimilaritySpec(kind="katz", katz_beta=1e10))
+    assert np.count_nonzero(rep.matrix - np.diag(np.diag(rep.matrix))) > 0
 
 
 def test_spec_validation():
