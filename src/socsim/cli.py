@@ -13,8 +13,9 @@ Exit codes:
     1   bad input: a file that cannot be read or is malformed, or an
         argument value the command rejects; one ``socsim: error:`` line on
         stderr names it
-    2   usage error: an unknown command or option, or a missing one
-        (argparse)
+    2   usage error: an unknown command or option, a missing one, an empty
+        path, or a ``representative --out-csv`` that names the ``--out``
+        file (argparse)
     3   ``experiment`` completed, but some cells failed (each failed cell
         carries its error in report.json)
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -118,24 +120,32 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _path(value: str) -> str:
+    """argparse type of every path option: ``Path("")`` would be the
+    working directory, so an empty value is a usage error."""
+    if not value:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="socsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="simulate dynamic network snapshots")
-    p.add_argument("--config", required=True, help="SimConfig JSON file")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--config", type=_path, required=True, help="SimConfig JSON file")
+    p.add_argument("--out", type=_path, required=True, help="output directory")
     p.add_argument("--snapshots", type=int, default=1)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("events", help="emit a timestamped edge stream")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True, help="output TSV (timestamp, i, j)")
+    p.add_argument("--config", type=_path, required=True)
+    p.add_argument("--out", type=_path, required=True, help="output TSV (timestamp, i, j)")
     p.add_argument("--events", type=int, required=True)
     p.set_defaults(func=_cmd_events)
 
     p = sub.add_parser("representative", help="build a graph representative matrix")
-    p.add_argument("--graph", required=True, help="snapshot directory")
+    p.add_argument("--graph", type=_path, required=True, help="snapshot directory")
     p.add_argument("--kind", default="adjacency",
                    choices=["adjacency", "katz", "rpr", "gg"])
     p.add_argument("--beta", type=float, default=0.005)
@@ -143,19 +153,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.85)
     p.add_argument("--thresholds", nargs="+", default=["0.0", "1.0"],
                    help="LO HI, or 'auto'")
-    p.add_argument("--out", required=True, help="binary output path")
-    p.add_argument("--out-csv", default=None, help="optional CSV dump")
+    p.add_argument("--out", type=_path, required=True, help="binary output path")
+    p.add_argument("--out-csv", type=_path, default=None, help="optional CSV dump")
     p.set_defaults(func=_cmd_representative)
 
     p = sub.add_parser("experiment", help="run a full experiment plan")
-    p.add_argument("--plan", required=True, help="ExperimentPlan JSON file")
-    p.add_argument("--out", required=True, help="results directory")
+    p.add_argument("--plan", type=_path, required=True, help="ExperimentPlan JSON file")
+    p.add_argument("--out", type=_path, required=True, help="results directory")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("report", help="re-emit CSVs from a stored report")
-    p.add_argument("--in", dest="input", required=True, help="report.json path")
+    p.add_argument("--in", type=_path, dest="input", required=True, help="report.json path")
     p.add_argument("--format", default="csv", choices=["csv"])
-    p.add_argument("--out", default=None, help="output directory (default: alongside input)")
+    p.add_argument("--out", type=_path, default=None,
+                   help="output directory (default: alongside input)")
     p.set_defaults(func=_cmd_report)
     return parser
 
@@ -168,6 +179,9 @@ def main(argv: list[str] | None = None) -> int:
     for name, value in vars(args).items():
         if value == []:
             parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
+    out_csv = getattr(args, "out_csv", None)
+    if out_csv and os.path.realpath(out_csv) == os.path.realpath(args.out):
+        parser.error("argument --out-csv: names the same file as --out")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

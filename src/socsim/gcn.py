@@ -109,7 +109,6 @@ class GcnConfig:
     weight_decay: float = 0.0005
     dropout_p: float = 0.5
     epochs: int = 200
-    seed: int = 0
 
     def __post_init__(self):
         if not isinstance(self.variant, str) or self.variant.lower() not in VARIANTS:
@@ -121,9 +120,8 @@ class GcnConfig:
                 and all(isinstance(u, numbers.Integral) for u in self.layer_units)):
             raise ValueError(f"layer_units must be a list of integers, got {self.layer_units!r}")
         object.__setattr__(self, "layer_units", tuple(int(u) for u in self.layer_units))
-        for name in ("num_classes", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.num_classes, numbers.Integral):
+            raise ValueError(f"num_classes must be an integer, got {self.num_classes!r}")
         for name in ("learning_rate", "weight_decay", "dropout_p"):
             if not isinstance(getattr(self, name), numbers.Real):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
@@ -639,11 +637,11 @@ def train_folds(inputs: TrainInputs, cfg: GcnConfig, seeds: list[int]) -> list[f
     ``seeds[i]``, all folds at once under ``cfg``, and return each fold's
     test accuracy after the last epoch.
 
-    ``cfg.seed`` is not read: each fold draws its init and dropout streams
-    from its own seed, so the accuracies are those of each fold trained
-    alone, as a k = 1 stack with its (1, n) masks and ``[seeds[i]]``.  Raises
-    TrainingDiverged, with ``fold`` set, at the first epoch in which any
-    fold's loss goes non-finite, for the lowest-index such fold.
+    Each fold draws its init and dropout streams from its own seed, so the
+    accuracies are those of each fold trained alone, as a k = 1 stack with
+    its (1, n) masks and ``[seeds[i]]``.  Raises TrainingDiverged, with
+    ``fold`` set, at the first epoch in which any fold's loss goes
+    non-finite, for the lowest-index such fold.
     """
     rows = _Rows.of(inputs, cfg.num_classes, len(seeds))
     rows.check(train=cfg.epochs > 0, test=True)

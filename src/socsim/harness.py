@@ -107,8 +107,10 @@ def default_model_grid(include_s: bool = True) -> tuple[str, ...]:
 class ExperimentPlan:
     """One batch: simulate ``networks`` populations, take ``snapshots``
     snapshots of each, and cross-validate every cell on every snapshot.
-    ``gcn`` carries the shared hyperparameters; its variant/use_s/seed are
-    overridden per cell and fold."""
+    ``gcn`` carries the shared hyperparameters.  Each cell's name sets its
+    variant and use_s, so a ``gcn`` that sets either is rejected, and each
+    fold's seed derives from ``seed``.  ``workers`` schedules the run and is
+    left out of its report."""
 
     sim: SimConfig = field(default_factory=SimConfig)
     networks: int = 3
@@ -136,6 +138,11 @@ class ExperimentPlan:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value!r}")
+        default = GcnConfig()
+        for name in ("variant", "use_s"):
+            if getattr(self.gcn, name) != getattr(default, name):
+                raise ValueError(f"gcn.{name} is set by each cell's name, so a plan may not "
+                                 f"set it, got {getattr(self.gcn, name)!r}")
         if self.gcn.num_classes < self.sim.y:
             raise ValueError(f"gcn.num_classes ({self.gcn.num_classes}) is below sim.y "
                              f"({self.sim.y}), the number of sDNA labels")
@@ -228,7 +235,11 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
-        ExperimentPlan.from_dict(d["plan"])  # the echo must be a valid plan
+        # the echo must be a valid plan; an echo written before GcnConfig
+        # lost its unread seed carries gcn.seed, checked without it and kept
+        plan = d["plan"]
+        ExperimentPlan.from_dict(
+            plan | {"gcn": {k: v for k, v in plan.get("gcn", {}).items() if k != "seed"}})
         return cls(**d | {"snapshots": tuple(SnapshotReport.from_dict(s) for s in d["snapshots"])})
 
     @property
@@ -321,27 +332,47 @@ def _best_cell(cells: dict[str, CellResult]) -> str:
     return min(ranked, key=lambda pair: (-pair[0], pair[1]))[1]
 
 
-# OpenBLAS's thread-count setter, by build: numpy's scipy-openblas ILP64
-# build, a plain ILP64 build, a plain LP64 build
+# OpenBLAS's thread-count setter and getter, by build: numpy's scipy-openblas
+# ILP64 build, a plain ILP64 build, a plain LP64 build
 _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
                  "openblas_set_num_threads")
+_BLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads")
+
+
+def _openblas_function(symbols: tuple[str, ...]):
+    """The first of ``symbols`` found in numpy's bundled OpenBLAS, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in symbols:
+            function = getattr(handle, symbol, None)
+            if function is not None:
+                return function
+    return None
 
 
 @functools.cache
 def _blas_thread_setter():
     """OpenBLAS's ``set_num_threads`` from numpy's bundled library, or None
     (with one warning per process) when there is none to call."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        handle = ctypes.CDLL(str(lib))
-        for symbol in _BLAS_SETTERS:
-            setter = getattr(handle, symbol, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return setter
-    log.warning("no OpenBLAS thread setter in %s: pool workers keep the BLAS "
-                "library's default thread count", libs)
-    return None
+    setter = _openblas_function(_BLAS_SETTERS)
+    if setter is None:
+        log.warning("no OpenBLAS thread setter in numpy's bundled libraries: pool "
+                    "workers keep the BLAS library's default thread count")
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    return setter
+
+
+def blas_threads() -> int | None:
+    """The number of threads OpenBLAS runs in this process, read from its
+    own getter in numpy's bundled library; None when there is none."""
+    getter = _openblas_function(_BLAS_GETTERS)
+    if getter is None:
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return int(getter())
 
 
 def _pin_blas() -> None:
@@ -410,7 +441,9 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     submitted: the workers always have queued work, the next simulation
     overlaps training, and at most two snapshots' graphs are held here.
     Output is schedule-independent because results keep the plan's cell
-    order and every random draw comes from a derived stream.
+    order and every random draw comes from a derived stream, and the plan
+    echo leaves out ``workers``: a serial and a pooled run of one plan
+    give reports equal byte for byte.
     """
     tasks = plan.networks * plan.snapshots * len(plan.cells)
     workers = min(plan.workers or len(os.sched_getaffinity(0)), tasks)
@@ -424,7 +457,8 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
                 snapshots.append(_snapshot_report(plan.cells, *previous))
             previous = name, futures
         snapshots.append(_snapshot_report(plan.cells, *previous))
-    return ExperimentReport(plan=plan.to_dict(), snapshots=tuple(snapshots))
+    echo = {key: value for key, value in plan.to_dict().items() if key != "workers"}
+    return ExperimentReport(plan=echo, snapshots=tuple(snapshots))
 
 
 def _fmt(value: float | None) -> str:

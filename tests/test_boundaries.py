@@ -276,6 +276,9 @@ def test_malformed_report_raises_value_error_naming_the_path(tmp_path, text, cau
     (lambda: GcnConfig(num_classes=None), "num_classes must be an integer, got None"),
     (lambda: GcnConfig(dropout_p="0.5"), "dropout_p must be a number, got '0.5'"),
     (lambda: GcnConfig.from_dict({"lr": 1}), "bad model config: .*'lr'"),
+    # GcnConfig had a seed that nothing read; a file that still sets it is refused
+    (lambda: GcnConfig.from_dict({"seed": 5}), "bad model config: .*'seed'"),
+    (lambda: ExperimentPlan.from_dict({"gcn": {"seed": 5}}), "bad experiment plan: .*'seed'"),
     (lambda: ExperimentPlan.from_dict([]), "an experiment plan must be a JSON object"),
     (lambda: ExperimentPlan.from_dict({"cells": [1]}), "cells must be a list of cell names"),
     (lambda: ExperimentPlan.from_dict({"seed": "7"}), "seed must be an integer, got '7'"),
@@ -349,7 +352,7 @@ def run_in(files: dict[str, bytes], argv: list[str]) -> int:
             if args.command == "simulate":
                 for snap in Path(args.out).glob("snap-*"):
                     load_graph_dir(snap)
-            elif args.command == "representative" and args.out != args.out_csv:
+            elif args.command == "representative":
                 load_representative_matrix(args.out)
             elif args.command == "experiment":
                 load_report(Path(args.out) / "report.json")

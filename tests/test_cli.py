@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import subprocess
@@ -173,6 +174,32 @@ def test_usage_error_exits_2(tmp_path):
     done = run_cli("report", "--in", "r.json", "--format", "xml", cwd=tmp_path)
     assert done.returncode == 2
     assert "Traceback" not in done.stderr and "invalid choice: 'xml'" in done.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["simulate", "--config", "{cfg}", "--out", ""],
+                 "argument --out: an empty path names no file", id="simulate-empty-out"),
+    pytest.param(["experiment", "--plan", "{plan}", "--out", ""],
+                 "argument --out: an empty path names no file", id="experiment-empty-out"),
+    pytest.param(["representative", "--graph", "{snap}", "--out", "G.bin", "--out-csv", "./G.bin"],
+                 "argument --out-csv: names the same file as --out", id="representative-same-out"),
+])
+def test_unusable_output_path_is_a_usage_error(tmp_path, sim_config_file, capsys, argv, message):
+    # an empty path would be the working directory, and a CSV written over
+    # the SOCG file would leave no representative to load
+    main(["simulate", "--config", str(sim_config_file), "--out", str(tmp_path / "data")])
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(ExperimentPlan(
+        sim=SimConfig.load(sim_config_file), networks=1, snapshots=1, cells=("F",), folds=2,
+        gcn=GcnConfig(num_classes=4, layer_units=(4,), epochs=2), workers=1).to_dict()))
+    paths = {"cfg": sim_config_file, "plan": plan, "snap": tmp_path / "data" / "snap-000"}
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    with contextlib.chdir(run_dir), pytest.raises(SystemExit) as exit_:
+        main([token.format(**paths) for token in argv])
+    assert exit_.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(run_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, option", [

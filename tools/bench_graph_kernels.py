@@ -23,7 +23,8 @@ The graph sets:
     dense      n=800 graphs holding 30%, 50% and 70% of all pairs, around
                the density where the dense products start to win
 
-BLAS is pinned to one thread before numpy is imported, as in perfbench.
+BLAS is pinned to one thread before numpy is imported, as in perfbench, and
+the thread count OpenBLAS then reports is recorded.
 Each time is the median of ``--repeat`` calls, in milliseconds.
 
     PYTHONPATH=src python3 tools/bench_graph_kernels.py --out BENCH_graph_kernels.json
@@ -45,7 +46,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from socsim.graph import shortest_path_matrix, unconnected_pairs, walk_indicators  # noqa: E402
-from socsim.harness import desk_sim_config  # noqa: E402
+from socsim.harness import blas_threads, desk_sim_config  # noqa: E402
 from socsim.rng import derive_rng  # noqa: E402
 from socsim.sdna import generate_population, iter_snapshots, socialise  # noqa: E402
 from socsim.similarity import katz_matrix  # noqa: E402
@@ -151,7 +152,7 @@ def machine() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
             "numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
-            "blas_threads": 1}
+            "blas_threads": blas_threads()}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,7 +5,8 @@ named cell on it (10 folds x 200 epochs, the paper's shape) and prints one
 JSON object: per cell the minor page faults the process took while the cell
 trained (``getrusage`` ``ru_minflt``), its wall seconds and its mean
 accuracy, plus the machine facts.  BLAS is pinned to one thread before
-numpy is imported, as in perfbench.
+numpy is imported, as in perfbench, and the thread count OpenBLAS then
+reports is recorded.
 
     PYTHONPATH=src python3 tools/cell_faults.py --seed 2026 --repeat 2
 
@@ -26,7 +27,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from socsim.harness import desk_sim_config, make_folds, run_cell  # noqa: E402
+from socsim.harness import blas_threads, desk_sim_config, make_folds, run_cell  # noqa: E402
 from socsim.gcn import GcnConfig  # noqa: E402
 from socsim.sdna import iter_snapshots  # noqa: E402
 
@@ -35,7 +36,8 @@ CELLS = ("FTvanilla", "SFTvanilla", "F", "T", "TLR")
 
 def _blas() -> dict:
     info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"name": info.get("name"), "version": info.get("version"), "threads": 1}
+    return {"name": info.get("name"), "version": info.get("version"),
+            "threads": blas_threads()}
 
 
 def main(argv: list[str] | None = None) -> int:
