@@ -2,9 +2,7 @@
 
 from .graph import (
     SocialGraph,
-    degree,
     load_graph_dir,
-    path_exists,
     save_graph_dir,
     shortest_path_matrix,
     unconnected_pairs,

@@ -116,11 +116,12 @@ class GcnConfig:
         object.__setattr__(self, "variant", self.variant.lower())
         if not isinstance(self.use_s, bool):
             raise ValueError(f"use_s must be true or false, got {self.use_s!r}")
-        if not (isinstance(self.layer_units, (list, tuple))
-                and all(isinstance(u, numbers.Integral) for u in self.layer_units)):
+        if not (isinstance(self.layer_units, (list, tuple)) and all(
+                isinstance(u, numbers.Integral) and not isinstance(u, bool)
+                for u in self.layer_units)):
             raise ValueError(f"layer_units must be a list of integers, got {self.layer_units!r}")
         object.__setattr__(self, "layer_units", tuple(int(u) for u in self.layer_units))
-        if not isinstance(self.num_classes, numbers.Integral):
+        if isinstance(self.num_classes, bool) or not isinstance(self.num_classes, numbers.Integral):
             raise ValueError(f"num_classes must be an integer, got {self.num_classes!r}")
         for name in ("learning_rate", "weight_decay", "dropout_p"):
             if not isinstance(getattr(self, name), numbers.Real):
@@ -133,7 +134,8 @@ class GcnConfig:
             raise ValueError("use_s weights features; topology-only variants have none")
         if not (0.0 <= self.dropout_p < 1.0):
             raise ValueError("dropout_p must lie in [0, 1)")
-        if not isinstance(self.epochs, numbers.Integral) or self.epochs < 0:
+        if (isinstance(self.epochs, bool) or not isinstance(self.epochs, numbers.Integral)
+                or self.epochs < 0):
             raise ValueError(f"epochs must be an integer >= 0, got {self.epochs!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
@@ -210,31 +212,23 @@ class GcnModel:
             for name, p in self.params.items():
                 moments.setdefault(name, np.zeros_like(p))
 
-    def norms(self, fold: int) -> dict[str, float]:
-        return {name: float(np.linalg.norm(p[fold])) for name, p in self.params.items()}
-
-
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
 
 def _init_params(cfg: GcnConfig, seeds: list[int], n_nodes: int,
                  n_features: int) -> dict[str, np.ndarray]:
     """Fresh parameters for one model per seed, stacked on the fold axis:
     Glorot-uniform kernels drawn in layer order from each seed's own init
     stream, and all-ones feature weights (identity behaviour)."""
-    in_dim = n_nodes if cfg.variant in ("t", "tlr") else n_features
-    params = {name: np.empty((len(seeds), *shape))
-              for name, shape in _kernel_shapes(cfg, in_dim).items()}
+    kernels = _kernels(cfg, n_nodes if cfg.variant in ("t", "tlr") else n_features)
+    params = {name: np.empty((len(seeds), *shape)) for _, name, shape in kernels}
     if cfg.variant == "t":
         # t's first layer propagates W0 itself, and its gradient is a G
         # product: keep W0 (and so its Adam moments) in the _stack() layout
         params["W0"] = _stack(np.empty(params["W0"].size), *params["W0"].shape)
     for fold, seed in enumerate(seeds):
         rng = derive_rng(seed, "init")
-        for p in params.values():
-            p[fold] = _glorot(rng, *p.shape[1:])
+        for _, name, (fan_in, fan_out) in kernels:
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            params[name][fold] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
     if cfg.use_s:
         params["S"] = np.ones((len(seeds), n_features))
     return params
@@ -248,36 +242,23 @@ def _softmax(z: np.ndarray, out: np.ndarray, row: np.ndarray) -> np.ndarray:
     return np.divide(out, np.sum(out, axis=-1, keepdims=True, out=row), out=out)
 
 
-def _layer_kernels(cfg: GcnConfig) -> list[list[str]]:
-    """Each layer's kernel names, in layer order; tlr factors its first
-    kernel into Wa and Wb."""
-    layers = [[f"W{i}"] for i in range(len(cfg.layer_units) + 1)]
-    if cfg.variant == "tlr":
-        layers[0] = ["Wa", "Wb"]
-    return layers
-
-
-def _param_names(cfg: GcnConfig) -> list[str]:
-    """Every trainable tensor's name: the kernels in layer order, then S."""
-    return [name for layer in _layer_kernels(cfg) for name in layer] + (["S"] if cfg.use_s else [])
-
-
-def _kernel_shapes(cfg: GcnConfig, in_dim: int) -> dict[str, tuple[int, int]]:
-    """Every kernel's (fan_in, fan_out), in layer order, for a model whose
-    first layer reads ``in_dim`` columns (nodes for t/tlr, else features)."""
+def _kernels(cfg: GcnConfig, in_dim: int) -> list[tuple[int, str, tuple[int, int]]]:
+    """Every kernel as (layer, name, (fan_in, fan_out)), in layer order, for
+    a model whose first layer reads ``in_dim`` columns (nodes for t/tlr,
+    else features): ``W<i>`` for layer i, and tlr's first kernel factored
+    into Wa (in_dim x 1) and Wb (1 x units)."""
     dims = [in_dim, *cfg.layer_units, cfg.num_classes]
-    shapes = list(zip(dims[:-1], dims[1:]))
+    kernels = [(i, f"W{i}", (dims[i], dims[i + 1])) for i in range(len(dims) - 1)]
     if cfg.variant == "tlr":
-        shapes[:1] = [(dims[0], 1), (1, dims[1])]
-    # the kernels' names come first; S, last, has no kernel shape
-    return dict(zip(_param_names(cfg), shapes))
+        kernels[:1] = [(0, "Wa", (dims[0], 1)), (0, "Wb", (1, dims[1]))]
+    return kernels
 
 
 def _decayed_names(cfg: GcnConfig) -> list[str]:
-    """The kernels L2 decay applies to: _param_names() less S and the output
-    layer's kernels (tlr's Wa and Wb when it has no hidden layer)."""
-    output = _layer_kernels(cfg)[-1]
-    return [name for name in _param_names(cfg) if name != "S" and name not in output]
+    """The kernels L2 decay applies to: every layer's but the output's (so
+    tlr's Wa and Wb only when it has a hidden layer), never S.  Names do not
+    depend on the input width."""
+    return [name for layer, name, _ in _kernels(cfg, 0) if layer < len(cfg.layer_units)]
 
 
 # --- the fold axis -------------------------------------------------------------
@@ -412,7 +393,7 @@ class _Workspace:
 
     def __init__(self, model: GcnModel, inputs: TrainInputs):
         cfg, params = model.config, model.params
-        k = len(next(iter(params.values())))  # every parameter leads with the fold axis
+        k, in_dim = next(iter(params.values())).shape[:2]  # the first kernel's folds, input width
         n, features = inputs.x.shape
         self.gm = None if cfg.variant == "f" else inputs.g_matrix
         self.x = inputs.x
@@ -427,8 +408,8 @@ class _Workspace:
         # laid out like their parameters, so Adam's passes match layouts
         self.grads = {name: np.full_like(p, np.nan) for name, p in params.items()}
         self.scratch = {name: np.full_like(p, np.nan) for name, p in params.items()}
-        self.transposed = {name: _nan(np.swapaxes(params[name], 1, 2).shape)
-                           for layer in _layer_kernels(cfg)[1:] for name in layer}
+        self.transposed = {name: _nan((k, fan_out, fan_in))
+                           for layer, name, (fan_in, fan_out) in _kernels(cfg, in_dim) if layer > 0}
         self.row = _nan((k, n, 1))
         self._draws = _nan(n * sum(cfg.layer_units))
         ends = np.cumsum([0, *cfg.layer_units]) * n
@@ -628,7 +609,8 @@ def _fit(model: GcnModel, rows: _Rows, rngs: list[np.random.Generator], ws: _Wor
         finite = np.isfinite(losses)
         if not finite.all():
             fold = int(np.argmin(finite))
-            raise TrainingDiverged(epoch, model.norms(fold), fold=fold)
+            norms = {name: float(np.linalg.norm(p[fold])) for name, p in model.params.items()}
+            raise TrainingDiverged(epoch, norms, fold=fold)
         _adam_step(model, _backward(model, cache, rows, ws), ws.scratch)
 
 

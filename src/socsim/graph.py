@@ -96,13 +96,6 @@ class SocialGraph:
         return replace(self, edges=np.concatenate([self.edges, extra]))
 
 
-def degree(g: SocialGraph, i: int) -> int:
-    """Number of edges incident to node ``i``."""
-    if not (0 <= i < g.n):
-        raise ValueError(f"node {i} out of range for n={g.n}")
-    return int(g.degrees[i])
-
-
 def _pack_rows(matrix: np.ndarray) -> np.ndarray:
     """(n, n) boolean matrix as (n, w) uint64 bit rows: the ``np.packbits``
     bytes of each row, zero-padded to whole 64-bit words."""
@@ -156,19 +149,6 @@ def walk_indicators(g: SocialGraph, max_length: int) -> list[np.ndarray]:
         power = _neighbour_or(power, *lists)
         out.append(_unpack_rows(power, g.n))
     return out
-
-
-def path_exists(g: SocialGraph, i: int, j: int, length: int) -> bool:
-    """True iff a walk of exactly ``length`` steps joins i and j."""
-    if not (0 <= i < g.n and 0 <= j < g.n):
-        raise ValueError("node index out of range")
-    if i == j:
-        raise ValueError("i and j must differ")
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    if length == 1:
-        return bool(g.adjacency[i, j])
-    return bool(walk_indicators(g, length)[length - 2][i, j])
 
 
 def shortest_path_matrix(g: SocialGraph) -> np.ndarray:

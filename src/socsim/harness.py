@@ -119,7 +119,7 @@ class ExperimentPlan:
     folds: int = 10
     seed: int = 0
     gcn: GcnConfig = field(default_factory=GcnConfig)
-    workers: int = 0  # 0 means every core this process may run on
+    workers: int = 0  # 0, like any count above it, means every core this process may run on
 
     def __post_init__(self):
         if not (isinstance(self.cells, (list, tuple))
@@ -130,13 +130,12 @@ class ExperimentPlan:
         object.__setattr__(self, "cells", tuple(self.cells))
         if len(set(self.cells)) != len(self.cells):
             raise ValueError("cell names must be unique")
-        if not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        for name, low in (("folds", 2), ("networks", 1), ("snapshots", 1), ("workers", 0)):
+        for name, low in (("seed", None), ("folds", 2), ("networks", 1), ("snapshots", 1),
+                          ("workers", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
+            if low is not None and value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value!r}")
         default = GcnConfig()
         for name in ("variant", "use_s"):
@@ -208,8 +207,13 @@ class CellResult:
     @classmethod
     def from_dict(cls, d: dict) -> "CellResult":
         result = cls(**d | {"accuracies": tuple(d["accuracies"])})
-        if not all(v is None or isinstance(v, numbers.Real) for v in (result.mean, result.std)):
+        # a JSON number loads as an int or a float; a bool is not one
+        if not all(type(v) in (int, float) for v in result.accuracies):
+            raise ValueError(f"accuracies must be a list of numbers, got {d['accuracies']!r}")
+        if not all(v is None or type(v) in (int, float) for v in (result.mean, result.std)):
             raise ValueError(f"mean and std must be numbers or null, got {d!r}")
+        if not (isinstance(result.failed, bool) and isinstance(result.error, str)):
+            raise ValueError(f"failed must be true or false and error a string, got {d!r}")
         return result
 
 
@@ -223,8 +227,11 @@ class SnapshotReport:
     @classmethod
     def from_dict(cls, d: dict) -> "SnapshotReport":
         snap = cls(**d | {"cells": {k: CellResult.from_dict(v) for k, v in d["cells"].items()}})
-        if not isinstance(snap.best_cell, str):
-            raise ValueError(f"best_cell must be a cell name, got {snap.best_cell!r}")
+        for name in ("name", "best_cell"):
+            if not isinstance(getattr(snap, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(snap, name)!r}")
+        if not (snap.hypothesis is None or isinstance(snap.hypothesis, bool)):
+            raise ValueError(f"hypothesis must be true, false or null, got {snap.hypothesis!r}")
         return snap
 
 
@@ -247,11 +254,10 @@ class ExperimentReport:
         return any(c.failed for s in self.snapshots for c in s.cells.values())
 
 
-def make_folds(
-    labels: np.ndarray, folds: int, seed: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Stratified k-fold masks: every class is shuffled and dealt round-robin
-    into ``folds`` groups; fold k tests on group k and trains on the rest."""
+def make_folds(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
+    """Stratified k-fold test masks, a (folds, n) bool array: every class is
+    shuffled and dealt round-robin into ``folds`` groups; fold k tests on
+    group k, row k, and trains on the rest, its complement ``~row``."""
     labels = np.asarray(labels)
     rng = derive_rng(seed, "folds")
     n = labels.size
@@ -263,17 +269,13 @@ def make_folds(
                 f"class {cls} has {members.size} members, fewer than {folds} folds"
             )
         groups[members[rng.permutation(members.size)]] = np.arange(members.size) % folds
-    out = []
-    for k in range(folds):
-        test = groups == k
-        out.append((~test, test))
-    return out
+    return groups == np.arange(folds)[:, None]
 
 
 def run_cell(
     graph: SocialGraph,
     cell: str,
-    fold_masks: list[tuple[np.ndarray, np.ndarray]],
+    test_masks: np.ndarray,
     base: GcnConfig | None = None,
     plan_seed: int = 0,
     network: int = 0,
@@ -281,7 +283,8 @@ def run_cell(
 ) -> CellResult:
     """Cross-validate one cell on one snapshot: parse the cell, build its
     representative, give each fold its derived training seed and train the
-    folds as one stack.
+    folds as one stack.  ``test_masks`` is a (k, n) bool array, one fold a
+    row (see :func:`make_folds`); each fold trains on the complement.
 
     All of it runs inside the cell's fault boundary, so any exception,
     a failed build included, fails only this cell.  Building here means a
@@ -291,11 +294,10 @@ def run_cell(
     try:
         cfg, spec = parse_cell(cell, base)
         g_matrix = build_representative(graph, spec, provenance=f"{network}-{snapshot}").matrix
-        train_masks, test_masks = (np.array(masks) for masks in zip(*fold_masks))
         inputs = TrainInputs(g_matrix=g_matrix, x=graph.features, labels=graph.sdna_of,
-                             train_mask=train_masks, test_mask=test_masks)
+                             train_mask=~test_masks, test_mask=test_masks)
         seeds = [derive_seed(plan_seed, "train", network, snapshot, cell, fold)
-                 for fold in range(len(fold_masks))]
+                 for fold in range(len(test_masks))]
         accs = train_folds(inputs, cfg, seeds)
     except TrainingDiverged as exc:
         return CellResult((), None, None, failed=True, error=f"fold {exc.fold}: {exc}")
@@ -375,25 +377,17 @@ def blas_threads() -> int | None:
     return int(getter())
 
 
-def _pin_blas() -> None:
-    """Pool initializer: BLAS on one thread in this worker.  The products
-    are too small to gain from threads, and w workers that each keep
-    OpenBLAS's default of one thread per core oversubscribe the cores."""
-    setter = _blas_thread_setter()
-    if setter is not None:
-        setter(1)
-
-
 def _pool(workers: int) -> ProcessPoolExecutor:
-    """A pool of ``workers`` forked processes with BLAS pinned to one thread.
-    Fork starts a worker in milliseconds, with numpy and socsim already
-    imported; spawn and forkserver take a third of a second or more per
-    pool.  A fork pool forks all its workers at its first submit, before it
-    starts its own threads.  The setter is looked up here, so a missing one
-    is logged once, in this process."""
-    _blas_thread_setter()
+    """A pool of ``workers`` forked processes, each of which sets BLAS to one
+    thread as it starts: the products are too small to gain from threads,
+    and w workers that each keep OpenBLAS's default of one thread per core
+    oversubscribe the cores.  Fork starts a worker in milliseconds, with
+    numpy and socsim already imported; spawn and forkserver take a third of
+    a second or more per pool.  A fork pool forks all its workers at its
+    first submit, before it starts its own threads.  The setter is looked up
+    here, so a missing one is logged once, in this process."""
     return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_pin_blas)
+                               initializer=_blas_thread_setter(), initargs=(1,))
 
 
 def _run_now(fn, *args) -> Future:
@@ -410,11 +404,11 @@ def _snapshot_tasks(plan: ExperimentPlan) -> Iterator[tuple[str, functools.parti
     for net in range(plan.networks):
         sim_cfg = replace(plan.sim, seed=derive_seed(plan.seed, "network", net))
         for snap_idx, (graph, _) in enumerate(iter_snapshots(sim_cfg, plan.snapshots)):
-            fold_masks = make_folds(
+            test_masks = make_folds(
                 graph.sdna_of, plan.folds, derive_seed(plan.seed, "folds", net, snap_idx)
             )
             yield f"{net}-{snap_idx}", functools.partial(
-                run_cell, graph, fold_masks=fold_masks, base=plan.gcn,
+                run_cell, graph, test_masks=test_masks, base=plan.gcn,
                 plan_seed=plan.seed, network=net, snapshot=snap_idx,
             )
 
@@ -431,22 +425,22 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
 
     Each cell builds its own representative inside its fault boundary, so a
     cell whose build or training raises is recorded and the run completes.
-    Every (snapshot, cell) task goes through one stream.  With more than
-    one worker (``plan.workers``, 0 meaning one per core this process may
-    run on) and more than one task, one fork pool (BLAS pinned to one
-    thread per worker) serves the whole run; otherwise the tasks run
-    in-process as they are submitted.  A snapshot's tasks are submitted as
-    soon as it is simulated and its folds drawn, and its results are
-    collected only once the next snapshot, across networks too, has been
-    submitted: the workers always have queued work, the next simulation
-    overlaps training, and at most two snapshots' graphs are held here.
-    Output is schedule-independent because results keep the plan's cell
-    order and every random draw comes from a derived stream, and the plan
-    echo leaves out ``workers``: a serial and a pooled run of one plan
+    Every (snapshot, cell) task goes through one stream.  With more than one
+    worker (``plan.workers``, capped at one per core this process may run
+    on, 0 meaning that many) and more than one task, one fork pool (BLAS
+    pinned to one thread per worker) serves the whole run; otherwise the
+    tasks run in-process as they are submitted.  A snapshot's tasks are
+    submitted as soon as it is simulated and its folds drawn, and its
+    results are collected only once the next snapshot, across networks too,
+    has been submitted: the workers always have queued work, the next
+    simulation overlaps training, and at most two snapshots' graphs are held
+    here.  Output is schedule-independent because results keep the plan's
+    cell order and every random draw comes from a derived stream, and the
+    plan echo leaves out ``workers``: a serial and a pooled run of one plan
     give reports equal byte for byte.
     """
-    tasks = plan.networks * plan.snapshots * len(plan.cells)
-    workers = min(plan.workers or len(os.sched_getaffinity(0)), tasks)
+    cores = len(os.sched_getaffinity(0))
+    workers = min(plan.workers or cores, cores, plan.networks * plan.snapshots * len(plan.cells))
     snapshots: list[SnapshotReport] = []
     with _pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
         submit = pool.submit if pool is not None else _run_now

@@ -122,8 +122,9 @@ class SimConfig:
             raise ValueError(f"c must be a list of finite numbers, got {self.c!r}")
         object.__setattr__(self, "c", tuple(float(x) for x in self.c))
         for name in ("n", "f", "y", "q", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("p", "t", "r", "z"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and math.isfinite(value)):
@@ -133,6 +134,8 @@ class SimConfig:
                              f"got {self.mutate_preference!r}")
         if self.n < 1 or self.y < 1:
             raise ValueError("n and y must be at least 1")
+        if self.f < 0:
+            raise ValueError(f"f must be >= 0, got {self.f!r}")
         if self.y > self.n:
             raise ValueError("y must not exceed n")
         if self.q < 2:
@@ -157,12 +160,8 @@ class SimConfig:
             raise ValueError(f"bad simulation config: {exc}") from exc
 
     @classmethod
-    def from_json(cls, text: str) -> "SimConfig":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
     def load(cls, path: str | Path) -> "SimConfig":
-        return cls.from_json(Path(path).read_text())
+        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def _stratified_walk_weights(q: int, rng: np.random.Generator) -> np.ndarray:

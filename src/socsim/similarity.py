@@ -11,6 +11,7 @@ self-loops and renormalize.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,20 +43,21 @@ class SimilaritySpec:
     threshold_hi: float | str = 1.0
 
     def __post_init__(self):
-        kind = self.kind.lower()
-        if kind not in _KINDS:
+        if not (isinstance(self.kind, str) and self.kind.lower() in _KINDS):
             raise ValueError(f"unknown similarity kind {self.kind!r}")
-        object.__setattr__(self, "kind", kind)
-        if not (self.katz_beta > 0.0 and math.isfinite(self.katz_beta)):
-            raise ValueError(f"katz_beta must be > 0 and finite, got {self.katz_beta!r}")
-        if self.katz_max_power < 1:
-            raise ValueError("katz_max_power must be >= 1")
-        if not (0.0 < self.rpr_alpha < 1.0):
-            raise ValueError("rpr_alpha must lie in (0, 1)")
+        object.__setattr__(self, "kind", self.kind.lower())
+        beta, power, alpha = self.katz_beta, self.katz_max_power, self.rpr_alpha
+        if not (isinstance(beta, numbers.Real) and beta > 0.0 and math.isfinite(beta)):
+            raise ValueError(f"katz_beta must be > 0 and finite, got {beta!r}")
+        if isinstance(power, bool) or not isinstance(power, numbers.Integral) or power < 1:
+            raise ValueError(f"katz_max_power must be an integer >= 1, got {power!r}")
+        if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0):
+            raise ValueError(f"rpr_alpha must lie in (0, 1), got {alpha!r}")
         lo, hi = self.threshold_lo, self.threshold_hi
         if (lo == AUTO) != (hi == AUTO):
             raise ValueError("auto thresholding applies to both thresholds")
-        if lo != AUTO and (np.isnan(float(lo)) or np.isnan(float(hi))):
+        if lo != AUTO and not all(isinstance(t, numbers.Real) and not math.isnan(t)
+                                  for t in (lo, hi)):
             raise ValueError(f"thresholds must be numbers or 'auto', got {lo!r} and {hi!r}")
         if lo != AUTO and float(lo) > float(hi):
             raise ValueError("threshold_lo must not exceed threshold_hi")

@@ -359,15 +359,12 @@ def test_criterion_9_property_suites():
         counts = rng.integers(folds, 4 * folds, size=classes)
         labels = rng.permutation(np.repeat(np.arange(classes), counts))
         masks = make_folds(labels, folds, seed=case)
-        cover = np.zeros(labels.size, dtype=int)
-        for train_mask, test_mask in masks:
-            assert not np.any(train_mask & test_mask)
-            assert np.all(train_mask | test_mask)
-            cover += test_mask
+        assert masks.shape == (folds, labels.size) and masks.dtype == bool
+        for test_mask in masks:
             for cls in range(classes):
                 in_fold = (labels[test_mask] == cls).sum()
                 assert abs(in_fold - counts[cls] / folds) < 1
-        assert np.all(cover == 1)
+        assert np.all(masks.sum(axis=0) == 1)
 
     elapsed = time.time() - start
     ok = elapsed < 30

@@ -180,9 +180,9 @@ def round_trip_json(d: dict) -> dict:
 @FUZZ
 def test_fuzzed_sim_config_loads_or_raises_value_error(data):
     d = data.draw(fuzzed(json.loads(SimConfig().to_json())))
-    cfg = loads_or_value_error(SimConfig.from_json, json.dumps(d))
+    cfg = loads_or_value_error(SimConfig.from_dict, round_trip_json(d))
     if cfg is not None:
-        assert SimConfig.from_json(cfg.to_json()) == cfg
+        assert SimConfig.from_dict(json.loads(cfg.to_json())) == cfg
 
 
 @given(st.data())
@@ -212,7 +212,7 @@ def test_fuzzed_experiment_plan_loads_or_raises_value_error(data, section):
 def test_any_json_document_as_a_plan_loads_or_raises_value_error(document):
     loads_or_value_error(ExperimentPlan.from_dict, document)
     loads_or_value_error(GcnConfig.from_dict, document)
-    loads_or_value_error(SimConfig.from_json, json.dumps(document))
+    loads_or_value_error(SimConfig.from_dict, round_trip_json(document))
     with tempfile.TemporaryDirectory() as tmp:
         loads_or_value_error(load_report_document, document, tmp)
 
@@ -255,6 +255,28 @@ def test_saved_report_loads():
      "ValueError: mean and std must be numbers or null"),
     ('{"plan": {"folds": 1}, "snapshots": []}', "ValueError: bad experiment plan"),
     ('{"plan": {', "JSONDecodeError"),
+    # every field of a cell and a snapshot has its JSON type checked
+    ('{"plan": {}, "snapshots": [{"name": "0-0", "best_cell": "", "hypothesis": null, '
+     '"cells": {"F": {"accuracies": ["x"], "mean": null, "std": null}}}]}',
+     r"ValueError: accuracies must be a list of numbers, got \['x'\]"),
+    ('{"plan": {}, "snapshots": [{"name": "0-0", "best_cell": "", "hypothesis": null, '
+     '"cells": {"F": {"accuracies": [true], "mean": null, "std": null}}}]}',
+     r"ValueError: accuracies must be a list of numbers, got \[True\]"),
+    ('{"plan": {}, "snapshots": [{"name": "0-0", "best_cell": "", "hypothesis": null, '
+     '"cells": {"F": {"accuracies": [], "mean": true, "std": null}}}]}',
+     "ValueError: mean and std must be numbers or null"),
+    ('{"plan": {}, "snapshots": [{"name": "0-0", "best_cell": "", "hypothesis": null, '
+     '"cells": {"F": {"accuracies": [], "mean": null, "std": null, "failed": "no"}}}]}',
+     "ValueError: failed must be true or false and error a string"),
+    ('{"plan": {}, "snapshots": [{"name": "0-0", "best_cell": "", "hypothesis": null, '
+     '"cells": {"F": {"accuracies": [], "mean": null, "std": null, "error": 7}}}]}',
+     "ValueError: failed must be true or false and error a string"),
+    ('{"plan": {}, "snapshots": [{"name": 5, "best_cell": "", "hypothesis": null, '
+     '"cells": {}}]}', "ValueError: name must be a string, got 5"),
+    ('{"plan": {}, "snapshots": [{"name": "0-0", "best_cell": null, "hypothesis": null, '
+     '"cells": {}}]}', "ValueError: best_cell must be a string, got None"),
+    ('{"plan": {}, "snapshots": [{"name": "0-0", "best_cell": "", "hypothesis": "maybe", '
+     '"cells": {}}]}', "ValueError: hypothesis must be true, false or null, got 'maybe'"),
 ])
 def test_malformed_report_raises_value_error_naming_the_path(tmp_path, text, cause):
     path = tmp_path / "report.json"
@@ -265,16 +287,21 @@ def test_malformed_report_raises_value_error_naming_the_path(tmp_path, text, cau
 
 @pytest.mark.parametrize("build, message", [
     (lambda: SimConfig(r="0.5"), "r must be a finite number, got '0.5'"),
+    (lambda: SimConfig(f=-1), "f must be >= 0, got -1"),
+    (lambda: SimConfig(n=True), "n must be an integer, got True"),
     (lambda: SimConfig(p=float("nan")), "p must be a finite number"),
     (lambda: SimConfig(q=2.5), "q must be an integer, got 2.5"),
     (lambda: SimConfig(c=None), "c must be a list of finite numbers, got None"),
     (lambda: SimConfig(mutate_preference=1), "mutate_preference must be true or false"),
-    (lambda: SimConfig.from_json("[1, 2]"), "must be a JSON object"),
+    (lambda: SimConfig.from_dict([1, 2]), "must be a JSON object"),
     (lambda: GcnConfig(variant=None), "unknown variant None"),
     (lambda: GcnConfig(use_s="yes"), "use_s must be true or false, got 'yes'"),
     (lambda: GcnConfig(layer_units=[32, 1.5]), "layer_units must be a list of integers"),
     (lambda: GcnConfig(num_classes=None), "num_classes must be an integer, got None"),
     (lambda: GcnConfig(dropout_p="0.5"), "dropout_p must be a number, got '0.5'"),
+    (lambda: GcnConfig(epochs=True), "epochs must be an integer >= 0, got True"),
+    (lambda: GcnConfig(num_classes=True), "num_classes must be an integer, got True"),
+    (lambda: GcnConfig(layer_units=[32, True]), "layer_units must be a list of integers"),
     (lambda: GcnConfig.from_dict({"lr": 1}), "bad model config: .*'lr'"),
     # GcnConfig had a seed that nothing read; a file that still sets it is refused
     (lambda: GcnConfig.from_dict({"seed": 5}), "bad model config: .*'seed'"),
@@ -284,6 +311,15 @@ def test_malformed_report_raises_value_error_naming_the_path(tmp_path, text, cau
     (lambda: ExperimentPlan.from_dict({"seed": "7"}), "seed must be an integer, got '7'"),
     (lambda: ExperimentPlan.from_dict({"gcn": {"variant": 3}}),
      "bad experiment plan: unknown variant 3"),
+    (lambda: ExperimentPlan.from_dict({"networks": True}), "networks must be an integer, got True"),
+    (lambda: ExperimentPlan.from_dict({"seed": False}), "seed must be an integer, got False"),
+    (lambda: SimilaritySpec(kind=3), "unknown similarity kind 3"),
+    (lambda: SimilaritySpec(katz_beta="a"), "katz_beta must be > 0 and finite, got 'a'"),
+    (lambda: SimilaritySpec(katz_max_power=2.5), "katz_max_power must be an integer >= 1, got 2.5"),
+    (lambda: SimilaritySpec(katz_max_power=True),
+     "katz_max_power must be an integer >= 1, got True"),
+    (lambda: SimilaritySpec(rpr_alpha="x"), r"rpr_alpha must lie in \(0, 1\), got 'x'"),
+    (lambda: SimilaritySpec(threshold_lo=None), "thresholds must be numbers or 'auto', got None"),
 ])
 def test_bad_config_field_types_raise_named_errors(build, message):
     with pytest.raises(ValueError, match=message):

@@ -6,9 +6,7 @@ import pytest
 
 from socsim.graph import (
     SocialGraph,
-    degree,
     load_graph_dir,
-    path_exists,
     save_graph_dir,
     shortest_path_matrix,
     unconnected_pairs,
@@ -29,21 +27,12 @@ PATH3 = [(0, 1), (1, 2)]
 
 
 def test_degree_empty_graph():
-    g = make_graph(3, [])
-    assert all(degree(g, i) == 0 for i in range(3))
+    assert make_graph(3, []).degrees.tolist() == [0, 0, 0]
 
 
 def test_degree_triangle_and_path():
-    assert degree(make_graph(3, TRIANGLE), 1) == 2
-    assert degree(make_graph(4, [(0, 1), (1, 2), (2, 3)]), 0) == 1
-
-
-def test_degree_out_of_range():
-    g = make_graph(3, [])
-    with pytest.raises(ValueError):
-        degree(g, 3)
-    with pytest.raises(ValueError):
-        degree(g, -1)
+    assert make_graph(3, TRIANGLE).degrees.tolist() == [2, 2, 2]
+    assert make_graph(4, [(0, 1), (1, 2), (2, 3)]).degrees.tolist() == [1, 2, 2, 1]
 
 
 def test_no_self_loops():
@@ -76,27 +65,25 @@ def test_with_edges_merges_into_canonical_array():
     assert grown.features is g.features
 
 
-def test_path_exists_path_graph():
-    g = make_graph(3, PATH3)
-    assert path_exists(g, 0, 2, 2)
-    assert not path_exists(g, 0, 2, 3)  # brute force: A^3[0,2] = 0
+def test_walk_indicators_path_graph():
+    two, three = walk_indicators(make_graph(3, PATH3), 3)
+    assert two[0, 2]
+    assert not three[0, 2]  # brute force: A^3[0,2] = 0
 
 
-def test_path_exists_triangle_two_walk():
-    g = make_graph(3, TRIANGLE)
-    assert path_exists(g, 0, 1, 2)  # walk 0-2-1
+def test_walk_indicators_triangle_two_walk():
+    two, = walk_indicators(make_graph(3, TRIANGLE), 2)
+    assert two[0, 1]  # walk 0-2-1
 
 
-def test_path_exists_symmetry_small_graphs():
+def test_walk_indicators_symmetric_on_small_graphs():
     rng = np.random.default_rng(5)
     for _ in range(25):
         n = int(rng.integers(3, 7))
         pairs = list(itertools.combinations(range(n), 2))
         chosen = [p for p in pairs if rng.random() < 0.4]
-        g = make_graph(n, chosen)
-        for x in (2, 3, 4):
-            for i, j in pairs:
-                assert path_exists(g, i, j, x) == path_exists(g, j, i, x)
+        for power in walk_indicators(make_graph(n, chosen), 4):
+            assert np.array_equal(power, power.T)
 
 
 def brute_force_walks(adj, i, j, length):
@@ -109,16 +96,16 @@ def brute_force_walks(adj, i, j, length):
     return any(w[-1] == j for w in walks)
 
 
-def test_path_exists_matches_walk_enumeration():
+def test_walk_indicators_match_walk_enumeration():
     rng = np.random.default_rng(9)
     for _ in range(10):
         n = int(rng.integers(3, 6))
         pairs = list(itertools.combinations(range(n), 2))
         g = make_graph(n, [p for p in pairs if rng.random() < 0.5])
         adj = g.adjacency
-        for x in (2, 3):
-            for i, j in pairs:
-                assert path_exists(g, i, j, x) == brute_force_walks(adj, i, j, x)
+        for x, power in enumerate(walk_indicators(g, 3), start=2):
+            for i, j in itertools.product(range(n), repeat=2):
+                assert power[i, j] == brute_force_walks(adj, i, j, x)
 
 
 def floyd_warshall(adj):

@@ -1,8 +1,10 @@
+import contextlib
 import gc
 import json
 import os
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -88,12 +90,11 @@ def test_default_grid_shape():
 def test_folds_stratified_balanced():
     labels = np.arange(1000) % 4
     folds = make_folds(labels, 10, seed=3)
-    assert len(folds) == 10
-    for train_mask, test_mask in folds:
+    assert folds.shape == (10, 1000) and folds.dtype == bool
+    for test_mask in folds:
         assert test_mask.sum() == 100
         for cls in range(4):
             assert (labels[test_mask] == cls).sum() == 25
-        assert not np.any(train_mask & test_mask)
 
 
 def test_folds_partition_nodes():
@@ -102,18 +103,12 @@ def test_folds_partition_nodes():
     while np.min(np.bincount(labels)) < 5:
         labels = rng.integers(0, 3, size=60)
     folds = make_folds(labels, 5, seed=9)
-    coverage = np.zeros(60, dtype=int)
-    for _, test_mask in folds:
-        coverage += test_mask
-    assert np.all(coverage == 1)
+    assert np.all(folds.sum(axis=0) == 1)
 
 
 def test_folds_deterministic():
     labels = np.arange(100) % 4
-    a = make_folds(labels, 10, seed=4)
-    b = make_folds(labels, 10, seed=4)
-    for (tr1, te1), (tr2, te2) in zip(a, b):
-        assert np.array_equal(te1, te2)
+    assert np.array_equal(make_folds(labels, 10, seed=4), make_folds(labels, 10, seed=4))
 
 
 def test_folds_reject_small_classes():
@@ -274,13 +269,13 @@ def test_stream_frees_the_graph_two_snapshots_back(monkeypatch):
     graphs, freed = {}, []
     run_cell = harness.run_cell
 
-    def watching(graph, cell, fold_masks, **kwargs):
+    def watching(graph, cell, test_masks, **kwargs):
         s = kwargs["snapshot"]
         graphs[s] = weakref.ref(graph)
         if s >= 2:
             gc.collect()
             freed.append(graphs[s - 2]() is None)
-        return run_cell(graph, cell, fold_masks, **kwargs)
+        return run_cell(graph, cell, test_masks, **kwargs)
 
     monkeypatch.setattr(harness, "run_cell", watching)
     run_experiment(tiny_plan(cells=("F",), snapshots=4, workers=1))
@@ -299,6 +294,48 @@ def test_pool_workers_run_blas_on_one_thread():
         assert harness.blas_threads() == 2
     finally:
         setter(before)
+
+
+def test_pool_has_at_most_one_worker_per_core(monkeypatch):
+    # a plan asking for 100000 workers gets one per core, not one per task;
+    # the stand-in pool runs every task here, so no process starts
+    sizes = []
+
+    def serial_pool(workers):
+        sizes.append(workers)
+        return contextlib.nullcontext(SimpleNamespace(submit=harness._run_now))
+
+    monkeypatch.setattr(harness, "_pool", serial_pool)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+    plan = tiny_plan(cells=("F", "T", "TLR"), snapshots=2, workers=100000,
+                     gcn=replace(tiny_plan().gcn, epochs=2))
+    report = run_experiment(plan)
+    assert sizes == [2]
+    assert report == run_experiment(replace(plan, workers=1))
+
+
+# Per-cell accuracies of this plan, recorded from an earlier commit.  A fold
+# tests 20 nodes, so each accuracy is an exact multiple of 1/20 and compares
+# exactly: a change that alters how many test nodes any fold gets right
+# fails here, not only in a rerun within one commit.
+PINNED_ACCURACIES = {
+    "FTvanilla": (0.3, 0.25),
+    "SFTvanilla": (0.25, 0.1),
+    "F": (0.25, 0.2),
+    "T": (0.1, 0.25),
+    "TLR": (0.15, 0.25),
+    "FTkatz0.0-0.5": (0.25, 0.25),
+    "SFTRPRauto": (0.2, 0.1),
+    "FTGG0.1-1.0": (0.1, 0.25),
+}
+
+
+def test_tiny_plan_accuracies_are_pinned():
+    plan = tiny_plan(cells=tuple(PINNED_ACCURACIES), snapshots=1, folds=2, workers=1,
+                     gcn=GcnConfig(num_classes=4, epochs=5))
+    assert plan.sim.n == 40
+    (snap,) = run_experiment(plan).snapshots
+    assert {cell: result.accuracies for cell, result in snap.cells.items()} == PINNED_ACCURACIES
 
 
 def test_experiment_shared_folds_and_hypothesis_flag():
@@ -411,16 +448,16 @@ def test_cell_raising_any_error_is_recorded_and_the_run_continues(monkeypatch):
 
 # --- fold batching ----------------------------------------------------------------
 
-def train_folds_alone(graph, cell, fold_masks, base, plan_seed):
+def train_folds_alone(graph, cell, test_masks, base, plan_seed):
     """Each fold trained alone, as a k = 1 stack with (1, n) masks and its
     own seed: its accuracy, or the TrainingDiverged it raised."""
     cfg, spec = parse_cell(cell, base)
     rep = build_representative(graph, spec)
     out = []
-    for fold, (train_mask, test_mask) in enumerate(fold_masks):
+    for fold, test_mask in enumerate(test_masks):
         seed = derive_seed(plan_seed, "train", 0, 0, cell, fold)
         inputs = TrainInputs(g_matrix=rep.matrix, x=graph.features, labels=graph.sdna_of,
-                             train_mask=train_mask[None], test_mask=test_mask[None])
+                             train_mask=~test_mask[None], test_mask=test_mask[None])
         try:
             out.extend(train_folds(inputs, cfg, [seed]))
         except TrainingDiverged as exc:
@@ -428,11 +465,11 @@ def train_folds_alone(graph, cell, fold_masks, base, plan_seed):
     return out
 
 
-def train_each_fold_alone(graph, cell, fold_masks, base, plan_seed):
+def train_each_fold_alone(graph, cell, test_masks, base, plan_seed):
     """Reference for run_cell: the accuracies of train_folds_alone(), or,
     as the harness reports it, the divergence at the earliest epoch, of the
     lowest-index fold among those diverging then."""
-    results = train_folds_alone(graph, cell, fold_masks, base, plan_seed)
+    results = train_folds_alone(graph, cell, test_masks, base, plan_seed)
     diverged = [(r.epoch, fold, r) for fold, r in enumerate(results)
                 if isinstance(r, TrainingDiverged)]
     if diverged:
@@ -454,25 +491,19 @@ def test_batched_folds_match_training_each_fold_alone(cell):
 
 def hot_node_cell(second_hot: float):
     """Four folds of a features-only cell on a graph whose node 8 has a
-    first feature of 1e150 and node 9 one of ``second_hot``.  Folds 2 and 3
-    train on node 8 and overflow within a few epochs; fold 1 trains on
-    node 9."""
+    first feature of 1e150 and node 9 one of ``second_hot``.  Each fold
+    trains on the nodes it does not test: folds 2 and 3 train on node 8
+    and overflow within a few epochs, fold 1 trains on node 9 and fold 0
+    on neither."""
     n = 10
     x = np.random.default_rng(4).random((n, 2))
     x[8, 0] = 1e150
     x[9, 0] = second_hot
     g = SocialGraph(n=n, edges=frozenset({(0, 1), (2, 3)}), features=x,
                     sdna_of=np.arange(n) % 2)
-
-    def mask(rows):
-        m = np.zeros(n, dtype=bool)
-        m[list(rows)] = True
-        return m
-
-    folds = [(mask(range(6)), mask([6, 7, 8])),
-             (mask([0, 1, 2, 3, 4, 5, 9]), mask([6, 7])),
-             (mask([0, 1, 2, 3, 4, 8]), mask([5, 6])),
-             (mask([1, 2, 3, 4, 5, 8]), mask([0, 7]))]
+    folds = np.zeros((4, n), dtype=bool)
+    for fold, tested in enumerate([[6, 7, 8, 9], [6, 7, 8], [5, 6, 7, 9], [0, 6, 7, 9]]):
+        folds[fold, tested] = True
     base = GcnConfig(num_classes=2, layer_units=(4,), epochs=8, learning_rate=1e100,
                      dropout_p=0.5)
     return g, folds, base

@@ -91,12 +91,14 @@ def test_sim_config_rejects_non_integer_sizes(name, value):
     with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
         small_cfg(**{name: value})
     with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
-        SimConfig.from_json(json.dumps(json.loads(small_cfg().to_json()) | {name: value}))
+        SimConfig.from_dict(json.loads(small_cfg().to_json()) | {name: value})
 
 
-def test_sim_config_from_json_names_unknown_key():
+def test_sim_config_from_json_names_unknown_key(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"nodes": 5}')
     with pytest.raises(ValueError, match="unexpected keyword argument 'nodes'"):
-        SimConfig.from_json('{"nodes": 5}')
+        SimConfig.load(path)
 
 
 # --- component scores -----------------------------------------------------
