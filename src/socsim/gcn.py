@@ -50,16 +50,11 @@ either way.
 
 A training run allocates its arrays once, in a workspace that every epoch
 reuses, and writes them with ``out=`` in the same arithmetic and order as
-fresh arrays, so no result depends on it.  The workspace is sized by
-liveness, not by role: each (k, n, width) stack (activations, gates, G
-products, backward gradients, logits, probabilities) lives in a slot that
-the pass takes when the stack is born and gives back when it dies, so a
-layer's activation reuses the slot of the one before it once that one is
-propagated, and the backward pass writes only into slots whose forward
-stacks are dead.  The default 32-32-32 net holds 8 slots (9 with S or
-for tlr), each one stack at the widest width of the run, 500 KB for a
-10-fold desk cell.  Gradients, Adam's temporaries and the transposed
-kernels are kept per parameter.
+fresh arrays, so no result depends on it.  Each (k, n, width) stack
+(activations, gates, G products, backward gradients, probabilities) has
+its own buffer, named by role and layer, so no write can clobber a stack
+that is still to be read.  Gradients, Adam's temporaries and the
+transposed kernels are kept per parameter.
 
 Dropout draws one stream per fold.  In each training forward pass, fold i
 makes one ``random`` call on its stream that covers all its hidden layers
@@ -124,8 +119,9 @@ class GcnConfig:
         if isinstance(self.num_classes, bool) or not isinstance(self.num_classes, numbers.Integral):
             raise ValueError(f"num_classes must be an integer, got {self.num_classes!r}")
         for name in ("learning_rate", "weight_decay", "dropout_p"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.num_classes < 1:
             raise ValueError(f"num_classes must be >= 1, got {self.num_classes!r}")
         if any(u < 1 for u in self.layer_units):
@@ -368,17 +364,8 @@ class _Workspace:
     """Every array an epoch of one stack writes, allocated once per training
     run and reused every epoch.
 
-    The (k, n, width) stacks (activations, gates, G products, the backward
-    pass's gradients, the output gradient, the logits and the
-    probabilities) live in slots: flat buffers, each big enough for the
-    widest stack of the run.  The passes take() a slot when a stack is
-    born and give() it back when the stack dies, and the slot given back
-    last is taken first, while it is still in cache.  So the workspace
-    holds only as many slots as are ever live at once, the backward pass
-    writes into the slots of forward stacks that are already dead, and
-    every epoch walks the same slots in the same order.  give() leaves
-    alone a stack it does not own, such as a cache another workspace
-    filled, so a caller's cache is never overwritten.
+    Each (k, n, width) stack has its own buffer, made by stack() on first
+    use under a name such as ``"z1"`` or ``"dz"``; no two names share one.
 
     Per parameter it also holds the gradient, a scratch array (the squared
     kernel of the decay term, then the decay itself, then Adam's squared
@@ -394,17 +381,14 @@ class _Workspace:
     def __init__(self, model: GcnModel, inputs: TrainInputs):
         cfg, params = model.config, model.params
         k, in_dim = next(iter(params.values())).shape[:2]  # the first kernel's folds, input width
-        n, features = inputs.x.shape
+        n = inputs.x.shape[0]
         self.gm = None if cfg.variant == "f" else inputs.g_matrix
         self.x = inputs.x
         self.prop0 = None
         if cfg.variant not in ("t", "tlr"):
             self.prop0 = self.x if self.gm is None else self.gm @ self.x
         self.k, self.n = k, n
-        widest = max(*cfg.layer_units, cfg.num_classes, features if cfg.use_s else 1)
-        self._slot_size = k * n * widest
-        self._slots: dict[int, np.ndarray] = {}
-        self._free: list[np.ndarray] = []
+        self._stacks: dict[str, np.ndarray] = {}
         # laid out like their parameters, so Adam's passes match layouts
         self.grads = {name: np.full_like(p, np.nan) for name, p in params.items()}
         self.scratch = {name: np.full_like(p, np.nan) for name, p in params.items()}
@@ -417,20 +401,11 @@ class _Workspace:
         self._keep = [_stack(np.empty(k * n * width, dtype=bool), k, n, width)
                       for width in cfg.layer_units]
 
-    def take(self, width: int) -> np.ndarray:
-        """A free slot as a (k, n, width) _stack()."""
-        if self._free:
-            slot = self._free.pop()
-        else:
-            slot = _nan(self._slot_size)
-            self._slots[id(slot)] = slot
-        return _stack(slot, self.k, self.n, width)
-
-    def give(self, *stacks: np.ndarray | None) -> None:
-        """Return the slots of stacks that are dead; each exactly once."""
-        for stack in stacks:
-            if stack is not None and id(stack.base) in self._slots:
-                self._free.append(stack.base)
+    def stack(self, key: str, width: int) -> np.ndarray:
+        """The (k, n, width) _stack() named ``key``, made on first use."""
+        if key not in self._stacks:
+            self._stacks[key] = _stack(_nan(self.k * self.n * width), self.k, self.n, width)
+        return self._stacks[key]
 
     def keep_masks(self, rngs: list[np.random.Generator], p: float) -> list[np.ndarray]:
         """Each hidden layer's bool keep-mask over the stack.  Fold i draws
@@ -446,7 +421,7 @@ class _Workspace:
 
 def _forward(model: GcnModel, ws: _Workspace, training: bool = False,
              rngs: list[np.random.Generator] | None = None) -> tuple[np.ndarray, dict]:
-    """forward() for a stack, in the slots of ``ws``: probabilities
+    """forward() for a stack, in the stacks of ``ws``: probabilities
     (k, n, classes) and the cache _backward() replays: each layer's left
     operand of its kernel product ("prop": G @ H, or H where the layer
     propagates its output; None for t's first layer), each hidden layer's
@@ -466,32 +441,30 @@ def _forward(model: GcnModel, ws: _Workspace, training: bool = False,
         width = cfg.layer_units[layer] if hidden else cfg.num_classes
         if layer == 0 and cfg.variant == "t":
             # identity features: the first propagation collapses to G @ W0
-            prop, z = None, _propagate(gm, params["W0"], out=ws.take(width))
+            prop, z = None, _propagate(gm, params["W0"], out=ws.stack("z0", width))
         elif layer == 0 and cfg.variant == "tlr":
-            prop = _propagate(gm, params["Wa"], out=ws.take(1))
-            z = np.matmul(prop, params["Wb"], out=ws.take(width))
+            prop = _propagate(gm, params["Wa"], out=ws.stack("prop0", 1))
+            z = np.matmul(prop, params["Wb"], out=ws.stack("z0", width))
         else:
             kernel = params[f"W{layer}"]
             if layer > 0 and gm is not None and _propagates_output(kernel):
                 prop = h
-                hw = np.matmul(h, kernel, out=ws.take(width))
-                z = _propagate(gm, hw, out=ws.take(width))
-                ws.give(hw)
+                hw = np.matmul(h, kernel, out=ws.stack(f"hw{layer}", width))
+                z = _propagate(gm, hw, out=ws.stack(f"z{layer}", width))
             else:
                 if layer == 0:
                     prop = ws.prop0
                     if cfg.use_s:
                         s = params["S"][:, None, :]
-                        prop = np.multiply(prop, s, out=ws.take(prop.shape[-1]))
+                        prop = np.multiply(prop, s, out=ws.stack("prop0", prop.shape[-1]))
                 elif gm is None:
                     prop = h
                 else:
-                    prop = _propagate(gm, h, out=ws.take(h.shape[-1]))
-                    ws.give(h)
-                z = np.matmul(prop, kernel, out=ws.take(width))
+                    prop = _propagate(gm, h, out=ws.stack(f"prop{layer}", h.shape[-1]))
+                z = np.matmul(prop, kernel, out=ws.stack(f"z{layer}", width))
         cache["prop"].append(prop)
         if hidden:
-            gate = np.greater(z, 0.0, out=ws.take(width))
+            gate = np.greater(z, 0.0, out=ws.stack(f"gate{layer}", width))
             if keep is not None:
                 gate *= keep[layer]
                 gate *= 1.0 / (1.0 - cfg.dropout_p)
@@ -499,7 +472,7 @@ def _forward(model: GcnModel, ws: _Workspace, training: bool = False,
             h = z
             h *= gate
     cache["logits"] = z
-    cache["probs"] = _softmax(z, ws.take(width), ws.row)
+    cache["probs"] = _softmax(z, ws.stack("probs", width), ws.row)
     return cache["probs"], cache
 
 
@@ -516,50 +489,37 @@ def _losses(probs: np.ndarray, rows: _Rows, params: dict[str, np.ndarray],
 
 def _backward(model: GcnModel, cache: dict, rows: _Rows, ws: _Workspace) -> dict[str, np.ndarray]:
     """backward() for a stack: every fold's gradients, fold axis first, in
-    ``ws.grads``.  Each stack of ``cache`` that ``ws`` owns goes back to it
-    once read for the last time."""
+    ``ws.grads``; ``cache`` is only read."""
     cfg, params, gm, grads = model.config, model.params, ws.gm, ws.grads
-    ws.give(cache["logits"])
-    dz = rows.output_grad(cache["probs"], out=ws.take(cfg.num_classes))
-    ws.give(cache["probs"])
+    dz = rows.output_grad(cache["probs"], out=ws.stack("dz", cfg.num_classes))
     for layer in range(len(cfg.layer_units), 0, -1):
         name = f"W{layer}"
         kernel, prop = params[name], cache["prop"][layer]
         propagates_output = gm is not None and _propagates_output(kernel)
         if propagates_output:
-            dw = _propagate(gm.T, dz, out=ws.take(dz.shape[-1]))  # w.r.t. H @ W
-            ws.give(dz)
-            dz = dw
+            dz = _propagate(gm.T, dz, out=ws.stack(f"dg{layer}", dz.shape[-1]))  # w.r.t. H @ W
         np.matmul(np.swapaxes(prop, -1, -2), dz, out=grads[name])
-        ws.give(prop)
         kernel_t = ws.transposed[name]
         np.copyto(kernel_t, np.swapaxes(kernel, 1, 2))
-        dh = np.matmul(dz, kernel_t, out=ws.take(kernel.shape[1]))
-        ws.give(dz)
+        dh = np.matmul(dz, kernel_t, out=ws.stack(f"dh{layer}", kernel.shape[1]))
         if gm is not None and not propagates_output:
-            dg = _propagate(gm.T, dh, out=ws.take(dh.shape[-1]))
-            ws.give(dh)
-            dh = dg
-        gate = cache["gate"][layer - 1]
-        dh *= gate
-        ws.give(gate)
+            dh = _propagate(gm.T, dh, out=ws.stack(f"dg{layer}", dh.shape[-1]))
+        dh *= cache["gate"][layer - 1]
         dz = dh
     prop = cache["prop"][0]
     if cfg.variant == "t":
         _propagate(gm.T, dz, out=grads["W0"])  # the first layer's propagated input is G
     elif cfg.variant == "tlr":
         np.matmul(np.swapaxes(prop, 1, 2), dz, out=grads["Wb"])
-        da = np.matmul(dz, np.swapaxes(params["Wb"], 1, 2), out=ws.take(1))
+        da = np.matmul(dz, np.swapaxes(params["Wb"], 1, 2), out=ws.stack("da", 1))
         _propagate(gm.T, da, out=grads["Wa"])
-        ws.give(da)
     else:
         np.matmul(np.swapaxes(prop, -1, -2), dz, out=grads["W0"])
         if cfg.use_s:
-            dprop = np.matmul(dz, np.swapaxes(params["W0"], 1, 2), out=ws.take(ws.x.shape[1]))
+            dprop = np.matmul(dz, np.swapaxes(params["W0"], 1, 2),
+                              out=ws.stack("dprop", ws.x.shape[1]))
             dprop *= ws.prop0
             np.sum(dprop, axis=1, out=grads["S"])
-            ws.give(dprop)
-    ws.give(prop, dz)
 
     wd = cfg.weight_decay
     if wd:

@@ -217,14 +217,18 @@ def _read_int_pairs(path: Path, delimiter: str, what: str) -> np.ndarray:
 
 def load_graph_dir(path: str | Path) -> SocialGraph:
     """Read a graph directory written by :func:`save_graph_dir`; raises
-    ``ValueError`` unless features.csv holds at least one row, labels.csv
-    names every node 0..n-1 exactly once with an sdna id >= 0, and every
-    edges.tsv row is two tab-separated integers."""
+    ``ValueError`` naming the file unless features.csv holds at least one
+    row, each the same count of numbers, labels.csv names every node
+    0..n-1 exactly once with an sdna id >= 0, and every edges.tsv row is
+    two tab-separated integers."""
     path = Path(path)
     text = (path / "features.csv").read_text()
     if not text.strip():
         raise ValueError(f"{path / 'features.csv'}: no feature rows")
-    features = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
+    try:
+        features = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path / 'features.csv'}: {exc}") from exc
     n = features.shape[0]
     labels = _read_int_pairs(path / "labels.csv", ",", "two comma-separated integers")
     nodes = labels[:, 0]

@@ -118,7 +118,8 @@ class SimConfig:
 
     def __post_init__(self):
         if not (isinstance(self.c, (list, tuple))
-                and all(isinstance(x, numbers.Real) and math.isfinite(x) for x in self.c)):
+                and all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                        and math.isfinite(x) for x in self.c)):
             raise ValueError(f"c must be a list of finite numbers, got {self.c!r}")
         object.__setattr__(self, "c", tuple(float(x) for x in self.c))
         for name in ("n", "f", "y", "q", "seed"):
@@ -127,7 +128,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("p", "t", "r", "z"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not isinstance(self.mutate_preference, bool):
             raise ValueError(f"mutate_preference must be true or false, "

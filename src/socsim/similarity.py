@@ -47,7 +47,8 @@ class SimilaritySpec:
             raise ValueError(f"unknown similarity kind {self.kind!r}")
         object.__setattr__(self, "kind", self.kind.lower())
         beta, power, alpha = self.katz_beta, self.katz_max_power, self.rpr_alpha
-        if not (isinstance(beta, numbers.Real) and beta > 0.0 and math.isfinite(beta)):
+        if isinstance(beta, bool) or not (isinstance(beta, numbers.Real) and beta > 0.0
+                                          and math.isfinite(beta)):
             raise ValueError(f"katz_beta must be > 0 and finite, got {beta!r}")
         if isinstance(power, bool) or not isinstance(power, numbers.Integral) or power < 1:
             raise ValueError(f"katz_max_power must be an integer >= 1, got {power!r}")
@@ -56,8 +57,8 @@ class SimilaritySpec:
         lo, hi = self.threshold_lo, self.threshold_hi
         if (lo == AUTO) != (hi == AUTO):
             raise ValueError("auto thresholding applies to both thresholds")
-        if lo != AUTO and not all(isinstance(t, numbers.Real) and not math.isnan(t)
-                                  for t in (lo, hi)):
+        if lo != AUTO and not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
+                                  and not math.isnan(t) for t in (lo, hi)):
             raise ValueError(f"thresholds must be numbers or 'auto', got {lo!r} and {hi!r}")
         if lo != AUTO and float(lo) > float(hi):
             raise ValueError("threshold_lo must not exceed threshold_hi")

@@ -132,6 +132,19 @@ def test_corrupted_representative_loads_or_raises_value_error(data):
         assert np.allclose(matrix, matrix.T, rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("features, cause", [
+    ("0.1,a\n", "could not convert string 'a' to float64 at row 0, column 2"),
+    ("0.1,0.2\n0.5\n", "the number of columns changed from 2 to 1 at row 2"),
+])
+def test_unparseable_features_csv_error_names_the_file(tmp_path, features, cause):
+    for file, content in GRAPH_DIR.items():
+        (tmp_path / file).write_bytes(content)
+    (tmp_path / "features.csv").write_text(features)
+    path = re.escape(str(tmp_path / "features.csv"))
+    with pytest.raises(ValueError, match=f"{path}: {cause}"):
+        load_graph_dir(tmp_path)
+
+
 def test_representative_with_a_corrupted_entry_rejected(tmp_path):
     # the top byte of entry [0, 1] set to 0xff makes it -7.0e307, while
     # [1, 0] stays 0.39; the file's magic and length are still right
@@ -290,6 +303,9 @@ def test_malformed_report_raises_value_error_naming_the_path(tmp_path, text, cau
     (lambda: SimConfig(f=-1), "f must be >= 0, got -1"),
     (lambda: SimConfig(n=True), "n must be an integer, got True"),
     (lambda: SimConfig(p=float("nan")), "p must be a finite number"),
+    (lambda: SimConfig(p=True, r=False), "p must be a finite number, got True"),
+    (lambda: SimConfig(r=False), "r must be a finite number, got False"),
+    (lambda: SimConfig(c=(1.0, True)), r"c must be a list of finite numbers, got \(1.0, True\)"),
     (lambda: SimConfig(q=2.5), "q must be an integer, got 2.5"),
     (lambda: SimConfig(c=None), "c must be a list of finite numbers, got None"),
     (lambda: SimConfig(mutate_preference=1), "mutate_preference must be true or false"),
@@ -300,6 +316,10 @@ def test_malformed_report_raises_value_error_naming_the_path(tmp_path, text, cau
     (lambda: GcnConfig(num_classes=None), "num_classes must be an integer, got None"),
     (lambda: GcnConfig(dropout_p="0.5"), "dropout_p must be a number, got '0.5'"),
     (lambda: GcnConfig(epochs=True), "epochs must be an integer >= 0, got True"),
+    (lambda: GcnConfig(learning_rate=True, dropout_p=False),
+     "learning_rate must be a number, got True"),
+    (lambda: GcnConfig(dropout_p=False), "dropout_p must be a number, got False"),
+    (lambda: GcnConfig(weight_decay=True), "weight_decay must be a number, got True"),
     (lambda: GcnConfig(num_classes=True), "num_classes must be an integer, got True"),
     (lambda: GcnConfig(layer_units=[32, True]), "layer_units must be a list of integers"),
     (lambda: GcnConfig.from_dict({"lr": 1}), "bad model config: .*'lr'"),
@@ -313,8 +333,13 @@ def test_malformed_report_raises_value_error_naming_the_path(tmp_path, text, cau
      "bad experiment plan: unknown variant 3"),
     (lambda: ExperimentPlan.from_dict({"networks": True}), "networks must be an integer, got True"),
     (lambda: ExperimentPlan.from_dict({"seed": False}), "seed must be an integer, got False"),
+    (lambda: ExperimentPlan.from_dict(json.loads('{"gcn": {"learning_rate": true}}')),
+     "bad experiment plan: learning_rate must be a number, got True"),
     (lambda: SimilaritySpec(kind=3), "unknown similarity kind 3"),
     (lambda: SimilaritySpec(katz_beta="a"), "katz_beta must be > 0 and finite, got 'a'"),
+    (lambda: SimilaritySpec(katz_beta=True), "katz_beta must be > 0 and finite, got True"),
+    (lambda: SimilaritySpec(kind="katz", threshold_lo=False, threshold_hi=True),
+     "thresholds must be numbers or 'auto', got False and True"),
     (lambda: SimilaritySpec(katz_max_power=2.5), "katz_max_power must be an integer >= 1, got 2.5"),
     (lambda: SimilaritySpec(katz_max_power=True),
      "katz_max_power must be an integer >= 1, got True"),

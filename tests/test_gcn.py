@@ -627,6 +627,31 @@ def test_one_workspace_trains_as_a_fresh_one_every_epoch(variant, use_s):
         assert np.array_equal(param, fresh.params[name]), name
 
 
+# the default net, a narrowing one (every layer past the first propagates
+# its kernel's output) and one with no hidden layer
+@pytest.mark.parametrize("layer_units", [(32, 32, 32), (16, 8, 3), ()],
+                         ids=["32-32-32", "narrowing", "no-hidden"])
+@pytest.mark.parametrize("variant,use_s", [("ftvanilla", False), ("ftvanilla", True),
+                                           ("f", False), ("f", True), ("t", False),
+                                           ("tlr", False)])
+def test_workspace_keeps_one_buffer_per_stack(variant, use_s, layer_units):
+    # epochs after the first allocate no stack, and a write to one stack
+    # can never land in another
+    folds = fold_inputs(toy_inputs(toy_graph(n=12, seed=6)))
+    cfg = small_cfg(variant=variant, use_s=use_s, layer_units=layer_units, dropout_p=0.5)
+    model = GcnModel(cfg, _init_params(cfg, (4, 5, 6), *folds.x.shape))
+    rows, ws = _Rows.of(folds, cfg.num_classes, 3), _Workspace(model, folds)
+    rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
+    _fit(model, rows, rngs, ws, 1)
+    after_one = {key: id(stack) for key, stack in ws._stacks.items()}
+    _fit(model, rows, rngs, ws, 4)
+    assert {key: id(stack) for key, stack in ws._stacks.items()} == after_one
+    stacks = list(ws._stacks.values())
+    for i, a in enumerate(stacks):
+        for b in stacks[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 # "train then evaluate": each fold trained alone, as a k = 1 stack, then scored
 def test_train_folds_matches_train_then_evaluate():
     assert_train_folds_matches_each_fold_alone()
