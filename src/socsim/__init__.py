@@ -11,14 +11,9 @@ from .sdna import (
     Sdna,
     SimConfig,
     emit_event_stream,
-    feature_score,
-    feature_score_one_way,
     generate_population,
     iter_snapshots,
     mutate,
-    pair_score,
-    path_score,
-    popularity_score,
     socialise,
 )
 from .similarity import (

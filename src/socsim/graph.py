@@ -131,14 +131,14 @@ def _neighbour_or(rows: np.ndarray, neighbours: np.ndarray, starts: np.ndarray) 
     return out
 
 
-def walk_indicators(g: SocialGraph, max_length: int) -> list[np.ndarray]:
-    """Boolean walk-existence matrices for lengths 2..max_length.
+def walk_bit_rows(g: SocialGraph, max_length: int) -> list[np.ndarray]:
+    """Packed walk-existence rows for lengths 2..max_length, one (n, w)
+    uint8 array per length: bit ``7 - (j & 7)`` of byte ``j >> 3`` of row i
+    is set iff some walk of length exactly x joins i and j.
 
-    Entry [x-2][i, j] is True iff some walk of length exactly x joins i and j,
-    i.e. the x-th boolean-semiring power of the adjacency matrix is nonzero
-    there.  Each power stays as packed bit rows, and the next one ORs the
-    rows of each node's neighbours (A^x = A @ A^(x-1)); no walk is counted,
-    so nothing can overflow.
+    Each power is the x-th boolean-semiring power of the adjacency matrix,
+    and the next one ORs the rows of each node's neighbours
+    (A^x = A @ A^(x-1)); no walk is counted, so nothing can overflow.
     """
     if max_length < 2:
         return []
@@ -147,8 +147,15 @@ def walk_indicators(g: SocialGraph, max_length: int) -> list[np.ndarray]:
     out = []
     for _ in range(2, max_length + 1):
         power = _neighbour_or(power, *lists)
-        out.append(_unpack_rows(power, g.n))
+        out.append(power.view(np.uint8))
     return out
+
+
+def walk_indicators(g: SocialGraph, max_length: int) -> list[np.ndarray]:
+    """Boolean walk-existence matrices for lengths 2..max_length: entry
+    [x-2][i, j] is True iff some walk of length exactly x joins i and j
+    (the unpacked :func:`walk_bit_rows`)."""
+    return [_unpack_rows(rows, g.n) for rows in walk_bit_rows(g, max_length)]
 
 
 def shortest_path_matrix(g: SocialGraph) -> np.ndarray:
@@ -185,20 +192,40 @@ def unconnected_pairs(g: SocialGraph) -> np.ndarray:
     return np.column_stack([iu[open_], ju[open_]]).astype(np.int64, copy=False)
 
 
+def drop_pairs(pairs: np.ndarray, drop: np.ndarray, n: int) -> np.ndarray:
+    """``pairs`` without the rows of ``drop``, order kept.  Both are (m, 2)
+    arrays of node pairs i < j in lexicographic order, and every row of
+    ``drop`` is a row of ``pairs``, so a binary search finds each one.
+    (``np.compress`` copies the kept rows several times faster than
+    ``np.delete`` or a boolean index does.)"""
+    keep = np.ones(len(pairs), dtype=bool)
+    keep[np.searchsorted(pairs[:, 0] * n + pairs[:, 1], drop[:, 0] * n + drop[:, 1])] = False
+    return np.compress(keep, pairs, axis=0)
+
+
+def _write_rows(path: Path, rows: np.ndarray, fmt: str, delimiter: str,
+                newline: str = "\n") -> None:
+    """The bytes ``np.savetxt(path, rows, fmt, delimiter, newline)`` writes
+    for a 2-d array, formatted by one ``%`` over the whole array rather than
+    one per row."""
+    line = delimiter.join([fmt] * rows.shape[1]) + newline
+    path.write_bytes((line * len(rows) % tuple(rows.ravel().tolist())).encode())
+
+
 def save_graph_dir(g: SocialGraph, path: str | Path) -> None:
     """Write edges.tsv / features.csv / labels.csv under ``path``.
 
     edges.tsv holds one ``i<TAB>j`` per line with i < j; features.csv is a
     headerless CSV with one row per node; labels.csv holds ``node,sdna_id``
-    rows.  All indices 0-based.
+    rows ending in CRLF.  All indices 0-based.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    np.savetxt(path / "edges.tsv", g.edges, fmt="%d", delimiter="\t")
+    _write_rows(path / "edges.tsv", g.edges, "%d", "\t")
     # %.17g round-trips float64 exactly
-    np.savetxt(path / "features.csv", g.features, fmt="%.17g", delimiter=",")
+    _write_rows(path / "features.csv", g.features, "%.17g", ",")
     labels = np.column_stack([np.arange(g.n), g.sdna_of])
-    np.savetxt(path / "labels.csv", labels, fmt="%d", delimiter=",", newline="\r\n")
+    _write_rows(path / "labels.csv", labels, "%d", ",", newline="\r\n")
 
 
 def _read_int_pairs(path: Path, delimiter: str, what: str) -> np.ndarray:

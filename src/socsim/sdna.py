@@ -17,6 +17,14 @@ A socialise round scores a random subset of the still-unconnected pairs and
 connects the best-scoring fraction.  Mutating the sDNAs between rounds
 drifts preferences, which is what makes successive snapshots a plausible
 dynamic network rather than a forced re-run.
+
+:func:`socialise` runs one round and returns the ranked audit of every
+scored pair.  :func:`iter_snapshots` and :func:`emit_event_stream` compute
+only what they keep: they carry the open pairs from round to round, minus
+the edges just added, and take the round's top floor(t * |open pairs|)
+pairs by a partition, or its best pair by ``np.argmax``.  Both are the head
+of the stable ranking, so the edges are those a chain of :func:`socialise`
+calls would add.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import SocialGraph, unconnected_pairs, walk_indicators
+from .graph import SocialGraph, drop_pairs, unconnected_pairs, walk_bit_rows
 from .rng import derive_rng
 
 log = logging.getLogger(__name__)
@@ -81,10 +89,6 @@ class Sdna:
             "d": self.d,
             "k": self.k.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Sdna":
-        return cls(id=d["id"], w=d["w"], l=d["l"], d=d["d"], k=d["k"])
 
 
 @dataclass(frozen=True)
@@ -204,85 +208,80 @@ def generate_population(cfg: SimConfig) -> tuple[SocialGraph, list[Sdna]]:
 # pair scoring
 
 
-def feature_score_one_way(fi: np.ndarray, fj: np.ndarray, dna: Sdna) -> float:
-    """Score of j from i's point of view: |fi - fj| dotted with w * l."""
-    fi = np.asarray(fi, dtype=np.float64)
-    fj = np.asarray(fj, dtype=np.float64)
-    if fi.shape != fj.shape or fi.shape != dna.w.shape:
-        raise ValueError("feature vectors and sDNA weights must share length")
-    return float(np.abs(fi - fj) @ (dna.w * dna.l))
-
-
-def feature_score(i: int, j: int, g: SocialGraph, sdnas: list[Sdna]) -> float:
-    """Two-way feature score: both endpoints evaluate each other and add."""
-    fi, fj = g.features[i], g.features[j]
-    return feature_score_one_way(fi, fj, sdnas[g.sdna_of[i]]) + feature_score_one_way(
-        fj, fi, sdnas[g.sdna_of[j]]
-    )
-
-
-def popularity_score(i: int, j: int, g: SocialGraph, sdnas: list[Sdna]) -> float:
-    """Two-way preferential-attachment score: each side weighs the other's
-    degree by its own attachment parameter.  Degrees are whatever the graph
-    currently holds; a socialise round passes the same frozen graph for all
-    pairs."""
-    di = sdnas[g.sdna_of[i]].d
-    dj = sdnas[g.sdna_of[j]].d
-    return float(g.degrees[j] * di + g.degrees[i] * dj)
-
-
-def path_score(i: int, j: int, g: SocialGraph, sdnas: list[Sdna]) -> np.ndarray:
-    """Per-walk-length score vector, component x-2 for walk length x in 2..q.
-
-    A component is (k_i[x] + k_j[x]) when a walk of exactly x steps joins the
-    pair and zero otherwise.
-    """
-    ki = sdnas[g.sdna_of[i]].k
-    kj = sdnas[g.sdna_of[j]].k
-    q = ki.size + 1
-    indicators = walk_indicators(g, q)
-    out = np.zeros(q - 1)
-    for x in range(2, q + 1):
-        if indicators[x - 2][i, j]:
-            out[x - 2] = ki[x - 2] + kj[x - 2]
-    return out
-
-
-def pair_score(i: int, j: int, g: SocialGraph, sdnas: list[Sdna], cfg: SimConfig) -> float:
-    """Final connection score: feature + r * popularity + c . path."""
-    phi = feature_score(i, j, g, sdnas)
-    delta = popularity_score(i, j, g, sdnas)
-    pi = path_score(i, j, g, sdnas)
-    return float(phi + cfg.r * delta + np.asarray(cfg.c) @ pi)
+# pairs scored per pass: keeps each pass's (rows, f) temporaries in cache
+_SCORE_ROWS = 2048
 
 
 def _score_pair_block(
     g: SocialGraph, sdnas: list[Sdna], cfg: SimConfig, pairs: np.ndarray
 ) -> np.ndarray:
-    """Vectorized pair_score over an (m, 2) pair array against a frozen graph."""
-    if pairs.size == 0:
-        return np.zeros(0)
-    ii, jj = pairs[:, 0], pairs[:, 1]
-    sid = g.sdna_of
+    """Connection scores of an (m, 2) pair array against a frozen graph:
+    feature + r * popularity + c . path, where
+
+      feature     sum_f |x_i - x_j| * w * l, evaluated with i's record and
+                  with j's record and added
+      popularity  deg(j) * d_i + deg(i) * d_j
+      path        per walk length x in 2..q, (k_i[x] + k_j[x]) when a walk of
+                  exactly x steps joins the pair, else 0
+
+    Walk hits are read straight from the packed bit rows of
+    :func:`walk_bit_rows`: byte ``j >> 3``, bit ``7 - (j & 7)`` of row i.
+    The pairs are scored ``_SCORE_ROWS`` at a time; each score is computed
+    on its own row, so the passes do not change a bit of it.
+    """
     signed_w = np.stack([dna.w * dna.l for dna in sdnas])        # (y, f)
     attach = np.array([dna.d for dna in sdnas])                  # (y,)
     walk_w = np.stack([dna.k for dna in sdnas])                  # (y, q-1)
-
-    diff = np.abs(g.features[ii] - g.features[jj])               # (m, f)
-    phi = (diff * signed_w[sid[ii]]).sum(axis=1) + (diff * signed_w[sid[jj]]).sum(axis=1)
-
     deg = g.degrees.astype(np.float64)
-    delta = deg[jj] * attach[sid[ii]] + deg[ii] * attach[sid[jj]]
-
-    scores = phi + cfg.r * delta
-    if len(g.edges):
-        indicators = walk_indicators(g, cfg.q)
-        for x in range(2, cfg.q + 1):
-            hit = indicators[x - 2][ii, jj]
-            scores = scores + cfg.c[x - 2] * hit * (
-                walk_w[sid[ii], x - 2] + walk_w[sid[jj], x - 2]
-            )
+    powers = walk_bit_rows(g, cfg.q) if len(g.edges) else []
+    scores = np.empty(len(pairs))
+    for lo in range(0, len(pairs), _SCORE_ROWS):
+        ii, jj = pairs[lo:lo + _SCORE_ROWS, 0], pairs[lo:lo + _SCORE_ROWS, 1]
+        si, sj = g.sdna_of[ii], g.sdna_of[jj]
+        diff = np.abs(np.take(g.features, ii, axis=0) - np.take(g.features, jj, axis=0))
+        phi = ((diff * np.take(signed_w, si, axis=0)).sum(axis=1)
+               + (diff * np.take(signed_w, sj, axis=0)).sum(axis=1))
+        delta = deg[jj] * attach[si] + deg[ii] * attach[sj]
+        block = phi + cfg.r * delta
+        if powers:
+            at = ii * powers[0].shape[1] + (jj >> 3)
+            shift = (7 - (jj & 7)).astype(np.uint8)
+            for x, rows in enumerate(powers, start=2):
+                hit = ((rows.ravel()[at] >> shift) & 1).view(bool)
+                block = block + cfg.c[x - 2] * hit * (walk_w[si, x - 2] + walk_w[sj, x - 2])
+        scores[lo:lo + _SCORE_ROWS] = block
     return scores
+
+
+def _scored_selection(
+    g: SocialGraph, sdnas: list[Sdna], cfg: SimConfig, open_pairs: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The shared part of every round: draw which open pairs are scored (each
+    with probability p, one draw per pair in the given lexicographic order)
+    and score them against the frozen graph.  Returns the selected pairs, in
+    that order, and their scores."""
+    selected = np.compress(rng.random(len(open_pairs)) < cfg.p, open_pairs, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = _score_pair_block(g, sdnas, cfg, selected)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError(f"pair scores overflow float64: r={cfg.r!r} and c={list(cfg.c)!r} "
+                         f"are too large for this graph")
+    return selected, scores
+
+
+def _top_pairs(selected: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
+    """The k best-scoring selected pairs, in pair order: the same set as the
+    first k rows of a stable descending sort, found without sorting.  Every
+    pair above the k-th score is taken, then the first pairs equal to it."""
+    if k >= len(scores):
+        return selected
+    if k <= 0:
+        return selected[:0]
+    kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+    keep = scores > kth
+    keep[np.flatnonzero(scores == kth)[: k - np.count_nonzero(keep)]] = True
+    return selected[keep]
 
 
 def socialise(
@@ -290,7 +289,6 @@ def socialise(
     sdnas: list[Sdna],
     cfg: SimConfig,
     rng: np.random.Generator | None = None,
-    stopping_len: int | None = None,
 ) -> tuple[SocialGraph, np.recarray]:
     """One link-formation round.
 
@@ -304,28 +302,19 @@ def socialise(
     Returns the grown graph and the audit: a record array with one row per
     scored pair, in rank order (best first), with fields ``i`` and ``j``
     (the pair, i < j, int64) and ``score`` (its pair score, float64).  The
-    first ``min(stopping_len, len(audit))`` rows are the pairs connected.
-    ``stopping_len`` overrides the t-derived cutoff (the event-stream mode
-    forces it to 1).
+    first ``min(floor(t * |unconnected pairs|), len(audit))`` rows are the
+    pairs connected.  Raises ``ValueError`` when r or c overflow a score.
     """
     if rng is None:
         rng = derive_rng(cfg.seed, "socialise")
     universe = unconnected_pairs(g)
-    selected = universe[rng.random(len(universe)) < cfg.p]
-    scores = _score_pair_block(g, sdnas, cfg, selected)
-    if not np.all(np.isfinite(scores)):
-        raise FloatingPointError("non-finite pair score")
-
-    if stopping_len is None:
-        stopping_len = int(math.floor(cfg.t * len(universe)))
+    selected, scores = _scored_selection(g, sdnas, cfg, universe, rng)
     # selected is in (i, j) order, so a stable sort is the (i, j) tie-break
     order = np.argsort(-scores, kind="stable")
     ranked = selected[order]
-    ranked_scores = scores[order]
-
-    n_connect = min(stopping_len, len(ranked))
+    n_connect = min(math.floor(cfg.t * len(universe)), len(ranked))
     grown = g.with_edges(ranked[:n_connect])
-    audit = np.rec.fromarrays((ranked[:, 0], ranked[:, 1], ranked_scores), names="i,j,score")
+    audit = np.rec.fromarrays((ranked[:, 0], ranked[:, 1], scores[order]), names="i,j,score")
     return grown, audit
 
 
@@ -370,18 +359,27 @@ def iter_snapshots(cfg: SimConfig, snapshots: int) -> Iterator[tuple[SocialGraph
     Snapshot 0 socialises a fresh population; each later snapshot first
     mutates the sDNAs and then socialises over the pairs that are still
     unconnected, so edge sets grow monotonically while features stay fixed.
+    Each round is the :func:`socialise` round without its audit: the open
+    pairs are carried from round to round, minus the edges just added, and
+    the top floor(t * |open pairs|) scored pairs are found by a partition,
+    not a full ranking.
+
     A snapshot is simulated only when it is asked for, and the generator
-    holds only the latest graph (the next snapshot grows from it), so a
-    caller that drops an earlier snapshot frees it, together with the
-    adjacency that socialising its successor cached on it.
+    holds only the latest graph and its open pairs (the next snapshot grows
+    from them), so a caller that drops an earlier snapshot frees it.
     """
     if snapshots < 1:
         raise ValueError("snapshots must be >= 1")
     graph, sdnas = generate_population(cfg)
+    open_pairs = unconnected_pairs(graph)
     for s in range(snapshots):
         if s > 0:
             sdnas = mutate(sdnas, cfg, derive_rng(cfg.seed, "mutate", s))
-        graph, _ = socialise(graph, sdnas, cfg, derive_rng(cfg.seed, "socialise", s))
+        selected, scores = _scored_selection(graph, sdnas, cfg, open_pairs,
+                                             derive_rng(cfg.seed, "socialise", s))
+        added = _top_pairs(selected, scores, math.floor(cfg.t * len(open_pairs)))
+        graph = graph.with_edges(added)
+        open_pairs = drop_pairs(open_pairs, added, cfg.n)
         yield graph, sdnas
 
 
@@ -389,34 +387,38 @@ _EVENT_MAX_RETRIES = 100
 
 
 def emit_event_stream(cfg: SimConfig, events: int) -> list[tuple[int, tuple[int, int]]]:
-    """Timestamped single-edge stream: each round socialises with the cutoff
-    forced to one edge, then mutates.
+    """Timestamped single-edge stream: each round connects the best-scoring
+    selected pair (the first in (i, j) order among equal scores, i.e. the
+    head of the :func:`socialise` ranking), then mutates.  The open pairs
+    are carried from round to round, minus the pair just connected.
 
     If a round's exploration draw selects no pair, it retries with fresh
-    draws; the stream ends early once the graph saturates (or a pathological
-    config exhausts the retry budget) and the shortfall is logged.
+    draws; the stream ends early once no open pair is left (or a
+    pathological config exhausts the retry budget) and the shortfall is
+    logged.
     """
     if events < 1:
         raise ValueError("events must be >= 1")
     graph, sdnas = generate_population(cfg)
+    open_pairs = unconnected_pairs(graph)
     stream: list[tuple[int, tuple[int, int]]] = []
     for round_idx in range(events):
-        if len(graph.edges) == cfg.n * (cfg.n - 1) // 2:
+        if not len(open_pairs):
             break
-        connected = None
+        added = None
         for attempt in range(_EVENT_MAX_RETRIES):
-            grown, audit = socialise(
-                graph, sdnas, cfg,
-                derive_rng(cfg.seed, "events", round_idx, attempt),
-                stopping_len=1,
-            )
-            if len(audit):
-                connected = (int(audit.i[0]), int(audit.j[0]))
-                graph = grown
+            selected, scores = _scored_selection(
+                graph, sdnas, cfg, open_pairs, derive_rng(cfg.seed, "events", round_idx, attempt))
+            if len(selected):
+                # argmax returns the first maximum: the stable ranking's head
+                best = int(np.argmax(scores))
+                added = selected[best:best + 1]
                 break
-        if connected is None:
+        if added is None:
             break
-        stream.append((round_idx, connected))
+        graph = graph.with_edges(added)
+        open_pairs = drop_pairs(open_pairs, added, cfg.n)
+        stream.append((round_idx, (int(added[0, 0]), int(added[0, 1]))))
         sdnas = mutate(sdnas, cfg, derive_rng(cfg.seed, "events-mutate", round_idx))
     if len(stream) < events:
         log.warning("event stream ended early: %d of %d events", len(stream), events)

@@ -22,17 +22,7 @@ from socsim.harness import (
     run_experiment,
 )
 from socsim.rng import derive_rng, derive_seed
-from socsim.sdna import (
-    SimConfig,
-    feature_score,
-    feature_score_one_way,
-    generate_population,
-    mutate,
-    pair_score,
-    path_score,
-    popularity_score,
-    socialise,
-)
+from socsim.sdna import SimConfig, generate_population, mutate, socialise
 from socsim.similarity import (
     SimilaritySpec,
     augment,
@@ -41,6 +31,14 @@ from socsim.similarity import (
     l2_row_normalize,
     raw_gravity_scores,
     rpr_matrix,
+)
+
+from scalar_scores import (
+    feature_score,
+    feature_score_one_way,
+    pair_score,
+    path_score,
+    popularity_score,
 )
 
 pytestmark = pytest.mark.acceptance

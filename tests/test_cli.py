@@ -170,6 +170,23 @@ def test_bad_input_exits_1_with_one_error_line(tmp_path, sim_config_file, argv, 
     assert sorted(tmp_path.rglob("*")) == files  # a rejected command writes nothing
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--out", "sim", "--snapshots", "3"],
+    ["events", "--out", "stream.tsv", "--events", "20"],
+])
+def test_overflowing_score_weights_exit_1_with_one_error_line(tmp_path, capsys, argv):
+    # r and c pass SimConfig as finite numbers, but their products with
+    # degrees and walk weights overflow float64 once the graph has edges
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(SimConfig(n=20, f=3, y=4, q=2, p=0.8, t=0.1, r=1e308, c=(1e308,),
+                             seed=11).to_json())
+    with contextlib.chdir(tmp_path):
+        assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("socsim: error: pair scores overflow float64: r=1e+308 and c=[1e+308]")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_usage_error_exits_2(tmp_path):
     done = run_cli("report", "--in", "r.json", "--format", "xml", cwd=tmp_path)
     assert done.returncode == 2

@@ -6,6 +6,7 @@ import pytest
 
 from socsim.graph import (
     SocialGraph,
+    drop_pairs,
     load_graph_dir,
     save_graph_dir,
     shortest_path_matrix,
@@ -238,6 +239,38 @@ def test_unconnected_pairs_complement_identity():
         pairs = list(itertools.combinations(range(n), 2))
         g = make_graph(n, [p for p in pairs if rng.random() < 0.3])
         assert len(unconnected_pairs(g)) + len(g.edges) == n * (n - 1) // 2
+
+
+def test_drop_pairs_leaves_the_pairs_still_open():
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        n = int(rng.integers(2, 40))
+        g = make_graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.2])
+        open_pairs = unconnected_pairs(g)
+        added = open_pairs[rng.random(len(open_pairs)) < rng.random()]
+        kept = drop_pairs(open_pairs, added, n)
+        assert kept.dtype == np.int64
+        assert np.array_equal(kept, unconnected_pairs(g.with_edges(added)))
+
+
+@pytest.mark.parametrize("features, edges", [
+    # awkward floats: no short decimal, subnormal, the smallest subnormal, zero
+    (np.array([[0.1, 1 / 3], [1e-300, 5e-324], [0.0, 0.75]]), [(0, 1), (1, 2)]),
+    (np.array([[0.5], [2.0], [-0.0]]), []),
+    (np.zeros((3, 0)), [(0, 2)]),
+])
+def test_graph_dir_files_are_the_bytes_savetxt_writes(tmp_path, features, edges):
+    g = SocialGraph(n=3, edges=edges, features=features, sdna_of=np.array([2, 0, 1]))
+    save_graph_dir(g, tmp_path / "snap")
+    want = tmp_path / "want"
+    want.mkdir()
+    np.savetxt(want / "edges.tsv", g.edges, fmt="%d", delimiter="\t")
+    np.savetxt(want / "features.csv", g.features, fmt="%.17g", delimiter=",")
+    np.savetxt(want / "labels.csv", np.column_stack([np.arange(3), g.sdna_of]), fmt="%d",
+               delimiter=",", newline="\r\n")
+    for name in ("edges.tsv", "features.csv", "labels.csv"):
+        assert (tmp_path / "snap" / name).read_bytes() == (want / name).read_bytes(), name
+    assert (want / "labels.csv").read_bytes() == b"0,2\r\n1,0\r\n2,1\r\n"
 
 
 def test_graph_dir_round_trip(tmp_path):

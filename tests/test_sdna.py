@@ -12,15 +12,18 @@ from socsim.sdna import (
     Sdna,
     SimConfig,
     emit_event_stream,
-    feature_score,
-    feature_score_one_way,
     generate_population,
     iter_snapshots,
     mutate,
+    socialise,
+)
+
+from scalar_scores import (
+    feature_score,
+    feature_score_one_way,
     pair_score,
     path_score,
     popularity_score,
-    socialise,
 )
 
 
@@ -382,6 +385,94 @@ def test_event_stream_saturates():
     cfg = small_cfg(n=3, p=1.0)
     stream = emit_event_stream(cfg, 5)
     assert len(stream) == 3  # triangle holds only 3 edges
+
+
+def test_socialise_rejects_scores_that_overflow():
+    cfg = small_cfg(r=1e308, c=(1e308, 1e308))
+    g, sdnas = generate_population(cfg)
+    g = g.with_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
+    with pytest.raises(ValueError, match=r"overflow float64: r=1e\+308 and c=\[1e\+308, 1e\+308\]"):
+        socialise(g, sdnas, cfg)
+
+
+# --- the rounds against a chain of socialise calls --------------------------
+
+def reference_snapshots(cfg, snapshots):
+    """Each snapshot's edges from mutate and socialise, the latter over
+    unconnected_pairs and ranking every scored pair, with the rngs
+    iter_snapshots derives."""
+    graph, sdnas = generate_population(cfg)
+    edges = []
+    for s in range(snapshots):
+        if s > 0:
+            sdnas = mutate(sdnas, cfg, derive_rng(cfg.seed, "mutate", s))
+        graph, _ = socialise(graph, sdnas, cfg, derive_rng(cfg.seed, "socialise", s))
+        edges.append(graph.edges)
+    return edges
+
+
+def reference_events(cfg, events):
+    """The event stream as the head of each round's socialise audit, and the
+    number of draws that selected no pair and were retried."""
+    graph, sdnas = generate_population(cfg)
+    stream, retries = [], 0
+    for round_idx in range(events):
+        if not len(unconnected_pairs(graph)):
+            break
+        for attempt in range(100):
+            _, audit = socialise(graph, sdnas, cfg,
+                                 derive_rng(cfg.seed, "events", round_idx, attempt))
+            if len(audit):
+                break
+            retries += 1
+        else:
+            break
+        pair = (int(audit.i[0]), int(audit.j[0]))
+        graph = graph.with_edges([pair])
+        stream.append((round_idx, pair))
+        sdnas = mutate(sdnas, cfg, derive_rng(cfg.seed, "events-mutate", round_idx))
+    return stream, retries
+
+
+ROUND_CONFIGS = {
+    "default": dict(n=16, p=0.5, t=0.1, z=0.3),
+    # f = 0, r = 0 and c = 0: every score is 0, so the cutoff falls in a tie
+    "all-tied": dict(n=14, f=0, p=0.7, t=0.15, r=0.0, c=(0.0, 0.0), z=0.3),
+    # most first draws select nothing, so events retry
+    "small-p": dict(n=10, p=0.03, t=0.2, z=0.3),
+    "q4-negative-c": dict(n=18, f=4, y=3, q=4, p=0.6, t=0.05, r=-0.5,
+                          c=(1.0, -0.5, 0.25), z=0.3),
+    # three nodes: the graph saturates within the run
+    "saturating": dict(n=3, f=2, y=1, p=1.0, t=0.5, z=0.3),
+    "saturating-full-cutoff": dict(n=3, f=2, y=1, p=1.0, t=1.0, z=0.3),
+}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", ROUND_CONFIGS)
+def test_snapshots_equal_a_chain_of_socialise_rounds(name, seed):
+    cfg = small_cfg(**ROUND_CONFIGS[name] | {"seed": seed})
+    got = [g.edges for g, _ in iter_snapshots(cfg, 5)]
+    want = reference_snapshots(cfg, 5)
+    assert len(got) == len(want) == 5
+    for g_edges, w_edges in zip(got, want):
+        assert np.array_equal(g_edges, w_edges)
+    if name == "all-tied":
+        g0, sdnas = generate_population(cfg)
+        _, audit = socialise(g0, sdnas, cfg, derive_rng(cfg.seed, "socialise", 0))
+        assert np.all(audit.score == 0.0) and 0 < len(got[0]) < len(audit)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", ROUND_CONFIGS)
+def test_event_stream_equals_the_heads_of_socialise_rounds(name, seed):
+    cfg = small_cfg(**ROUND_CONFIGS[name] | {"seed": seed})
+    want, retries = reference_events(cfg, 12)
+    assert emit_event_stream(cfg, 12) == want
+    if name == "small-p":
+        assert retries > 0
+    if name.startswith("saturating"):
+        assert len(want) == 3
 
 
 # --- ER reduction -----------------------------------------------------------
