@@ -5,7 +5,7 @@ snapshots as new instances, and everything downstream (scoring, similarity
 matrices, training) only reads.  Edges are stored once, as a canonical
 read-only ``(m, 2)`` int64 array (rows ``i < j``, unique, lexicographically
 sorted); the dense adjacency matrix the similarity and convolution code
-consume is a cached view derived from it.
+consume, and the degrees, are cached read-only arrays derived from it.
 """
 
 from __future__ import annotations
@@ -78,17 +78,21 @@ class SocialGraph:
 
     @cached_property
     def adjacency(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency matrix, float64."""
+        """Dense symmetric 0/1 adjacency matrix, float64, read-only: every
+        build on this snapshot shares it."""
         a = np.zeros((self.n, self.n), dtype=np.float64)
         i, j = self.edges.T
         a[i, j] = 1.0
         a[j, i] = 1.0
+        a.flags.writeable = False
         return a
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        """(n,) integer degree of every node."""
-        return np.bincount(self.edges.ravel(), minlength=self.n)
+        """(n,) integer degree of every node, read-only."""
+        deg = np.bincount(self.edges.ravel(), minlength=self.n)
+        deg.flags.writeable = False
+        return deg
 
     def with_edges(self, new_edges) -> "SocialGraph":
         """Copy of this graph with extra edges (features and labels shared)."""
@@ -247,7 +251,7 @@ def load_graph_dir(path: str | Path) -> SocialGraph:
     ``ValueError`` naming the file unless features.csv holds at least one
     row, each the same count of numbers, labels.csv names every node
     0..n-1 exactly once with an sdna id >= 0, and every edges.tsv row is
-    two tab-separated integers."""
+    two tab-separated node ids, no self-loop and none outside 0..n-1."""
     path = Path(path)
     text = (path / "features.csv").read_text()
     if not text.strip():
@@ -272,4 +276,7 @@ def load_graph_dir(path: str | Path) -> SocialGraph:
     edges_file = path / "edges.tsv"
     edges = (_read_int_pairs(edges_file, "\t", "two tab-separated integers")
              if edges_file.exists() else [])
-    return SocialGraph(n=n, edges=edges, features=features, sdna_of=sdna_of)
+    try:
+        return SocialGraph(n=n, edges=edges, features=features, sdna_of=sdna_of)
+    except ValueError as exc:  # features and labels fit n by now: an edge is bad
+        raise ValueError(f"{edges_file}: {exc}") from exc

@@ -6,6 +6,14 @@ node-similarity matrix first (truncated Katz, rooted PageRank, or a
 gravity-style degree/distance score), run it through an augmentation step
 (L2 row normalization plus two clamping thresholds), and only then add
 self-loops and renormalize.
+
+A build holds a few n x n buffers and writes them in place (``out=``,
+augmented assignment), in the same arithmetic order as the plain array
+expressions in ``tests/reference_representatives.py``, so each output has
+the same bytes.  A public function writes only arrays it allocated itself,
+never an argument or the graph's cached adjacency (which is read-only);
+``build_representative`` renormalizes in place the array ``augment``
+returned, or a copy of the adjacency.
 """
 
 from __future__ import annotations
@@ -85,33 +93,53 @@ def katz_matrix(g: SocialGraph, beta: float, max_power: int) -> np.ndarray:
     stays below 2^53 every partial sum of every product is an exact integer
     in float64, so the powers, and hence the sum, do not depend on the order
     of the products.
+
+    Besides the sum and one scratch term, each product goes into a power
+    buffer that no pending product still reads: four n x n buffers in all
+    for max_power = 5.
     """
     if beta < 0:
         raise ValueError("beta must be non-negative")
     a = g.adjacency
     total = np.zeros_like(a)
+    term = np.empty_like(a)
+    buffers: list[np.ndarray] = []
     halves = {}
     power = a
     for x in range(1, max_power + 1):
-        if x % 2 == 0:
-            half = halves.pop(x // 2)
-            power = half @ half.T
-        elif x > 1:
-            power = power @ a
+        if x > 1:
+            left = halves.pop(x // 2) if x % 2 == 0 else power
+            right = left.T if x % 2 == 0 else a
+            live = (left, *halves.values())
+            out = next((b for b in buffers if all(b is not v for v in live)), None)
+            if out is None:
+                out = np.empty_like(a)
+                buffers.append(out)
+            power = np.matmul(left, right, out=out)
         if 2 * x <= max_power:
             halves[x] = power
-        total += (beta ** x) * power
+        np.multiply(power, beta ** x, out=term)
+        total += term
     return total
+
+
+# float64's largest value over two: while n * (largest entry)^2 stays below
+# it, no row's squared L2 norm can overflow
+_HALF_MAX = np.finfo(np.float64).max / 2
 
 
 def _finite_katz(g: SocialGraph, spec: SimilaritySpec) -> np.ndarray:
     """katz_matrix() for ``spec``.  Raises ValueError naming katz_beta where
     the damped sum or a row's squared L2 norm overflows float64: augment()
-    would normalize such a row to zeros, a silent identity representative."""
+    would normalize such a row to zeros, a silent identity representative.
+    The largest entry bounds every row norm, so the squared row sums are
+    computed only when that bound comes within a factor two of overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             walks = katz_matrix(g, spec.katz_beta, spec.katz_max_power)
-            finite = np.isfinite(np.square(walks).sum(axis=1)).all()
+            peak = walks.max(initial=0.0)
+            finite = (peak * peak * g.n < _HALF_MAX
+                      or np.isfinite(np.square(walks).sum(axis=1)).all())
         except OverflowError:  # beta ** x beyond float64
             finite = False
     if not finite:
@@ -124,27 +152,40 @@ def rpr_matrix(g: SocialGraph, alpha: float) -> np.ndarray:
     """Rooted-PageRank similarity: row i is the stationary distribution of a
     walk that restarts at i with probability alpha and otherwise moves to a
     uniform neighbour.  Isolated nodes self-transition, so every row is a
-    proper distribution."""
+    proper distribution.
+
+    The stationary rows solve R (I - (1-alpha) T) = alpha I.  I - (1-alpha) T
+    is built in one buffer; its off-diagonal entries are 0.0 - (1-alpha) t,
+    so a zero stays +0.0 as in the subtraction from an identity matrix.
+    """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    a = g.adjacency
-    deg = a.sum(axis=1)
-    trans = np.where(deg[:, None] > 0, a / np.maximum(deg, 1.0)[:, None], 0.0)
-    trans[deg == 0] = np.eye(g.n)[deg == 0]
-    # stationary rows solve R (I - (1-alpha) T) = alpha I
-    return alpha * np.linalg.inv(np.eye(g.n) - (1.0 - alpha) * trans)
+    deg = g.degrees
+    system = np.divide(g.adjacency, np.maximum(deg, 1.0)[:, None])
+    diagonal = system.reshape(-1)[:: g.n + 1]
+    diagonal[deg == 0] = 1.0
+    system *= 1.0 - alpha
+    np.subtract(0.0, system, out=system)
+    diagonal += 1.0
+    walks = np.linalg.inv(system)
+    walks *= alpha
+    return walks
 
 
 def raw_gravity_scores(g: SocialGraph) -> np.ndarray:
     """Pre-normalization gravity scores: degree product over squared
     shortest-path length for every unconnected reachable pair, 0 elsewhere.
-    Exposed for verification against the per-pair formula."""
+    Exposed for verification against the per-pair formula.
+
+    The diagonal (hop count 0) and the edges (1) are set to an infinite
+    distance, like the unreachable pairs, so one dense division scores every
+    pair: a degree product over infinity is +0.0."""
     sp = shortest_path_matrix(g)
+    sp[sp <= 1.0] = np.inf
+    np.square(sp, out=sp)
     deg = g.degrees.astype(np.float64)
-    scorable = np.isfinite(sp) & (g.adjacency == 0)
-    np.fill_diagonal(scorable, False)
-    raw = np.zeros((g.n, g.n))
-    raw[scorable] = (deg[:, None] * deg[None, :])[scorable] / sp[scorable] ** 2
+    raw = np.multiply.outer(deg, deg)
+    raw /= sp
     return raw
 
 
@@ -152,31 +193,64 @@ def gg_matrix(g: SocialGraph) -> np.ndarray:
     """Gravity scores (:func:`raw_gravity_scores`) min-max normalized to
     [0, 1] and added onto the adjacency matrix.  Existing edges therefore sit
     at exactly 1; unreachable pairs and the diagonal stay 0."""
-    raw = raw_gravity_scores(g)
-    scorable = raw > 0  # a reachable non-adjacent pair has both degrees >= 1
-    out = g.adjacency.copy()
+    out = raw_gravity_scores(g)
+    scorable = out > 0  # a reachable non-adjacent pair has both degrees >= 1
     if scorable.any():
-        lo, hi = raw[scorable].min(), raw[scorable].max()
+        lo, hi = out.min(where=scorable, initial=np.inf), out.max()
         if hi > lo:
-            out[scorable] = (raw[scorable] - lo) / (hi - lo)
+            np.subtract(out, lo, out=out, where=scorable)
+            np.divide(out, hi - lo, out=out, where=scorable)
         else:
             # single distinct score: treat it as the maximum
             out[scorable] = 1.0
+    out += g.adjacency  # every other entry is +0.0
     return out
 
 
 def l2_row_normalize(matrix: np.ndarray) -> np.ndarray:
-    """Divide each row by its L2 norm; zero rows pass."""
-    norms = np.sqrt((matrix ** 2).sum(axis=1, keepdims=True))
-    return matrix / np.where(norms > 0, norms, 1.0)
+    """Divide each row by its L2 norm; zero rows pass.  Returns a new float64
+    array."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    out = np.square(matrix)
+    norms = out.sum(axis=1, keepdims=True)
+    np.sqrt(norms, out=norms)
+    norms[~(norms > 0)] = 1.0
+    return np.divide(matrix, norms, out=out)
+
+
+def _binarize_at_mean(m: np.ndarray, mask: np.ndarray) -> None:
+    """In place: entries of ``m`` above the mean of its positive entries
+    become 1, everything else 0.  ``mask`` is a bool scratch of m's shape."""
+    np.greater(m, 0.0, out=mask)
+    nz = m[mask]
+    mean = nz.mean() if nz.size else 0.0
+    np.greater(m, mean, out=mask)
+    np.copyto(m, mask)
 
 
 def auto_binarize(matrix: np.ndarray) -> np.ndarray:
     """Binarize at the mean of the non-zero entries: entries above the mean
     become 1, everything else 0.  Expects an already-normalized matrix."""
-    nz = matrix[matrix > 0]
-    mean = nz.mean() if nz.size else 0.0
-    return np.where(matrix > mean, 1.0, 0.0)
+    out = np.array(matrix, dtype=np.float64)
+    _binarize_at_mean(out, np.empty(out.shape, dtype=bool))
+    return out
+
+
+# 64 x 64 float64 tiles are 32 KB: small enough to come from the heap
+_TILE = 64
+
+
+def _symmetrize(m: np.ndarray) -> None:
+    """In place: m <- (m + m.T) / 2.0, one tile and its mirror at a time.
+    IEEE addition commutes, so both entries of a pair get the bits of the
+    out-of-place expression."""
+    n = len(m)
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            tile = m[i:i + _TILE, j:j + _TILE] + m[j:j + _TILE, i:i + _TILE].T
+            tile /= 2.0
+            m[i:i + _TILE, j:j + _TILE] = tile
+            m[j:j + _TILE, i:i + _TILE] = tile.T
 
 
 def augment(matrix: np.ndarray, spec: SimilaritySpec) -> np.ndarray:
@@ -186,41 +260,56 @@ def augment(matrix: np.ndarray, spec: SimilaritySpec) -> np.ndarray:
     entries.  Row normalization breaks symmetry, so the result is averaged
     with its transpose; entries whose both orientations were clamped to
     {0, 1} are re-binarized (either side at 1 wins) so threshold output
-    stays binary.
+    stays binary.  Every step after the normalization writes its one float
+    output in place, with two bool masks beside it.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.min() < 0:
         raise ValueError("augment expects a non-negative matrix")
     m = l2_row_normalize(matrix)
+    clamped = np.empty(m.shape, dtype=bool)
     if spec.auto_threshold:
-        clamped = np.ones(m.shape, dtype=bool)
-        m = auto_binarize(m)
-    else:
-        lo, hi = float(spec.threshold_lo), float(spec.threshold_hi)
-        clamped = (m <= lo) | (m > hi)
-        m = np.where(m <= lo, 0.0, np.where(m > hi, 1.0, m))
-    sym = (m + m.T) / 2.0
-    both = clamped & clamped.T
-    sym[both] = (sym[both] > 0).astype(np.float64)
-    return sym
+        # every entry is clamped in both orientations
+        _binarize_at_mean(m, clamped)
+        _symmetrize(m)
+        np.greater(m, 0.0, out=clamped)
+        np.copyto(m, clamped)
+        return m
+    lo, hi = float(spec.threshold_lo), float(spec.threshold_hi)
+    high = np.greater(m, hi)
+    np.less_equal(m, lo, out=clamped)
+    np.copyto(m, 1.0, where=high)
+    np.copyto(m, 0.0, where=clamped)
+    clamped |= high
+    _symmetrize(m)
+    both = np.logical_and(clamped, clamped.T, out=high)
+    np.greater(m, 0.0, out=clamped)
+    np.copyto(m, clamped, where=both)
+    return m
 
 
 def build_representative(
     g: SocialGraph, spec: SimilaritySpec, provenance: str = ""
 ) -> GraphRepresentative:
-    """Similarity pipeline, self-loops, symmetric degree normalization."""
+    """Similarity pipeline, self-loops, symmetric degree normalization, the
+    last two in place on the pipeline's output."""
     if spec.kind == "adjacency":
-        a_hat = g.adjacency
+        a_tilde = g.adjacency.copy()
     elif spec.kind == "katz":
-        a_hat = augment(_finite_katz(g, spec), spec)
+        a_tilde = augment(_finite_katz(g, spec), spec)
     elif spec.kind == "rpr":
-        a_hat = augment(rpr_matrix(g, spec.rpr_alpha), spec)
+        a_tilde = augment(rpr_matrix(g, spec.rpr_alpha), spec)
     else:
-        a_hat = augment(gg_matrix(g), spec)
-    a_tilde = a_hat + np.eye(g.n)
+        a_tilde = augment(gg_matrix(g), spec)
+    if not spec.auto_threshold and spec.threshold_lo < 0:
+        # a -0.0 passes augment only below a negative threshold; adding the
+        # identity matrix made it +0.0
+        a_tilde += 0.0
+    a_tilde.reshape(-1)[:: g.n + 1] += 1.0
     dinv = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-    matrix = a_tilde * dinv[:, None] * dinv[None, :]
-    return GraphRepresentative(matrix=matrix, spec=spec, provenance=provenance)
+    a_tilde *= dinv[:, None]
+    a_tilde *= dinv
+    return GraphRepresentative(matrix=a_tilde, spec=spec, provenance=provenance)
 
 
 _MAGIC = b"SOCG"
@@ -232,7 +321,7 @@ def save_representative(rep: GraphRepresentative, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", m.shape[0]))
-        fh.write(m.tobytes())
+        fh.write(m.data)
 
 
 def load_representative_matrix(path: str | Path) -> np.ndarray:

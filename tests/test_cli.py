@@ -170,6 +170,23 @@ def test_bad_input_exits_1_with_one_error_line(tmp_path, sim_config_file, argv, 
     assert sorted(tmp_path.rglob("*")) == files  # a rejected command writes nothing
 
 
+@pytest.mark.parametrize("row, message", [
+    ("3\t3", "self-loop on node 3"),
+    ("3\t9000", "edge (3,9000) out of range for n=20"),
+])
+def test_bad_edge_row_names_edges_tsv(tmp_path, sim_config_file, capsys, row, message):
+    data = tmp_path / "data"
+    main(["simulate", "--config", str(sim_config_file), "--out", str(data)])
+    edges = data / "snap-000" / "edges.tsv"
+    edges.write_text(edges.read_text() + row + "\n")
+    capsys.readouterr()
+    assert main(["representative", "--graph", str(data / "snap-000"),
+                 "--out", str(tmp_path / "G.bin")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"socsim: error: {edges}: {message}\n"
+    assert not (tmp_path / "G.bin").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--out", "sim", "--snapshots", "3"],
     ["events", "--out", "stream.tsv", "--events", "20"],

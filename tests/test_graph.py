@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,17 @@ def test_duplicate_and_reversed_edges_collapse():
     assert np.array_equal(make_graph(4, pairs).edges, g.edges)
     assert np.array_equal(make_graph(4, frozenset(pairs)).edges, g.edges)
     assert make_graph(4, []).edges.shape == (0, 2)
+
+
+def test_adjacency_and_degrees_are_read_only():
+    g = make_graph(4, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        g.adjacency[0, 3] = 1.0
+    with pytest.raises(ValueError):
+        g.adjacency += 1.0
+    with pytest.raises(ValueError):
+        g.degrees[3] = 1
+    assert g.adjacency.tolist()[0] == [0.0, 1.0, 0.0, 0.0] and g.degrees.tolist() == [1, 2, 1, 0]
 
 
 def test_with_edges_merges_into_canonical_array():
@@ -341,6 +353,18 @@ def test_load_graph_dir_rejects_malformed_edge_rows(tmp_path, edges):
     save_graph_dir(make_graph(3, []), tmp_path / "snap")
     (tmp_path / "snap" / "edges.tsv").write_text(edges)
     with pytest.raises(ValueError, match="edges.tsv: every row must be two tab-separated integers"):
+        load_graph_dir(tmp_path / "snap")
+
+
+@pytest.mark.parametrize("edges, message", [
+    ("0\t1\n2\t2\n", "edges.tsv: self-loop on node 2"),
+    ("0\t1\n1\t9000\n", "edges.tsv: edge (1,9000) out of range for n=3"),
+    ("-1\t1\n", "edges.tsv: edge (-1,1) out of range for n=3"),
+])
+def test_load_graph_dir_names_edges_tsv_in_edge_errors(tmp_path, edges, message):
+    save_graph_dir(make_graph(3, []), tmp_path / "snap")
+    (tmp_path / "snap" / "edges.tsv").write_text(edges)
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_graph_dir(tmp_path / "snap")
 
 

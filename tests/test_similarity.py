@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_representatives as reference
 from socsim.graph import SocialGraph, shortest_path_matrix
+from socsim.harness import default_model_grid, desk_sim_config, parse_cell
+from socsim.sdna import iter_snapshots
 from socsim.similarity import (
     auto_binarize,
     AUTO,
@@ -268,6 +271,106 @@ def test_representative_matches_renormalized_operator():
     a_tilde = g.adjacency + np.eye(6)
     d = np.diag(1 / np.sqrt(a_tilde.sum(axis=1)))
     assert np.allclose(rep.matrix, d @ a_tilde @ d, atol=1e-12)
+
+
+# --- byte oracle: tests/reference_representatives.py ----------------------------
+
+GRID_SPECS = tuple(dict.fromkeys(parse_cell(cell)[1] for cell in default_model_grid()))
+
+ORACLE_GRAPHS = {
+    "edgeless": make_graph(5, []),
+    "isolated": make_graph(7, [(0, 1), (1, 2), (4, 5)]),
+    "complete": make_graph(6, itertools.combinations(range(6), 2)),
+    "single": make_graph(1, []),
+    # every scorable pair is two leaves of the star: one distinct gravity score
+    "one_gravity_score": make_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+}
+
+
+def assert_builds_match_reference(g, specs):
+    adjacency, degrees = g.adjacency.tobytes(), g.degrees.tobytes()
+    for spec in specs:
+        got = build_representative(g, spec).matrix
+        want = reference.build_matrix(g, spec)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), spec
+    assert g.adjacency.tobytes() == adjacency and g.degrees.tobytes() == degrees
+
+
+def test_grid_has_thirteen_distinct_specs():
+    assert len(GRID_SPECS) == 13
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_every_grid_build_equals_the_reference_bytes(name):
+    assert_builds_match_reference(ORACLE_GRAPHS[name], GRID_SPECS)
+
+
+def test_every_grid_build_on_a_desk_snapshot_equals_the_reference_bytes():
+    *_, (g, _) = iter_snapshots(desk_sim_config(5), 3)
+    assert_builds_match_reference(g, GRID_SPECS)
+
+
+def test_every_grid_build_on_hub_snapshot_equals_the_reference_bytes(hub_snapshot):
+    assert_builds_match_reference(hub_snapshot, GRID_SPECS)
+
+
+def test_one_distinct_gravity_score_maps_to_one():
+    g = ORACLE_GRAPHS["one_gravity_score"]
+    assert np.array_equal(gg_matrix(g), np.ones((5, 5)) - np.eye(5))
+
+
+@pytest.mark.parametrize("spec", [
+    SimilaritySpec(kind="katz", katz_beta=0.3, katz_max_power=power) for power in (1, 2, 3, 4, 7)
+] + [
+    SimilaritySpec(kind=kind, threshold_lo=lo, threshold_hi=hi)
+    for kind in ("katz", "rpr", "gg") for lo, hi in ((-0.5, 1.0), (0.3, 0.3), (-1.0, -0.5))
+] + [SimilaritySpec(kind="rpr", rpr_alpha=0.1)])
+def test_off_grid_builds_equal_the_reference_bytes(spec):
+    for seed in range(4):
+        assert_builds_match_reference(random_graph(12, 0.25, seed), [spec])
+
+
+def test_negative_zero_below_a_negative_threshold_becomes_positive():
+    # this graph's rooted-PageRank matrix holds -0.0 at both (i, j) and
+    # (j, i); it passes augment below a negative threshold, and the
+    # reference's "+ np.eye(n)" turns it into +0.0
+    g = make_graph(14, [(0, 11), (2, 3), (2, 4), (4, 10), (6, 8), (8, 11), (8, 13)])
+    spec = SimilaritySpec(kind="rpr", rpr_alpha=0.15, threshold_lo=-0.5, threshold_hi=1.0)
+    a_hat = augment(rpr_matrix(g, 0.15), spec)
+    assert (np.signbit(a_hat) & (a_hat == 0)).any()
+    assert_builds_match_reference(g, [spec])
+
+
+@pytest.mark.parametrize("beta, finite", [(1e154, True), (1.5e154, False)])
+def test_katz_row_norm_check_past_its_bound(beta, finite):
+    # n * beta^2 is past half of float64's max either way, so the check
+    # sums the squared rows: 1e308 is finite, 2.25e308 is not
+    g = make_graph(2, [(0, 1)])
+    spec = SimilaritySpec(kind="katz", katz_beta=beta, katz_max_power=1)
+    if finite:
+        assert_builds_match_reference(g, [spec])
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"katz_beta={beta!r}")):
+            build_representative(g, spec)
+
+
+def test_public_builders_leave_their_inputs_unchanged():
+    g = random_graph(9, 0.4, 2)
+    adjacency = g.adjacency.tobytes()
+    katz_matrix(g, 0.1, 5)
+    rpr_matrix(g, 0.85)
+    gg_matrix(g)
+    raw_gravity_scores(g)
+    assert g.adjacency.tobytes() == adjacency
+    matrix = katz_matrix(g, 0.1, 5)
+    before = matrix.copy()
+    for spec in (SimilaritySpec(kind="katz"), SimilaritySpec(kind="katz", threshold_lo=0.2,
+                                                             threshold_hi=0.4),
+                 SimilaritySpec(kind="katz", threshold_lo=AUTO, threshold_hi=AUTO)):
+        augment(matrix, spec)
+        l2_row_normalize(matrix)
+        auto_binarize(matrix)
+        assert matrix.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("field, value, message", [

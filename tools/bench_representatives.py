@@ -1,0 +1,196 @@
+"""Per-build time and minor page faults of the representative builds.
+
+Builds every distinct spec of the default model grid (13: one adjacency and
+four thresholds each of katz, rpr and gg) on each graph of two sets and
+prints one JSON object (or writes it with ``--out``):
+
+    sim_build  snapshot 5 of the desk profile grown to n=800, t scaled by
+               199/799: the graph perfbench's sim_build workload builds its
+               representatives on (cycle 0 of --seed 7)
+    desk       snapshots 0-2 of ``desk_sim_config`` (n=200)
+
+"before" is ``tests/reference_representatives.py``, the same formulas
+written as plain array expressions that allocate every temporary afresh;
+"after" is ``socsim.similarity.build_representative``.  The two sides
+alternate build by build, each time is the median of ``--repeat`` builds in
+milliseconds, and ``minflt`` is the median ``ru_minflt`` a build adds.  The
+two matrices are compared byte for byte and the result is recorded as
+``identical``.
+
+A process's minor faults per build depend on what it ran before (glibc
+moves its mmap threshold as blocks are freed), so ``--phase K`` also runs K
+sim_build-shaped cycles in this process through ``socsim.cli.main``
+(simulate 6 snapshots at n=800, ``representative`` for the 13 specs on the
+last one, events 7) and records the ``ru_minflt`` of each cycle's
+representative calls.  That part uses only the CLI, so it can be pointed at
+another checkout's ``src`` through PYTHONPATH.
+
+BLAS is pinned to one thread before numpy is imported, as in perfbench, and
+the thread count OpenBLAS then reports is recorded.
+
+    PYTHONPATH=src python3 tools/bench_representatives.py --phase 8 --out rep_bench.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import platform
+import resource
+import statistics
+import sys
+import tempfile
+import time
+from dataclasses import replace
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+from socsim.cli import main as socsim_main  # noqa: E402
+from socsim.harness import blas_threads, default_model_grid, desk_sim_config, parse_cell  # noqa: E402
+from socsim.sdna import iter_snapshots  # noqa: E402
+from socsim.similarity import build_representative  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import reference_representatives  # noqa: E402
+
+KINDS = ("adjacency", "katz", "rpr", "gg")
+
+
+SPECS = tuple(dict.fromkeys(parse_cell(cell)[1] for cell in default_model_grid()))
+
+
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _measure(fn) -> tuple[float, int, np.ndarray]:
+    faults = _minflt()
+    start = time.perf_counter()
+    out = fn()
+    return time.perf_counter() - start, _minflt() - faults, out
+
+
+def bench_spec(graph, spec, repeat) -> dict:
+    sides = {"before": lambda: reference_representatives.build_matrix(graph, spec),
+             "after": lambda: build_representative(graph, spec).matrix}
+    times = {side: [] for side in sides}
+    faults = {side: [] for side in sides}
+    outputs = {}
+    for _ in range(repeat):
+        for side, fn in sides.items():
+            seconds, minflt, outputs[side] = _measure(fn)
+            times[side].append(seconds)
+            faults[side].append(minflt)
+    row = {"kind": spec.kind, "thresholds": [spec.threshold_lo, spec.threshold_hi]}
+    for side in sides:
+        row[side] = {"ms": round(statistics.median(times[side]) * 1e3, 3),
+                     "minflt": statistics.median(faults[side])}
+    row["identical"] = outputs["before"].tobytes() == outputs["after"].tobytes()
+    return row
+
+
+def graph_sets(seed: int):
+    desk = desk_sim_config(1000 * seed)
+    wide = replace(desk, n=800, t=desk.t * (desk.n - 1) / 799)
+    *_, (last, _) = iter_snapshots(wide, 6)
+    yield "sim_build", [last]
+    yield "desk", [graph for graph, _ in iter_snapshots(desk_sim_config(seed), 3)]
+
+
+def per_kind(rows: list[dict]) -> dict:
+    """Median over a kind's builds of each side's ms and minflt."""
+    out = {}
+    for kind in KINDS:
+        mine = [r for r in rows if r["kind"] == kind]
+        out[kind] = {side: {key: statistics.median(r[side][key] for r in mine)
+                            for key in ("ms", "minflt")}
+                     for side in ("before", "after")}
+        out[kind]["identical"] = all(r["identical"] for r in mine)
+    return out
+
+
+def _spec_argv(spec) -> list[str]:
+    thresholds = (["auto"] if spec.auto_threshold
+                  else [repr(float(spec.threshold_lo)), repr(float(spec.threshold_hi))])
+    return ["--kind", spec.kind, "--beta", repr(spec.katz_beta),
+            "--max-power", str(spec.katz_max_power), "--alpha", repr(spec.rpr_alpha),
+            "--thresholds", *thresholds]
+
+
+def representative_phases(seed: int, cycles: int) -> list[dict]:
+    """ru_minflt and seconds of the representative calls of ``cycles``
+    sim_build-shaped cycles run through the CLI in this process."""
+    phases = []
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        root = Path(tmp)
+        for cycle in range(cycles):
+            desk = desk_sim_config(1000 * seed + cycle)
+            cfg = replace(desk, n=800, t=desk.t * (desk.n - 1) / 799)
+            config = root / f"sim-{cycle}.json"
+            config.write_text(cfg.to_json())
+            out = root / f"out-{cycle}"
+            socsim_main(["simulate", "--config", str(config), "--out", str(out / "sim"),
+                         "--snapshots", "6"])
+            faults, seconds = 0, 0.0
+            for idx, spec in enumerate(SPECS):
+                argv = ["representative", "--graph", str(out / "sim" / "snap-005"),
+                        *_spec_argv(spec), "--out", str(out / f"{idx:02d}.bin")]
+                spent, minflt, code = _measure(lambda: socsim_main(argv))
+                if code != 0:
+                    raise RuntimeError(f"{' '.join(argv)} exited {code}")
+                faults += minflt
+                seconds += spent
+            socsim_main(["events", "--config", str(config), "--out", str(out / "events.tsv"),
+                         "--events", "7"])
+            phases.append({"cycle": cycle, "minflt": faults, "seconds": round(seconds, 4)})
+    return phases
+
+
+def machine() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
+            "numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_threads": blas_threads()}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--phase", type=int, default=0, metavar="K",
+                        help="also count faults over K sim_build-shaped cycles")
+    parser.add_argument("--phase-only", action="store_true",
+                        help="skip the before/after builds (for --phase on another checkout)")
+    parser.add_argument("--out", default=None, help="write the JSON here instead of stdout")
+    args = parser.parse_args(argv)
+
+    doc = {"topic": "rep_buffers", "machine": machine(), "seed": args.seed,
+           "repeat": args.repeat}
+    if not args.phase_only:
+        sets = {}
+        for name, graphs in graph_sets(args.seed):
+            rows = [dict(graph=idx, n=graph.n, edges=len(graph.edges),
+                         **bench_spec(graph, spec, args.repeat))
+                    for idx, graph in enumerate(graphs) for spec in SPECS]
+            sets[name] = {"per_kind": per_kind(rows), "builds": rows}
+        doc["sets"] = sets
+    if args.phase:
+        doc["representative_phases"] = representative_phases(args.seed, args.phase)
+    text = json.dumps(doc, indent=1) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        print(text, end="")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
