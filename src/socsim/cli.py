@@ -7,6 +7,10 @@
     socsim experiment --plan plan.json --out results/
     socsim report --in results/report.json --format csv [--out dir/]
 
+``experiment`` makes its ``--out`` directory before it runs the plan, so a
+bad one fails at once.  ``report`` writes summary.csv and best.csv only; it
+never rewrites a report.json.
+
 Exit codes:
 
     0   success
@@ -30,7 +34,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .graph import load_graph_dir, save_graph_dir
-from .harness import ExperimentPlan, emit_report, load_report, run_experiment
+from .harness import ExperimentPlan, _emit_csvs, emit_report, load_report, run_experiment
 from .sdna import SimConfig, emit_event_stream, iter_snapshots
 from .similarity import (
     AUTO,
@@ -102,6 +106,7 @@ def _cmd_representative(args) -> int:
 
 def _cmd_experiment(args) -> int:
     plan = ExperimentPlan.load(args.plan)
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     report = run_experiment(plan)
     paths = emit_report(report, args.out)
     print(f"report: {paths['report']}")
@@ -115,7 +120,8 @@ def _cmd_experiment(args) -> int:
 def _cmd_report(args) -> int:
     report = load_report(args.input)
     out = Path(args.out) if args.out else Path(args.input).parent
-    paths = emit_report(report, out)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = _emit_csvs(report, out)
     print(f"wrote {paths['summary']} and {paths['best']}")
     return 0
 

@@ -24,17 +24,22 @@ There is one model type, ``GcnModel``: a stack of k models that share a
 config, G and X and differ only in their masks, init seed and dropout
 stream (the folds of one cross-validation cell), with k = 1 for a model
 trained alone.  Every parameter, Adam moment, activation and gate carries
-a leading fold axis, and the math is written once, for the stack.  Each G
-product runs at the narrower of its layer's kernel widths: (G @ H) @ W
-where the kernel keeps or widens the width, G @ (H @ W) where it narrows
-it (the output layer, num_classes wide), and TLR's first layer as
-(G @ Wa) @ Wb, one column wide.  A feature model computes its first
-propagation G @ X once for the whole run; S scales its columns per fold,
-since G (X diag s) = (G X) diag s.  ``train_folds`` trains a stack from
-one ``TrainInputs`` with (k, n) masks, one config and one seed per fold,
-without scoring it every epoch; it is the one way to train.  ``forward``,
-``backward`` and ``loss`` run the same code on a k = 1 model, with (n,)
-masks.
+a leading fold axis, and the math is written once, for the stack.
+``train_folds`` trains a stack from one ``TrainInputs`` with (k, n) masks,
+one config and one seed per fold, without scoring it every epoch; it is
+the one way to train.  ``forward``, ``backward`` and ``loss`` run the same
+code on a k = 1 model, with (n,) masks.
+
+One table, ``_steps()``, says what the net computes: a row per kernel
+product, in forward order, with its layer, kernel, fans, where G multiplies
+and whether a hidden layer's gate follows.  Each G product runs at the
+narrower width: (G @ H) @ W where the kernel keeps or widens it, G @ (H @ W)
+where it narrows it (the output layer, num_classes wide).  A topology
+model's first step reads the identity, so its product is G @ W: t's W0, or
+TLR's Wa, one column wide, which Wb widens with no G product.  A feature
+model takes its first G @ X once per run; S scales its columns per fold,
+since G (X diag s) = (G X) diag s.  The parameters, the workspace, both
+passes and the decay read the table; neither pass tests the variant.
 
 Batching leaves each fold's arithmetic unchanged except for how BLAS
 tiles the products.  A G product at least 8 columns wide per fold is taken
@@ -52,7 +57,7 @@ A training run allocates its arrays once, in a workspace that every epoch
 reuses, and writes them with ``out=`` in the same arithmetic and order as
 fresh arrays, so no result depends on it.  Each (k, n, width) stack
 (activations, gates, G products, backward gradients, probabilities) has
-its own buffer, named by role and layer, so no write can clobber a stack
+its own buffer, named by role and step, so no write can clobber a stack
 that is still to be read.  Gradients, Adam's temporaries and the
 transposed kernels are kept per parameter.
 
@@ -68,6 +73,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -213,20 +219,22 @@ def _init_params(cfg: GcnConfig, seeds: list[int], n_nodes: int,
                  n_features: int) -> dict[str, np.ndarray]:
     """Fresh parameters for one model per seed, stacked on the fold axis:
     Glorot-uniform kernels drawn in layer order from each seed's own init
-    stream, and all-ones feature weights (identity behaviour)."""
-    kernels = _kernels(cfg, n_nodes if cfg.variant in ("t", "tlr") else n_features)
-    params = {name: np.empty((len(seeds), *shape)) for _, name, shape in kernels}
-    if cfg.variant == "t":
-        # t's first layer propagates W0 itself, and its gradient is a G
-        # product: keep W0 (and so its Adam moments) in the _stack() layout
-        params["W0"] = _stack(np.empty(params["W0"].size), *params["W0"].shape)
+    stream, and all-ones feature weights (identity behaviour).  A kernel
+    that reads the identity is propagated itself, and its gradient is a G
+    product: it (and so its Adam moments) is kept in the _stack() layout."""
+    k = len(seeds)
+    identity = bool(_steps(cfg, 0)[0].g)  # a first step with a G product reads I, n x n
+    steps = _steps(cfg, n_nodes if identity else n_features)
+    params = {s.name: np.empty((k, *s.fans)) for s in steps}
+    if identity:
+        params[steps[0].name] = _stack(np.empty(k * math.prod(steps[0].fans)), k, *steps[0].fans)
     for fold, seed in enumerate(seeds):
         rng = derive_rng(seed, "init")
-        for _, name, (fan_in, fan_out) in kernels:
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            params[name][fold] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+        for s in steps:
+            limit = np.sqrt(6.0 / sum(s.fans))
+            params[s.name][fold] = rng.uniform(-limit, limit, size=s.fans)
     if cfg.use_s:
-        params["S"] = np.ones((len(seeds), n_features))
+        params["S"] = np.ones((k, n_features))
     return params
 
 
@@ -238,23 +246,46 @@ def _softmax(z: np.ndarray, out: np.ndarray, row: np.ndarray) -> np.ndarray:
     return np.divide(out, np.sum(out, axis=-1, keepdims=True, out=row), out=out)
 
 
-def _kernels(cfg: GcnConfig, in_dim: int) -> list[tuple[int, str, tuple[int, int]]]:
-    """Every kernel as (layer, name, (fan_in, fan_out)), in layer order, for
-    a model whose first layer reads ``in_dim`` columns (nodes for t/tlr,
-    else features): ``W<i>`` for layer i, and tlr's first kernel factored
-    into Wa (in_dim x 1) and Wb (1 x units)."""
+class _Step(NamedTuple):
+    """One kernel product H @ W: its ``layer``, the kernel's ``name`` and
+    ``fans`` (fan_in, fan_out), where G multiplies, ``g`` ("in" for
+    (G @ H) @ W, "out" for G @ (H @ W), "" for none), and whether it ends a
+    hidden layer, so that layer's gate follows, ``hidden``.  A first step
+    with a G product reads the identity: H = I."""
+
+    layer: int
+    name: str
+    fans: tuple[int, int]
+    g: str
+    hidden: bool
+
+
+def _steps(cfg: GcnConfig, in_dim: int) -> list[_Step]:
+    """Every kernel product, in forward order, for a model whose first
+    layer reads ``in_dim`` columns (nodes for t/tlr, else features):
+    ``W<i>`` for layer i, with tlr's first layer as Wa (in_dim x 1), then
+    Wb (1 x units).  G multiplies a narrowing kernel's output, else its
+    input; never for f, nor for a feature model's first step, whose G @ X
+    is taken once per run."""
     dims = [in_dim, *cfg.layer_units, cfg.num_classes]
-    kernels = [(i, f"W{i}", (dims[i], dims[i + 1])) for i in range(len(dims) - 1)]
+    steps = []
+    for layer, fans in enumerate(zip(dims, dims[1:])):
+        if layer == 0:  # t's W0 (and tlr's Wa) reads the identity: G @ W
+            g = "out" if cfg.variant in ("t", "tlr") else ""
+        else:
+            g = "" if cfg.variant == "f" else "out" if fans[1] < fans[0] else "in"
+        steps.append(_Step(layer, f"W{layer}", fans, g, layer < len(cfg.layer_units)))
     if cfg.variant == "tlr":
-        kernels[:1] = [(0, "Wa", (dims[0], 1)), (0, "Wb", (1, dims[1]))]
-    return kernels
+        steps[:1] = [_Step(0, "Wa", (dims[0], 1), "out", False),
+                     _Step(0, "Wb", (1, dims[1]), "", steps[0].hidden)]
+    return steps
 
 
 def _decayed_names(cfg: GcnConfig) -> list[str]:
     """The kernels L2 decay applies to: every layer's but the output's (so
     tlr's Wa and Wb only when it has a hidden layer), never S.  Names do not
     depend on the input width."""
-    return [name for layer, name, _ in _kernels(cfg, 0) if layer < len(cfg.layer_units)]
+    return [s.name for s in _steps(cfg, 0) if s.layer < len(cfg.layer_units)]
 
 
 # --- the fold axis -------------------------------------------------------------
@@ -349,13 +380,6 @@ def _propagate(g: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _propagates_output(kernel: np.ndarray) -> bool:
-    """Whether a layer with this kernel computes G @ (H @ W), not
-    (G @ H) @ W: its G product runs at the narrower of the kernel's in and
-    out widths (an equal pair keeps (G @ H) @ W)."""
-    return kernel.shape[-1] < kernel.shape[-2]
-
-
 def _nan(shape: tuple[int, ...]) -> np.ndarray:
     return np.full(shape, np.nan)
 
@@ -369,31 +393,30 @@ class _Workspace:
 
     Per parameter it also holds the gradient, a scratch array (the squared
     kernel of the decay term, then the decay itself, then Adam's squared
-    gradient) and, for a kernel past the first layer, its transpose.
-    Dropout reads one buffer of draws and writes a bool keep-mask per
-    hidden layer.  Float buffers start as NaN, so a read before the first
-    write shows up as a non-finite loss.
+    gradient) and, for the kernel of every step past the first, its
+    transpose.  Dropout reads one buffer of draws and writes a bool
+    keep-mask per hidden layer.  Float buffers start as NaN, so a read
+    before the first write shows up as a non-finite loss.
 
-    It also holds what every fold reads: G (``gm``, None for variant f),
-    the features X and, for a feature model, the first layer's propagated
-    input G @ X (X for f), computed once; S scales it per fold."""
+    It also holds what every fold reads: the model's steps and decayed
+    kernels, G (``gm``, None for variant f), the features X and the first
+    step's input (``prop0``): None where it is the identity, else G @ X
+    (X for f), computed once; S scales it per fold."""
 
     def __init__(self, model: GcnModel, inputs: TrainInputs):
         cfg, params = model.config, model.params
         k, in_dim = next(iter(params.values())).shape[:2]  # the first kernel's folds, input width
         n = inputs.x.shape[0]
+        self.steps, self.decayed = _steps(cfg, in_dim), _decayed_names(cfg)
         self.gm = None if cfg.variant == "f" else inputs.g_matrix
         self.x = inputs.x
-        self.prop0 = None
-        if cfg.variant not in ("t", "tlr"):
-            self.prop0 = self.x if self.gm is None else self.gm @ self.x
+        self.prop0 = None if self.steps[0].g else self.x if self.gm is None else self.gm @ self.x
         self.k, self.n = k, n
         self._stacks: dict[str, np.ndarray] = {}
         # laid out like their parameters, so Adam's passes match layouts
         self.grads = {name: np.full_like(p, np.nan) for name, p in params.items()}
         self.scratch = {name: np.full_like(p, np.nan) for name, p in params.items()}
-        self.transposed = {name: _nan((k, fan_out, fan_in))
-                           for layer, name, (fan_in, fan_out) in _kernels(cfg, in_dim) if layer > 0}
+        self.transposed = {s.name: _nan((k, s.fans[1], s.fans[0])) for s in self.steps[1:]}
         self.row = _nan((k, n, 1))
         self._draws = _nan(n * sum(cfg.layer_units))
         ends = np.cumsum([0, *cfg.layer_units]) * n
@@ -422,54 +445,37 @@ class _Workspace:
 def _forward(model: GcnModel, ws: _Workspace, training: bool = False,
              rngs: list[np.random.Generator] | None = None) -> tuple[np.ndarray, dict]:
     """forward() for a stack, in the stacks of ``ws``: probabilities
-    (k, n, classes) and the cache _backward() replays: each layer's left
-    operand of its kernel product ("prop": G @ H, or H where the layer
-    propagates its output; None for t's first layer), each hidden layer's
+    (k, n, classes) and the cache _backward() replays: each step's left
+    operand of its kernel product ("prop": G @ H, or H where G multiplies
+    the output or not at all; None for the identity), each hidden layer's
     gate, the float (ReLU active and dropout kept) / keep that scales it,
     the logits and the probabilities."""
     cfg, params, gm = model.config, model.params, ws.gm
-    n_layers = len(cfg.layer_units) + 1
     keep = None
     if training and cfg.dropout_p > 0.0:
         if rngs is None:
             raise ValueError("training forward with dropout needs an rng")
         keep = ws.keep_masks(rngs, cfg.dropout_p)
     cache: dict = {"prop": [], "gate": []}
-    h = None
-    for layer in range(n_layers):
-        hidden = layer < n_layers - 1
-        width = cfg.layer_units[layer] if hidden else cfg.num_classes
-        if layer == 0 and cfg.variant == "t":
-            # identity features: the first propagation collapses to G @ W0
-            prop, z = None, _propagate(gm, params["W0"], out=ws.stack("z0", width))
-        elif layer == 0 and cfg.variant == "tlr":
-            prop = _propagate(gm, params["Wa"], out=ws.stack("prop0", 1))
-            z = np.matmul(prop, params["Wb"], out=ws.stack("z0", width))
+    h = ws.prop0
+    if cfg.use_s:
+        h = np.multiply(h, params["S"][:, None, :], out=ws.stack("prop0", h.shape[-1]))
+    for i, step in enumerate(ws.steps):
+        kernel, width = params[step.name], step.fans[1]
+        prop = _propagate(gm, h, out=ws.stack(f"prop{i}", h.shape[-1])) if step.g == "in" else h
+        if step.g == "out":
+            hw = kernel if h is None else np.matmul(h, kernel, out=ws.stack(f"hw{i}", width))
+            z = _propagate(gm, hw, out=ws.stack(f"z{i}", width))
         else:
-            kernel = params[f"W{layer}"]
-            if layer > 0 and gm is not None and _propagates_output(kernel):
-                prop = h
-                hw = np.matmul(h, kernel, out=ws.stack(f"hw{layer}", width))
-                z = _propagate(gm, hw, out=ws.stack(f"z{layer}", width))
-            else:
-                if layer == 0:
-                    prop = ws.prop0
-                    if cfg.use_s:
-                        s = params["S"][:, None, :]
-                        prop = np.multiply(prop, s, out=ws.stack("prop0", prop.shape[-1]))
-                elif gm is None:
-                    prop = h
-                else:
-                    prop = _propagate(gm, h, out=ws.stack(f"prop{layer}", h.shape[-1]))
-                z = np.matmul(prop, kernel, out=ws.stack(f"z{layer}", width))
+            z = np.matmul(prop, kernel, out=ws.stack(f"z{i}", width))
         cache["prop"].append(prop)
-        if hidden:
-            gate = np.greater(z, 0.0, out=ws.stack(f"gate{layer}", width))
+        h = z
+        if step.hidden:
+            gate = np.greater(z, 0.0, out=ws.stack(f"gate{i}", width))
             if keep is not None:
-                gate *= keep[layer]
+                gate *= keep[step.layer]
                 gate *= 1.0 / (1.0 - cfg.dropout_p)
             cache["gate"].append(gate)
-            h = z
             h *= gate
     cache["logits"] = z
     cache["probs"] = _softmax(z, ws.stack("probs", width), ws.row)
@@ -490,40 +496,35 @@ def _losses(probs: np.ndarray, rows: _Rows, params: dict[str, np.ndarray],
 def _backward(model: GcnModel, cache: dict, rows: _Rows, ws: _Workspace) -> dict[str, np.ndarray]:
     """backward() for a stack: every fold's gradients, fold axis first, in
     ``ws.grads``; ``cache`` is only read."""
-    cfg, params, gm, grads = model.config, model.params, ws.gm, ws.grads
+    cfg, params, gm, grads, steps = model.config, model.params, ws.gm, ws.grads, ws.steps
     dz = rows.output_grad(cache["probs"], out=ws.stack("dz", cfg.num_classes))
-    for layer in range(len(cfg.layer_units), 0, -1):
-        name = f"W{layer}"
-        kernel, prop = params[name], cache["prop"][layer]
-        propagates_output = gm is not None and _propagates_output(kernel)
-        if propagates_output:
-            dz = _propagate(gm.T, dz, out=ws.stack(f"dg{layer}", dz.shape[-1]))  # w.r.t. H @ W
-        np.matmul(np.swapaxes(prop, -1, -2), dz, out=grads[name])
-        kernel_t = ws.transposed[name]
-        np.copyto(kernel_t, np.swapaxes(kernel, 1, 2))
-        dh = np.matmul(dz, kernel_t, out=ws.stack(f"dh{layer}", kernel.shape[1]))
-        if gm is not None and not propagates_output:
-            dh = _propagate(gm.T, dh, out=ws.stack(f"dg{layer}", dh.shape[-1]))
-        dh *= cache["gate"][layer - 1]
+    for i in reversed(range(len(steps))):
+        step, prop = steps[i], cache["prop"][i]
+        grad = grads[step.name]
+        if step.g == "out":  # w.r.t. H @ W, the kernel itself where H is the identity
+            out = grad if prop is None else ws.stack(f"dg{i}", step.fans[1])
+            dz = _propagate(gm.T, dz, out=out)
+        if prop is not None:
+            np.matmul(np.swapaxes(prop, -1, -2), dz, out=grad)
+        if i == 0:
+            break
+        kernel_t = ws.transposed[step.name]
+        np.copyto(kernel_t, np.swapaxes(params[step.name], 1, 2))
+        dh = np.matmul(dz, kernel_t, out=ws.stack(f"dh{i}", step.fans[0]))
+        if step.g == "in":
+            dh = _propagate(gm.T, dh, out=ws.stack(f"dg{i}", step.fans[0]))
+        if steps[i - 1].hidden:
+            dh *= cache["gate"][steps[i - 1].layer]
         dz = dh
-    prop = cache["prop"][0]
-    if cfg.variant == "t":
-        _propagate(gm.T, dz, out=grads["W0"])  # the first layer's propagated input is G
-    elif cfg.variant == "tlr":
-        np.matmul(np.swapaxes(prop, 1, 2), dz, out=grads["Wb"])
-        da = np.matmul(dz, np.swapaxes(params["Wb"], 1, 2), out=ws.stack("da", 1))
-        _propagate(gm.T, da, out=grads["Wa"])
-    else:
-        np.matmul(np.swapaxes(prop, -1, -2), dz, out=grads["W0"])
-        if cfg.use_s:
-            dprop = np.matmul(dz, np.swapaxes(params["W0"], 1, 2),
-                              out=ws.stack("dprop", ws.x.shape[1]))
-            dprop *= ws.prop0
-            np.sum(dprop, axis=1, out=grads["S"])
+    if cfg.use_s:
+        dprop = np.matmul(dz, np.swapaxes(params[steps[0].name], 1, 2),
+                          out=ws.stack("dprop", ws.x.shape[1]))
+        dprop *= ws.prop0
+        np.sum(dprop, axis=1, out=grads["S"])
 
     wd = cfg.weight_decay
     if wd:
-        for name in _decayed_names(cfg):
+        for name in ws.decayed:
             grads[name] += np.multiply(params[name], 2.0 * wd, out=ws.scratch[name])
     return grads
 
@@ -561,11 +562,10 @@ def _fit(model: GcnModel, rows: _Rows, rngs: list[np.random.Generator], ws: _Wor
     Raises TrainingDiverged at the first epoch in which any fold's loss is
     non-finite, for the lowest-index such fold.
     """
-    cfg = model.config
-    decayed = _decayed_names(cfg)
     for epoch in range(epochs):
         probs, cache = _forward(model, ws, training=True, rngs=rngs)
-        losses = _losses(probs, rows, model.params, decayed, cfg.weight_decay, ws.scratch)
+        losses = _losses(probs, rows, model.params, ws.decayed, model.config.weight_decay,
+                         ws.scratch)
         finite = np.isfinite(losses)
         if not finite.all():
             fold = int(np.argmin(finite))

@@ -465,13 +465,15 @@ def emit_report(report: ExperimentReport, out_dir: str | Path) -> dict[str, Path
     pure function of the report."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "report": out_dir / "report.json",
-        "summary": out_dir / "summary.csv",
-        "best": out_dir / "best.csv",
-    }
-    paths["report"].write_text(json.dumps(asdict(report), sort_keys=True, indent=2) + "\n")
+    path = out_dir / "report.json"
+    path.write_text(json.dumps(asdict(report), sort_keys=True, indent=2) + "\n")
+    return {"report": path, **_emit_csvs(report, out_dir)}
 
+
+def _emit_csvs(report: ExperimentReport, out_dir: Path) -> dict[str, Path]:
+    """Write emit_report()'s summary.csv and best.csv into the existing
+    directory ``out_dir``; ``socsim report`` writes these alone."""
+    paths = {"summary": out_dir / "summary.csv", "best": out_dir / "best.csv"}
     cell_names = list(report.plan.get("cells", []))
     if not cell_names and report.snapshots:
         cell_names = list(report.snapshots[0].cells)

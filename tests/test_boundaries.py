@@ -11,6 +11,7 @@ each file a subcommand reads.
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import re
@@ -417,8 +418,15 @@ def run_in(files: dict[str, bytes], argv: list[str]) -> int:
                 load_representative_matrix(args.out)
             elif args.command == "experiment":
                 load_report(Path(args.out) / "report.json")
-            elif args.command == "report":
-                load_report(Path(args.out or Path(args.input).parent) / "report.json")
+            elif args.command == "report":  # the two CSVs, never a report.json
+                out, report = Path(args.out or Path(args.input).parent), load_report(args.input)
+                cells = report.plan.get("cells") or [*(report.snapshots[0].cells
+                                                       if report.snapshots else ())]
+                with open(out / "summary.csv", newline="") as fh:
+                    assert next(csv.reader(fh)) == ["snapshot", *cells]
+                with open(out / "best.csv", newline="") as fh:
+                    assert next(csv.reader(fh))[0] == "snapshot"
+                assert Path("report.json").read_bytes() == files["report.json"]
     return code
 
 

@@ -133,6 +133,51 @@ def test_experiment_exits_3_when_a_cell_raises(tmp_path, monkeypatch):
     assert not cells["FTvanilla"]["failed"]
 
 
+def test_report_writes_only_the_two_csvs(tmp_path):
+    # a report.json beside --in, and any in --out, belongs to another run
+    plan = ExperimentPlan(
+        sim=SimConfig(n=24, f=3, y=4, q=2, p=0.7, t=0.08, r=0.25, c=(1.0,),
+                      z=0.2, seed=2),
+        networks=1, snapshots=1, cells=("FTvanilla", "F"), folds=3, seed=4,
+        gcn=GcnConfig(num_classes=4, layer_units=(6, 6, 6), epochs=2),
+    )
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan.to_dict()))
+    assert main(["experiment", "--plan", str(plan_path), "--out", str(tmp_path / "run")]) == 0
+    keep = tmp_path / "keep"
+    keep.mkdir()
+    (tmp_path / "run" / "report.json").rename(keep / "other.json")
+    sentinel = b"a report of another run\n"
+    (keep / "report.json").write_bytes(sentinel)
+    assert main(["report", "--in", str(keep / "other.json")]) == 0
+    assert (keep / "report.json").read_bytes() == sentinel
+    assert sorted(p.name for p in keep.iterdir()) == ["best.csv", "other.json", "report.json",
+                                                      "summary.csv"]
+    out = tmp_path / "out"
+    assert main(["report", "--in", str(keep / "other.json"), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["best.csv", "summary.csv"]
+    for name in ("summary.csv", "best.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+
+def test_experiment_rejects_an_out_file_before_it_runs(tmp_path, monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr("socsim.cli.run_experiment", lambda plan: runs.append(plan))
+    plan = ExperimentPlan(
+        sim=SimConfig(n=24, f=3, y=4, q=2, p=0.7, t=0.08, r=0.25, c=(1.0,),
+                      z=0.2, seed=2),
+        networks=1, snapshots=1, cells=("F",), folds=3, seed=4,
+        gcn=GcnConfig(num_classes=4, epochs=2),
+    )
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan.to_dict()))
+    out = tmp_path / "results"
+    out.write_text("a file, not a directory\n")
+    assert main(["experiment", "--plan", str(plan_path), "--out", str(out)]) == 1
+    assert runs == []
+    assert capsys.readouterr().err.startswith("socsim: error: ")
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 

@@ -4,6 +4,7 @@ Nothing else imports them, so a rename in ``socsim`` would otherwise break
 them silently.
 """
 
+import hashlib
 import json
 import os
 import re
@@ -62,3 +63,24 @@ def test_graph_kernel_bench_tool_finds_every_kernel_identical(tmp_path):
             for kernel in ("walk_indicators", "shortest_path_matrix", "katz_matrix", "rank_sort"):
                 assert row[kernel]["identical"], (row["edges"], kernel)
                 assert row[kernel]["before_ms"] > 0 and row[kernel]["after_ms"] > 0
+
+
+def test_gcn_digest_tool_digests_every_config_of_its_grid():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "gcn_digest.py"), "--epochs", "2"],
+        capture_output=True, text=True, env=tool_env(), timeout=300, check=True,
+    ).stdout
+    report = json.loads(out)
+    assert (report["n"], report["folds"], report["epochs"]) == (60, 3, 2)
+    assert report["configs"] == len(report["digests"]) == 192
+    combined = hashlib.sha256()
+    for key, digest in report["digests"].items():
+        assert re.fullmatch(r"[0-9a-f]{64}", digest["params"])
+        assert re.fullmatch(r"[0-9a-f]{64}", digest["probs"])
+        combined.update(json.dumps([key, digest]).encode())
+    assert report["combined"] == combined.hexdigest()
+    # variant f ignores G: its adjacency and Katz runs train the same bits
+    f = [key for key in report["digests"] if key.startswith("f ") and key.endswith("G=adjacency")]
+    assert len(f) == 16
+    for key in f:
+        assert report["digests"][key] == report["digests"][key.replace("adjacency", "katz")]

@@ -21,6 +21,7 @@ from socsim.gcn import (
     _init_params,
     _propagate,
     _softmax,
+    _steps,
 )
 from socsim.graph import SocialGraph
 from socsim.rng import derive_rng
@@ -668,6 +669,45 @@ def test_train_folds_matches_train_then_evaluate():
 def test_train_folds_matches_train_then_evaluate_per_fold_products(variant, use_s, num_classes):
     assert_train_folds_matches_each_fold_alone(variant=variant, use_s=use_s,
                                                num_classes=num_classes)
+
+
+# (layer, kernel, fans, where G multiplies, gated) of every kernel product,
+# in forward order, over 20 input columns (features, or nodes for t/tlr)
+STEPS = {
+    ("ftvanilla", (32, 32, 32)): [(0, "W0", (20, 32), "", True),
+                                  (1, "W1", (32, 32), "in", True), (2, "W2", (32, 32), "in", True),
+                                  (3, "W3", (32, 4), "out", False)],
+    ("ftvanilla", (16, 8, 3)): [(0, "W0", (20, 16), "", True), (1, "W1", (16, 8), "out", True),
+                                (2, "W2", (8, 3), "out", True), (3, "W3", (3, 4), "in", False)],
+    ("ftvanilla", ()): [(0, "W0", (20, 4), "", False)],
+    ("f", (32, 32, 32)): [(0, "W0", (20, 32), "", True), (1, "W1", (32, 32), "", True),
+                          (2, "W2", (32, 32), "", True), (3, "W3", (32, 4), "", False)],
+    ("f", (16, 8, 3)): [(0, "W0", (20, 16), "", True), (1, "W1", (16, 8), "", True),
+                        (2, "W2", (8, 3), "", True), (3, "W3", (3, 4), "", False)],
+    ("f", ()): [(0, "W0", (20, 4), "", False)],
+    # the identity input: G @ W0 even where W0 widens
+    ("t", (32, 32, 32)): [(0, "W0", (20, 32), "out", True), (1, "W1", (32, 32), "in", True),
+                          (2, "W2", (32, 32), "in", True), (3, "W3", (32, 4), "out", False)],
+    ("t", (16, 8, 3)): [(0, "W0", (20, 16), "out", True), (1, "W1", (16, 8), "out", True),
+                        (2, "W2", (8, 3), "out", True), (3, "W3", (3, 4), "in", False)],
+    ("t", ()): [(0, "W0", (20, 4), "out", False)],
+    # G @ Wa, ungated, then Wb with no G product and the first layer's gate
+    ("tlr", (32, 32, 32)): [(0, "Wa", (20, 1), "out", False), (0, "Wb", (1, 32), "", True),
+                            (1, "W1", (32, 32), "in", True), (2, "W2", (32, 32), "in", True),
+                            (3, "W3", (32, 4), "out", False)],
+    ("tlr", (16, 8, 3)): [(0, "Wa", (20, 1), "out", False), (0, "Wb", (1, 16), "", True),
+                          (1, "W1", (16, 8), "out", True), (2, "W2", (8, 3), "out", True),
+                          (3, "W3", (3, 4), "in", False)],
+    ("tlr", ()): [(0, "Wa", (20, 1), "out", False), (0, "Wb", (1, 4), "", False)],
+}
+
+
+@pytest.mark.parametrize("variant,layer_units", sorted(STEPS), ids=str)
+def test_step_table(variant, layer_units):
+    for use_s in (False, True) if variant in ("ftvanilla", "f") else (False,):
+        cfg = GcnConfig(variant=variant, use_s=use_s, layer_units=layer_units, num_classes=4)
+        assert [(s.layer, s.name, s.fans, s.g, s.hidden)
+                for s in _steps(cfg, 20)] == STEPS[variant, layer_units]
 
 
 def test_narrow_products_equal_each_fold_alone():

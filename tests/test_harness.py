@@ -365,8 +365,12 @@ def test_report_written_before_gcn_lost_its_seed_loads_and_re_emits_unchanged(tm
     old.parent.mkdir()
     old.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     assert load_report(old).snapshots == report.snapshots
-    assert cli.main(["report", "--in", str(old), "--out", str(tmp_path / "redo")]) == 0
-    assert (tmp_path / "redo" / "report.json").read_bytes() == old.read_bytes()
+    redo = emit_report(load_report(old), tmp_path / "redo")
+    assert redo["report"].read_bytes() == old.read_bytes()
+    # socsim report re-emits its CSVs, and leaves report.json to emit_report
+    assert cli.main(["report", "--in", str(old), "--out", str(tmp_path / "csv")]) == 0
+    for name in ("summary.csv", "best.csv"):
+        assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / "redo" / name).read_bytes()
 
 
 def test_report_mean_matches_accuracies():
