@@ -41,17 +41,19 @@ model takes its first G @ X once per run; S scales its columns per fold,
 since G (X diag s) = (G X) diag s.  The parameters, the workspace, both
 passes and the decay read the table; neither pass tests the variant.
 
-Batching leaves each fold's arithmetic unchanged except for how BLAS
-tiles the products.  A G product at least 8 columns wide per fold is taken
-for all folds at once, G @ [H_1 ... H_k].  With OpenBLAS 0.3.31 (x86-64,
-AVX-512 kernels) a fold's columns of it equal G @ H_i bit for bit when
-that width is a multiple of 8, as the default 32 is; at other widths their
-last bits can differ from training the fold alone (on desk-scale cells at
-widths 12 and 20 the accuracies still matched).  Narrower products, such
-as the output layer's G @ (H @ W) and TLR's G @ Wa, are taken one fold at
-a time, as one ``np.matmul`` over the stack: stacked, they changed bits
-against training the fold alone, and at n = 200 they cost about the same
-either way.
+Batching leaves each fold's arithmetic unchanged: a G product is taken
+for all folds at once, G @ [H_1 ... H_k], exactly where BLAS gives each
+fold's columns the bits of G @ H_i, and one fold at a time (one
+``np.matmul`` over the stack) elsewhere; ``_stacked()`` is the rule.  With
+OpenBLAS 0.3.31 (x86-64, AVX-512 kernels) that holds when the width per
+fold is a multiple of 8, as the default 32 is, or when the fold's own
+product leaves OpenBLAS's small-matrix kernel, n * n * width > 10^6 (so
+at n = 800 the output layer's 4 columns stack).  A width-1 product, such
+as TLR's G @ Wa, goes to gemv and never matches a column of a wider
+product, so it stays per fold.  So each fold's bits are those of training
+it alone at every width.  Hidden widths that are not a multiple of 8, such
+as 12 and 20, thus stay per fold while n * n * width <= 10^6: stacked
+there, they changed their last bits (no shipped plan uses such widths).
 
 A training run allocates its arrays once, in a workspace that every epoch
 reuses, and writes them with ``out=`` in the same arithmetic and order as
@@ -350,30 +352,32 @@ class _Rows:
                 for fold, rows in zip(pred, self.test)]
 
 
-# Stacks narrower than this take their G products one fold at a time.
-_STACKED_MIN_WIDTH = 8
+def _stacked(n: int, width: int) -> bool:
+    """Whether G products over n nodes, ``width`` columns per fold, are
+    taken for all folds at once: where OpenBLAS gives each fold's columns
+    of G @ [H_1 ... H_k] the bits of G @ H_i (see the module docstring)."""
+    return width % 8 == 0 or (width >= 2 and n * n * width > 10**6)
 
 
 def _stack(flat: np.ndarray, k: int, n: int, width: int) -> np.ndarray:
     """The first k * n * width entries of ``flat`` as a (k, n, width)
-    stack.  One at least _STACKED_MIN_WIDTH wide is stored as the
-    (n, k * width) block that _propagate() multiplies, so passing it there
-    copies nothing (and elementwise work with its outputs runs over
-    matching layouts); a narrower one is stored fold by fold."""
+    stack.  Where _stacked() holds it is stored as the (n, k * width)
+    block that _propagate() multiplies, so passing it there copies nothing
+    (and elementwise work with its outputs runs over matching layouts);
+    elsewhere it is stored fold by fold."""
     flat = flat[:k * n * width]
-    if width < _STACKED_MIN_WIDTH:
+    if not _stacked(n, width):
         return flat.reshape(k, n, width)
     return flat.reshape(n, k, width).transpose(1, 0, 2)
 
 
 def _propagate(g: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``g @ h[i]`` for every fold i, written into ``out``, laid out as a
-    _stack().  A stack at least _STACKED_MIN_WIDTH wide takes
-    one product over the folds' side-by-side columns, ``g @ [h_1 ... h_k]``
-    (h is copied only when it is not laid out that way); a narrower one
-    takes one product per fold."""
+    _stack().  Where _stacked() holds it takes one product over the folds'
+    side-by-side columns, ``g @ [h_1 ... h_k]`` (h is copied only when it
+    is not laid out that way); elsewhere one product per fold."""
     k, n, width = h.shape
-    if width < _STACKED_MIN_WIDTH:
+    if not _stacked(n, width):
         return np.matmul(g, h, out=out)
     wide = h.transpose(1, 0, 2).reshape(n, k * width)
     np.matmul(g, wide, out=out.transpose(1, 0, 2).reshape(g.shape[0], k * width))

@@ -84,3 +84,22 @@ def test_gcn_digest_tool_digests_every_config_of_its_grid():
     assert len(f) == 16
     for key in f:
         assert report["digests"][key] == report["digests"][key.replace("adjacency", "katz")]
+
+
+def test_g_products_tool_times_both_forms_on_each_side_of_the_rule(tmp_path):
+    out = tmp_path / "times.json"
+    subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_g_products.py"), "--n", "500", "501",
+         "--folds", "3", "--width", "1", "4", "--repeat", "2", "--out", str(out)],
+        capture_output=True, text=True, env=tool_env(), timeout=300, check=True,
+    )
+    report = json.loads(out.read_text())
+    assert report["machine"]["blas_threads"] == 1
+    rows = report["products"]
+    assert [(r["n"], r["width"], r["side"]) for r in rows] == [
+        (n, width, side) for n in (500, 501) for width in (1, 4) for side in ("g", "g.T")]
+    for row in rows:
+        assert row["per_fold_ms"] > 0 and row["stacked_ms"] > 0
+        assert row["rule_stacks"] == ((row["n"], row["width"]) == (501, 4))
+        # where the rule stacks, the stacked product gives each fold its own bits
+        assert row["identical"] or not row["rule_stacks"]

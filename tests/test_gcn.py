@@ -21,6 +21,8 @@ from socsim.gcn import (
     _init_params,
     _propagate,
     _softmax,
+    _stack,
+    _stacked,
     _steps,
 )
 from socsim.graph import SocialGraph
@@ -568,12 +570,12 @@ def fit_stack(inputs, cfg, seeds):
     return model.params
 
 
-def assert_train_folds_matches_each_fold_alone(**cfg):
+def assert_train_folds_matches_each_fold_alone(n=12, **cfg):
     """The stack's accuracies, and its trained parameters bit for bit,
     equal those of each fold trained alone as a k = 1 stack from its own
-    seed."""
-    folds = fold_inputs(toy_inputs(toy_graph(n=12, seed=6)))
-    cfg = small_cfg(layer_units=(8, 8), dropout_p=0.5, epochs=15, **cfg)
+    seed, on an ``n``-node graph."""
+    folds = fold_inputs(toy_inputs(toy_graph(n=n, seed=6)))
+    cfg = small_cfg(**{"layer_units": (8, 8), "dropout_p": 0.5, "epochs": 15, **cfg})
     seeds = (4, 5, 6)
     alone = [train_folds(one_fold(folds, fold), cfg, [seed])[0]
              for fold, seed in enumerate(seeds)]
@@ -671,6 +673,20 @@ def test_train_folds_matches_train_then_evaluate_per_fold_products(variant, use_
                                                num_classes=num_classes)
 
 
+# hidden widths 12 and 20 at n = 60 are neither a multiple of 8 nor past
+# OpenBLAS's small-matrix kernel, so their G products go fold by fold
+@pytest.mark.parametrize("variant", ["ftvanilla", "t"])
+def test_train_folds_matches_train_then_evaluate_widths_12_and_20(variant):
+    assert_train_folds_matches_each_fold_alone(n=60, variant=variant, layer_units=(12, 20),
+                                               num_classes=4)
+
+
+def test_train_folds_matches_train_then_evaluate_stacked_output_layer():
+    # at n = 520 the 4-class output layer's G products are stacked
+    assert _stacked(520, 4)
+    assert_train_folds_matches_each_fold_alone(n=520, num_classes=4)
+
+
 # (layer, kernel, fans, where G multiplies, gated) of every kernel product,
 # in forward order, over 20 input columns (features, or nodes for t/tlr)
 STEPS = {
@@ -710,16 +726,29 @@ def test_step_table(variant, layer_units):
                 for s in _steps(cfg, 20)] == STEPS[variant, layer_units]
 
 
-def test_narrow_products_equal_each_fold_alone():
-    # side by side, the k products of a stack under 8 columns per fold
-    # changed their last bits against each fold's own product at n = 200
-    rng = np.random.default_rng(0)
-    g = rng.random((200, 200))
-    for width in range(1, 8):
-        h = rng.normal(size=(10, 200, width))
-        stack = _propagate(g, h, out=np.empty_like(h))
-        for fold in range(10):
-            assert np.array_equal(stack[fold], g @ h[fold]), f"width {width}"
+def test_stacking_rule_at_its_boundary():
+    # width 4 leaves OpenBLAS's small-matrix kernel at n = 501, width 2 by
+    # n = 800; width 1 goes to gemv and never stacks
+    assert _stacked(501, 4) and _stacked(800, 2)
+    assert not _stacked(500, 4) and not _stacked(800, 1) and not _stacked(2000, 1)
+    assert _stacked(60, 8) and _stacked(60, 32) and not _stacked(60, 12)
+
+
+@pytest.mark.parametrize("n", [60, 200, 500, 501, 800])
+def test_g_products_equal_each_fold_alone(n):
+    # stacked or fold by fold, as _stacked() says, each fold's columns of
+    # a G product (or a G.T one, as the backward pass takes) are the bits
+    # of its own product; a BLAS that tiles differently fails here
+    rng = np.random.default_rng(n)
+    g = rng.random((n, n))
+    for k in (3, 10):
+        for width in [*range(1, 9), 12, 20, 32]:
+            h = _stack(np.empty(k * n * width), k, n, width)
+            h[...] = rng.normal(size=h.shape)
+            for gm in (g, g.T):
+                out = _propagate(gm, h, out=_stack(np.empty(k * n * width), k, n, width))
+                for fold in range(k):
+                    assert np.array_equal(out[fold], gm @ h[fold]), (k, width, fold)
 
 
 def test_train_folds_rejects_mismatched_folds():

@@ -1,7 +1,8 @@
 """sha256 digests of GCN training over a grid of configs, for bit-identity checks.
 
-Simulates one n = 60 snapshot, splits it into 3 stratified folds and trains
-every config of the grid on it for 7 epochs as one 3-fold stack:
+Simulates one snapshot of n = 60 nodes (``--n``), splits it into 3
+stratified folds and trains every config of the grid on it for 7 epochs as
+one 3-fold stack:
 
     4 variants and S (ftvanilla, ftvanilla+S, f, f+S, t, tlr)
     x layer units (32, 32, 32), (16, 8, 3), (12, 20), ()
@@ -17,6 +18,9 @@ through ``_init_params``, ``_Workspace``, ``_Rows``, ``_fit`` and
     PYTHONPATH=src python3 tools/gcn_digest.py > new.json
 
 and equal ``combined`` digests mean bit-identical training over the grid.
+Past n = 500 the 4-class output layer's G products are taken for all folds
+at once (``socsim.gcn._stacked``), so ``--n 520`` or ``--n 800`` checks
+that path too.
 BLAS is pinned to one thread before numpy is imported.
 """
 
@@ -63,9 +67,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=2026, help="snapshot and fold seed")
     parser.add_argument("--epochs", type=int, default=7)
+    parser.add_argument("--n", type=int, default=60, help="nodes of the snapshot")
     args = parser.parse_args(argv)
 
-    sim = dataclasses.replace(desk_sim_config(args.seed), n=60)
+    sim = dataclasses.replace(desk_sim_config(args.seed), n=args.n)
     (graph, _), = iter_snapshots(sim, 1)
     test = make_folds(graph.sdna_of, len(SEEDS), seed=args.seed)
     inputs = {kind: TrainInputs(g_matrix=build_representative(graph, SimilaritySpec(kind=kind)).matrix,
