@@ -18,7 +18,8 @@ layer.  Hidden layers use ReLU with inverted dropout, applied as one float
 gate per layer, (ReLU active and unit kept) / keep, that the backward pass
 reuses; the output layer is a softmax over class scores, trained with
 masked cross-entropy plus L2 decay on the hidden kernels, optimized with
-Adam.
+Adam.  The softmax takes each row's max as a running maximum over the
+class columns, the same value as a max over the row, as max is exact.
 
 There is one model type, ``GcnModel``: a stack of k models that share a
 config, G and X and differ only in their masks, init seed and dropout
@@ -68,6 +69,9 @@ makes one ``random`` call on its stream that covers all its hidden layers
 in layer order, each layer's (n, width) block row by row, and thresholds
 the draws into its keep-masks at once.  As PCG64 turns each 64-bit output
 into one double, these are the bits that one call per layer would draw.
+A training gate is built on bools, (z > 0) and kept, and only then
+written as floats: 1/keep where both hold, +0.0 elsewhere, the values of
+multiplying the ReLU's 1.0/0.0 by the mask and by 1/keep.
 """
 
 from __future__ import annotations
@@ -242,8 +246,12 @@ def _init_params(cfg: GcnConfig, seeds: list[int], n_nodes: int,
 
 def _softmax(z: np.ndarray, out: np.ndarray, row: np.ndarray) -> np.ndarray:
     """Softmax over the last axis (class scores), written into ``out``;
-    ``row`` holds each row's max, then its sum."""
-    np.subtract(z, np.max(z, axis=-1, keepdims=True, out=row), out=out)
+    ``row`` holds each row's max, a running maximum over the class columns,
+    then its sum."""
+    np.copyto(row, z[..., :1])
+    for c in range(1, z.shape[-1]):
+        np.maximum(row, z[..., c:c + 1], out=row)
+    np.subtract(z, row, out=out)
     np.exp(out, out=out)
     return np.divide(out, np.sum(out, axis=-1, keepdims=True, out=row), out=out)
 
@@ -302,8 +310,8 @@ class _Rows:
     """The (k, n) training and test masks of ``folds`` folds over shared
     labels, and what the loss reads of them, built once: a one-hot pick of
     each fold's training rows' labels (k, n, classes), as bools and as the
-    output gradient's float target, the rows each fold does not train on
-    and each fold's training row count."""
+    output gradient's float target, the fold of each pick, the rows each
+    fold does not train on and each fold's training row count."""
 
     def __init__(self, labels: np.ndarray, classes: int, train: np.ndarray,
                  test: np.ndarray | None = None, folds: int = 1):
@@ -318,6 +326,7 @@ class _Rows:
                              f"takes one seed per fold, one model (n,) masks")
         self._picks = self.train[:, :, None] & (labels[:, None] == np.arange(classes))
         self._target = self._picks.astype(np.float64)
+        self._pick_fold = np.nonzero(self._picks)[0]
         self._untrained = ~self.train[:, :, None]
         self._sizes = self.train.sum(axis=1, dtype=np.float64)[:, None, None]
 
@@ -332,10 +341,12 @@ class _Rows:
         if test and not self.test.any(axis=1).all():
             raise ValueError("empty test mask")
 
-    def cross_entropy(self, probs: np.ndarray) -> list[float]:
-        """Each fold's mean cross-entropy over its training rows."""
-        return [float(-np.log(np.maximum(fold[picks], 1e-300)).mean())
-                for fold, picks in zip(probs, self._picks)]
+    def cross_entropy(self, probs: np.ndarray) -> np.ndarray:
+        """Each fold's mean cross-entropy over its training rows, in one
+        pass over all folds' picks; NaN where one of them is NaN."""
+        logs = np.log(np.maximum(probs[self._picks], 1e-300))
+        sums = np.bincount(self._pick_fold, logs, minlength=len(self.train))
+        return sums / -self._sizes[:, 0, 0]
 
     def output_grad(self, probs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Gradient of each fold's cross-entropy w.r.t. its logits, written
@@ -375,12 +386,15 @@ def _propagate(g: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``g @ h[i]`` for every fold i, written into ``out``, laid out as a
     _stack().  Where _stacked() holds it takes one product over the folds'
     side-by-side columns, ``g @ [h_1 ... h_k]`` (h is copied only when it
-    is not laid out that way); elsewhere one product per fold."""
+    is not laid out that way, while an ``out`` that is not raises); elsewhere
+    one product per fold."""
     k, n, width = h.shape
     if not _stacked(n, width):
         return np.matmul(g, h, out=out)
     wide = h.transpose(1, 0, 2).reshape(n, k * width)
-    np.matmul(g, wide, out=out.transpose(1, 0, 2).reshape(g.shape[0], k * width))
+    wide_out = out.transpose(1, 0, 2)
+    wide_out.shape = (n, k * width)  # a view or an error, never a copy left unwritten
+    np.matmul(g, wide, out=wide_out)
     return out
 
 
@@ -399,7 +413,8 @@ class _Workspace:
     kernel of the decay term, then the decay itself, then Adam's squared
     gradient) and, for the kernel of every step past the first, its
     transpose.  Dropout reads one buffer of draws and writes a bool
-    keep-mask per hidden layer.  Float buffers start as NaN, so a read
+    keep-mask per hidden layer, and the training gates build on a bool
+    stack per hidden layer, ``on``.  Float buffers start as NaN, so a read
     before the first write shows up as a non-finite loss.
 
     It also holds what every fold reads: the model's steps and decayed
@@ -427,6 +442,8 @@ class _Workspace:
         self._draw_blocks = [self._draws[a:b].reshape(n, -1) for a, b in zip(ends, ends[1:])]
         self._keep = [_stack(np.empty(k * n * width, dtype=bool), k, n, width)
                       for width in cfg.layer_units]
+        self.on = [_stack(np.empty(k * n * width, dtype=bool), k, n, width)
+                   for width in cfg.layer_units]
 
     def stack(self, key: str, width: int) -> np.ndarray:
         """The (k, n, width) _stack() named ``key``, made on first use."""
@@ -475,10 +492,13 @@ def _forward(model: GcnModel, ws: _Workspace, training: bool = False,
         cache["prop"].append(prop)
         h = z
         if step.hidden:
-            gate = np.greater(z, 0.0, out=ws.stack(f"gate{i}", width))
-            if keep is not None:
-                gate *= keep[step.layer]
-                gate *= 1.0 / (1.0 - cfg.dropout_p)
+            gate = ws.stack(f"gate{i}", width)
+            if keep is None:
+                np.greater(z, 0.0, out=gate)
+            else:
+                on = np.greater(z, 0.0, out=ws.on[step.layer])
+                on &= keep[step.layer]
+                np.multiply(on, 1.0 / (1.0 - cfg.dropout_p), out=gate)
             cache["gate"].append(gate)
             h *= gate
     cache["logits"] = z
@@ -491,10 +511,9 @@ def _losses(probs: np.ndarray, rows: _Rows, params: dict[str, np.ndarray],
             scratch: dict[str, np.ndarray]) -> list[float]:
     """loss() of every fold of a stack; the squared kernels go to
     ``scratch``."""
-    squares = [np.multiply(params[name], params[name], out=scratch[name])
-               .sum(axis=tuple(range(1, params[name].ndim))) for name in decayed]
-    return [ce + weight_decay * sum(float(sq[fold]) for sq in squares)
-            for fold, ce in enumerate(rows.cross_entropy(probs))]
+    decay = sum(np.multiply(params[name], params[name], out=scratch[name])
+                .sum(axis=tuple(range(1, params[name].ndim))) for name in decayed)
+    return (rows.cross_entropy(probs) + weight_decay * decay).tolist()
 
 
 def _backward(model: GcnModel, cache: dict, rows: _Rows, ws: _Workspace) -> dict[str, np.ndarray]:

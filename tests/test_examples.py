@@ -103,3 +103,26 @@ def test_g_products_tool_times_both_forms_on_each_side_of_the_rule(tmp_path):
         assert row["rule_stacks"] == ((row["n"], row["width"]) == (501, 4))
         # where the rule stacks, the stacked product gives each fold its own bits
         assert row["identical"] or not row["rule_stacks"]
+
+
+def test_epoch_bench_tool_times_every_part_of_an_epoch():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_epoch.py"), "--n", "40", "--k", "3",
+         "--epochs", "2", "--repeat", "1"],
+        capture_output=True, text=True, env=tool_env(), timeout=120, check=True,
+    ).stdout
+    report = json.loads(out)
+    assert report["machine"]["blas_threads"] == 1
+    assert (report["n"], report["k"], report["epochs"]) == (40, 3, 2)
+    assert list(report["cells"]) == ["FTvanilla", "SFTvanilla", "F", "T", "TLR"]
+    for cell, row in report["cells"].items():
+        assert row["epoch_ms"] > 0 and row["wrapped_epoch_ms"] > 0, cell
+        assert row["softmax_us"] > 0 and row["gate_us"] > 0 and row["gate_form"] == "bool masks"
+        parts = row["parts"]
+        assert list(parts) == ["keep_masks", "_propagate", "_forward", "_backward", "_losses",
+                               "_adam_step"]
+        for name, part in parts.items():
+            assert 0 <= part["self_ms"] <= part["ms"], (cell, name)
+        # F takes no G product, every other cell does
+        assert (parts["_propagate"]["ms"] == 0) == (cell == "F")
+        assert parts["_forward"]["ms"] >= parts["keep_masks"]["ms"]

@@ -16,9 +16,11 @@ from socsim.gcn import (
     _Rows,
     _Workspace,
     _adam_step,
+    _backward,
     _fit,
     _forward,
     _init_params,
+    _losses,
     _propagate,
     _softmax,
     _stack,
@@ -318,6 +320,40 @@ def test_softmax_rows_sum_to_one():
     assert np.all(np.abs(p.sum(axis=1) - 1.0) < 1e-12)
 
 
+# rows of logits whose max is a corner case, cut to each class count
+SOFTMAX_ROWS = np.array([
+    [3.0, 3.0, 1.0, 3.0, -2.0, 3.0, 0.5],  # tied maxima
+    [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+    [-0.0] * 7,
+    [0.0, -0.0, -1.0, -0.0, 0.0, -3.0, 0.0],
+    [np.inf, 1.0, np.inf, -np.inf, 0.0, 2.0, 3.0],
+    [1.0, -np.inf, 2.0, -np.inf, 0.0, -np.inf, 5.0],
+    [-np.inf] * 7,
+    [np.nan] * 7,
+    [1.0, np.nan, 2.0, 0.0, -1.0, 4.0, 3.0],
+    [-5.0, -1.0, -3.0, -1.0, -2.0, -9.0, -4.0],
+])
+
+
+# n = 200 stores every class count's stack fold by fold, n = 520 stores 4
+# and 7 classes side by side
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("classes", [1, 4, 7])
+@pytest.mark.parametrize("n", [200, 520])
+def test_softmax_equals_the_row_max_formula_bit_for_bit(n, classes):
+    # a running maximum over the class columns is the row's max, so the
+    # probabilities keep every bit of exp(z - max(z)) / sum
+    k = 3
+    assert _stacked(n, classes) == (n == 520 and classes > 1)
+    z = _stack(np.empty(k * n * classes), k, n, classes)
+    z[...] = np.random.default_rng(n + classes).normal(size=z.shape) * 30
+    z[:, :len(SOFTMAX_ROWS)] = SOFTMAX_ROWS[:, :classes]
+    out = _softmax(z, _stack(np.empty(k * n * classes), k, n, classes), np.empty((k, n, 1)))
+    shifted = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    expected = shifted / np.sum(shifted, axis=-1, keepdims=True)
+    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+
 # --- loss -------------------------------------------------------------------
 
 def test_loss_perfect_predictions():
@@ -605,6 +641,25 @@ def test_dropout_draws_each_folds_layers_in_order_from_its_stream():
             assert np.array_equal(gate[fold], expected)
 
 
+# hidden widths 12 and 32 at n = 60: the first layer's stacks are stored
+# fold by fold, the second's side by side
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_training_gate_is_relu_times_keep_over_keep_bit_for_bit(p):
+    folds = fold_inputs(toy_inputs(toy_graph(n=60, seed=6)))
+    cfg = small_cfg(layer_units=(12, 32), dropout_p=p)
+    assert [_stacked(60, width) for width in cfg.layer_units] == [False, True]
+    model = GcnModel(cfg, _init_params(cfg, (4, 5, 6), *folds.x.shape))
+    ws = _Workspace(model, folds)
+    _, cache = _forward(model, ws, training=True,
+                        rngs=[np.random.default_rng(seed) for seed in (1, 2, 3)])
+    for i, gate in enumerate(cache["gate"]):
+        # the layer's z before its gate scaled it, retaken into the same layout
+        z = np.matmul(cache["prop"][i], model.params[f"W{i}"], out=np.empty_like(gate))
+        expected = (z > 0) * ws._keep[i] * (1.0 / (1.0 - p))
+        assert 0 < np.count_nonzero(expected) < expected.size
+        assert np.array_equal(gate.view(np.int64), expected.view(np.int64)), i
+
+
 # (8, 3, 9) hidden units over 2 classes: the layers take every G product
 # order and both stack layouts
 @pytest.mark.parametrize("variant,use_s", [("ftvanilla", True), ("f", False), ("t", False),
@@ -749,6 +804,79 @@ def test_g_products_equal_each_fold_alone(n):
                 out = _propagate(gm, h, out=_stack(np.empty(k * n * width), k, n, width))
                 for fold in range(k):
                     assert np.array_equal(out[fold], gm @ h[fold]), (k, width, fold)
+
+
+def test_propagate_raises_for_an_out_it_cannot_write():
+    # width 32 is taken side by side; an out stored fold by fold is no view
+    # of that (n, k * width) product, so it raises instead of staying zeros
+    rng = np.random.default_rng(0)
+    g, h = rng.random((60, 60)), rng.normal(size=(3, 60, 32))
+    with pytest.raises(AttributeError):
+        _propagate(g, h, out=np.zeros_like(h))
+
+
+def reference_losses(probs, rows, params, decayed, weight_decay):
+    """Each fold's loss by a gather, log and mean per fold, the loop the
+    one-pass cross-entropy replaced, plus its own kernels' decay."""
+    return [-np.log(np.maximum(fold_probs[train, rows.labels[train]], 1e-300)).mean()
+            + weight_decay * sum(np.sum(params[name][fold] ** 2) for name in decayed)
+            for fold, (fold_probs, train) in enumerate(zip(probs, rows.train))]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_losses_are_non_finite_exactly_for_a_nan_training_row_or_an_overflowing_decay():
+    # fold i tests on node i: a NaN row at node 1 is fold 1's test row and
+    # a training row of every other fold
+    folds = fold_inputs(toy_inputs(toy_graph(n=12, seed=6)), k=5)
+    cfg = small_cfg(weight_decay=0.01)
+    model = GcnModel(cfg, _init_params(cfg, (4, 5, 6, 7, 8), *folds.x.shape))
+    rows, ws = _Rows.of(folds, cfg.num_classes, 5), _Workspace(model, folds)
+    probs, _ = _forward(model, ws)
+    args = rows, model.params, ws.decayed, cfg.weight_decay
+    losses = _losses(probs, *args, ws.scratch)
+    assert np.all(np.isfinite(losses))
+    assert np.allclose(losses, reference_losses(probs, *args), rtol=1e-13, atol=0)
+    probs = probs.copy()
+    probs[1:3, 1] = np.nan   # fold 1's test row, fold 2's training row
+    probs[3, 2, 0] = np.nan  # fold 3's training row, its label's column
+    model.params["W0"][4] *= 1e160  # fold 4's decay overflows
+    losses = _losses(probs, *args, ws.scratch)
+    assert np.isfinite(losses).tolist() == [True, True, False, False, False]
+    assert np.isfinite(reference_losses(probs, *args)).tolist() == np.isfinite(losses).tolist()
+    assert np.isnan(losses[2]) and np.isnan(losses[3]) and losses[4] == np.inf
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("hot", [1.0, 1e120, 1e160])
+def test_fit_diverges_where_the_per_fold_losses_first_go_non_finite(hot):
+    # fold 1's kernels start ``hot`` times larger; _fit stops at the epoch,
+    # and names the lowest fold, at which the per-fold loop first finds a
+    # non-finite loss: every fold's at epoch 1 (hot 1), fold 1's alone at
+    # epoch 0 (1e120; at 1e160 its decay overflows too)
+    folds = fold_inputs(separable_inputs())
+    cfg = small_cfg(epochs=60, learning_rate=1e100, weight_decay=0.0005, dropout_p=0.5)
+
+    def start():
+        model = GcnModel(cfg, _init_params(cfg, (4, 5, 6), *folds.x.shape))
+        for param in model.params.values():
+            param[1] *= hot
+        return (model, _Rows.of(folds, cfg.num_classes, 3), _Workspace(model, folds),
+                [derive_rng(seed, "dropout") for seed in (4, 5, 6)])
+
+    model, rows, ws, rngs = start()
+    for epoch in range(cfg.epochs):
+        probs, cache = _forward(model, ws, training=True, rngs=rngs)
+        finite = np.isfinite(reference_losses(probs, rows, model.params, ws.decayed,
+                                              cfg.weight_decay))
+        if not finite.all():
+            break
+        _adam_step(model, _backward(model, cache, rows, ws), ws.scratch)
+    else:
+        pytest.fail("no fold diverged")
+    model, rows, ws, rngs = start()
+    with pytest.raises(TrainingDiverged) as err:
+        _fit(model, rows, rngs, ws, cfg.epochs)
+    assert (err.value.epoch, err.value.fold) == (epoch, int(np.argmin(finite)))
 
 
 def test_train_folds_rejects_mismatched_folds():
