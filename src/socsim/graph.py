@@ -4,8 +4,15 @@ The graph value is immutable once built: the simulator produces successive
 snapshots as new instances, and everything downstream (scoring, similarity
 matrices, training) only reads.  Edges are stored once, as a canonical
 read-only ``(m, 2)`` int64 array (rows ``i < j``, unique, lexicographically
-sorted); the dense adjacency matrix the similarity and convolution code
-consume, and the degrees, are cached read-only arrays derived from it.
+sorted), and the degrees are a cached read-only array derived from it.
+Every build scatters the edges into the dense matrix it needs itself
+(:func:`dense_adjacency`), so no build shares, or keeps, an n x n
+adjacency on the graph.
+
+The simulator carries the still-unconnected pairs as one sorted int64
+array of codes ``i * n + j`` (:func:`unconnected_codes`): ascending code
+order is lexicographic pair order, a pair costs 8 bytes, and a round's new
+edges leave it by binary search (:func:`drop_pairs`).
 """
 
 from __future__ import annotations
@@ -73,17 +80,15 @@ class SocialGraph:
 
     def __reduce__(self):
         # rebuilt through __init__: a pickled graph carries its fields, not
-        # the cached n x n adjacency, and comes back with read-only edges
+        # its cached views, and comes back with read-only edges
         return SocialGraph, (self.n, self.edges, self.features, self.sdna_of)
 
     @cached_property
     def adjacency(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency matrix, float64, read-only: every
-        build on this snapshot shares it."""
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        i, j = self.edges.T
-        a[i, j] = 1.0
-        a[j, i] = 1.0
+        """Dense symmetric 0/1 adjacency matrix, float64, read-only, cached
+        on first read.  For tests and tools: no build reads it, each one
+        scatters the edges itself (:func:`dense_adjacency`)."""
+        a = dense_adjacency(self)
         a.flags.writeable = False
         return a
 
@@ -98,6 +103,16 @@ class SocialGraph:
         """Copy of this graph with extra edges (features and labels shared)."""
         extra = normalize_edges(new_edges, self.n)
         return replace(self, edges=np.concatenate([self.edges, extra]))
+
+
+def dense_adjacency(g: SocialGraph, dtype=np.float64) -> np.ndarray:
+    """A fresh, writable (n, n) symmetric adjacency matrix of ``dtype``:
+    one (True for bool) at both orientations of every edge, zero elsewhere."""
+    a = np.zeros((g.n, g.n), dtype=dtype)
+    i, j = g.edges.T
+    a[i, j] = 1
+    a[j, i] = 1
+    return a
 
 
 def _pack_rows(matrix: np.ndarray) -> np.ndarray:
@@ -147,7 +162,7 @@ def walk_bit_rows(g: SocialGraph, max_length: int) -> list[np.ndarray]:
     if max_length < 2:
         return []
     lists = _neighbour_lists(g)
-    power = _pack_rows(g.adjacency > 0)
+    power = _pack_rows(dense_adjacency(g, bool))
     out = []
     for _ in range(2, max_length + 1):
         power = _neighbour_or(power, *lists)
@@ -188,23 +203,35 @@ def shortest_path_matrix(g: SocialGraph) -> np.ndarray:
     return sp
 
 
+def unconnected_codes(g: SocialGraph) -> np.ndarray:
+    """Sorted (m,) int64 codes ``i * n + j`` of every pair i < j that is not
+    an edge: the flat indices of the open entries of an (n, n) bool
+    upper-triangle mask, from which the edges are scattered out."""
+    closed = np.tri(g.n, dtype=bool)  # i >= j: the diagonal and below
+    closed[g.edges[:, 0], g.edges[:, 1]] = True
+    return np.flatnonzero(np.logical_not(closed, out=closed))
+
+
+def decode_pairs(codes: np.ndarray, n: int) -> np.ndarray:
+    """(m, 2) int64 node pairs of codes ``i * n + j``, in the codes' order."""
+    return np.column_stack(np.divmod(codes, n))
+
+
 def unconnected_pairs(g: SocialGraph) -> np.ndarray:
     """(m, 2) int64 array of every (i, j), i < j, that is not an edge, in
-    lexicographic order."""
-    iu, ju = np.triu_indices(g.n, k=1)
-    open_ = g.adjacency[iu, ju] == 0
-    return np.column_stack([iu[open_], ju[open_]]).astype(np.int64, copy=False)
+    lexicographic order: the decoded :func:`unconnected_codes`."""
+    return decode_pairs(unconnected_codes(g), g.n)
 
 
-def drop_pairs(pairs: np.ndarray, drop: np.ndarray, n: int) -> np.ndarray:
-    """``pairs`` without the rows of ``drop``, order kept.  Both are (m, 2)
-    arrays of node pairs i < j in lexicographic order, and every row of
-    ``drop`` is a row of ``pairs``, so a binary search finds each one.
-    (``np.compress`` copies the kept rows several times faster than
-    ``np.delete`` or a boolean index does.)"""
-    keep = np.ones(len(pairs), dtype=bool)
-    keep[np.searchsorted(pairs[:, 0] * n + pairs[:, 1], drop[:, 0] * n + drop[:, 1])] = False
-    return np.compress(keep, pairs, axis=0)
+def drop_pairs(codes: np.ndarray, drop: np.ndarray) -> np.ndarray:
+    """``codes`` without the codes in ``drop``, order kept.  ``codes`` is
+    sorted and holds every code of ``drop``, so a binary search finds each
+    one.  (On a 1-d array a boolean index copies the kept codes in half
+    the time and memory of ``np.compress``, which first lists their
+    indices.)"""
+    keep = np.ones(len(codes), dtype=bool)
+    keep[np.searchsorted(codes, drop)] = False
+    return codes[keep]
 
 
 def _write_rows(path: Path, rows: np.ndarray, fmt: str, delimiter: str,

@@ -14,17 +14,20 @@ endpoints' sDNAs and added:
                     record's decreasing walk-length weights
 
 A socialise round scores a random subset of the still-unconnected pairs and
-connects the best-scoring fraction.  Mutating the sDNAs between rounds
-drifts preferences, which is what makes successive snapshots a plausible
-dynamic network rather than a forced re-run.
+connects the best-scoring fraction.  The open pairs are one sorted int64
+array of codes ``i * n + j`` (``graph.unconnected_codes``), so ascending
+code order is lexicographic pair order; a round draws one coin per code in
+that order and decodes only the codes it selects.  Mutating the sDNAs
+between rounds drifts preferences, which is what makes successive
+snapshots a plausible dynamic network rather than a forced re-run.
 
 :func:`socialise` runs one round and returns the ranked audit of every
 scored pair.  :func:`iter_snapshots` and :func:`emit_event_stream` compute
-only what they keep: they carry the open pairs from round to round, minus
-the edges just added, and take the round's top floor(t * |open pairs|)
-pairs by a partition, or its best pair by ``np.argmax``.  Both are the head
-of the stable ranking, so the edges are those a chain of :func:`socialise`
-calls would add.
+only what they keep: they carry the open codes from round to round, minus
+the edges just added (``graph.drop_pairs``), and take the round's top
+floor(t * |open pairs|) pairs by a partition, or its best pair by
+``np.argmax``.  Both are the head of the stable ranking, so the edges are
+those a chain of :func:`socialise` calls would add.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import SocialGraph, drop_pairs, unconnected_pairs, walk_bit_rows
+from .graph import SocialGraph, decode_pairs, drop_pairs, unconnected_codes, walk_bit_rows
 from .rng import derive_rng
 
 log = logging.getLogger(__name__)
@@ -210,12 +213,14 @@ def generate_population(cfg: SimConfig) -> tuple[SocialGraph, list[Sdna]]:
 
 # pairs scored per pass: keeps each pass's (rows, f) temporaries in cache
 _SCORE_ROWS = 2048
+# selection coins drawn per call: a round never holds one float per open pair
+_DRAW_ROWS = 1 << 16
 
 
 def _score_pair_block(
-    g: SocialGraph, sdnas: list[Sdna], cfg: SimConfig, pairs: np.ndarray
+    g: SocialGraph, sdnas: list[Sdna], cfg: SimConfig, codes: np.ndarray
 ) -> np.ndarray:
-    """Connection scores of an (m, 2) pair array against a frozen graph:
+    """Connection scores of pair codes ``i * n + j`` against a frozen graph:
     feature + r * popularity + c . path, where
 
       feature     sum_f |x_i - x_j| * w * l, evaluated with i's record and
@@ -226,17 +231,17 @@ def _score_pair_block(
 
     Walk hits are read straight from the packed bit rows of
     :func:`walk_bit_rows`: byte ``j >> 3``, bit ``7 - (j & 7)`` of row i.
-    The pairs are scored ``_SCORE_ROWS`` at a time; each score is computed
-    on its own row, so the passes do not change a bit of it.
+    The pairs are decoded and scored ``_SCORE_ROWS`` at a time; each score
+    is computed on its own row, so the passes do not change a bit of it.
     """
     signed_w = np.stack([dna.w * dna.l for dna in sdnas])        # (y, f)
     attach = np.array([dna.d for dna in sdnas])                  # (y,)
     walk_w = np.stack([dna.k for dna in sdnas])                  # (y, q-1)
     deg = g.degrees.astype(np.float64)
     powers = walk_bit_rows(g, cfg.q) if len(g.edges) else []
-    scores = np.empty(len(pairs))
-    for lo in range(0, len(pairs), _SCORE_ROWS):
-        ii, jj = pairs[lo:lo + _SCORE_ROWS, 0], pairs[lo:lo + _SCORE_ROWS, 1]
+    scores = np.empty(len(codes))
+    for lo in range(0, len(codes), _SCORE_ROWS):
+        ii, jj = np.divmod(codes[lo:lo + _SCORE_ROWS], g.n)
         si, sj = g.sdna_of[ii], g.sdna_of[jj]
         diff = np.abs(np.take(g.features, ii, axis=0) - np.take(g.features, jj, axis=0))
         phi = ((diff * np.take(signed_w, si, axis=0)).sum(axis=1)
@@ -254,14 +259,19 @@ def _score_pair_block(
 
 
 def _scored_selection(
-    g: SocialGraph, sdnas: list[Sdna], cfg: SimConfig, open_pairs: np.ndarray,
+    g: SocialGraph, sdnas: list[Sdna], cfg: SimConfig, open_codes: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The shared part of every round: draw which open pairs are scored (each
-    with probability p, one draw per pair in the given lexicographic order)
-    and score them against the frozen graph.  Returns the selected pairs, in
-    that order, and their scores."""
-    selected = np.compress(rng.random(len(open_pairs)) < cfg.p, open_pairs, axis=0)
+    with probability p, one draw per code in ascending order, i.e.
+    lexicographic pair order) and score them against the frozen graph.
+    Returns the selected codes, in that order, and their scores.
+
+    The coins are drawn ``_DRAW_ROWS`` at a time; a Generator's doubles
+    come one per 64-bit output, so the pieces are the draws of one call."""
+    parts = (open_codes[lo:lo + _DRAW_ROWS] for lo in range(0, len(open_codes), _DRAW_ROWS))
+    selected = np.concatenate(
+        [open_codes[:0], *(part[rng.random(len(part)) < cfg.p] for part in parts)])
     with np.errstate(over="ignore", invalid="ignore"):
         scores = _score_pair_block(g, sdnas, cfg, selected)
     if not np.all(np.isfinite(scores)):
@@ -271,7 +281,7 @@ def _scored_selection(
 
 
 def _top_pairs(selected: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
-    """The k best-scoring selected pairs, in pair order: the same set as the
+    """The k best-scoring selected codes, in pair order: the same set as the
     first k rows of a stable descending sort, found without sorting.  Every
     pair above the k-th score is taken, then the first pairs equal to it."""
     if k >= len(scores):
@@ -307,11 +317,11 @@ def socialise(
     """
     if rng is None:
         rng = derive_rng(cfg.seed, "socialise")
-    universe = unconnected_pairs(g)
+    universe = unconnected_codes(g)
     selected, scores = _scored_selection(g, sdnas, cfg, universe, rng)
     # selected is in (i, j) order, so a stable sort is the (i, j) tie-break
     order = np.argsort(-scores, kind="stable")
-    ranked = selected[order]
+    ranked = decode_pairs(selected[order], g.n)
     n_connect = min(math.floor(cfg.t * len(universe)), len(ranked))
     grown = g.with_edges(ranked[:n_connect])
     audit = np.rec.fromarrays((ranked[:, 0], ranked[:, 1], scores[order]), names="i,j,score")
@@ -360,26 +370,27 @@ def iter_snapshots(cfg: SimConfig, snapshots: int) -> Iterator[tuple[SocialGraph
     mutates the sDNAs and then socialises over the pairs that are still
     unconnected, so edge sets grow monotonically while features stay fixed.
     Each round is the :func:`socialise` round without its audit: the open
-    pairs are carried from round to round, minus the edges just added, and
-    the top floor(t * |open pairs|) scored pairs are found by a partition,
-    not a full ranking.
+    pair codes are carried from round to round, minus the edges just added,
+    and the top floor(t * |open pairs|) scored pairs are found by a
+    partition, not a full ranking.
 
     A snapshot is simulated only when it is asked for, and the generator
-    holds only the latest graph and its open pairs (the next snapshot grows
+    holds only the latest graph and its open codes (the next snapshot grows
     from them), so a caller that drops an earlier snapshot frees it.
     """
     if snapshots < 1:
         raise ValueError("snapshots must be >= 1")
     graph, sdnas = generate_population(cfg)
-    open_pairs = unconnected_pairs(graph)
+    open_codes = unconnected_codes(graph)
     for s in range(snapshots):
         if s > 0:
             sdnas = mutate(sdnas, cfg, derive_rng(cfg.seed, "mutate", s))
-        selected, scores = _scored_selection(graph, sdnas, cfg, open_pairs,
+        selected, scores = _scored_selection(graph, sdnas, cfg, open_codes,
                                              derive_rng(cfg.seed, "socialise", s))
-        added = _top_pairs(selected, scores, math.floor(cfg.t * len(open_pairs)))
-        graph = graph.with_edges(added)
-        open_pairs = drop_pairs(open_pairs, added, cfg.n)
+        added = _top_pairs(selected, scores, math.floor(cfg.t * len(open_codes)))
+        del selected, scores  # not held while drop_pairs copies the open codes
+        graph = graph.with_edges(decode_pairs(added, cfg.n))
+        open_codes = drop_pairs(open_codes, added)
         yield graph, sdnas
 
 
@@ -389,8 +400,8 @@ _EVENT_MAX_RETRIES = 100
 def emit_event_stream(cfg: SimConfig, events: int) -> list[tuple[int, tuple[int, int]]]:
     """Timestamped single-edge stream: each round connects the best-scoring
     selected pair (the first in (i, j) order among equal scores, i.e. the
-    head of the :func:`socialise` ranking), then mutates.  The open pairs
-    are carried from round to round, minus the pair just connected.
+    head of the :func:`socialise` ranking), then mutates.  The open pair
+    codes are carried from round to round, minus the pair just connected.
 
     If a round's exploration draw selects no pair, it retries with fresh
     draws; the stream ends early once no open pair is left (or a
@@ -400,15 +411,15 @@ def emit_event_stream(cfg: SimConfig, events: int) -> list[tuple[int, tuple[int,
     if events < 1:
         raise ValueError("events must be >= 1")
     graph, sdnas = generate_population(cfg)
-    open_pairs = unconnected_pairs(graph)
+    open_codes = unconnected_codes(graph)
     stream: list[tuple[int, tuple[int, int]]] = []
     for round_idx in range(events):
-        if not len(open_pairs):
+        if not len(open_codes):
             break
         added = None
         for attempt in range(_EVENT_MAX_RETRIES):
             selected, scores = _scored_selection(
-                graph, sdnas, cfg, open_pairs, derive_rng(cfg.seed, "events", round_idx, attempt))
+                graph, sdnas, cfg, open_codes, derive_rng(cfg.seed, "events", round_idx, attempt))
             if len(selected):
                 # argmax returns the first maximum: the stable ranking's head
                 best = int(np.argmax(scores))
@@ -416,9 +427,10 @@ def emit_event_stream(cfg: SimConfig, events: int) -> list[tuple[int, tuple[int,
                 break
         if added is None:
             break
-        graph = graph.with_edges(added)
-        open_pairs = drop_pairs(open_pairs, added, cfg.n)
-        stream.append((round_idx, (int(added[0, 0]), int(added[0, 1]))))
+        pair = decode_pairs(added, cfg.n)
+        graph = graph.with_edges(pair)
+        open_codes = drop_pairs(open_codes, added)
+        stream.append((round_idx, (int(pair[0, 0]), int(pair[0, 1]))))
         sdnas = mutate(sdnas, cfg, derive_rng(cfg.seed, "events-mutate", round_idx))
     if len(stream) < events:
         log.warning("event stream ended early: %d of %d events", len(stream), events)

@@ -10,10 +10,12 @@ self-loops and renormalize.
 A build holds a few n x n buffers and writes them in place (``out=``,
 augmented assignment), in the same arithmetic order as the plain array
 expressions in ``tests/reference_representatives.py``, so each output has
-the same bytes.  A public function writes only arrays it allocated itself,
-never an argument or the graph's cached adjacency (which is read-only);
-``build_representative`` renormalizes in place the array ``augment``
-returned, or a copy of the adjacency.
+the same bytes.  No build reads a dense adjacency cached on the graph:
+each scatters the edges into the matrix it needs (the adjacency, Katz's
+A, RPR's walk matrix, GG's +1 at the edges) and frees it when done.  A
+public function writes only arrays it allocated itself, never an
+argument; ``build_representative`` renormalizes in place the array
+``augment`` returned, or the adjacency it built.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import SocialGraph, shortest_path_matrix
+from .graph import SocialGraph, dense_adjacency, shortest_path_matrix
 
 AUTO = "auto"
 
@@ -94,32 +96,42 @@ def katz_matrix(g: SocialGraph, beta: float, max_power: int) -> np.ndarray:
     in float64, so the powers, and hence the sum, do not depend on the order
     of the products.
 
-    Besides the sum and one scratch term, each product goes into a power
-    buffer that no pending product still reads: four n x n buffers in all
-    for max_power = 5.
+    It scatters its own A and runs in the sum and, for max_power = 5, two
+    power buffers: x = 1 goes straight into the sum (into A itself where no
+    product reads A), a power that no later product reads is scaled in
+    place, and one that a later product reads is scaled into a power buffer
+    that no pending product reads.
     """
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    a = g.adjacency
-    total = np.zeros_like(a)
-    term = np.empty_like(a)
+    a = dense_adjacency(g)
+    # the powers a later product reads: the halves of the even powers, and
+    # the even powers below an odd one
+    read = {x for x in range(1, max_power) if 2 * x <= max_power or x % 2 == 0}
+    total = np.multiply(a, beta, out=None if 1 in read else a)
     buffers: list[np.ndarray] = []
-    halves = {}
+
+    def free(*live: np.ndarray) -> np.ndarray:
+        """A power buffer that none of ``live`` is, made when each one is."""
+        out = next((b for b in buffers if all(b is not v for v in live)), None)
+        if out is None:
+            out = np.empty_like(a)
+            buffers.append(out)
+        return out
+
+    halves = {1: a} if max_power >= 2 else {}
     power = a
-    for x in range(1, max_power + 1):
-        if x > 1:
-            left = halves.pop(x // 2) if x % 2 == 0 else power
-            right = left.T if x % 2 == 0 else a
-            live = (left, *halves.values())
-            out = next((b for b in buffers if all(b is not v for v in live)), None)
-            if out is None:
-                out = np.empty_like(a)
-                buffers.append(out)
-            power = np.matmul(left, right, out=out)
+    for x in range(2, max_power + 1):
+        left = halves.pop(x // 2) if x % 2 == 0 else power
+        right = left.T if x % 2 == 0 else a
+        power = np.matmul(left, right, out=free(left, *halves.values()))
         if 2 * x <= max_power:
             halves[x] = power
-        np.multiply(power, beta ** x, out=term)
-        total += term
+        if x in read:
+            total += np.multiply(power, beta ** x, out=free(power, *halves.values()))
+        else:
+            power *= beta ** x
+            total += power
     return total
 
 
@@ -155,13 +167,18 @@ def rpr_matrix(g: SocialGraph, alpha: float) -> np.ndarray:
     proper distribution.
 
     The stationary rows solve R (I - (1-alpha) T) = alpha I.  I - (1-alpha) T
-    is built in one buffer; its off-diagonal entries are 0.0 - (1-alpha) t,
+    is built in one buffer: T is 1 / deg(i) scattered at both orientations
+    of every edge, and its off-diagonal entries become 0.0 - (1-alpha) t,
     so a zero stays +0.0 as in the subtraction from an identity matrix.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     deg = g.degrees
-    system = np.divide(g.adjacency, np.maximum(deg, 1.0)[:, None])
+    step = 1.0 / np.maximum(deg, 1.0)
+    i, j = g.edges.T
+    system = np.zeros((g.n, g.n))
+    system[i, j] = step[i]
+    system[j, i] = step[j]
     diagonal = system.reshape(-1)[:: g.n + 1]
     diagonal[deg == 0] = 1.0
     system *= 1.0 - alpha
@@ -191,8 +208,9 @@ def raw_gravity_scores(g: SocialGraph) -> np.ndarray:
 
 def gg_matrix(g: SocialGraph) -> np.ndarray:
     """Gravity scores (:func:`raw_gravity_scores`) min-max normalized to
-    [0, 1] and added onto the adjacency matrix.  Existing edges therefore sit
-    at exactly 1; unreachable pairs and the diagonal stay 0."""
+    [0, 1] and added onto the adjacency matrix (1.0 added at both
+    orientations of every edge, where the scores are 0).  Existing edges
+    therefore sit at exactly 1; unreachable pairs and the diagonal stay 0."""
     out = raw_gravity_scores(g)
     scorable = out > 0  # a reachable non-adjacent pair has both degrees >= 1
     if scorable.any():
@@ -203,7 +221,9 @@ def gg_matrix(g: SocialGraph) -> np.ndarray:
         else:
             # single distinct score: treat it as the maximum
             out[scorable] = 1.0
-    out += g.adjacency  # every other entry is +0.0
+    i, j = g.edges.T
+    out[i, j] += 1.0
+    out[j, i] += 1.0
     return out
 
 
@@ -226,14 +246,6 @@ def _binarize_at_mean(m: np.ndarray, mask: np.ndarray) -> None:
     mean = nz.mean() if nz.size else 0.0
     np.greater(m, mean, out=mask)
     np.copyto(m, mask)
-
-
-def auto_binarize(matrix: np.ndarray) -> np.ndarray:
-    """Binarize at the mean of the non-zero entries: entries above the mean
-    become 1, everything else 0.  Expects an already-normalized matrix."""
-    out = np.array(matrix, dtype=np.float64)
-    _binarize_at_mean(out, np.empty(out.shape, dtype=bool))
-    return out
 
 
 # 64 x 64 float64 tiles are 32 KB: small enough to come from the heap
@@ -294,7 +306,7 @@ def build_representative(
     """Similarity pipeline, self-loops, symmetric degree normalization, the
     last two in place on the pipeline's output."""
     if spec.kind == "adjacency":
-        a_tilde = g.adjacency.copy()
+        a_tilde = dense_adjacency(g)
     elif spec.kind == "katz":
         a_tilde = augment(_finite_katz(g, spec), spec)
     elif spec.kind == "rpr":

@@ -87,6 +87,9 @@ def l2_row_normalize(matrix: np.ndarray) -> np.ndarray:
 
 
 def auto_binarize(matrix: np.ndarray) -> np.ndarray:
+    """Entries above the mean of the positive entries become 1, everything
+    else 0: the rule ``socsim.similarity._binarize_at_mean`` applies in
+    place."""
     nz = matrix[matrix > 0]
     mean = nz.mean() if nz.size else 0.0
     return np.where(matrix > mean, 1.0, 0.0)

@@ -710,6 +710,21 @@ def test_workspace_keeps_one_buffer_per_stack(variant, use_s, layer_units):
             assert not np.shares_memory(a, b)
 
 
+@pytest.mark.parametrize("variant", ["ftvanilla", "f"])
+def test_s_feature_stacks_are_side_by_side_at_every_n(variant):
+    # no G product reads them, so the reduction over nodes in the S
+    # gradient runs over the (n, k * width) layout even where _stacked()
+    # would lay a G product's stack out fold by fold
+    folds = fold_inputs(toy_inputs(toy_graph(n=12, seed=6)))
+    assert not _stacked(12, folds.x.shape[1])
+    cfg = small_cfg(variant=variant, use_s=True, dropout_p=0.5)
+    model = GcnModel(cfg, _init_params(cfg, (4, 5, 6), *folds.x.shape))
+    rows, ws = _Rows.of(folds, cfg.num_classes, 3), _Workspace(model, folds)
+    _fit(model, rows, [np.random.default_rng(s) for s in (1, 2, 3)], ws, 2)
+    for key in ("prop0", "dprop"):
+        assert ws._stacks[key].transpose(1, 0, 2).flags.c_contiguous, key
+
+
 # "train then evaluate": each fold trained alone, as a k = 1 stack, then scored
 def test_train_folds_matches_train_then_evaluate():
     assert_train_folds_matches_each_fold_alone()

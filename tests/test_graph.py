@@ -7,11 +7,15 @@ import pytest
 
 from socsim.graph import (
     SocialGraph,
+    decode_pairs,
+    dense_adjacency,
     drop_pairs,
     load_graph_dir,
     save_graph_dir,
     shortest_path_matrix,
+    unconnected_codes,
     unconnected_pairs,
+    walk_bit_rows,
     walk_indicators,
 )
 
@@ -253,16 +257,63 @@ def test_unconnected_pairs_complement_identity():
         assert len(unconnected_pairs(g)) + len(g.edges) == n * (n - 1) // 2
 
 
-def test_drop_pairs_leaves_the_pairs_still_open():
+def triu_open_pairs(g):
+    """The open pairs the way the code used to find them: np.triu_indices
+    gathered from the dense adjacency."""
+    iu, ju = np.triu_indices(g.n, k=1)
+    open_ = g.adjacency[iu, ju] == 0
+    return np.column_stack([iu[open_], ju[open_]]).astype(np.int64)
+
+
+@pytest.mark.parametrize("n, edges", [
+    (1, []),
+    (2, []),
+    (2, [(0, 1)]),
+    (5, itertools.combinations(range(5), 2)),  # complete: nothing is open
+    (7, [(0, 6), (2, 3), (5, 6)]),
+    (40, [(i, i + 1) for i in range(39)]),
+])
+def test_unconnected_codes_decode_to_the_triu_oracle(n, edges):
+    g = make_graph(n, list(edges))
+    codes = unconnected_codes(g)
+    want = triu_open_pairs(g)
+    assert codes.dtype == np.int64 and codes.shape == (len(want),)
+    assert np.all(np.diff(codes) > 0)
+    assert codes.tobytes() == (want[:, 0] * n + want[:, 1]).tobytes()
+    assert decode_pairs(codes, n).tobytes() == want.tobytes()
+    assert unconnected_pairs(g).tobytes() == want.tobytes()
+
+
+def test_pair_and_walk_code_cache_no_adjacency():
+    g = make_graph(9, [(0, 1), (1, 2), (4, 8)])
+    unconnected_codes(g)
+    walk_bit_rows(g, 3)
+    assert "adjacency" not in vars(g)
+
+
+def test_dense_adjacency_is_a_fresh_copy_of_the_cached_view():
+    g = make_graph(5, [(0, 1), (1, 4), (2, 3)])
+    a = dense_adjacency(g)
+    assert a.dtype == np.float64 and a.flags.writeable
+    assert a.tobytes() == g.adjacency.tobytes()
+    assert np.array_equal(dense_adjacency(g, bool), g.adjacency > 0)
+    a[0, 0] = 7.0
+    assert g.adjacency[0, 0] == 0.0 and dense_adjacency(g)[0, 0] == 0.0
+
+
+def test_drop_pairs_leaves_the_codes_still_open():
     rng = np.random.default_rng(13)
     for _ in range(30):
         n = int(rng.integers(2, 40))
         g = make_graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.2])
-        open_pairs = unconnected_pairs(g)
-        added = open_pairs[rng.random(len(open_pairs)) < rng.random()]
-        kept = drop_pairs(open_pairs, added, n)
+        codes = unconnected_codes(g)
+        added = codes[rng.random(len(codes)) < rng.random()]
+        kept = drop_pairs(codes, added)
         assert kept.dtype == np.int64
-        assert np.array_equal(kept, unconnected_pairs(g.with_edges(added)))
+        assert np.array_equal(kept, unconnected_codes(g.with_edges(decode_pairs(added, n))))
+    codes = unconnected_codes(make_graph(6, [(1, 2)]))
+    assert np.array_equal(drop_pairs(codes, codes[:0]), codes)
+    assert drop_pairs(codes, codes).shape == (0,)
 
 
 @pytest.mark.parametrize("features, edges", [

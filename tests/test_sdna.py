@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import socsim
 from socsim.graph import SocialGraph, unconnected_pairs
 from socsim.rng import derive_rng
 from socsim.sdna import (
+    _score_pair_block,
     Sdna,
     SimConfig,
     emit_event_stream,
@@ -473,6 +476,119 @@ def test_event_stream_equals_the_heads_of_socialise_rounds(name, seed):
         assert retries > 0
     if name.startswith("saturating"):
         assert len(want) == 3
+
+
+# --- degenerate rounds against a np.triu_indices oracle ----------------------
+
+def triu_round(graph, sdnas, cfg, rng):
+    """One round from the test side: the open pairs from np.triu_indices on
+    the dense adjacency, one coin per pair in a single draw, a stable
+    descending sort of the scores.  Returns every open pair, the selected
+    ones in rank order and their scores."""
+    iu, ju = np.triu_indices(cfg.n, k=1)
+    open_ = graph.adjacency[iu, ju] == 0
+    pairs = np.column_stack([iu[open_], ju[open_]]).astype(np.int64)
+    chosen = pairs[rng.random(len(pairs)) < cfg.p]
+    scores = _score_pair_block(graph, sdnas, cfg, chosen[:, 0] * cfg.n + chosen[:, 1])
+    order = np.argsort(-scores, kind="stable")
+    return pairs, chosen[order], scores[order]
+
+
+def triu_snapshots(cfg, snapshots):
+    graph, sdnas = generate_population(cfg)
+    edges = []
+    for s in range(snapshots):
+        if s > 0:
+            sdnas = mutate(sdnas, cfg, derive_rng(cfg.seed, "mutate", s))
+        pairs, ranked, _ = triu_round(graph, sdnas, cfg, derive_rng(cfg.seed, "socialise", s))
+        graph = graph.with_edges(ranked[:math.floor(cfg.t * len(pairs))])
+        edges.append(graph.edges)
+    return edges
+
+
+def triu_events(cfg, events):
+    graph, sdnas = generate_population(cfg)
+    stream = []
+    for round_idx in range(events):
+        for attempt in range(100):
+            pairs, ranked, _ = triu_round(graph, sdnas, cfg,
+                                          derive_rng(cfg.seed, "events", round_idx, attempt))
+            if len(ranked) or not len(pairs):
+                break
+        if not len(ranked):
+            break
+        pair = (int(ranked[0, 0]), int(ranked[0, 1]))
+        graph = graph.with_edges([pair])
+        stream.append((round_idx, pair))
+        sdnas = mutate(sdnas, cfg, derive_rng(cfg.seed, "events-mutate", round_idx))
+    return stream
+
+
+DEGENERATE_CONFIGS = {
+    # round 0 connects the one pair; every later round has no open pair
+    "n2": dict(n=2, f=2, y=1, p=1.0, t=1.0),
+    "n2-half": dict(n=2, f=2, y=2, p=0.5, t=1.0),
+    # the graph is complete after round 0, so the open set is empty
+    "complete": dict(n=5, f=2, y=2, p=1.0, t=1.0),
+    # nothing is ever selected: no edge, and the events retry, then end
+    "p0": dict(n=6, p=0.0, t=0.5),
+    # every selected pair connects
+    "t1": dict(n=9, p=0.4, t=1.0),
+    # floor(t * |open|) = 0: every round adds nothing
+    "empty-added": dict(n=7, p=0.8, t=0.04),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", DEGENERATE_CONFIGS)
+def test_degenerate_snapshots_equal_the_triu_oracle_and_the_socialise_chain(name, seed):
+    cfg = small_cfg(**DEGENERATE_CONFIGS[name] | {"seed": seed})
+    got = [g.edges for g, _ in iter_snapshots(cfg, 4)]
+    for want in (triu_snapshots(cfg, 4), reference_snapshots(cfg, 4)):
+        assert len(want) == 4
+        assert all(g.tobytes() == w.tobytes() and g.shape == w.shape
+                   for g, w in zip(got, want))
+    if name in ("n2", "complete"):
+        assert len(got[0]) == cfg.n * (cfg.n - 1) // 2
+    if name in ("p0", "empty-added"):
+        assert all(len(edges) == 0 for edges in got)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", DEGENERATE_CONFIGS)
+def test_degenerate_event_streams_equal_the_triu_oracle_and_the_socialise_chain(name, seed):
+    cfg = small_cfg(**DEGENERATE_CONFIGS[name] | {"seed": seed})
+    got = emit_event_stream(cfg, 12)
+    assert got == triu_events(cfg, 12) == reference_events(cfg, 12)[0]
+    if name == "p0":
+        assert got == []
+    if name in ("n2", "complete"):
+        assert len(got) == cfg.n * (cfg.n - 1) // 2
+
+
+def test_socialise_on_a_complete_graph_scores_nothing():
+    cfg = small_cfg(n=6, p=1.0, t=1.0)
+    g, sdnas = generate_population(cfg)
+    g = g.with_edges(list(itertools.combinations(range(6), 2)))
+    grown, audit = socialise(g, sdnas, cfg)
+    pairs, ranked, _ = triu_round(g, sdnas, cfg, derive_rng(cfg.seed, "socialise"))
+    assert len(pairs) == len(ranked) == len(audit) == 0
+    assert grown.edges.tobytes() == g.edges.tobytes()
+
+
+# n = 401 has 80 200 pairs, more than one call's worth of selection coins
+@pytest.mark.parametrize("n, p", [(23, 0.6), (401, 0.05)])
+@pytest.mark.parametrize("seed", range(3))
+def test_socialise_audit_equals_the_triu_oracle(seed, n, p):
+    cfg = small_cfg(n=n, p=p, t=0.1, seed=seed)
+    g, sdnas = generate_population(cfg)
+    g = g.with_edges(unconnected_pairs(g)[::7])
+    grown, audit = socialise(g, sdnas, cfg, derive_rng(cfg.seed, "socialise"))
+    pairs, ranked, scores = triu_round(g, sdnas, cfg, derive_rng(cfg.seed, "socialise"))
+    assert np.array_equal(np.column_stack([audit.i, audit.j]), ranked)
+    assert audit.score.tobytes() == scores.tobytes()
+    want = g.with_edges(ranked[:math.floor(cfg.t * len(pairs))])
+    assert grown.edges.tobytes() == want.edges.tobytes()
 
 
 # --- ER reduction -----------------------------------------------------------

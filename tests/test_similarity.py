@@ -14,9 +14,9 @@ from socsim.graph import SocialGraph, shortest_path_matrix
 from socsim.harness import default_model_grid, desk_sim_config, parse_cell
 from socsim.sdna import iter_snapshots
 from socsim.similarity import (
-    auto_binarize,
     AUTO,
     SimilaritySpec,
+    _binarize_at_mean,
     augment,
     build_representative,
     gg_matrix,
@@ -201,7 +201,16 @@ def test_augment_identity_on_normalized_symmetric():
 def test_auto_binarize_mean_rule_hand_case():
     # non-zero entries {0.2, 0.4, 0.6}: mean 0.4, only the largest survives
     m = np.array([[0.0, 0.2], [0.4, 0.6]])
-    assert np.array_equal(auto_binarize(m), [[0.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(reference.auto_binarize(m), [[0.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_binarize_at_mean_equals_the_reference_bytes(seed):
+    rng = np.random.default_rng(seed)
+    m = rng.random((9, 9)) * (rng.random((9, 9)) > 0.5)
+    want = reference.auto_binarize(m)
+    _binarize_at_mean(m, np.empty(m.shape, dtype=bool))
+    assert m.tobytes() == want.tobytes()
 
 
 def test_augment_auto_end_to_end_binary_symmetric():
@@ -320,7 +329,7 @@ def test_one_distinct_gravity_score_maps_to_one():
 
 
 @pytest.mark.parametrize("spec", [
-    SimilaritySpec(kind="katz", katz_beta=0.3, katz_max_power=power) for power in (1, 2, 3, 4, 7)
+    SimilaritySpec(kind="katz", katz_beta=0.3, katz_max_power=power) for power in range(1, 8)
 ] + [
     SimilaritySpec(kind=kind, threshold_lo=lo, threshold_hi=hi)
     for kind in ("katz", "rpr", "gg") for lo, hi in ((-0.5, 1.0), (0.3, 0.3), (-1.0, -0.5))
@@ -369,7 +378,6 @@ def test_public_builders_leave_their_inputs_unchanged():
                  SimilaritySpec(kind="katz", threshold_lo=AUTO, threshold_hi=AUTO)):
         augment(matrix, spec)
         l2_row_normalize(matrix)
-        auto_binarize(matrix)
         assert matrix.tobytes() == before.tobytes()
 
 

@@ -1,4 +1,5 @@
-"""Per-build time and minor page faults of the representative builds.
+"""Per-build time, minor page faults and peak memory of the representative
+builds.
 
 Builds every distinct spec of the default model grid (13: one adjacency and
 four thresholds each of katz, rpr and gg) on each graph of two sets and
@@ -13,9 +14,11 @@ prints one JSON object (or writes it with ``--out``):
 written as plain array expressions that allocate every temporary afresh;
 "after" is ``socsim.similarity.build_representative``.  The two sides
 alternate build by build, each time is the median of ``--repeat`` builds in
-milliseconds, and ``minflt`` is the median ``ru_minflt`` a build adds.  The
-two matrices are compared byte for byte and the result is recorded as
-``identical``.
+milliseconds, and ``minflt`` is the median ``ru_minflt`` a build adds.
+``peak_mb`` is the tracemalloc peak of one more build of each side, on a
+fresh copy of the graph (so a dense adjacency a side caches on the graph
+counts), traced apart from the timed builds.  The two matrices are
+compared byte for byte and the result is recorded as ``identical``.
 
 A process's minor faults per build depend on what it ran before (glibc
 moves its mmap threshold as blocks are freed), so ``--phase K`` also runs K
@@ -44,6 +47,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -53,6 +57,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from socsim.cli import main as socsim_main  # noqa: E402
+from socsim.graph import SocialGraph  # noqa: E402
 from socsim.harness import blas_threads, default_model_grid, desk_sim_config, parse_cell  # noqa: E402
 from socsim.sdna import iter_snapshots  # noqa: E402
 from socsim.similarity import build_representative  # noqa: E402
@@ -77,21 +82,34 @@ def _measure(fn) -> tuple[float, int, np.ndarray]:
     return time.perf_counter() - start, _minflt() - faults, out
 
 
+def _peak_mb(build, graph) -> float:
+    """tracemalloc peak of ``build(fresh)`` on a fresh copy of ``graph``."""
+    fresh = SocialGraph(n=graph.n, edges=graph.edges, features=graph.features,
+                        sdna_of=graph.sdna_of)
+    tracemalloc.start()
+    try:
+        build(fresh)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def bench_spec(graph, spec, repeat) -> dict:
-    sides = {"before": lambda: reference_representatives.build_matrix(graph, spec),
-             "after": lambda: build_representative(graph, spec).matrix}
-    times = {side: [] for side in sides}
-    faults = {side: [] for side in sides}
+    builds = {"before": lambda g: reference_representatives.build_matrix(g, spec),
+              "after": lambda g: build_representative(g, spec).matrix}
+    times = {side: [] for side in builds}
+    faults = {side: [] for side in builds}
     outputs = {}
     for _ in range(repeat):
-        for side, fn in sides.items():
-            seconds, minflt, outputs[side] = _measure(fn)
+        for side, build in builds.items():
+            seconds, minflt, outputs[side] = _measure(lambda: build(graph))
             times[side].append(seconds)
             faults[side].append(minflt)
     row = {"kind": spec.kind, "thresholds": [spec.threshold_lo, spec.threshold_hi]}
-    for side in sides:
+    for side in builds:
         row[side] = {"ms": round(statistics.median(times[side]) * 1e3, 3),
-                     "minflt": statistics.median(faults[side])}
+                     "minflt": statistics.median(faults[side]),
+                     "peak_mb": round(_peak_mb(builds[side], graph), 3)}
     row["identical"] = outputs["before"].tobytes() == outputs["after"].tobytes()
     return row
 
@@ -105,12 +123,12 @@ def graph_sets(seed: int):
 
 
 def per_kind(rows: list[dict]) -> dict:
-    """Median over a kind's builds of each side's ms and minflt."""
+    """Median over a kind's builds of each side's ms, minflt and peak_mb."""
     out = {}
     for kind in KINDS:
         mine = [r for r in rows if r["kind"] == kind]
-        out[kind] = {side: {key: statistics.median(r[side][key] for r in mine)
-                            for key in ("ms", "minflt")}
+        out[kind] = {side: {key: round(statistics.median(r[side][key] for r in mine), 4)
+                            for key in ("ms", "minflt", "peak_mb")}
                      for side in ("before", "after")}
         out[kind]["identical"] = all(r["identical"] for r in mine)
     return out
