@@ -5,7 +5,6 @@ from .graph import (
     load_graph_dir,
     save_graph_dir,
     shortest_path_matrix,
-    unconnected_pairs,
 )
 from .sdna import (
     Sdna,
@@ -14,7 +13,6 @@ from .sdna import (
     generate_population,
     iter_snapshots,
     mutate,
-    socialise,
 )
 from .similarity import (
     AUTO,

@@ -5,9 +5,8 @@ snapshots as new instances, and everything downstream (scoring, similarity
 matrices, training) only reads.  Edges are stored once, as a canonical
 read-only ``(m, 2)`` int64 array (rows ``i < j``, unique, lexicographically
 sorted), and the degrees are a cached read-only array derived from it.
-Every build scatters the edges into the dense matrix it needs itself
-(:func:`dense_adjacency`), so no build shares, or keeps, an n x n
-adjacency on the graph.
+The graph keeps no n x n matrix: every build scatters the edges into the
+dense one it needs itself (:func:`dense_adjacency`).
 
 The simulator carries the still-unconnected pairs as one sorted int64
 array of codes ``i * n + j`` (:func:`unconnected_codes`): ascending code
@@ -23,6 +22,16 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an array, as ``np.unique`` returns
+    them, from a sort and an adjacent-difference mask.  (``np.unique``
+    imports ``numpy.ma`` on its first call, about 13 ms per process.)"""
+    values = np.sort(values, axis=None)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def normalize_edges(edges, n: int) -> np.ndarray:
@@ -44,7 +53,7 @@ def normalize_edges(edges, n: int) -> np.ndarray:
         i, j = arr[outside.any(axis=1)][0]
         raise ValueError(f"edge ({i},{j}) out of range for n={n}")
     lo, hi = arr.min(axis=1), arr.max(axis=1)
-    keys = np.unique(lo * n + hi)
+    keys = sorted_unique(lo * n + hi)
     out = np.column_stack([keys // n, keys % n])
     out.flags.writeable = False
     return out
@@ -82,15 +91,6 @@ class SocialGraph:
         # rebuilt through __init__: a pickled graph carries its fields, not
         # its cached views, and comes back with read-only edges
         return SocialGraph, (self.n, self.edges, self.features, self.sdna_of)
-
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency matrix, float64, read-only, cached
-        on first read.  For tests and tools: no build reads it, each one
-        scatters the edges itself (:func:`dense_adjacency`)."""
-        a = dense_adjacency(self)
-        a.flags.writeable = False
-        return a
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -170,13 +170,6 @@ def walk_bit_rows(g: SocialGraph, max_length: int) -> list[np.ndarray]:
     return out
 
 
-def walk_indicators(g: SocialGraph, max_length: int) -> list[np.ndarray]:
-    """Boolean walk-existence matrices for lengths 2..max_length: entry
-    [x-2][i, j] is True iff some walk of length exactly x joins i and j
-    (the unpacked :func:`walk_bit_rows`)."""
-    return [_unpack_rows(rows, g.n) for rows in walk_bit_rows(g, max_length)]
-
-
 def shortest_path_matrix(g: SocialGraph) -> np.ndarray:
     """All-pairs hop counts via breadth-first search, np.inf where unreachable.
 
@@ -215,12 +208,6 @@ def unconnected_codes(g: SocialGraph) -> np.ndarray:
 def decode_pairs(codes: np.ndarray, n: int) -> np.ndarray:
     """(m, 2) int64 node pairs of codes ``i * n + j``, in the codes' order."""
     return np.column_stack(np.divmod(codes, n))
-
-
-def unconnected_pairs(g: SocialGraph) -> np.ndarray:
-    """(m, 2) int64 array of every (i, j), i < j, that is not an edge, in
-    lexicographic order: the decoded :func:`unconnected_codes`."""
-    return decode_pairs(unconnected_codes(g), g.n)
 
 
 def drop_pairs(codes: np.ndarray, drop: np.ndarray) -> np.ndarray:

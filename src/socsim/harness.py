@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .gcn import GcnConfig, TrainInputs, TrainingDiverged, train_folds
-from .graph import SocialGraph
+from .graph import SocialGraph, sorted_unique
 from .rng import derive_rng, derive_seed
 from .sdna import SimConfig, iter_snapshots
 from .similarity import AUTO, SimilaritySpec, build_representative
@@ -262,7 +262,7 @@ def make_folds(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
     rng = derive_rng(seed, "folds")
     n = labels.size
     groups = np.zeros(n, dtype=np.int64)
-    for cls in np.unique(labels):
+    for cls in sorted_unique(labels):
         members = np.flatnonzero(labels == cls)
         if members.size < folds:
             raise ValueError(

@@ -14,20 +14,13 @@ endpoints' sDNAs and added:
                     record's decreasing walk-length weights
 
 A socialise round scores a random subset of the still-unconnected pairs and
-connects the best-scoring fraction.  The open pairs are one sorted int64
+connects the best-scoring fraction (:func:`iter_snapshots`), or the single
+best pair (:func:`emit_event_stream`).  The open pairs are one sorted int64
 array of codes ``i * n + j`` (``graph.unconnected_codes``), so ascending
 code order is lexicographic pair order; a round draws one coin per code in
 that order and decodes only the codes it selects.  Mutating the sDNAs
 between rounds drifts preferences, which is what makes successive
 snapshots a plausible dynamic network rather than a forced re-run.
-
-:func:`socialise` runs one round and returns the ranked audit of every
-scored pair.  :func:`iter_snapshots` and :func:`emit_event_stream` compute
-only what they keep: they carry the open codes from round to round, minus
-the edges just added (``graph.drop_pairs``), and take the round's top
-floor(t * |open pairs|) pairs by a partition, or its best pair by
-``np.argmax``.  Both are the head of the stable ranking, so the edges are
-those a chain of :func:`socialise` calls would add.
 """
 
 from __future__ import annotations
@@ -294,40 +287,6 @@ def _top_pairs(selected: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
     return selected[keep]
 
 
-def socialise(
-    g: SocialGraph,
-    sdnas: list[Sdna],
-    cfg: SimConfig,
-    rng: np.random.Generator | None = None,
-) -> tuple[SocialGraph, np.recarray]:
-    """One link-formation round.
-
-    Every still-unconnected pair is scored with probability p (selection
-    draws happen in deterministic lexicographic pair order on one stream);
-    the scored pairs are sorted by score descending with a stable (i, j)
-    tie-break, and the top floor(t * |unconnected pairs|) of them become
-    edges.  Degrees and walk indicators are frozen for the whole round, so
-    connection order cannot feed back into scores.
-
-    Returns the grown graph and the audit: a record array with one row per
-    scored pair, in rank order (best first), with fields ``i`` and ``j``
-    (the pair, i < j, int64) and ``score`` (its pair score, float64).  The
-    first ``min(floor(t * |unconnected pairs|), len(audit))`` rows are the
-    pairs connected.  Raises ``ValueError`` when r or c overflow a score.
-    """
-    if rng is None:
-        rng = derive_rng(cfg.seed, "socialise")
-    universe = unconnected_codes(g)
-    selected, scores = _scored_selection(g, sdnas, cfg, universe, rng)
-    # selected is in (i, j) order, so a stable sort is the (i, j) tie-break
-    order = np.argsort(-scores, kind="stable")
-    ranked = decode_pairs(selected[order], g.n)
-    n_connect = min(math.floor(cfg.t * len(universe)), len(ranked))
-    grown = g.with_edges(ranked[:n_connect])
-    audit = np.rec.fromarrays((ranked[:, 0], ranked[:, 1], scores[order]), names="i,j,score")
-    return grown, audit
-
-
 def mutate(
     sdnas: list[Sdna],
     cfg: SimConfig,
@@ -369,10 +328,13 @@ def iter_snapshots(cfg: SimConfig, snapshots: int) -> Iterator[tuple[SocialGraph
     Snapshot 0 socialises a fresh population; each later snapshot first
     mutates the sDNAs and then socialises over the pairs that are still
     unconnected, so edge sets grow monotonically while features stay fixed.
-    Each round is the :func:`socialise` round without its audit: the open
-    pair codes are carried from round to round, minus the edges just added,
-    and the top floor(t * |open pairs|) scored pairs are found by a
-    partition, not a full ranking.
+    A round scores each open pair with probability p (one coin per pair, in
+    lexicographic pair order, on the stream ``("socialise", s)``) against
+    the graph as it stood before the round, so degrees and walks are
+    frozen for the round, and connects the top floor(t * |open pairs|)
+    scored pairs; equal scores go in (i, j) order (:func:`_top_pairs`).
+    The open pair codes are carried from round to round, minus the edges
+    just added.  Raises ``ValueError`` when r or c overflow a score.
 
     A snapshot is simulated only when it is asked for, and the generator
     holds only the latest graph and its open codes (the next snapshot grows
@@ -399,9 +361,9 @@ _EVENT_MAX_RETRIES = 100
 
 def emit_event_stream(cfg: SimConfig, events: int) -> list[tuple[int, tuple[int, int]]]:
     """Timestamped single-edge stream: each round connects the best-scoring
-    selected pair (the first in (i, j) order among equal scores, i.e. the
-    head of the :func:`socialise` ranking), then mutates.  The open pair
-    codes are carried from round to round, minus the pair just connected.
+    selected pair (the first in (i, j) order among equal scores), then
+    mutates.  The open pair codes are carried from round to round, minus
+    the pair just connected.
 
     If a round's exploration draw selects no pair, it retries with fresh
     draws; the stream ends early once no open pair is left (or a
@@ -421,7 +383,7 @@ def emit_event_stream(cfg: SimConfig, events: int) -> list[tuple[int, tuple[int,
             selected, scores = _scored_selection(
                 graph, sdnas, cfg, open_codes, derive_rng(cfg.seed, "events", round_idx, attempt))
             if len(selected):
-                # argmax returns the first maximum: the stable ranking's head
+                # argmax returns the first maximum: the first in (i, j) order
                 best = int(np.argmax(scores))
                 added = selected[best:best + 1]
                 break

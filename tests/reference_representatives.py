@@ -9,13 +9,13 @@ argument.
 
 import numpy as np
 
-from socsim.graph import SocialGraph, shortest_path_matrix
+from socsim.graph import SocialGraph, dense_adjacency, shortest_path_matrix
 from socsim.similarity import SimilaritySpec
 
 
 def katz_matrix(g: SocialGraph, beta: float, max_power: int) -> np.ndarray:
     """beta^x A^x summed for x = 1..max_power; even powers as half @ half.T."""
-    a = g.adjacency
+    a = dense_adjacency(g)
     total = np.zeros_like(a)
     halves = {}
     power = a
@@ -49,7 +49,7 @@ def finite_katz(g: SocialGraph, spec: SimilaritySpec) -> np.ndarray:
 def rpr_matrix(g: SocialGraph, alpha: float) -> np.ndarray:
     """alpha (I - (1-alpha) T)^-1, T the row-stochastic walk matrix with
     isolated nodes self-transitioning."""
-    a = g.adjacency
+    a = dense_adjacency(g)
     deg = a.sum(axis=1)
     trans = np.where(deg[:, None] > 0, a / np.maximum(deg, 1.0)[:, None], 0.0)
     trans[deg == 0] = np.eye(g.n)[deg == 0]
@@ -60,7 +60,7 @@ def raw_gravity_scores(g: SocialGraph) -> np.ndarray:
     """deg_i deg_j / sp_ij^2 on unconnected reachable pairs, 0 elsewhere."""
     sp = shortest_path_matrix(g)
     deg = g.degrees.astype(np.float64)
-    scorable = np.isfinite(sp) & (g.adjacency == 0)
+    scorable = np.isfinite(sp) & (dense_adjacency(g) == 0)
     np.fill_diagonal(scorable, False)
     raw = np.zeros((g.n, g.n))
     raw[scorable] = (deg[:, None] * deg[None, :])[scorable] / sp[scorable] ** 2
@@ -71,7 +71,7 @@ def gg_matrix(g: SocialGraph) -> np.ndarray:
     """Min-max normalized gravity scores added onto the adjacency matrix."""
     raw = raw_gravity_scores(g)
     scorable = raw > 0
-    out = g.adjacency.copy()
+    out = dense_adjacency(g)
     if scorable.any():
         lo, hi = raw[scorable].min(), raw[scorable].max()
         if hi > lo:
@@ -118,7 +118,7 @@ def augment(matrix: np.ndarray, spec: SimilaritySpec) -> np.ndarray:
 def build_matrix(g: SocialGraph, spec: SimilaritySpec) -> np.ndarray:
     """The representative matrix: D^{-1/2} (A_hat + I) D^{-1/2}."""
     if spec.kind == "adjacency":
-        a_hat = g.adjacency
+        a_hat = dense_adjacency(g)
     elif spec.kind == "katz":
         a_hat = augment(finite_katz(g, spec), spec)
     elif spec.kind == "rpr":

@@ -7,7 +7,7 @@ calls it.
 
 import numpy as np
 
-from socsim.graph import SocialGraph, walk_indicators
+from socsim.graph import SocialGraph, dense_adjacency
 from socsim.sdna import Sdna, SimConfig
 
 
@@ -31,8 +31,8 @@ def feature_score(i: int, j: int, g: SocialGraph, sdnas: list[Sdna]) -> float:
 def popularity_score(i: int, j: int, g: SocialGraph, sdnas: list[Sdna]) -> float:
     """Two-way preferential-attachment score: each side weighs the other's
     degree by its own attachment parameter.  Degrees are whatever the graph
-    currently holds; a socialise round passes the same frozen graph for all
-    pairs."""
+    currently holds; a round scores every pair against the same frozen
+    graph."""
     di = sdnas[g.sdna_of[i]].d
     dj = sdnas[g.sdna_of[j]].d
     return float(g.degrees[j] * di + g.degrees[i] * dj)
@@ -42,15 +42,18 @@ def path_score(i: int, j: int, g: SocialGraph, sdnas: list[Sdna]) -> np.ndarray:
     """Per-walk-length score vector, component x-2 for walk length x in 2..q.
 
     A component is (k_i[x] + k_j[x]) when a walk of exactly x steps joins the
-    pair and zero otherwise.
+    pair and zero otherwise.  Walk existence is read from boolean powers of
+    the dense adjacency matrix, not from the simulator's packed walk bits.
     """
     ki = sdnas[g.sdna_of[i]].k
     kj = sdnas[g.sdna_of[j]].k
     q = ki.size + 1
-    indicators = walk_indicators(g, q)
+    a = dense_adjacency(g, bool)
+    power = a
     out = np.zeros(q - 1)
     for x in range(2, q + 1):
-        if indicators[x - 2][i, j]:
+        power = (power.astype(np.int64) @ a) > 0
+        if power[i, j]:
             out[x - 2] = ki[x - 2] + kj[x - 2]
     return out
 

@@ -12,7 +12,13 @@ import pytest
 
 import socsim
 from socsim.gcn import GcnConfig, GcnModel, TrainInputs, _init_params, backward, forward, loss
-from socsim.graph import SocialGraph, shortest_path_matrix, unconnected_pairs
+from socsim.graph import (
+    SocialGraph,
+    decode_pairs,
+    dense_adjacency,
+    shortest_path_matrix,
+    unconnected_codes,
+)
 from socsim.harness import (
     ExperimentPlan,
     desk_sim_config,
@@ -22,7 +28,7 @@ from socsim.harness import (
     run_experiment,
 )
 from socsim.rng import derive_rng, derive_seed
-from socsim.sdna import SimConfig, generate_population, mutate, socialise
+from socsim.sdna import SimConfig, generate_population, iter_snapshots, mutate
 from socsim.similarity import (
     SimilaritySpec,
     augment,
@@ -118,7 +124,7 @@ def test_criterion_2_similarity_oracles():
     start = time.time()
     for seed in range(20):
         g = random_graph(6, 0.5, seed)
-        a = g.adjacency
+        a = dense_adjacency(g)
         expected = np.zeros_like(a)
         for x in range(1, 6):
             expected = expected + 0.005 ** x * np.linalg.matrix_power(a, x)
@@ -127,8 +133,9 @@ def test_criterion_2_similarity_oracles():
     for seed in range(6):
         g = random_graph(7, 0.4, seed)
         exact = rpr_matrix(g, 0.85)
-        deg = g.adjacency.sum(axis=1)
-        trans = np.where(deg[:, None] > 0, g.adjacency / np.maximum(deg, 1.0)[:, None], 0.0)
+        a = dense_adjacency(g)
+        deg = a.sum(axis=1)
+        trans = np.where(deg[:, None] > 0, a / np.maximum(deg, 1.0)[:, None], 0.0)
         trans[deg == 0] = np.eye(g.n)[deg == 0]
         iterated = np.eye(g.n)
         for _ in range(10_000):
@@ -139,9 +146,10 @@ def test_criterion_2_similarity_oracles():
         g = random_graph(6, 0.4, seed)
         raw = raw_gravity_scores(g)
         sp = shortest_path_matrix(g)
+        a = dense_adjacency(g)
         for i in range(g.n):
             for j in range(g.n):
-                if i != j and g.adjacency[i, j] == 0 and np.isfinite(sp[i, j]):
+                if i != j and a[i, j] == 0 and np.isfinite(sp[i, j]):
                     assert raw[i, j] == (g.degrees[i] * g.degrees[j]) / sp[i, j] ** 2
                 else:
                     assert raw[i, j] == 0.0
@@ -156,14 +164,16 @@ def test_criterion_2_similarity_oracles():
 def test_criterion_3_er_reduction():
     start = time.time()
     n, p, seeds = 50, 0.2, 200
+    pairs = np.array(list(itertools.combinations(range(n), 2)))
     counts = []
     for seed in range(seeds):
         cfg = SimConfig(n=n, f=2, y=2, q=2, p=p, t=1.0, r=0.0, c=(0.0,), z=0.0,
                         seed=seed)
-        g, sdnas = generate_population(cfg)
-        grown, audit = socialise(g, sdnas, cfg)
-        assert len(grown.edges) == len(audit)
-        counts.append(len(grown.edges))
+        (g, _), = iter_snapshots(cfg, 1)
+        # every scored pair connects: the edges are the pairs whose coin came up
+        coins = derive_rng(seed, "socialise", 0).random(len(pairs)) < p
+        assert g.edges.tolist() == pairs[coins].tolist()
+        counts.append(len(g.edges))
     trials = n * (n - 1) // 2
     expected = trials * p
     sigma = np.sqrt(trials * p * (1 - p) / seeds)
@@ -186,7 +196,7 @@ def test_criterion_4_score_algebra():
                         r=float(case % 5) / 4, c=(1.0, 0.5), z=0.0, seed=seed)
         g0, sdnas = generate_population(cfg)
         rng = derive_rng(seed, "edges")
-        extra = unconnected_pairs(g0)[rng.random(15) < 0.35]
+        extra = decode_pairs(unconnected_codes(g0), g0.n)[rng.random(15) < 0.35]
         g = g0.with_edges(extra)
         i, j = (0, 1) if case % 2 else (2, 5)
         # exact symmetry

@@ -60,7 +60,7 @@ def test_graph_kernel_bench_tool_finds_every_kernel_identical(tmp_path):
     assert [len(report["sets"][name]["graphs"]) for name in ("sim_build", "desk", "dense")] == [6, 9, 3]
     for group in report["sets"].values():
         for row in group["graphs"]:
-            for kernel in ("walk_indicators", "shortest_path_matrix", "katz_matrix", "rank_sort"):
+            for kernel in ("walk_bit_rows", "shortest_path_matrix", "katz_matrix", "round_head"):
                 assert row[kernel]["identical"], (row["edges"], kernel)
                 assert row[kernel]["before_ms"] > 0 and row[kernel]["after_ms"] > 0
 

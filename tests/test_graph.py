@@ -13,10 +13,9 @@ from socsim.graph import (
     load_graph_dir,
     save_graph_dir,
     shortest_path_matrix,
+    sorted_unique,
     unconnected_codes,
-    unconnected_pairs,
     walk_bit_rows,
-    walk_indicators,
 )
 
 
@@ -30,6 +29,16 @@ def make_graph(n, edges, f=2):
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 PATH3 = [(0, 1), (1, 2)]
+
+
+def unpacked_walks(g, max_length):
+    """The (n, n) boolean matrices of walk_bit_rows, unpacked here."""
+    return [np.unpackbits(rows, axis=1, count=g.n).view(bool)
+            for rows in walk_bit_rows(g, max_length)]
+
+
+def open_pairs(g):
+    return decode_pairs(unconnected_codes(g), g.n)
 
 
 def test_degree_empty_graph():
@@ -61,15 +70,38 @@ def test_duplicate_and_reversed_edges_collapse():
     assert make_graph(4, []).edges.shape == (0, 2)
 
 
-def test_adjacency_and_degrees_are_read_only():
+@pytest.mark.parametrize("values", [
+    [],
+    [5, 5, 5],
+    [9, 2, 7, 2, 9, 0, 7],
+    [3, -1, 2**62, -2**62, 3],
+    [[4, 1], [1, 0], [4, 4]],  # flattened, as np.unique does
+])
+def test_sorted_unique_is_byte_equal_to_np_unique(values):
+    values = np.array(values, dtype=np.int64)
+    got = sorted_unique(values)
+    want = np.unique(values)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("pairs", [
+    [],
+    [(0, 1), (0, 1), (1, 0), (2, 3), (3, 2), (2, 3)],
+    [(4, 3), (3, 1), (2, 0), (1, 0), (4, 0)],
+])
+def test_edges_are_the_np_unique_pair_codes(pairs):
+    g = make_graph(5, pairs)
+    arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    keys = np.unique(arr.min(axis=1) * 5 + arr.max(axis=1))
+    want = np.column_stack([keys // 5, keys % 5])
+    assert g.edges.shape == want.shape and g.edges.tobytes() == want.tobytes()
+
+
+def test_degrees_are_read_only():
     g = make_graph(4, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
-        g.adjacency[0, 3] = 1.0
-    with pytest.raises(ValueError):
-        g.adjacency += 1.0
-    with pytest.raises(ValueError):
         g.degrees[3] = 1
-    assert g.adjacency.tolist()[0] == [0.0, 1.0, 0.0, 0.0] and g.degrees.tolist() == [1, 2, 1, 0]
+    assert g.degrees.tolist() == [1, 2, 1, 0]
 
 
 def test_with_edges_merges_into_canonical_array():
@@ -82,24 +114,24 @@ def test_with_edges_merges_into_canonical_array():
     assert grown.features is g.features
 
 
-def test_walk_indicators_path_graph():
-    two, three = walk_indicators(make_graph(3, PATH3), 3)
+def test_walk_bits_path_graph():
+    two, three = unpacked_walks(make_graph(3, PATH3), 3)
     assert two[0, 2]
     assert not three[0, 2]  # brute force: A^3[0,2] = 0
 
 
-def test_walk_indicators_triangle_two_walk():
-    two, = walk_indicators(make_graph(3, TRIANGLE), 2)
+def test_walk_bits_triangle_two_walk():
+    two, = unpacked_walks(make_graph(3, TRIANGLE), 2)
     assert two[0, 1]  # walk 0-2-1
 
 
-def test_walk_indicators_symmetric_on_small_graphs():
+def test_walk_bits_symmetric_on_small_graphs():
     rng = np.random.default_rng(5)
     for _ in range(25):
         n = int(rng.integers(3, 7))
         pairs = list(itertools.combinations(range(n), 2))
         chosen = [p for p in pairs if rng.random() < 0.4]
-        for power in walk_indicators(make_graph(n, chosen), 4):
+        for power in unpacked_walks(make_graph(n, chosen), 4):
             assert np.array_equal(power, power.T)
 
 
@@ -113,14 +145,14 @@ def brute_force_walks(adj, i, j, length):
     return any(w[-1] == j for w in walks)
 
 
-def test_walk_indicators_match_walk_enumeration():
+def test_walk_bits_match_walk_enumeration():
     rng = np.random.default_rng(9)
     for _ in range(10):
         n = int(rng.integers(3, 6))
         pairs = list(itertools.combinations(range(n), 2))
         g = make_graph(n, [p for p in pairs if rng.random() < 0.5])
-        adj = g.adjacency
-        for x, power in enumerate(walk_indicators(g, 3), start=2):
+        adj = dense_adjacency(g)
+        for x, power in enumerate(unpacked_walks(g, 3), start=2):
             for i, j in itertools.product(range(n), repeat=2):
                 assert power[i, j] == brute_force_walks(adj, i, j, x)
 
@@ -151,7 +183,7 @@ def test_shortest_paths_match_floyd_warshall():
         n = int(rng.integers(2, 50))
         pairs = list(itertools.combinations(range(n), 2))
         g = make_graph(n, [p for p in pairs if rng.random() < 0.1])
-        assert np.array_equal(shortest_path_matrix(g), floyd_warshall(g.adjacency))
+        assert np.array_equal(shortest_path_matrix(g), floyd_warshall(dense_adjacency(g)))
 
 
 def dense_walk_indicators(adj, max_length):
@@ -183,8 +215,8 @@ def dense_bfs(adj):
 
 
 def assert_walks_match_dense(g, max_length):
-    got = walk_indicators(g, max_length)
-    want = dense_walk_indicators(g.adjacency, max_length)
+    got = unpacked_walks(g, max_length)
+    want = dense_walk_indicators(dense_adjacency(g), max_length)
     assert len(got) == len(want) == max_length - 1
     for x, (a, b) in enumerate(zip(got, want), start=2):
         assert a.dtype == np.bool_ and a.shape == (g.n, g.n), x
@@ -192,7 +224,7 @@ def assert_walks_match_dense(g, max_length):
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65, 130])
-def test_walk_indicators_match_dense_powers(n):
+def test_walk_bits_match_dense_powers(n):
     # sizes around the byte and word boundaries of the packed rows
     rng = np.random.default_rng(n)
     pairs = list(itertools.combinations(range(n), 2))
@@ -202,21 +234,21 @@ def test_walk_indicators_match_dense_powers(n):
             assert_walks_match_dense(g, q)
 
 
-def test_walk_indicators_isolated_nodes_and_no_edges():
+def test_walk_bits_isolated_nodes_and_no_edges():
     g = make_graph(11, [(1, 4), (4, 9), (2, 3)])  # 0, 5-8 and 10 isolated
     assert_walks_match_dense(g, 4)
-    assert not walk_indicators(g, 4)[0][[0, 5, 10]].any()
-    for power in walk_indicators(make_graph(13, []), 4):
+    assert not unpacked_walks(g, 4)[0][[0, 5, 10]].any()
+    for power in unpacked_walks(make_graph(13, []), 4):
         assert power.shape == (13, 13) and not power.any()
-    assert walk_indicators(g, 1) == []
+    assert walk_bit_rows(g, 1) == []
 
 
-def test_walk_indicators_and_bfs_match_dense_on_hub_snapshot(hub_snapshot):
+def test_walk_bits_and_bfs_match_dense_on_hub_snapshot(hub_snapshot):
     g = hub_snapshot
     assert g.n == 800 and g.degrees.max() > 400 and (g.degrees <= 2).any()
     assert_walks_match_dense(g, 4)
     sp = shortest_path_matrix(g)
-    assert sp.tobytes() == dense_bfs(g.adjacency).tobytes()
+    assert sp.tobytes() == dense_bfs(dense_adjacency(g)).tobytes()
 
 
 def test_shortest_paths_match_dense_bfs_on_sparse_graphs():
@@ -225,43 +257,43 @@ def test_shortest_paths_match_dense_bfs_on_sparse_graphs():
         pairs = list(itertools.combinations(range(n), 2))
         for density in (0.0, 0.02, 0.2):
             g = make_graph(n, [p for p in pairs if rng.random() < density])
-            assert np.array_equal(shortest_path_matrix(g), dense_bfs(g.adjacency))
+            assert np.array_equal(shortest_path_matrix(g), dense_bfs(dense_adjacency(g)))
 
 
-def test_unconnected_pairs_ordering_and_counts():
-    universe = unconnected_pairs(make_graph(3, []))
+def test_open_pairs_ordering_and_counts():
+    universe = open_pairs(make_graph(3, []))
     assert universe.dtype == np.int64
     assert universe.tolist() == [[0, 1], [0, 2], [1, 2]]
-    assert unconnected_pairs(make_graph(3, TRIANGLE)).shape == (0, 2)
+    assert open_pairs(make_graph(3, TRIANGLE)).shape == (0, 2)
     g = make_graph(4, [(0, 1)])
-    universe = unconnected_pairs(g)
+    universe = open_pairs(g)
     assert len(universe) == 5
     assert [0, 1] not in universe.tolist()
 
 
 def test_pair_universe_indexing():
-    universe = unconnected_pairs(make_graph(3, []))
+    universe = open_pairs(make_graph(3, []))
     assert universe.shape == (3, 2)
     assert universe[1].tolist() == [0, 2]
-    universe = unconnected_pairs(make_graph(4, [(0, 1)]))
+    universe = open_pairs(make_graph(4, [(0, 1)]))
     assert universe[0].tolist() == [0, 2]
     assert universe[[1, 4]].tolist() == [[0, 3], [2, 3]]
 
 
-def test_unconnected_pairs_complement_identity():
+def test_unconnected_codes_complement_identity():
     rng = np.random.default_rng(12)
     for _ in range(20):
         n = int(rng.integers(2, 12))
         pairs = list(itertools.combinations(range(n), 2))
         g = make_graph(n, [p for p in pairs if rng.random() < 0.3])
-        assert len(unconnected_pairs(g)) + len(g.edges) == n * (n - 1) // 2
+        assert len(unconnected_codes(g)) + len(g.edges) == n * (n - 1) // 2
 
 
 def triu_open_pairs(g):
     """The open pairs the way the code used to find them: np.triu_indices
     gathered from the dense adjacency."""
     iu, ju = np.triu_indices(g.n, k=1)
-    open_ = g.adjacency[iu, ju] == 0
+    open_ = dense_adjacency(g)[iu, ju] == 0
     return np.column_stack([iu[open_], ju[open_]]).astype(np.int64)
 
 
@@ -281,24 +313,27 @@ def test_unconnected_codes_decode_to_the_triu_oracle(n, edges):
     assert np.all(np.diff(codes) > 0)
     assert codes.tobytes() == (want[:, 0] * n + want[:, 1]).tobytes()
     assert decode_pairs(codes, n).tobytes() == want.tobytes()
-    assert unconnected_pairs(g).tobytes() == want.tobytes()
 
 
-def test_pair_and_walk_code_cache_no_adjacency():
+def test_pair_and_walk_code_cache_nothing_on_the_graph():
     g = make_graph(9, [(0, 1), (1, 2), (4, 8)])
     unconnected_codes(g)
     walk_bit_rows(g, 3)
-    assert "adjacency" not in vars(g)
+    shortest_path_matrix(g)
+    assert set(vars(g)) <= {"n", "edges", "features", "sdna_of", "degrees"}
 
 
-def test_dense_adjacency_is_a_fresh_copy_of_the_cached_view():
+def test_dense_adjacency_is_a_fresh_scatter_of_the_edges():
     g = make_graph(5, [(0, 1), (1, 4), (2, 3)])
     a = dense_adjacency(g)
     assert a.dtype == np.float64 and a.flags.writeable
-    assert a.tobytes() == g.adjacency.tobytes()
-    assert np.array_equal(dense_adjacency(g, bool), g.adjacency > 0)
+    want = np.zeros((5, 5))
+    for i, j in [(0, 1), (1, 4), (2, 3)]:
+        want[i, j] = want[j, i] = 1.0
+    assert a.tobytes() == want.tobytes()
+    assert np.array_equal(dense_adjacency(g, bool), want > 0)
     a[0, 0] = 7.0
-    assert g.adjacency[0, 0] == 0.0 and dense_adjacency(g)[0, 0] == 0.0
+    assert dense_adjacency(g)[0, 0] == 0.0
 
 
 def test_drop_pairs_leaves_the_codes_still_open():
@@ -353,14 +388,13 @@ def test_graph_dir_round_trip(tmp_path):
 def test_pickled_graph_is_rebuilt_without_its_cached_views():
     g = SocialGraph(n=4, edges=[(0, 1), (1, 3)], features=np.eye(4)[:, :2],
                     sdna_of=np.array([0, 1, 0, 1]))
-    adjacency, degrees = g.adjacency, g.degrees
+    degrees = g.degrees
     back = pickle.loads(pickle.dumps(g))
-    assert "adjacency" not in vars(back) and "degrees" not in vars(back)
+    assert "degrees" not in vars(back)
     assert back.n == 4
     assert np.array_equal(back.edges, g.edges) and not back.edges.flags.writeable
     assert np.array_equal(back.features, g.features)
     assert np.array_equal(back.sdna_of, g.sdna_of)
-    assert np.array_equal(back.adjacency, adjacency)
     assert np.array_equal(back.degrees, degrees)
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_representatives as reference
-from socsim.graph import SocialGraph, shortest_path_matrix
+from socsim.graph import SocialGraph, dense_adjacency, shortest_path_matrix
 from socsim.harness import default_model_grid, desk_sim_config, parse_cell
 from socsim.sdna import iter_snapshots
 from socsim.similarity import (
@@ -49,7 +49,7 @@ TRIANGLE = make_graph(3, [(0, 1), (1, 2), (0, 2)])
 
 def test_katz_single_power_is_scaled_adjacency():
     k = katz_matrix(PATH3, beta=0.3, max_power=1)
-    assert np.array_equal(k, 0.3 * PATH3.adjacency)
+    assert np.array_equal(k, 0.3 * dense_adjacency(PATH3))
 
 
 def test_katz_two_hop_entry():
@@ -65,7 +65,7 @@ def test_katz_empty_graph_zero():
 def test_katz_matches_explicit_powers():
     for seed in range(20):
         g = random_graph(6, 0.5, seed)
-        a = g.adjacency
+        a = dense_adjacency(g)
         expected = np.zeros_like(a)
         for x in range(1, 6):
             expected = expected + 0.005 ** x * np.linalg.matrix_power(a, x)
@@ -75,7 +75,7 @@ def test_katz_matches_explicit_powers():
 def test_katz_matches_left_to_right_powers_on_hub_snapshot(hub_snapshot):
     # walk counts reach ~4e7 at the fifth power here, far below 2^53, so the
     # symmetric even-power products must give the very same bytes
-    a = hub_snapshot.adjacency
+    a = dense_adjacency(hub_snapshot)
     for max_power in (1, 2, 5):
         expected = np.zeros_like(a)
         power = np.eye(hub_snapshot.n)
@@ -104,7 +104,7 @@ def test_rpr_rows_stochastic():
 
 def rpr_power_iteration(g, alpha, steps=10_000):
     n = g.n
-    a = g.adjacency
+    a = dense_adjacency(g)
     deg = a.sum(axis=1)
     trans = np.where(deg[:, None] > 0, a / np.maximum(deg, 1.0)[:, None], 0.0)
     trans[deg == 0] = np.eye(n)[deg == 0]
@@ -130,7 +130,7 @@ def test_gravity_raw_score_path_graph():
 
 def test_gravity_complete_graph_is_adjacency():
     k4 = make_graph(4, list(itertools.combinations(range(4), 2)))
-    assert np.array_equal(gg_matrix(k4), k4.adjacency)
+    assert np.array_equal(gg_matrix(k4), dense_adjacency(k4))
 
 
 def test_gravity_disconnected_components_zero():
@@ -143,7 +143,7 @@ def test_gravity_edges_exactly_one_and_range():
     for seed in range(10):
         g = random_graph(8, 0.3, seed)
         m = gg_matrix(g)
-        a = g.adjacency
+        a = dense_adjacency(g)
         assert np.all(m[a > 0] == 1.0)
         assert np.all((m >= 0) & (m <= 1))
         assert np.all(np.diag(m) == 0)
@@ -154,7 +154,7 @@ def test_gravity_matches_per_pair_formula():
         g = random_graph(6, 0.4, seed)
         raw = raw_gravity_scores(g)
         sp = shortest_path_matrix(g)
-        a = g.adjacency
+        a = dense_adjacency(g)
         for i in range(g.n):
             for j in range(g.n):
                 if i != j and a[i, j] == 0 and np.isfinite(sp[i, j]):
@@ -277,7 +277,7 @@ def test_representative_symmetric_bounded_spectrum():
 def test_representative_matches_renormalized_operator():
     g = random_graph(6, 0.4, 8)
     rep = build_representative(g, SimilaritySpec(kind="adjacency"))
-    a_tilde = g.adjacency + np.eye(6)
+    a_tilde = dense_adjacency(g) + np.eye(6)
     d = np.diag(1 / np.sqrt(a_tilde.sum(axis=1)))
     assert np.allclose(rep.matrix, d @ a_tilde @ d, atol=1e-12)
 
@@ -297,12 +297,12 @@ ORACLE_GRAPHS = {
 
 
 def assert_builds_match_reference(g, specs):
-    adjacency, degrees = g.adjacency.tobytes(), g.degrees.tobytes()
+    adjacency, degrees = dense_adjacency(g).tobytes(), g.degrees.tobytes()
     for spec in specs:
         got = build_representative(g, spec).matrix
         want = reference.build_matrix(g, spec)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), spec
-    assert g.adjacency.tobytes() == adjacency and g.degrees.tobytes() == degrees
+    assert dense_adjacency(g).tobytes() == adjacency and g.degrees.tobytes() == degrees
 
 
 def test_grid_has_thirteen_distinct_specs():
@@ -365,12 +365,12 @@ def test_katz_row_norm_check_past_its_bound(beta, finite):
 
 def test_public_builders_leave_their_inputs_unchanged():
     g = random_graph(9, 0.4, 2)
-    adjacency = g.adjacency.tobytes()
+    adjacency = dense_adjacency(g).tobytes()
     katz_matrix(g, 0.1, 5)
     rpr_matrix(g, 0.85)
     gg_matrix(g)
     raw_gravity_scores(g)
-    assert g.adjacency.tobytes() == adjacency
+    assert dense_adjacency(g).tobytes() == adjacency
     matrix = katz_matrix(g, 0.1, 5)
     before = matrix.copy()
     for spec in (SimilaritySpec(kind="katz"), SimilaritySpec(kind="katz", threshold_lo=0.2,

@@ -3,17 +3,20 @@
 Times four kernels on three sets of graphs and prints one JSON object (or
 writes it with ``--out``):
 
-    walk_indicators       boolean walk powers for lengths 2..4
+    walk_bit_rows         packed boolean walk powers for lengths 2..4
     shortest_path_matrix  all-pairs hop counts
     katz_matrix           beta = 0.005, powers 1..5
-    rank_sort             socialise's descending-score order with the (i, j)
-                          tie-break, on the pairs one round scores
+    round_head            the floor(t * |open pairs|) pairs a snapshot round
+                          connects, taken from the pairs one round scores
 
 "before" is the dense formula each kernel used to run, kept here as the
-reference: float64 n x n products for the walk powers and the BFS levels,
-left-to-right A^x = A^(x-1) A for Katz, and a three-key ``np.lexsort`` for
-the rank.  "after" is the current ``socsim`` code.  Every pair of outputs is
-compared byte for byte and the result is recorded as ``identical``.
+reference: float64 n x n products for the walk powers (packed by
+``np.packbits``) and the BFS levels, left-to-right A^x = A^(x-1) A for
+Katz, and the head of a stable descending argsort for the round.  "after"
+is the code the pipeline runs: ``walk_bit_rows`` (its rows cut to the
+``np.packbits`` bytes), ``shortest_path_matrix``, ``katz_matrix`` and
+``sdna._top_pairs``.  Every pair of outputs is compared byte for byte and
+the result is recorded as ``identical``.
 
 The graph sets:
 
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -45,22 +49,33 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from socsim.graph import shortest_path_matrix, unconnected_pairs, walk_indicators  # noqa: E402
+from socsim.graph import (  # noqa: E402
+    decode_pairs,
+    dense_adjacency,
+    shortest_path_matrix,
+    unconnected_codes,
+    walk_bit_rows,
+)
 from socsim.harness import blas_threads, desk_sim_config  # noqa: E402
 from socsim.rng import derive_rng  # noqa: E402
-from socsim.sdna import generate_population, iter_snapshots, socialise  # noqa: E402
+from socsim.sdna import (  # noqa: E402
+    _scored_selection,
+    _top_pairs,
+    generate_population,
+    iter_snapshots,
+)
 from socsim.similarity import katz_matrix  # noqa: E402
 
 WALK_LENGTH = 4
 KATZ_BETA, KATZ_POWER = 0.005, 5
 
 
-def dense_walk_indicators(adjacency, max_length):
+def dense_walk_bits(adjacency, max_length):
     a = (adjacency > 0).astype(np.float64)
     power, out = a, []
     for _ in range(2, max_length + 1):
         power = (power.astype(np.float64) @ a) > 0
-        out.append(power)
+        out.append(np.packbits(power, axis=1))
     return out
 
 
@@ -104,30 +119,26 @@ def _same(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def scored_round(graph, sdnas, cfg, round_seed):
-    """The pairs one socialise round on ``graph`` scores, in (i, j) order,
-    and their scores."""
-    _, audit = socialise(graph, sdnas, cfg, derive_rng(cfg.seed, "bench", round_seed))
-    order = np.lexsort((audit.j, audit.i))
-    return np.column_stack([audit.i, audit.j])[order], audit.score[order]
-
-
 def bench_graph(graph, sdnas, cfg, round_seed, repeat) -> dict:
-    adjacency = graph.adjacency
+    adjacency = dense_adjacency(graph)
     n, m = graph.n, len(graph.edges)
     row = {"n": n, "edges": m, "density": round(2 * m / (n * (n - 1)), 4),
            "max_degree": int(graph.degrees.max())}
-    selected, scores = scored_round(graph, sdnas, cfg, round_seed)
+    open_codes = unconnected_codes(graph)
+    selected, scores = _scored_selection(graph, sdnas, cfg, open_codes,
+                                         derive_rng(cfg.seed, "bench", round_seed))
+    head = math.floor(cfg.t * len(open_codes))
     row["scored_pairs"] = len(scores)
+    row_bytes = -(-n // 8)  # walk_bit_rows pads each row to whole 64-bit words
     kernels = {
-        "walk_indicators": (lambda: dense_walk_indicators(adjacency, WALK_LENGTH),
-                            lambda: walk_indicators(graph, WALK_LENGTH)),
+        "walk_bit_rows": (lambda: dense_walk_bits(adjacency, WALK_LENGTH),
+                          lambda: [r[:, :row_bytes] for r in walk_bit_rows(graph, WALK_LENGTH)]),
         "shortest_path_matrix": (lambda: dense_shortest_paths(adjacency),
                                  lambda: shortest_path_matrix(graph)),
         "katz_matrix": (lambda: left_to_right_katz(adjacency, KATZ_BETA, KATZ_POWER),
                         lambda: katz_matrix(graph, KATZ_BETA, KATZ_POWER)),
-        "rank_sort": (lambda: np.lexsort((selected[:, 1], selected[:, 0], -scores)),
-                      lambda: np.argsort(-scores, kind="stable")),
+        "round_head": (lambda: selected[np.sort(np.argsort(-scores, kind="stable")[:head])],
+                       lambda: _top_pairs(selected, scores, head)),
     }
     for name, (before, after) in kernels.items():
         before_ms, want = _median_ms(before, repeat)
@@ -142,9 +153,10 @@ def graph_sets(seed: int):
     yield "sim_build", wide, iter_snapshots(wide, 6)
     yield "desk", desk_sim_config(seed), iter_snapshots(desk_sim_config(seed), 9)
     population, sdnas = generate_population(wide)
-    universe = unconnected_pairs(population)
+    universe = unconnected_codes(population)
     draws = derive_rng(seed, "dense").random(len(universe))
-    yield "dense", wide, [(population.with_edges(universe[draws < share]), sdnas)
+    yield "dense", wide, [(population.with_edges(decode_pairs(universe[draws < share], wide.n)),
+                           sdnas)
                           for share in (0.3, 0.5, 0.7)]
 
 
@@ -168,8 +180,8 @@ def main(argv: list[str] | None = None) -> int:
                 for idx, (graph, sdnas) in enumerate(snapshots)]
         totals = {kernel: {side: round(sum(r[kernel][side] for r in rows), 3)
                            for side in ("before_ms", "after_ms")}
-                  for kernel in ("walk_indicators", "shortest_path_matrix", "katz_matrix",
-                                 "rank_sort")}
+                  for kernel in ("walk_bit_rows", "shortest_path_matrix", "katz_matrix",
+                                 "round_head")}
         sets[name] = {"graphs": rows, "totals": totals}
     doc = {"topic": "graph_kernels", "machine": machine(), "seed": args.seed,
            "repeat": args.repeat, "walk_length": WALK_LENGTH,
