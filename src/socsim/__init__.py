@@ -26,12 +26,8 @@ from .similarity import (
 )
 from .gcn import (
     GcnConfig,
-    GcnModel,
     TrainInputs,
     TrainingDiverged,
-    backward,
-    forward,
-    loss,
     train_folds,
 )
 from .harness import (

@@ -21,15 +21,13 @@ masked cross-entropy plus L2 decay on the hidden kernels, optimized with
 Adam.  The softmax takes each row's max as a running maximum over the
 class columns, the same value as a max over the row, as max is exact.
 
-There is one model type, ``GcnModel``: a stack of k models that share a
-config, G and X and differ only in their masks, init seed and dropout
-stream (the folds of one cross-validation cell), with k = 1 for a model
-trained alone.  Every parameter, Adam moment, activation and gate carries
-a leading fold axis, and the math is written once, for the stack.
-``train_folds`` trains a stack from one ``TrainInputs`` with (k, n) masks,
-one config and one seed per fold, without scoring it every epoch; it is
-the one way to train.  ``forward``, ``backward`` and ``loss`` run the same
-code on a k = 1 model, with (n,) masks.
+The net is a stack of k models that share a config, G and X and differ
+only in their masks, init seed and dropout stream (the folds of one
+cross-validation cell); one model is a k = 1 stack.  Every parameter, Adam
+moment, activation and gate carries a leading fold axis, and the math is
+written once, for the stack.  ``train_folds`` trains a stack from one
+``TrainInputs`` with (k, n) masks, one config and one seed per fold,
+without scoring it every epoch; it is the one way to train.
 
 One table, ``_steps()``, says what the net computes: a row per kernel
 product, in forward order, with its layer, kernel, fans, where G multiplies
@@ -94,7 +92,7 @@ ADAM_EPS = 1e-8
 
 class TrainingDiverged(RuntimeError):
     """Loss went non-finite; carries the epoch, the parameter norms and the
-    index of the fold that diverged (0 for a single model)."""
+    index of the fold that diverged."""
 
     def __init__(self, epoch: int, norms: dict[str, float], fold: int = 0):
         super().__init__(f"non-finite loss at epoch {epoch}; parameter norms {norms}")
@@ -166,10 +164,9 @@ class GcnConfig:
 @dataclass(frozen=True, eq=False)
 class TrainInputs:
     """Everything one training run consumes: the (n, n) representative G,
-    the (n, f) features X, the (n,) labels and the bool masks, (n,) for one
-    model or (k, n) for a stack of k folds, one row per fold.  All nodes
-    stay visible to the propagation, the masks only gate the loss and the
-    accuracy."""
+    the (n, f) features X, the (n,) labels and the (k, n) bool masks of a
+    stack of k >= 1 folds, one row per fold.  All nodes stay visible to the
+    propagation, the masks only gate the loss and the accuracy."""
 
     g_matrix: np.ndarray
     x: np.ndarray
@@ -187,10 +184,10 @@ class TrainInputs:
                                  f"got {np.shape(getattr(self, name))}")
         for name in ("train_mask", "test_mask"):
             mask = getattr(self, name)
-            if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.ndim in (1, 2)
-                    and mask.shape[-1] == n and 0 not in mask.shape[:-1]):
-                raise ValueError(f"{name} must be a bool array of shape ({n},) or (k, {n}) "
-                                 f"with k >= 1, got {getattr(mask, 'dtype', type(mask))} "
+            if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.ndim == 2
+                    and mask.shape[0] >= 1 and mask.shape[1] == n):
+                raise ValueError(f"{name} must be a bool array of shape (k, {n}) with k >= 1, "
+                                 f"got {getattr(mask, 'dtype', type(mask))} "
                                  f"of shape {np.shape(mask)}")
         if self.train_mask.shape != self.test_mask.shape:
             raise ValueError(f"train_mask {self.train_mask.shape} and test_mask "
@@ -201,7 +198,7 @@ class TrainInputs:
 
 @dataclass(eq=False)
 class GcnModel:
-    """k models that share a config, k = 1 for a model trained alone.
+    """A stack of k models that share a config, the folds of one cell.
 
     ``params`` names every trainable tensor: ``W<i>`` for layer i's kernel,
     ``Wa`` and ``Wb`` for tlr's factored first kernel (G @ Wa @ Wb), and
@@ -298,14 +295,6 @@ def _decayed_names(cfg: GcnConfig) -> list[str]:
     return [s.name for s in _steps(cfg, 0) if s.layer < len(cfg.layer_units)]
 
 
-# --- the fold axis -------------------------------------------------------------
-#
-# The math is written once, for a stack of k models that share a config, G
-# and X.  Per-fold arrays lead with the fold axis: parameters and Adam
-# moments are (k, *shape), activations and gates (k, n, width).  The
-# per-model functions further down run it on a k = 1 GcnModel.
-
-
 class _Rows:
     """The (k, n) training and test masks of ``folds`` folds over shared
     labels, and what the loss reads of them, built once: a one-hot pick of
@@ -313,33 +302,24 @@ class _Rows:
     output gradient's float target, the fold of each pick, the rows each
     fold does not train on and each fold's training row count."""
 
-    def __init__(self, labels: np.ndarray, classes: int, train: np.ndarray,
-                 test: np.ndarray | None = None, folds: int = 1):
+    def __init__(self, labels: np.ndarray, classes: int, train: np.ndarray, test: np.ndarray,
+                 folds: int):
         if labels.size and (labels.min() < 0 or labels.max() >= classes):
             raise ValueError(f"labels must lie in 0..{classes - 1} for num_classes={classes}, "
                              f"got {labels.min()}..{labels.max()}")
-        self.labels = labels
-        self.train = np.reshape(train, (-1, labels.size))
-        self.test = None if test is None else np.reshape(test, (-1, labels.size))
-        if len(self.train) != folds:
-            raise ValueError(f"masks of {len(self.train)} folds for {folds} seed(s): a stack "
-                             f"takes one seed per fold, one model (n,) masks")
-        self._picks = self.train[:, :, None] & (labels[:, None] == np.arange(classes))
+        if len(train) != folds:
+            raise ValueError(f"masks of {len(train)} folds for {folds} seed(s): a stack "
+                             f"takes one seed per fold")
+        self.labels, self.train, self.test = labels, train, test
+        self._picks = train[:, :, None] & (labels[:, None] == np.arange(classes))
         self._target = self._picks.astype(np.float64)
         self._pick_fold = np.nonzero(self._picks)[0]
-        self._untrained = ~self.train[:, :, None]
-        self._sizes = self.train.sum(axis=1, dtype=np.float64)[:, None, None]
+        self._untrained = ~train[:, :, None]
+        self._sizes = train.sum(axis=1, dtype=np.float64)[:, None, None]
 
     @classmethod
     def of(cls, inputs: TrainInputs, classes: int, folds: int = 1) -> "_Rows":
         return cls(inputs.labels, classes, inputs.train_mask, inputs.test_mask, folds)
-
-    def check(self, train: bool = False, test: bool = False) -> None:
-        """Where asked, reject a fold with an empty training or test mask."""
-        if train and not self.train.any(axis=1).all():
-            raise ValueError("empty training mask")
-        if test and not self.test.any(axis=1).all():
-            raise ValueError("empty test mask")
 
     def cross_entropy(self, probs: np.ndarray) -> np.ndarray:
         """Each fold's mean cross-entropy over its training rows, in one
@@ -471,12 +451,13 @@ class _Workspace:
 
 def _forward(model: GcnModel, ws: _Workspace, training: bool = False,
              rngs: list[np.random.Generator] | None = None) -> tuple[np.ndarray, dict]:
-    """forward() for a stack, in the stacks of ``ws``: probabilities
-    (k, n, classes) and the cache _backward() replays: each step's left
-    operand of its kernel product ("prop": G @ H, or H where G multiplies
-    the output or not at all; None for the identity), each hidden layer's
-    gate, the float (ReLU active and dropout kept) / keep that scales it,
-    the logits and the probabilities."""
+    """Run the net on every fold of a stack, in the stacks of ``ws``
+    (training with dropout drawn from ``rngs``, fold i from ``rngs[i]``):
+    row-softmax probabilities (k, n, classes) and the cache _backward()
+    replays: each step's left operand of its kernel product ("prop": G @ H,
+    or H where G multiplies the output or not at all; None for the
+    identity), each hidden layer's gate, the float (ReLU active and dropout
+    kept) / keep that scales it, the logits and the probabilities."""
     cfg, params, gm = model.config, model.params, ws.gm
     keep = None
     if training and cfg.dropout_p > 0.0:
@@ -516,16 +497,18 @@ def _forward(model: GcnModel, ws: _Workspace, training: bool = False,
 def _losses(probs: np.ndarray, rows: _Rows, params: dict[str, np.ndarray],
             decayed: list[str], weight_decay: float,
             scratch: dict[str, np.ndarray]) -> list[float]:
-    """loss() of every fold of a stack; the squared kernels go to
-    ``scratch``."""
+    """Each fold's loss: its mean cross-entropy over its training rows
+    plus ``weight_decay`` times the squared norms of its ``decayed``
+    kernels, which go to ``scratch``."""
     decay = sum(np.multiply(params[name], params[name], out=scratch[name])
                 .sum(axis=tuple(range(1, params[name].ndim))) for name in decayed)
     return (rows.cross_entropy(probs) + weight_decay * decay).tolist()
 
 
 def _backward(model: GcnModel, cache: dict, rows: _Rows, ws: _Workspace) -> dict[str, np.ndarray]:
-    """backward() for a stack: every fold's gradients, fold axis first, in
-    ``ws.grads``; ``cache`` is only read."""
+    """Exact gradients of every fold's _losses() entry w.r.t. its own
+    parameters, replaying the forward ``cache`` (dropout gates included):
+    fold axis first, in ``ws.grads``; ``cache`` is only read."""
     cfg, params, gm, grads, steps = model.config, model.params, ws.gm, ws.grads, ws.steps
     dz = rows.output_grad(cache["probs"], out=ws.stack("dz", cfg.num_classes))
     for i in reversed(range(len(steps))):
@@ -616,50 +599,12 @@ def train_folds(inputs: TrainInputs, cfg: GcnConfig, seeds: list[int]) -> list[f
     non-finite, for the lowest-index such fold.
     """
     rows = _Rows.of(inputs, cfg.num_classes, len(seeds))
-    rows.check(train=cfg.epochs > 0, test=True)
+    if cfg.epochs > 0 and not rows.train.any(axis=1).all():
+        raise ValueError("empty training mask")
+    if not rows.test.any(axis=1).all():
+        raise ValueError("empty test mask")
     model = GcnModel(cfg, _init_params(cfg, seeds, *inputs.x.shape))
     ws = _Workspace(model, inputs)
     _fit(model, rows, [derive_rng(seed, "dropout") for seed in seeds], ws, cfg.epochs)
     probs, _ = _forward(model, ws)
     return rows.accuracies(probs)
-
-
-# --- one model -------------------------------------------------------------------
-
-
-def forward(
-    model: GcnModel,
-    inputs: TrainInputs,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, dict]:
-    """Run the net; returns row-softmax class probabilities and the cache
-    backward() replays (each layer's kernel input, each hidden layer's
-    ReLU-and-dropout gate, logits), each per-model entry with a leading
-    fold axis of length 1."""
-    probs, cache = _forward(model, _Workspace(model, inputs), training,
-                            None if rng is None else [rng])
-    return probs[0], cache
-
-
-def loss(
-    probs: np.ndarray,
-    labels: np.ndarray,
-    train_mask: np.ndarray,
-    model: GcnModel,
-    weight_decay: float,
-) -> float:
-    """Masked mean cross-entropy plus L2 decay over hidden kernels."""
-    rows = _Rows(labels, probs.shape[-1], train_mask)
-    rows.check(train=True)
-    decayed = _decayed_names(model.config)
-    scratch = {name: np.empty_like(model.params[name]) for name in decayed}
-    return _losses(probs[None], rows, model.params, decayed, weight_decay, scratch)[0]
-
-
-def backward(model: GcnModel, cache: dict, inputs: TrainInputs) -> dict[str, np.ndarray]:
-    """Exact gradients of loss() w.r.t. every parameter, replaying the
-    forward cache (dropout masks included); the cache is left as it was."""
-    rows = _Rows.of(inputs, model.config.num_classes)
-    grads = _backward(model, cache, rows, _Workspace(model, inputs))
-    return {name: g[0] for name, g in grads.items()}

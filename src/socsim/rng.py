@@ -6,6 +6,19 @@ from its seed alone.  Stream identity is (seed, token, token, ...) where
 tokens are small ints (network ids, round indices, fold ids) or strings
 (operation names, cell names); string tokens are hashed with SHA-256 so the
 mapping is stable across processes and platforms.
+
+Caveat: numpy's ``SeedSequence`` reads the identity as a list of 32-bit
+words and zero-pads it to four, so identities that differ only by
+trailing zero int tokens share a stream while their words fit in four:
+``derive_rng(5)`` and ``derive_rng(5, 0)`` draw the same numbers, as do
+``derive_rng(s, "socialise")`` and ``derive_rng(s, "socialise", 0)``.
+(Words also run together across tokens: ``derive_rng(2**32)`` is
+``derive_rng(0, 1)``.)  No two streams the pipeline draws collide: each
+names its operation, and the identities of one operation carry the same
+number of int tokens, except ``mutate``'s default ``(seed, "mutate")``
+beside the per-snapshot ``(seed, "mutate", s)``, whose s starts at 1;
+``events`` always passes its round and attempt.  Mixing the token count
+into the entropy would separate them, and change every output byte.
 """
 
 from __future__ import annotations
@@ -25,7 +38,10 @@ def _token_word(token: int | str) -> int:
 
 
 def derive_rng(seed: int, *tokens: int | str) -> np.random.Generator:
-    """Return the generator for the stream named by ``tokens`` under ``seed``."""
+    """Return the generator for the stream named by ``tokens`` under ``seed``.
+
+    Identities that differ only by trailing zero int tokens, such as
+    ``(5,)`` and ``(5, 0)``, share a stream (see the module docstring)."""
     entropy = [int(seed) & _MASK64] + [_token_word(t) for t in tokens]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 

@@ -11,7 +11,17 @@ import numpy as np
 import pytest
 
 import socsim
-from socsim.gcn import GcnConfig, GcnModel, TrainInputs, _init_params, backward, forward, loss
+from socsim.gcn import (
+    GcnConfig,
+    GcnModel,
+    TrainInputs,
+    _backward,
+    _forward,
+    _init_params,
+    _losses,
+    _Rows,
+    _Workspace,
+)
 from socsim.graph import (
     SocialGraph,
     decode_pairs,
@@ -71,7 +81,7 @@ def random_graph(n, density, seed, f=3, classes=2):
 def test_criterion_1_gradient_oracle():
     start = time.time()
     g = random_graph(6, 0.45, seed=0)
-    train_mask = np.array([True, True, False, True, True, False])
+    train_mask = np.array([[True, True, False, True, True, False]])  # one fold, (1, n)
     configs = [
         ("FTVanilla", "ftvanilla", False, "adjacency"),
         ("FTVanilla+S", "ftvanilla", True, "adjacency"),
@@ -90,25 +100,31 @@ def test_criterion_1_gradient_oracle():
         cfg = GcnConfig(variant=variant, use_s=use_s, layer_units=(5, 4, 3),
                         num_classes=2, dropout_p=0.0)
         model = GcnModel(cfg, _init_params(cfg, [seed], g.n, g.features.shape[1]))
-        _, cache = forward(model, inputs, training=False)
-        analytic = backward(model, cache, inputs)
+        rows = _Rows.of(inputs, cfg.num_classes, 1)
+
+        def run():
+            # what _fit() runs for one epoch, before its Adam step
+            ws = _Workspace(model, inputs)
+            probs, cache = _forward(model, ws)
+            (fold_loss,) = _losses(probs, rows, model.params, ws.decayed, cfg.weight_decay,
+                                   ws.scratch)
+            return fold_loss, cache, ws
+
+        _, cache, ws = run()
+        analytic = _backward(model, cache, rows, ws)
         for name, stacked in model.params.items():
-            p = stacked[0]  # the k = 1 model's tensor, a live view
+            p = stacked[0]  # the k = 1 stack's tensor, a live view
             numeric = np.zeros_like(p)
-            it = np.nditer(p, flags=["multi_index"])
-            for _ in it:
-                ix = it.multi_index
+            for ix in np.ndindex(p.shape):
                 orig = p[ix]
                 p[ix] = orig + eps
-                lp = loss(forward(model, inputs)[0], g.sdna_of, train_mask, model,
-                          cfg.weight_decay)
+                lp = run()[0]
                 p[ix] = orig - eps
-                lm = loss(forward(model, inputs)[0], g.sdna_of, train_mask, model,
-                          cfg.weight_decay)
+                lm = run()[0]
                 p[ix] = orig
                 numeric[ix] = (lp - lm) / (2 * eps)
-            gap = np.abs(analytic[name] - numeric)
-            bound = atol + rtol * np.maximum(np.abs(analytic[name]), np.abs(numeric))
+            gap = np.abs(analytic[name][0] - numeric)
+            bound = atol + rtol * np.maximum(np.abs(analytic[name][0]), np.abs(numeric))
             worst_ratio = max(worst_ratio, float((gap / bound).max()))
             assert np.all(gap <= bound), f"{label}/{name} gradient mismatch"
     elapsed = time.time() - start

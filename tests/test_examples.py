@@ -5,6 +5,7 @@ them silently.
 """
 
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -26,6 +27,24 @@ def test_readme_library_surface_runs(capsys):
     assert 0 < edges[0] < edges[1] < edges[2]
     mean, std = map(float, lines[3].split())
     assert 0.0 <= mean <= 1.0 and std >= 0.0
+
+
+def test_readme_api_names_resolve():
+    # every backticked `socsim.<name>` the README cites is a module or an
+    # attribute of one, so a removed or renamed name cannot outlive its docs
+    names = set(re.findall(r"`(socsim(?:\.\w+)+)`", (ROOT / "README.md").read_text()))
+    assert names
+    for name in sorted(names):
+        parts = name.split(".")
+        for cut in range(len(parts), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:cut]))
+                break
+            except ModuleNotFoundError:
+                continue
+        for attr in parts[cut:]:
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)
 
 
 def tool_env():

@@ -1,5 +1,6 @@
 import pickle
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +10,6 @@ from socsim.gcn import (
     GcnModel,
     TrainInputs,
     TrainingDiverged,
-    backward,
-    forward,
-    loss,
     train_folds,
     _Rows,
     _Workspace,
@@ -47,8 +45,8 @@ def toy_graph(n=6, f=3, seed=0, density=0.45):
 def toy_inputs(g=None, kind="adjacency", seed=0):
     g = g or toy_graph(seed=seed)
     rep = build_representative(g, SimilaritySpec(kind=kind))
-    train_mask = np.zeros(g.n, dtype=bool)
-    train_mask[: g.n - 2] = True
+    train_mask = np.zeros((1, g.n), dtype=bool)
+    train_mask[0, : g.n - 2] = True
     return TrainInputs(g_matrix=rep.matrix, x=g.features, labels=g.sdna_of,
                        train_mask=train_mask, test_mask=~train_mask)
 
@@ -69,30 +67,45 @@ def softmax(z):
     return _softmax(z, np.empty_like(z), np.empty((*z.shape[:-1], 1)))
 
 
-def numerical_gradients(model, inputs, cfg, eps=1e-5, dropout_seed=None):
-    """Central differences of loss(); with ``dropout_seed`` every forward
-    pass trains with dropout and replays the one mask that seed draws."""
+def epoch(model, inputs, dropout_seeds=None):
+    """What a _fit() epoch computes before its Adam step, on a fresh
+    _Workspace: _forward(), _losses() and _backward() of the stack
+    ``model`` over the (k, n) masks of ``inputs``.  With ``dropout_seeds``
+    the forward pass trains with dropout, fold i drawing its masks from a
+    generator seeded with ``dropout_seeds[i]``.  Returns the rows, the
+    workspace, the probabilities, the cache, each fold's loss and the
+    gradients."""
+    rows = _Rows.of(inputs, model.config.num_classes, len(inputs.train_mask))
+    ws = _Workspace(model, inputs)
+    rngs = None if dropout_seeds is None else [np.random.default_rng(s) for s in dropout_seeds]
+    probs, cache = _forward(model, ws, training=rngs is not None, rngs=rngs)
+    losses = _losses(probs, rows, model.params, ws.decayed, model.config.weight_decay,
+                     ws.scratch)
+    grads = _backward(model, cache, rows, ws)
+    return SimpleNamespace(rows=rows, ws=ws, probs=probs, cache=cache, losses=losses,
+                           grads=grads)
 
-    def probs():
-        if dropout_seed is None:
-            return forward(model, inputs)[0]
-        return forward(model, inputs, training=True,
-                       rng=np.random.default_rng(dropout_seed))[0]
 
+def numerical_gradients(model, inputs, eps=1e-5, dropout_seeds=None):
+    """Central differences of each fold's _losses() entry w.r.t. that
+    fold's own parameters, laid out as ``model.params``; a step in fold
+    i's parameters must leave every other fold's loss as it was.  With
+    ``dropout_seeds`` every forward pass replays the masks they draw."""
+    base = epoch(model, inputs, dropout_seeds).losses
     grads = {}
-    for name, stacked in model.params.items():
-        p = stacked[0]  # the k = 1 model's tensor, a live view
+    for name, p in model.params.items():  # fold axis first
         g = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            ix = it.multi_index
+        for ix in np.ndindex(p.shape):
             orig = p[ix]
             p[ix] = orig + eps
-            lp = loss(probs(), inputs.labels, inputs.train_mask, model, cfg.weight_decay)
+            lp = epoch(model, inputs, dropout_seeds).losses
             p[ix] = orig - eps
-            lm = loss(probs(), inputs.labels, inputs.train_mask, model, cfg.weight_decay)
+            lm = epoch(model, inputs, dropout_seeds).losses
             p[ix] = orig
-            g[ix] = (lp - lm) / (2 * eps)
+            fold = ix[0]
+            g[ix] = (lp[fold] - lm[fold]) / (2 * eps)
+            others = [f for f in range(len(base)) if f != fold]
+            assert [lp[f] for f in others] == [lm[f] for f in others] == [base[f] for f in others]
         grads[name] = g
     return grads
 
@@ -119,11 +132,28 @@ def test_gradients_match_finite_differences(variant, use_s, kind):
     inputs = toy_inputs(kind=kind)
     cfg = small_cfg(variant=variant, use_s=use_s)
     model = one_model(cfg, inputs.x.shape[0], inputs.x.shape[1])
-    probs, cache = forward(model, inputs, training=False)
-    analytic = backward(model, cache, inputs)
-    numeric = numerical_gradients(model, inputs, cfg)
+    analytic = epoch(model, inputs).grads
+    numeric = numerical_gradients(model, inputs)
     assert set(analytic) == set(numeric)
     assert_gradients_close(analytic, numeric)
+
+
+# two folds over different training rows, every variant and S: each fold's
+# gradient is that of its own loss, and no other fold's loss moves with it
+@pytest.mark.parametrize("variant,use_s", [("ftvanilla", False), ("ftvanilla", True),
+                                           ("f", True), ("t", False), ("tlr", False)])
+def test_stack_gradients_match_finite_differences_fold_by_fold(variant, use_s):
+    inputs = toy_inputs(toy_graph(n=8, seed=3))
+    test = np.zeros((2, 8), dtype=bool)
+    test[0, [1, 6]] = test[1, [2, 4]] = True
+    folds = replace(inputs, train_mask=~test, test_mask=test)
+    cfg = small_cfg(variant=variant, use_s=use_s, layer_units=(4, 3))
+    model = GcnModel(cfg, _init_params(cfg, [1, 2], *folds.x.shape))
+    run = epoch(model, folds)
+    assert run.losses[0] != run.losses[1]
+    for fold in range(2):
+        assert_gates_pass_and_block([gate[fold] for gate in run.cache["gate"]])
+    assert_gradients_close(run.grads, numerical_gradients(model, folds))
 
 
 def row_normalized_inputs():
@@ -137,10 +167,10 @@ def row_normalized_inputs():
                        train_mask=inputs.train_mask, test_mask=inputs.test_mask)
 
 
-def assert_gates_pass_and_block(cache):
+def assert_gates_pass_and_block(gates):
     """Every hidden layer passes some units and blocks others, so gradient
     reaches the first layer and the gates' zeros are exercised."""
-    for gate in cache["gate"]:
+    for gate in gates:
         assert 0 < np.count_nonzero(gate) < gate.size
 
 
@@ -153,10 +183,9 @@ def test_gradients_match_finite_differences_both_association_orders(variant, use
     inputs = row_normalized_inputs()
     cfg = small_cfg(variant=variant, use_s=use_s, layer_units=(3, 6, 6))
     model = one_model(cfg, inputs.x.shape[0], inputs.x.shape[1], seed=1)
-    _, cache = forward(model, inputs)
-    assert_gates_pass_and_block(cache)
-    assert_gradients_close(backward(model, cache, inputs),
-                           numerical_gradients(model, inputs, cfg))
+    run = epoch(model, inputs)
+    assert_gates_pass_and_block(run.cache["gate"])
+    assert_gradients_close(run.grads, numerical_gradients(model, inputs))
 
 
 @pytest.mark.parametrize("variant,use_s", [("ftvanilla", True), ("tlr", False)])
@@ -164,11 +193,10 @@ def test_gradients_match_finite_differences_with_dropout(variant, use_s):
     inputs = toy_inputs(toy_graph(n=8, seed=3))
     cfg = small_cfg(variant=variant, use_s=use_s, layer_units=(6, 6, 3), dropout_p=0.3)
     model = one_model(cfg, inputs.x.shape[0], inputs.x.shape[1])
-    _, cache = forward(model, inputs, training=True, rng=np.random.default_rng(5))
-    assert_gates_pass_and_block(cache)
-    assert {0.0, 1.0 / 0.7} == set(np.concatenate([g.ravel() for g in cache["gate"]]))
-    assert_gradients_close(backward(model, cache, inputs),
-                           numerical_gradients(model, inputs, cfg, dropout_seed=5))
+    run = epoch(model, inputs, dropout_seeds=[5])
+    assert_gates_pass_and_block(run.cache["gate"])
+    assert {0.0, 1.0 / 0.7} == set(np.concatenate([g.ravel() for g in run.cache["gate"]]))
+    assert_gradients_close(run.grads, numerical_gradients(model, inputs, dropout_seeds=[5]))
 
 
 def test_gradient_vanishes_when_perfectly_fitted():
@@ -178,15 +206,14 @@ def test_gradient_vanishes_when_perfectly_fitted():
     g = SocialGraph(n=n, edges=frozenset({(0, 1), (2, 3)}),
                     features=np.ones((n, 2)), sdna_of=np.zeros(n, dtype=np.int64))
     rep = build_representative(g, SimilaritySpec(kind="adjacency"))
-    mask = np.array([True] * 4 + [False])
+    mask = np.array([[True] * 4 + [False]])
     inputs = TrainInputs(g_matrix=rep.matrix, x=g.features, labels=g.sdna_of,
                          train_mask=mask, test_mask=~mask)
     cfg = GcnConfig(variant="ftvanilla", layer_units=(), num_classes=2,
                     dropout_p=0.0, weight_decay=0.0)
     model = one_model(cfg, n, 2, seed=0)
     model.params["W0"][0] = [[60.0, -60.0], [60.0, -60.0]]
-    _, cache = forward(model, inputs)
-    grads = backward(model, cache, inputs)
+    grads = epoch(model, inputs).grads
     assert all(np.linalg.norm(g_) < 1e-8 for g_ in grads.values())
 
 
@@ -198,9 +225,7 @@ def test_gradient_zero_for_dead_feature_column():
     inputs = toy_inputs(g)
     cfg = small_cfg(use_s=True)
     model = one_model(cfg, g.n, x.shape[1])
-    _, cache = forward(model, inputs, training=False)
-    grads = backward(model, cache, inputs)
-    assert grads["S"][1] == 0.0
+    assert epoch(model, inputs).grads["S"][0, 1] == 0.0
 
 
 def test_forward_identity_chain():
@@ -213,12 +238,12 @@ def test_forward_identity_chain():
                     dropout_p=0.0)
     model = one_model(cfg, n, n, seed=0)
     model.params["W0"][0] = np.eye(n)
-    mask = np.array([True, True, False])
+    mask = np.array([[True, True, False]])
     inputs = TrainInputs(g_matrix=rep.matrix, x=np.eye(n), labels=g.sdna_of,
                          train_mask=mask, test_mask=~mask)
-    probs, cache = forward(model, inputs)
-    assert np.array_equal(cache["logits"][0], np.eye(n))
-    assert np.allclose(probs, softmax(np.eye(n)))
+    run = epoch(model, inputs)
+    assert np.array_equal(run.cache["logits"][0], np.eye(n))
+    assert np.allclose(run.probs[0], softmax(np.eye(n)))
 
 
 def test_variant_f_ignores_topology():
@@ -227,8 +252,7 @@ def test_variant_f_ignores_topology():
                      sdna_of=g1.sdna_of)
     cfg = small_cfg(variant="f")
     model = one_model(cfg, g1.n, g1.features.shape[1])
-    p1, _ = forward(model, toy_inputs(g1))
-    p2, _ = forward(model, toy_inputs(g2))
+    p1, p2 = epoch(model, toy_inputs(g1)).probs, epoch(model, toy_inputs(g2)).probs
     assert np.array_equal(p1, p2)
 
 
@@ -238,8 +262,7 @@ def test_variant_t_ignores_features():
                            features=g.features[:, ::-1].copy(), sdna_of=g.sdna_of)
     cfg = small_cfg(variant="t")
     model = one_model(cfg, g.n, g.features.shape[1])
-    p1, _ = forward(model, toy_inputs(g))
-    p2, _ = forward(model, toy_inputs(shuffled))
+    p1, p2 = epoch(model, toy_inputs(g)).probs, epoch(model, toy_inputs(shuffled)).probs
     assert np.array_equal(p1, p2)
 
 
@@ -252,11 +275,10 @@ def test_neighbor_averaging_two_nodes():
                     dropout_p=0.0)
     model = one_model(cfg, 2, 2, seed=0)
     model.params["W0"][0] = np.eye(2)
-    mask = np.array([True, False])
+    mask = np.array([[True, False]])
     inputs = TrainInputs(g_matrix=rep.matrix, x=np.eye(2), labels=g.sdna_of,
                          train_mask=mask, test_mask=~mask)
-    _, cache = forward(model, inputs)
-    assert np.allclose(cache["logits"][0], [[0.5, 0.5], [0.5, 0.5]])
+    assert np.allclose(epoch(model, inputs).cache["logits"][0], [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_s_at_ones_matches_plain_forward():
@@ -266,9 +288,7 @@ def test_s_at_ones_matches_plain_forward():
     model_plain = GcnModel(config=small_cfg(use_s=False),
                            params={name: p.copy() for name, p in model_s.params.items()
                                    if name != "S"})
-    p_s, _ = forward(model_s, inputs)
-    p_plain, _ = forward(model_plain, inputs)
-    assert np.array_equal(p_s, p_plain)
+    assert np.array_equal(epoch(model_s, inputs).probs, epoch(model_plain, inputs).probs)
 
 
 def test_tlr_parameter_count():
@@ -356,14 +376,20 @@ def test_softmax_equals_the_row_max_formula_bit_for_bit(n, classes):
 
 # --- loss -------------------------------------------------------------------
 
+def losses_of(run, model, probs, weight_decay):
+    """_losses() of ``probs`` (k, n, classes) over the rows of an epoch()
+    run, under ``model``'s kernels and ``weight_decay``."""
+    return _losses(probs, run.rows, model.params, run.ws.decayed, weight_decay, run.ws.scratch)
+
+
 def test_loss_perfect_predictions():
     inputs = toy_inputs()
     model = one_model(small_cfg(), inputs.x.shape[0], inputs.x.shape[1])
-    probs = np.zeros((inputs.x.shape[0], 2))
-    probs[np.arange(inputs.x.shape[0]), inputs.labels] = 1.0
+    probs = np.zeros((1, inputs.x.shape[0], 2))
+    probs[0, np.arange(inputs.x.shape[0]), inputs.labels] = 1.0
     for w in model.params.values():
         w[:] = 0.0
-    assert loss(probs, inputs.labels, inputs.train_mask, model, 0.0) == 0.0
+    assert losses_of(epoch(model, inputs), model, probs, 0.0) == [0.0]
 
 
 def test_loss_uniform_predictions():
@@ -371,21 +397,21 @@ def test_loss_uniform_predictions():
     g = toy_graph(n=n)
     rep = build_representative(g, SimilaritySpec(kind="adjacency"))
     labels = np.arange(n) % classes
-    mask = np.ones(n, dtype=bool); mask[-1] = False
+    mask = np.ones((1, n), dtype=bool); mask[0, -1] = False
     inputs = TrainInputs(g_matrix=rep.matrix, x=g.features, labels=labels,
                          train_mask=mask, test_mask=~mask)
     model = one_model(small_cfg(num_classes=classes), n, g.features.shape[1])
-    probs = np.full((n, classes), 1.0 / classes)
-    assert loss(probs, labels, mask, model, 0.0) == pytest.approx(np.log(classes))
+    probs = np.full((1, n, classes), 1.0 / classes)
+    (uniform,) = losses_of(epoch(model, inputs), model, probs, 0.0)
+    assert uniform == pytest.approx(np.log(classes))
 
 
 def test_loss_weight_decay_term():
     inputs = toy_inputs()
     cfg = small_cfg()
     model = one_model(cfg, inputs.x.shape[0], inputs.x.shape[1])
-    probs, _ = forward(model, inputs)
-    base = loss(probs, inputs.labels, inputs.train_mask, model, 0.0)
-    decayed = loss(probs, inputs.labels, inputs.train_mask, model, 0.01)
+    run = epoch(model, inputs)
+    (base,), (decayed,) = (losses_of(run, model, run.probs, wd) for wd in (0.0, 0.01))
     params = {name: p[0] for name, p in model.params.items()}
     frob = sum((params[f"W{i}"] ** 2).sum() for i in range(3))  # hidden kernels only
     assert decayed - base == pytest.approx(0.01 * frob)
@@ -407,16 +433,17 @@ def test_weight_decay_spares_the_output_layer(variant, units, decayed):
     inputs = toy_inputs()
     cfg = small_cfg(variant=variant, layer_units=units, weight_decay=0.01)
     model = one_model(cfg, inputs.x.shape[0], inputs.x.shape[1])
-    probs, cache = forward(model, inputs)
+    run = epoch(model, inputs)
+    assert run.ws.decayed == decayed
     params = {name: p[0] for name, p in model.params.items()}
     frob = sum((params[name] ** 2).sum() for name in decayed)
-    args = probs, inputs.labels, inputs.train_mask, model
-    assert loss(*args, 0.01) - loss(*args, 0.0) == pytest.approx(0.01 * frob, abs=1e-15)
+    (with_decay,), (without,) = (losses_of(run, model, run.probs, wd) for wd in (0.01, 0.0))
+    assert with_decay - without == pytest.approx(0.01 * frob, abs=1e-15)
     undecayed = GcnModel(replace(cfg, weight_decay=0.0), model.params)
-    plain = backward(undecayed, cache, inputs)
-    for name, grad in backward(model, cache, inputs).items():
-        expected = 2 * 0.01 * params[name] if name in decayed else np.zeros_like(grad)
-        assert np.allclose(grad - plain[name], expected, rtol=1e-9, atol=1e-15), name
+    plain = _backward(undecayed, run.cache, run.rows, _Workspace(undecayed, inputs))
+    for name, grad in run.grads.items():
+        expected = 2 * 0.01 * params[name] if name in decayed else np.zeros_like(grad[0])
+        assert np.allclose(grad[0] - plain[name][0], expected, rtol=1e-9, atol=1e-15), name
 
 
 def test_labels_beyond_num_classes_rejected():
@@ -425,9 +452,8 @@ def test_labels_beyond_num_classes_rejected():
     four = TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=labels,
                        train_mask=inputs.train_mask, test_mask=inputs.test_mask)
     model = one_model(small_cfg(), 8, inputs.x.shape[1])
-    probs, _ = forward(model, four)
     with pytest.raises(ValueError, match="labels must lie in 0..1 for num_classes=2"):
-        loss(probs, labels, four.train_mask, model, 0.0)
+        epoch(model, four)
     with pytest.raises(ValueError, match="num_classes=2"):
         train_folds(fold_inputs(four, k=2), small_cfg(), [1, 2])
     negative = TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=labels - 1,
@@ -436,12 +462,12 @@ def test_labels_beyond_num_classes_rejected():
         train_folds(negative, small_cfg(num_classes=4), [7])
 
 
-def test_loss_empty_mask_rejected():
+def test_empty_training_mask_rejected_unless_no_epoch_runs():
     inputs = toy_inputs()
-    model = one_model(small_cfg(), inputs.x.shape[0], inputs.x.shape[1])
-    probs, _ = forward(model, inputs)
-    with pytest.raises(ValueError):
-        loss(probs, inputs.labels, np.zeros(inputs.x.shape[0], dtype=bool), model, 0.0)
+    untrained = replace(inputs, train_mask=np.zeros_like(inputs.train_mask))
+    with pytest.raises(ValueError, match="empty training mask"):
+        train_folds(untrained, small_cfg(), [7])
+    assert train_folds(untrained, small_cfg(epochs=0), [7])[0] in (0.0, 0.5, 1.0)
 
 
 # --- adam -------------------------------------------------------------------
@@ -487,8 +513,8 @@ def separable_inputs(n=10, seed=3):
     x[labels == 1, 0] += 2.0
     g = SocialGraph(n=n, edges=frozenset(), features=x, sdna_of=labels)
     rep = build_representative(g, SimilaritySpec(kind="adjacency"))
-    train_mask = np.ones(n, dtype=bool)
-    train_mask[-2:] = False
+    train_mask = np.ones((1, n), dtype=bool)
+    train_mask[0, -2:] = False
     return TrainInputs(g_matrix=rep.matrix, x=x, labels=labels, train_mask=train_mask,
                        test_mask=~train_mask)
 
@@ -506,14 +532,9 @@ def test_train_loss_decreases_initially():
     inputs = toy_inputs(toy_graph(n=20, seed=5))
     cfg = small_cfg(epochs=12, dropout_p=0.0)
     model = one_model(cfg, *inputs.x.shape)
-
-    def current_loss():
-        return loss(forward(model, inputs)[0], inputs.labels, inputs.train_mask, model,
-                    cfg.weight_decay)
-
-    before = current_loss()
+    before = epoch(model, inputs).losses
     _fit(model, _Rows.of(inputs, cfg.num_classes), [], _Workspace(model, inputs), 10)
-    assert current_loss() < before
+    assert epoch(model, inputs).losses[0] < before[0]
 
 
 def test_train_deterministic_with_dropout():
@@ -544,10 +565,10 @@ def test_untrained_model_near_chance():
 def test_evaluate_extremes():
     # two test nodes, then one
     inputs = separable_inputs()
-    single_mask = np.zeros(inputs.x.shape[0], dtype=bool)
-    single_mask[-1] = True
-    both = replace(inputs, train_mask=np.stack([inputs.train_mask] * 2),
-                   test_mask=np.stack([inputs.test_mask, single_mask]))
+    single_mask = np.zeros_like(inputs.test_mask)
+    single_mask[0, -1] = True
+    both = replace(inputs, train_mask=np.concatenate([inputs.train_mask] * 2),
+                   test_mask=np.concatenate([inputs.test_mask, single_mask]))
     two, one = train_folds(both, small_cfg(epochs=200), [7, 7])
     assert two in (0.0, 0.5, 1.0)
     assert one in (0.0, 1.0)
@@ -555,7 +576,7 @@ def test_evaluate_extremes():
 
 def test_evaluate_empty_mask_rejected():
     inputs = separable_inputs()
-    empty = replace(inputs, test_mask=np.zeros(inputs.x.shape[0], dtype=bool))
+    empty = replace(inputs, test_mask=np.zeros_like(inputs.test_mask))
     for epochs in (0, 10):
         with pytest.raises(ValueError, match="empty test mask"):
             train_folds(empty, small_cfg(epochs=epochs), [7])
@@ -904,13 +925,13 @@ def test_train_folds_rejects_mismatched_folds():
 
 def test_train_folds_empty_masks_rejected():
     inputs = toy_inputs()
-    empty = np.zeros(inputs.x.shape[0], dtype=bool)
-    no_test = replace(inputs, train_mask=np.stack([inputs.train_mask, inputs.train_mask]),
-                      test_mask=np.stack([inputs.test_mask, empty]))
+    empty = np.zeros_like(inputs.train_mask)
+    no_test = replace(inputs, train_mask=np.concatenate([inputs.train_mask, inputs.train_mask]),
+                      test_mask=np.concatenate([inputs.test_mask, empty]))
     with pytest.raises(ValueError, match="empty test mask"):
         train_folds(no_test, small_cfg(), [1, 2])
-    no_train = replace(inputs, train_mask=np.stack([inputs.train_mask, empty]),
-                       test_mask=np.stack([inputs.test_mask, inputs.test_mask]))
+    no_train = replace(inputs, train_mask=np.concatenate([inputs.train_mask, empty]),
+                       test_mask=np.concatenate([inputs.test_mask, inputs.test_mask]))
     with pytest.raises(ValueError, match="empty training mask"):
         train_folds(no_train, small_cfg(), [1, 2])
 
@@ -925,16 +946,16 @@ def test_masks_must_be_disjoint():
 def test_mask_shorter_than_the_nodes_rejected():
     # a short mask used to leave its tail nodes out of training and testing
     inputs = separable_inputs()
-    with pytest.raises(ValueError, match=r"train_mask must be a bool array of shape \(10,\) "
-                                         r"or \(k, 10\) .* of shape \(8,\)"):
-        replace(inputs, train_mask=inputs.train_mask[:8], test_mask=inputs.test_mask[:8])
+    with pytest.raises(ValueError, match=r"train_mask must be a bool array of shape \(k, 10\) "
+                                         r".* of shape \(1, 8\)"):
+        replace(inputs, train_mask=inputs.train_mask[:, :8], test_mask=inputs.test_mask[:, :8])
 
 
 def test_mask_longer_than_the_nodes_rejected():
     # a long mask used to raise IndexError deep in the test-accuracy pass
     inputs = separable_inputs()
-    longer = np.concatenate([inputs.test_mask, [True]])
-    with pytest.raises(ValueError, match=r"test_mask must be .* of shape \(11,\)"):
+    longer = np.concatenate([inputs.test_mask, [[True]]], axis=1)
+    with pytest.raises(ValueError, match=r"test_mask must be .* of shape \(1, 11\)"):
         replace(inputs, test_mask=longer)
 
 
@@ -953,9 +974,9 @@ def test_mask_without_folds_rejected():
 
 def test_train_and_test_masks_of_different_shapes_rejected():
     inputs = separable_inputs()
-    with pytest.raises(ValueError, match=r"train_mask \(2, 10\) and test_mask \(10,\) must "
+    with pytest.raises(ValueError, match=r"train_mask \(2, 10\) and test_mask \(1, 10\) must "
                                          r"have the same shape"):
-        replace(inputs, train_mask=np.stack([inputs.train_mask] * 2))
+        replace(inputs, train_mask=np.concatenate([inputs.train_mask] * 2))
 
 
 def test_representative_of_the_wrong_size_rejected():
@@ -972,17 +993,12 @@ def test_labels_of_the_wrong_shape_rejected():
         replace(inputs, labels=inputs.labels[:, None])
 
 
-def test_one_model_rejects_a_stack_of_masks():
+def test_one_dimensional_masks_rejected():
+    # one model is a k = 1 stack: its masks are (1, n), never (n,)
     inputs = separable_inputs()
-    folds = fold_inputs(inputs, k=2)
-    cfg = small_cfg(epochs=2)
-    model = one_model(cfg, *inputs.x.shape)
-    probs, cache = forward(model, inputs)
-    message = r"masks of 2 folds for 1 seed\(s\): .* one model \(n,\) masks"
-    with pytest.raises(ValueError, match=message):
-        train_folds(folds, cfg, [7])
-    with pytest.raises(ValueError, match=message):
-        backward(model, cache, folds)
-    with pytest.raises(ValueError, match=message):
-        loss(probs, inputs.labels, folds.train_mask, model, 0.0)
-    assert train_folds(one_fold(folds, 0), cfg, [7])[0] in (0.0, 1.0)
+    with pytest.raises(ValueError, match=r"train_mask must be a bool array of shape \(k, 10\) "
+                                         r"with k >= 1, got bool of shape \(10,\)"):
+        replace(inputs, train_mask=inputs.train_mask[0], test_mask=inputs.test_mask[0])
+    with pytest.raises(ValueError, match=r"test_mask must be .* \(k, 10\) .* shape \(10,\)"):
+        replace(inputs, test_mask=inputs.test_mask[0])
+    assert train_folds(inputs, small_cfg(epochs=2), [7])[0] in (0.0, 0.5, 1.0)

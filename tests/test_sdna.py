@@ -583,3 +583,40 @@ def test_er_reduction_binomial():
     expected = trials * p
     tol = 3 * np.sqrt(trials * p * (1 - p) / seeds)
     assert abs(np.mean(counts) - expected) < tol
+
+
+# --- stream identities ----------------------------------------------------------
+
+def test_identities_differing_by_trailing_zero_tokens_share_a_stream():
+    # numpy's SeedSequence zero-pads an identity's 32-bit words to four (see
+    # socsim.rng); keeping these apart would change every output byte, so a
+    # fix has to be a stated byte change that updates this test
+    def same(a, b):
+        return np.array_equal(derive_rng(*a).random(8), derive_rng(*b).random(8))
+
+    assert same((5,), (5, 0))
+    assert same((7, "socialise"), (7, "socialise", 0))
+    assert same((2**32,), (0, 1))
+    # a zero past the fourth word, or a non-zero token, keeps them apart
+    assert not same((7, "socialise"), (7, "socialise", 0, 0))
+    assert not same((7, "socialise"), (7, "socialise", 1))
+
+
+def test_pipeline_streams_are_pairwise_distinct(monkeypatch):
+    # every stream that snapshots and an event stream draw, beside mutate's
+    # default (seed, "mutate"), starts from its own generator state
+    states = {}
+
+    def recording(seed, *tokens):
+        rng = derive_rng(seed, *tokens)
+        state = rng.bit_generator.state["state"]
+        states[(seed, *tokens)] = (state["state"], state["inc"])
+        return rng
+
+    monkeypatch.setattr(socsim.sdna, "derive_rng", recording)
+    cfg = small_cfg(seed=9)
+    list(iter_snapshots(cfg, 3))
+    emit_event_stream(cfg, 4)
+    mutate(generate_population(cfg)[1], cfg)
+    assert {(9, "mutate"), (9, "mutate", 1), (9, "socialise", 0), (9, "events", 0, 0)} <= set(states)
+    assert len(set(states.values())) == len(states)
