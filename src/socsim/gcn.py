@@ -56,11 +56,15 @@ there, they changed their last bits (no shipped plan uses such widths).
 
 A training run allocates its arrays once, in a workspace that every epoch
 reuses, and writes them with ``out=`` in the same arithmetic and order as
-fresh arrays, so no result depends on it.  Each (k, n, width) stack
-(activations, gates, G products, backward gradients, probabilities) has
-its own buffer, named by role and step, so no write can clobber a stack
-that is still to be read.  Gradients, Adam's temporaries and the
-transposed kernels are kept per parameter.
+fresh arrays, so no result depends on it.  The forward pass names each
+(k, n, width) stack it writes by role and step; an "in" step, which
+caches G @ h and not h, writes its pre-activation over h where the
+widths match.  The backward pass allocates no stack: it writes each
+gradient into a forward stack of its width past that stack's last read
+(dh_i into step i's cached left operand, an "in" step's G.T product into
+its input h's buffer, an "out" step's into its H @ W stack, the output
+gradient into the logits, S's into the scaled features).  Gradients,
+Adam's temporaries and the transposed kernels are kept per parameter.
 
 Dropout draws one stream per fold.  In each training forward pass, fold i
 makes one ``random`` call on its stream that covers all its hidden layers
@@ -386,23 +390,24 @@ class _Workspace:
     """Every array an epoch of one stack writes, allocated once per training
     run and reused every epoch.
 
-    Each (k, n, width) stack has its own buffer, made by stack() on first
-    use under a name such as ``"z1"`` or ``"dz"``; no two names share one.
+    Each (k, n, width) stack is made by stack() on first use under a name
+    such as ``"z0"`` or ``"prop1"``, by the forward pass only (see the
+    module docstring); no two names share a buffer.
 
-    Per parameter it also holds the gradient, a scratch array (the squared
-    kernel of the decay term, then the decay itself, then Adam's squared
-    gradient) and, for the kernel of every step past the first, its
-    transpose.  Dropout reads one buffer of draws and writes a bool
-    keep-mask per hidden layer, and the training gates build on a bool
-    stack per hidden layer, ``on``.  Float buffers start as NaN, so a read
-    before the first write shows up as a non-finite loss.
+    Per parameter it also holds the gradient, a scratch array (the decay
+    term's gradient, then Adam's squared gradient) and, for the kernel of
+    every step past the first, its transpose.  Dropout reads one buffer of
+    draws and writes a bool keep-mask per hidden layer, and the training
+    gates build on a bool stack per hidden layer, ``on``.  Float buffers
+    start as NaN, so a read before the first write shows up as a
+    non-finite loss.
 
     It also holds what every fold reads: the model's steps and decayed
-    kernels, G (``gm``, None for variant f), the features X and the first
-    step's input (``prop0``): None where it is the identity, else G @ X
-    (X for f), computed once; S scales it per fold, into a stack laid out
-    side by side at every n, as is its gradient's, since no G product
-    reads either."""
+    kernels, G (``gm``, None for variant f) and the first step's input
+    (``prop0``): None where it is the identity, else G @ X (X for f),
+    computed once; S scales it per fold, into a stack laid out side by
+    side at every n, since no G product reads it, where S's gradient then
+    forms."""
 
     def __init__(self, model: GcnModel, inputs: TrainInputs):
         cfg, params = model.config, model.params
@@ -410,8 +415,8 @@ class _Workspace:
         n = inputs.x.shape[0]
         self.steps, self.decayed = _steps(cfg, in_dim), _decayed_names(cfg)
         self.gm = None if cfg.variant == "f" else inputs.g_matrix
-        self.x = inputs.x
-        self.prop0 = None if self.steps[0].g else self.x if self.gm is None else self.gm @ self.x
+        x = inputs.x
+        self.prop0 = None if self.steps[0].g else x if self.gm is None else self.gm @ x
         self.k, self.n = k, n
         self._stacks: dict[str, np.ndarray] = {}
         # laid out like their parameters, so Adam's passes match layouts
@@ -454,17 +459,18 @@ def _forward(model: GcnModel, ws: _Workspace, training: bool = False,
     """Run the net on every fold of a stack, in the stacks of ``ws``
     (training with dropout drawn from ``rngs``, fold i from ``rngs[i]``):
     row-softmax probabilities (k, n, classes) and the cache _backward()
-    replays: each step's left operand of its kernel product ("prop": G @ H,
-    or H where G multiplies the output or not at all; None for the
-    identity), each hidden layer's gate, the float (ReLU active and dropout
-    kept) / keep that scales it, the logits and the probabilities."""
+    replays and consumes: each step's left operand of its kernel product
+    ("prop": G @ H, or H where G multiplies the output or not at all; None
+    for the identity), the stack each step's output went to ("z"), each
+    hidden layer's gate, the float (ReLU active and dropout kept) / keep
+    that scales it, the logits and the probabilities."""
     cfg, params, gm = model.config, model.params, ws.gm
     keep = None
     if training and cfg.dropout_p > 0.0:
         if rngs is None:
             raise ValueError("training forward with dropout needs an rng")
         keep = ws.keep_masks(rngs, cfg.dropout_p)
-    cache: dict = {"prop": [], "gate": []}
+    cache: dict = {"prop": [], "z": [], "gate": []}
     h = ws.prop0
     if cfg.use_s:
         h = np.multiply(h, params["S"][:, None, :],
@@ -475,9 +481,11 @@ def _forward(model: GcnModel, ws: _Workspace, training: bool = False,
         if step.g == "out":
             hw = kernel if h is None else np.matmul(h, kernel, out=ws.stack(f"hw{i}", width))
             z = _propagate(gm, hw, out=ws.stack(f"z{i}", width))
-        else:
-            z = np.matmul(prop, kernel, out=ws.stack(f"z{i}", width))
+        else:  # an "in" step caches G @ h, not h: z takes h's buffer where the widths match
+            over_h = step.g == "in" and h.shape[-1] == width
+            z = np.matmul(prop, kernel, out=h if over_h else ws.stack(f"z{i}", width))
         cache["prop"].append(prop)
+        cache["z"].append(z)
         h = z
         if step.hidden:
             gate = ws.stack(f"gate{i}", width)
@@ -495,27 +503,27 @@ def _forward(model: GcnModel, ws: _Workspace, training: bool = False,
 
 
 def _losses(probs: np.ndarray, rows: _Rows, params: dict[str, np.ndarray],
-            decayed: list[str], weight_decay: float,
-            scratch: dict[str, np.ndarray]) -> list[float]:
+            decayed: list[str], weight_decay: float) -> list[float]:
     """Each fold's loss: its mean cross-entropy over its training rows
     plus ``weight_decay`` times the squared norms of its ``decayed``
-    kernels, which go to ``scratch``."""
-    decay = sum(np.multiply(params[name], params[name], out=scratch[name])
-                .sum(axis=tuple(range(1, params[name].ndim))) for name in decayed)
+    kernels, each a per-fold contraction that writes no squared copy."""
+    decay = sum(np.einsum("kij,kij->k", params[name], params[name]) for name in decayed)
     return (rows.cross_entropy(probs) + weight_decay * decay).tolist()
 
 
 def _backward(model: GcnModel, cache: dict, rows: _Rows, ws: _Workspace) -> dict[str, np.ndarray]:
     """Exact gradients of every fold's _losses() entry w.r.t. its own
     parameters, replaying the forward ``cache`` (dropout gates included):
-    fold axis first, in ``ws.grads``; ``cache`` is only read."""
+    fold axis first, in ``ws.grads``.  It consumes ``cache``: each stack
+    it writes is one of the cache's, of its width, past that stack's last
+    read (see the module docstring), so it allocates none."""
     cfg, params, gm, grads, steps = model.config, model.params, ws.gm, ws.grads, ws.steps
-    dz = rows.output_grad(cache["probs"], out=ws.stack("dz", cfg.num_classes))
+    dz = rows.output_grad(cache["probs"], out=cache["logits"])
     for i in reversed(range(len(steps))):
         step, prop = steps[i], cache["prop"][i]
         grad = grads[step.name]
         if step.g == "out":  # w.r.t. H @ W, the kernel itself where H is the identity
-            out = grad if prop is None else ws.stack(f"dg{i}", step.fans[1])
+            out = grad if prop is None else ws.stack(f"hw{i}", step.fans[1])
             dz = _propagate(gm.T, dz, out=out)
         if prop is not None:
             np.matmul(np.swapaxes(prop, -1, -2), dz, out=grad)
@@ -523,15 +531,14 @@ def _backward(model: GcnModel, cache: dict, rows: _Rows, ws: _Workspace) -> dict
             break
         kernel_t = ws.transposed[step.name]
         np.copyto(kernel_t, np.swapaxes(params[step.name], 1, 2))
-        dh = np.matmul(dz, kernel_t, out=ws.stack(f"dh{i}", step.fans[0]))
+        dh = np.matmul(dz, kernel_t, out=prop)
         if step.g == "in":
-            dh = _propagate(gm.T, dh, out=ws.stack(f"dg{i}", step.fans[0]))
+            dh = _propagate(gm.T, dh, out=cache["z"][i - 1])
         if steps[i - 1].hidden:
             dh *= cache["gate"][steps[i - 1].layer]
         dz = dh
     if cfg.use_s:
-        dprop = np.matmul(dz, np.swapaxes(params[steps[0].name], 1, 2),
-                          out=ws.stack("dprop", ws.x.shape[1], wide=True))
+        dprop = np.matmul(dz, np.swapaxes(params[steps[0].name], 1, 2), out=cache["prop"][0])
         dprop *= ws.prop0
         np.sum(dprop, axis=1, out=grads["S"])
 
@@ -577,8 +584,7 @@ def _fit(model: GcnModel, rows: _Rows, rngs: list[np.random.Generator], ws: _Wor
     """
     for epoch in range(epochs):
         probs, cache = _forward(model, ws, training=True, rngs=rngs)
-        losses = _losses(probs, rows, model.params, ws.decayed, model.config.weight_decay,
-                         ws.scratch)
+        losses = _losses(probs, rows, model.params, ws.decayed, model.config.weight_decay)
         finite = np.isfinite(losses)
         if not finite.all():
             fold = int(np.argmin(finite))

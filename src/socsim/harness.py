@@ -13,10 +13,11 @@ cell's representative inside the cell's fault boundary, so a failed build
 fails only its cell, and no n x n matrix crosses the process pool.
 :func:`run_experiment` streams every (snapshot, cell) task of a run through
 one code path: into a fork pool whose workers run BLAS on one thread each,
-one worker per available core by default, or straight through in-process
-when there is one worker or one task.  A snapshot's tasks are submitted as
-soon as it is simulated, and its results are collected only after the next
-snapshot's tasks are queued, so the workers never wait on the simulator.
+one worker per available core by default, or straight through in-process,
+BLAS on one thread there too, when there is one worker or one task.  A
+snapshot's tasks are submitted as soon as it is simulated, and its results
+are collected only after the next snapshot's tasks are queued, so the
+workers never wait on the simulator.
 """
 
 from __future__ import annotations
@@ -360,8 +361,8 @@ def _blas_thread_setter():
     (with one warning per process) when there is none to call."""
     setter = _openblas_function(_BLAS_SETTERS)
     if setter is None:
-        log.warning("no OpenBLAS thread setter in numpy's bundled libraries: pool "
-                    "workers keep the BLAS library's default thread count")
+        log.warning("no OpenBLAS thread setter in numpy's bundled libraries: cells "
+                    "keep the BLAS library's default thread count")
         return None
     setter.argtypes, setter.restype = [ctypes.c_int], None
     return setter
@@ -388,6 +389,22 @@ def _pool(workers: int) -> ProcessPoolExecutor:
     here, so a missing one is logged once, in this process."""
     return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_blas_thread_setter(), initargs=(1,))
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with BLAS on one thread, as pool workers run, then give
+    back the count ``blas_threads()`` read before, on an exception too;
+    without a setter (or a getter), leave the count as it is."""
+    setter, before = _blas_thread_setter(), blas_threads()
+    if setter is None or before is None:
+        yield
+        return
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(before)
 
 
 def _run_now(fn, *args) -> Future:
@@ -429,10 +446,11 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     worker (``plan.workers``, capped at one per core this process may run
     on, 0 meaning that many) and more than one task, one fork pool (BLAS
     pinned to one thread per worker) serves the whole run; otherwise the
-    tasks run in-process as they are submitted.  A snapshot's tasks are
-    submitted as soon as it is simulated and its folds drawn, and its
-    results are collected only once the next snapshot, across networks too,
-    has been submitted: the workers always have queued work, the next
+    tasks run in-process as they are submitted, with BLAS pinned to one
+    thread too and the caller's count given back on return.  A snapshot's
+    tasks are submitted as soon as it is simulated and its folds drawn, and
+    its results are collected only once the next snapshot, across networks
+    too, has been submitted: the workers always have queued work, the next
     simulation overlaps training, and at most two snapshots' graphs are held
     here.  Output is schedule-independent because results keep the plan's
     cell order and every random draw comes from a derived stream, and the
@@ -442,7 +460,7 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     cores = len(os.sched_getaffinity(0))
     workers = min(plan.workers or cores, cores, plan.networks * plan.snapshots * len(plan.cells))
     snapshots: list[SnapshotReport] = []
-    with _pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+    with _pool(workers) if workers > 1 else _one_blas_thread() as pool:
         submit = pool.submit if pool is not None else _run_now
         previous = None
         for name, cell_on_snapshot in _snapshot_tasks(plan):

@@ -106,8 +106,7 @@ def test_criterion_1_gradient_oracle():
             # what _fit() runs for one epoch, before its Adam step
             ws = _Workspace(model, inputs)
             probs, cache = _forward(model, ws)
-            (fold_loss,) = _losses(probs, rows, model.params, ws.decayed, cfg.weight_decay,
-                                   ws.scratch)
+            (fold_loss,) = _losses(probs, rows, model.params, ws.decayed, cfg.weight_decay)
             return fold_loss, cache, ws
 
         _, cache, ws = run()

@@ -136,6 +136,8 @@ def test_epoch_bench_tool_times_every_part_of_an_epoch():
     assert list(report["cells"]) == ["FTvanilla", "SFTvanilla", "F", "T", "TLR"]
     for cell, row in report["cells"].items():
         assert row["epoch_ms"] > 0 and row["wrapped_epoch_ms"] > 0, cell
+        # a fit holds at least one (k, n, 32) stack
+        assert row["peak_mb"] >= 3 * 40 * 32 * 8 / 1e6, cell
         assert row["softmax_us"] > 0 and row["gate_us"] > 0 and row["gate_form"] == "bool masks"
         parts = row["parts"]
         assert list(parts) == ["keep_masks", "_propagate", "_forward", "_backward", "_losses",

@@ -79,8 +79,7 @@ def epoch(model, inputs, dropout_seeds=None):
     ws = _Workspace(model, inputs)
     rngs = None if dropout_seeds is None else [np.random.default_rng(s) for s in dropout_seeds]
     probs, cache = _forward(model, ws, training=rngs is not None, rngs=rngs)
-    losses = _losses(probs, rows, model.params, ws.decayed, model.config.weight_decay,
-                     ws.scratch)
+    losses = _losses(probs, rows, model.params, ws.decayed, model.config.weight_decay)
     grads = _backward(model, cache, rows, ws)
     return SimpleNamespace(rows=rows, ws=ws, probs=probs, cache=cache, losses=losses,
                            grads=grads)
@@ -241,9 +240,9 @@ def test_forward_identity_chain():
     mask = np.array([[True, True, False]])
     inputs = TrainInputs(g_matrix=rep.matrix, x=np.eye(n), labels=g.sdna_of,
                          train_mask=mask, test_mask=~mask)
-    run = epoch(model, inputs)
-    assert np.array_equal(run.cache["logits"][0], np.eye(n))
-    assert np.allclose(run.probs[0], softmax(np.eye(n)))
+    probs, cache = _forward(model, _Workspace(model, inputs))
+    assert np.array_equal(cache["logits"][0], np.eye(n))
+    assert np.allclose(probs[0], softmax(np.eye(n)))
 
 
 def test_variant_f_ignores_topology():
@@ -278,7 +277,8 @@ def test_neighbor_averaging_two_nodes():
     mask = np.array([[True, False]])
     inputs = TrainInputs(g_matrix=rep.matrix, x=np.eye(2), labels=g.sdna_of,
                          train_mask=mask, test_mask=~mask)
-    assert np.allclose(epoch(model, inputs).cache["logits"][0], [[0.5, 0.5], [0.5, 0.5]])
+    _, cache = _forward(model, _Workspace(model, inputs))
+    assert np.allclose(cache["logits"][0], [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_s_at_ones_matches_plain_forward():
@@ -379,7 +379,7 @@ def test_softmax_equals_the_row_max_formula_bit_for_bit(n, classes):
 def losses_of(run, model, probs, weight_decay):
     """_losses() of ``probs`` (k, n, classes) over the rows of an epoch()
     run, under ``model``'s kernels and ``weight_decay``."""
-    return _losses(probs, run.rows, model.params, run.ws.decayed, weight_decay, run.ws.scratch)
+    return _losses(probs, run.rows, model.params, run.ws.decayed, weight_decay)
 
 
 def test_loss_perfect_predictions():
@@ -439,8 +439,8 @@ def test_weight_decay_spares_the_output_layer(variant, units, decayed):
     frob = sum((params[name] ** 2).sum() for name in decayed)
     (with_decay,), (without,) = (losses_of(run, model, run.probs, wd) for wd in (0.01, 0.0))
     assert with_decay - without == pytest.approx(0.01 * frob, abs=1e-15)
-    undecayed = GcnModel(replace(cfg, weight_decay=0.0), model.params)
-    plain = _backward(undecayed, run.cache, run.rows, _Workspace(undecayed, inputs))
+    # the first _backward consumed run's cache: a fresh epoch takes the undecayed gradients
+    plain = epoch(GcnModel(replace(cfg, weight_decay=0.0), model.params), inputs).grads
     for name, grad in run.grads.items():
         expected = 2 * 0.01 * params[name] if name in decayed else np.zeros_like(grad[0])
         assert np.allclose(grad[0] - plain[name][0], expected, rtol=1e-9, atol=1e-15), name
@@ -733,17 +733,18 @@ def test_workspace_keeps_one_buffer_per_stack(variant, use_s, layer_units):
 
 @pytest.mark.parametrize("variant", ["ftvanilla", "f"])
 def test_s_feature_stacks_are_side_by_side_at_every_n(variant):
-    # no G product reads them, so the reduction over nodes in the S
-    # gradient runs over the (n, k * width) layout even where _stacked()
-    # would lay a G product's stack out fold by fold
+    # no G product reads the scaled features, so the reduction over nodes
+    # in the S gradient, which forms in their stack, runs over the
+    # (n, k * width) layout even where _stacked() would lay a G product's
+    # stack out fold by fold
     folds = fold_inputs(toy_inputs(toy_graph(n=12, seed=6)))
     assert not _stacked(12, folds.x.shape[1])
     cfg = small_cfg(variant=variant, use_s=True, dropout_p=0.5)
     model = GcnModel(cfg, _init_params(cfg, (4, 5, 6), *folds.x.shape))
     rows, ws = _Rows.of(folds, cfg.num_classes, 3), _Workspace(model, folds)
     _fit(model, rows, [np.random.default_rng(s) for s in (1, 2, 3)], ws, 2)
-    for key in ("prop0", "dprop"):
-        assert ws._stacks[key].transpose(1, 0, 2).flags.c_contiguous, key
+    assert ws._stacks["prop0"].transpose(1, 0, 2).flags.c_contiguous
+    assert "dprop" not in ws._stacks
 
 
 # "train then evaluate": each fold trained alone, as a k = 1 stack, then scored
@@ -869,14 +870,14 @@ def test_losses_are_non_finite_exactly_for_a_nan_training_row_or_an_overflowing_
     rows, ws = _Rows.of(folds, cfg.num_classes, 5), _Workspace(model, folds)
     probs, _ = _forward(model, ws)
     args = rows, model.params, ws.decayed, cfg.weight_decay
-    losses = _losses(probs, *args, ws.scratch)
+    losses = _losses(probs, *args)
     assert np.all(np.isfinite(losses))
     assert np.allclose(losses, reference_losses(probs, *args), rtol=1e-13, atol=0)
     probs = probs.copy()
     probs[1:3, 1] = np.nan   # fold 1's test row, fold 2's training row
     probs[3, 2, 0] = np.nan  # fold 3's training row, its label's column
     model.params["W0"][4] *= 1e160  # fold 4's decay overflows
-    losses = _losses(probs, *args, ws.scratch)
+    losses = _losses(probs, *args)
     assert np.isfinite(losses).tolist() == [True, True, False, False, False]
     assert np.isfinite(reference_losses(probs, *args)).tolist() == np.isfinite(losses).tolist()
     assert np.isnan(losses[2]) and np.isnan(losses[3]) and losses[4] == np.inf

@@ -296,6 +296,34 @@ def test_pool_workers_run_blas_on_one_thread():
         setter(before)
 
 
+def test_serial_cells_run_blas_on_one_thread_and_the_callers_count_survives(monkeypatch):
+    setter = harness._blas_thread_setter()
+    if setter is None or harness.blas_threads() is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread setter and getter")
+    run_cell, seen = harness.run_cell, []
+
+    def watching(*args, **kwargs):
+        seen.append(harness.blas_threads())
+        return run_cell(*args, **kwargs)
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("a run that stops early")
+
+    before = harness.blas_threads()
+    setter(2)  # a caller running more than one BLAS thread, on any host
+    try:
+        monkeypatch.setattr(harness, "run_cell", watching)
+        run_experiment(tiny_plan(cells=("F", "T"), workers=1))
+        assert seen == [1] * 4
+        assert harness.blas_threads() == 2
+        monkeypatch.setattr(harness, "run_cell", failing)
+        with pytest.raises(RuntimeError, match="stops early"):
+            run_experiment(tiny_plan(cells=("F",), workers=1))
+        assert harness.blas_threads() == 2
+    finally:
+        setter(before)
+
+
 def test_pool_has_at_most_one_worker_per_core(monkeypatch):
     # a plan asking for 100000 workers gets one per core, not one per task;
     # the stand-in pool runs every task here, so no process starts

@@ -17,8 +17,10 @@ cell, in milliseconds per epoch:
                      wrapped epoch (``wrapped_epoch_ms``) was fastest, with
                      what no part took as ``rest_ms``
 
-and, in microseconds per call, the best of 7 timeit rounds on the
-workspace's own stacks after training:
+and ``peak_mb``, the tracemalloc peak in MB (10^6 bytes) of one more fit
+of ``--epochs`` epochs, from its parameters and workspace on, traced apart
+from the timed runs; and, in microseconds per call, the best of 7 timeit
+rounds on the workspace's own stacks after training:
 
     softmax_us       ``_softmax`` of the output layer's logits
     gate_us          the first hidden layer's training gate, built the way
@@ -47,6 +49,7 @@ import json
 import os
 import time
 import timeit
+import tracemalloc
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -136,11 +139,15 @@ def bench_cell(cell: str, inputs: TrainInputs, k: int, epochs: int, repeat: int)
     seeds = list(range(k))
     rows = gcn._Rows.of(inputs, cfg.num_classes, k)
 
-    def run(timers: _Timers | None):
+    def fit(n_epochs: int):
         model = GcnModel(cfg, gcn._init_params(cfg, seeds, *inputs.x.shape))
         ws = gcn._Workspace(model, inputs)
         rngs = [derive_rng(seed, "dropout") for seed in seeds]
-        gcn._fit(model, rows, rngs, ws, 1)
+        gcn._fit(model, rows, rngs, ws, n_epochs)
+        return model, ws, rngs
+
+    def run(timers: _Timers | None):
+        model, ws, rngs = fit(1)
         with _wrapped(timers) if timers else contextlib.nullcontext():
             start = time.perf_counter()
             gcn._fit(model, rows, rngs, ws, epochs)
@@ -156,11 +163,17 @@ def bench_cell(cell: str, inputs: TrainInputs, k: int, epochs: int, repeat: int)
                     "self_ms": round((timers.whole[name] - timers.inner[name]) * 1e3 / epochs, 4)}
              for name in PARTS}
     _, ws = run(None)
+    tracemalloc.start()
+    try:
+        fit(epochs)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
     classes = cfg.num_classes
     logits, probs = ws.stack(f"z{len(ws.steps) - 1}", classes), ws.stack("probs", classes)
     gate_pass, gate_form = _gate_pass(ws, cfg)
     return {"epoch_ms": round(min(plain), 4), "wrapped_epoch_ms": round(wrapped_ms, 4),
-            "parts": parts,
+            "parts": parts, "peak_mb": round(peak_mb, 3),
             "rest_ms": round(wrapped_ms - sum(part["self_ms"] for part in parts.values()), 4),
             "softmax_us": _best_us(lambda: gcn._softmax(logits, probs, ws.row)),
             "gate_us": _best_us(gate_pass), "gate_form": gate_form}
