@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import ctypes
 import functools
 import json
 import logging
@@ -38,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _openblas
 from .gcn import GcnConfig, TrainInputs, TrainingDiverged, train_folds
 from .graph import SocialGraph, sorted_unique
 from .rng import derive_rng, derive_seed
@@ -335,47 +335,22 @@ def _best_cell(cells: dict[str, CellResult]) -> str:
     return min(ranked, key=lambda pair: (-pair[0], pair[1]))[1]
 
 
-# OpenBLAS's thread-count setter and getter, by build: numpy's scipy-openblas
-# ILP64 build, a plain ILP64 build, a plain LP64 build
-_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                 "openblas_set_num_threads")
-_BLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                 "openblas_get_num_threads")
-
-
-def _openblas_function(symbols: tuple[str, ...]):
-    """The first of ``symbols`` found in numpy's bundled OpenBLAS, or None."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        handle = ctypes.CDLL(str(lib))
-        for symbol in symbols:
-            function = getattr(handle, symbol, None)
-            if function is not None:
-                return function
-    return None
-
-
 @functools.cache
 def _blas_thread_setter():
     """OpenBLAS's ``set_num_threads`` from numpy's bundled library, or None
     (with one warning per process) when there is none to call."""
-    setter = _openblas_function(_BLAS_SETTERS)
+    setter = _openblas.thread_setter()
     if setter is None:
         log.warning("no OpenBLAS thread setter in numpy's bundled libraries: cells "
                     "keep the BLAS library's default thread count")
-        return None
-    setter.argtypes, setter.restype = [ctypes.c_int], None
     return setter
 
 
 def blas_threads() -> int | None:
     """The number of threads OpenBLAS runs in this process, read from its
     own getter in numpy's bundled library; None when there is none."""
-    getter = _openblas_function(_BLAS_GETTERS)
-    if getter is None:
-        return None
-    getter.argtypes, getter.restype = [], ctypes.c_int
-    return int(getter())
+    getter = _openblas.thread_getter()
+    return None if getter is None else int(getter())
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:

@@ -1,16 +1,21 @@
-"""Peak-memory guards for the simulator rounds, the Katz build and training.
+"""Peak-memory guards for the simulator rounds, the representative builds
+and training.
 
 tracemalloc sees numpy's array allocations, so its peak counts every
-n x n buffer and every per-pair array a call holds at once.  The bounds
-carry headroom over the measured peaks (numpy 2.4):
+n x n buffer and every per-pair array a call holds at once (not the
+workspace LAPACK mallocs inside ``np.linalg.inv``).  The bounds carry
+headroom over the measured peaks (numpy 2.4):
 
   two iter_snapshots rounds at n = 400   28.6 bytes per open pair
                                          (66 while the open pairs were an
                                          (m, 2) array beside a cached
                                          dense adjacency)
-  a Katz build at n = 300, max_power 5   4.0 n x n float64 arrays (5.0
-                                         with the cached adjacency and a
-                                         separate scaled-term buffer)
+  a katz, rpr and gg build on            2.52, 2.00 and 2.03 n x n float64
+  hub_snapshot (n = 800, defaults)       arrays (4.00, 2.28 and 2.28 while
+                                         Katz held A, the sum and two
+                                         power buffers, RPR called
+                                         np.linalg.inv and augment
+                                         normalized into a second array)
   a 10-fold desk fit at n = 200          FTvanilla 10.5, T 14.9 stacks of
                                          (k, n, 32) float64 (17.7 and 22.2
                                          while every backward stack had
@@ -31,7 +36,7 @@ from socsim.sdna import iter_snapshots
 from socsim.similarity import SimilaritySpec, build_representative
 
 ROUND_BYTES_PER_OPEN_PAIR = 40
-KATZ_NN_ARRAYS = 4.5
+BUILD_NN_ARRAYS = 3.0
 FIT_STACKS = {"ftvanilla": 12.0, "t": 16.5}
 
 
@@ -46,8 +51,9 @@ def traced_peak(fn) -> int:
     """Peak traced bytes of ``fn()``, after one small simulation and build
     have run, so that lazy imports and first-call caches are not counted."""
     list(iter_snapshots(grown_config(12, 0), 2))
-    build_representative(next(iter_snapshots(grown_config(12, 0), 1))[0],
-                         SimilaritySpec(kind="katz"))
+    small = next(iter_snapshots(grown_config(12, 0), 1))[0]
+    for kind in ("katz", "rpr", "gg"):
+        build_representative(small, SimilaritySpec(kind=kind))
     tracemalloc.start()
     try:
         fn()
@@ -65,12 +71,13 @@ def test_two_simulator_rounds_stay_under_the_per_pair_bound(seed):
     assert peak / open_pairs <= ROUND_BYTES_PER_OPEN_PAIR, f"{peak / open_pairs:.1f} B/pair"
 
 
-def test_katz_build_stays_under_the_array_bound():
-    *_, (g, _) = iter_snapshots(grown_config(300, 3), 3)
+@pytest.mark.parametrize("kind", ["katz", "rpr", "gg"])
+def test_a_build_stays_under_the_array_bound(hub_snapshot, kind):
+    g = hub_snapshot
     fresh = SocialGraph(n=g.n, edges=g.edges, features=g.features, sdna_of=g.sdna_of)
-    peak = traced_peak(lambda: build_representative(fresh, SimilaritySpec(kind="katz")))
+    peak = traced_peak(lambda: build_representative(fresh, SimilaritySpec(kind=kind)))
     arrays = peak / (g.n * g.n * 8)
-    assert arrays <= KATZ_NN_ARRAYS, f"{arrays:.2f} n x n arrays"
+    assert arrays <= BUILD_NN_ARRAYS, f"{arrays:.2f} n x n arrays"
     assert "adjacency" not in vars(fresh)
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_representatives as reference
+from socsim import _openblas
 from socsim.graph import SocialGraph, dense_adjacency, shortest_path_matrix
 from socsim.harness import default_model_grid, desk_sim_config, parse_cell
 from socsim.sdna import iter_snapshots
@@ -73,10 +74,11 @@ def test_katz_matches_explicit_powers():
 
 
 def test_katz_matches_left_to_right_powers_on_hub_snapshot(hub_snapshot):
-    # walk counts reach ~4e7 at the fifth power here, far below 2^53, so the
-    # symmetric even-power products must give the very same bytes
+    # walk counts reach ~4e7 at the fifth power and ~1.3e13 at the seventh
+    # here, far below 2^53, so the symmetric square and the row-block
+    # products over it must give the very same bytes
     a = dense_adjacency(hub_snapshot)
-    for max_power in (1, 2, 5):
+    for max_power in range(1, 8):
         expected = np.zeros_like(a)
         power = np.eye(hub_snapshot.n)
         for x in range(1, max_power + 1):
@@ -119,6 +121,50 @@ def test_rpr_matches_power_iteration():
     exact = rpr_matrix(g, 0.85)
     iterated = rpr_power_iteration(g, 0.85, steps=200)
     assert np.all(np.abs(exact - iterated) < 1e-8)
+
+
+def test_rpr_solves_in_place_without_inv(hub_snapshot, monkeypatch):
+    if _openblas.dgesv() is None:
+        pytest.skip("numpy's libraries hold no dgesv to call")
+    spec = SimilaritySpec(kind="rpr")
+    want = reference.rpr_matrix(hub_snapshot, spec.rpr_alpha).tobytes()
+    want_rep = reference.build_matrix(hub_snapshot, spec).tobytes()
+
+    def no_inv(matrix):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inv)
+    walks = rpr_matrix(hub_snapshot, spec.rpr_alpha)
+    assert walks.flags.c_contiguous and walks.tobytes() == want
+    assert build_representative(hub_snapshot, spec).matrix.tobytes() == want_rep
+
+
+def test_rpr_without_dgesv_falls_back_to_inv(hub_snapshot, monkeypatch):
+    spec = SimilaritySpec(kind="rpr")
+    want = reference.rpr_matrix(hub_snapshot, spec.rpr_alpha).tobytes()
+    want_rep = reference.build_matrix(hub_snapshot, spec).tobytes()
+    monkeypatch.setattr(_openblas, "dgesv", lambda: None)
+    assert rpr_matrix(hub_snapshot, spec.rpr_alpha).tobytes() == want
+    assert build_representative(hub_snapshot, spec).matrix.tobytes() == want_rep
+
+
+def test_dgesv_binding_raises_like_inv():
+    solve = _openblas.dgesv()
+    if solve is None:
+        pytest.skip("numpy's libraries hold no dgesv to call")
+    singular = np.asfortranarray([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        np.linalg.inv(singular)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        solve(singular.copy(order="F"), np.eye(2, order="F"))
+    with pytest.raises(ValueError, match="Fortran-ordered"):
+        solve(np.eye(3), np.eye(3, order="F"))
+    with pytest.raises(ValueError, match=r"system must be \(3, 3\)"):
+        solve(np.eye(2, order="F"), np.eye(3, order="F"))
+    system = np.asfortranarray([[4.0, 1.0], [2.0, 3.0]])
+    rhs = np.eye(2, order="F")
+    solve(system.copy(order="F"), rhs)
+    assert rhs.tobytes() == np.asfortranarray(np.linalg.inv(system)).tobytes()
 
 
 # --- graph gravity ------------------------------------------------------------

@@ -20,6 +20,16 @@ fresh copy of the graph (so a dense adjacency a side caches on the graph
 counts), traced apart from the timed builds.  The two matrices are
 compared byte for byte and the result is recorded as ``identical``.
 
+tracemalloc does not see what numpy's C code mallocs itself (the system
+copy and identity that ``np.linalg.inv`` hands to LAPACK), so the
+sim_build graph is also built once per (side, kind), with the kind's first
+grid spec, in a fresh spawned process, which records ``rss_growth_mb``: its
+peak RSS after the build (VmHWM) less its RSS just before it.  The
+child loads the graph from a saved directory and runs every build once on
+a 12-node graph first, so that neither the simulator nor a first call's
+imports set its peak; ``hwm_slack_mb`` is how far the peak before the build
+already stood above the RSS (a growth below it is not resolved).
+
 A process's minor faults per build depend on what it ran before (glibc
 moves its mmap threshold as blocks are freed), so ``--phase K`` also runs K
 sim_build-shaped cycles in this process through ``socsim.cli.main``
@@ -40,6 +50,7 @@ import argparse
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import platform
 import resource
@@ -48,6 +59,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -57,7 +69,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from socsim.cli import main as socsim_main  # noqa: E402
-from socsim.graph import SocialGraph  # noqa: E402
+from socsim.graph import SocialGraph, load_graph_dir, save_graph_dir  # noqa: E402
 from socsim.harness import blas_threads, default_model_grid, desk_sim_config, parse_cell  # noqa: E402
 from socsim.sdna import iter_snapshots  # noqa: E402
 from socsim.similarity import build_representative  # noqa: E402
@@ -69,6 +81,10 @@ KINDS = ("adjacency", "katz", "rpr", "gg")
 
 
 SPECS = tuple(dict.fromkeys(parse_cell(cell)[1] for cell in default_model_grid()))
+
+
+BUILDS = {"before": reference_representatives.build_matrix,
+          "after": lambda g, spec: build_representative(g, spec).matrix}
 
 
 def _minflt() -> int:
@@ -95,8 +111,7 @@ def _peak_mb(build, graph) -> float:
 
 
 def bench_spec(graph, spec, repeat) -> dict:
-    builds = {"before": lambda g: reference_representatives.build_matrix(g, spec),
-              "after": lambda g: build_representative(g, spec).matrix}
+    builds = {side: (lambda g, build=build: build(g, spec)) for side, build in BUILDS.items()}
     times = {side: [] for side in builds}
     faults = {side: [] for side in builds}
     outputs = {}
@@ -112,6 +127,41 @@ def bench_spec(graph, spec, repeat) -> dict:
                      "peak_mb": round(_peak_mb(builds[side], graph), 3)}
     row["identical"] = outputs["before"].tobytes() == outputs["after"].tobytes()
     return row
+
+
+def _rss_mb() -> tuple[float, float]:
+    """This process's RSS and its peak (VmRSS, VmHWM) in MB.  Unlike
+    ``ru_maxrss``, VmHWM does not carry over the RSS of the process that
+    forked this one before it exec'd."""
+    with open("/proc/self/status") as fh:
+        fields = dict(line.split(":", 1) for line in fh)
+    return tuple(int(fields[key].split()[0]) * 1024 / 1e6 for key in ("VmRSS", "VmHWM"))
+
+
+def _rss_child(graph_dir: str, side: str, kind: str) -> dict:
+    """In a fresh process: RSS growth of one ``side`` build of ``kind``."""
+    small = next(iter_snapshots(replace(desk_sim_config(0), n=12), 1))[0]
+    for warm in SPECS:
+        BUILDS[side](small, warm)
+    graph = load_graph_dir(graph_dir)
+    spec = next(spec for spec in SPECS if spec.kind == kind)
+    before, hwm = _rss_mb()
+    BUILDS[side](graph, spec)
+    return {"rss_growth_mb": round(_rss_mb()[1] - before, 2),
+            "hwm_slack_mb": round(hwm - before, 2)}
+
+
+def rss_growth(graph) -> dict:
+    """{kind: {side: _rss_child(...)}} for ``graph``, one spawned process
+    per (side, kind)."""
+    out = {kind: {} for kind in KINDS}
+    with tempfile.TemporaryDirectory() as tmp:
+        save_graph_dir(graph, tmp)
+        for kind in KINDS:
+            for side in BUILDS:
+                with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+                    out[kind][side] = pool.submit(_rss_child, tmp, side, kind).result()
+    return out
 
 
 def graph_sets(seed: int):
@@ -189,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="write the JSON here instead of stdout")
     args = parser.parse_args(argv)
 
-    doc = {"topic": "rep_buffers", "machine": machine(), "seed": args.seed,
+    doc = {"topic": "representative_builds", "machine": machine(), "seed": args.seed,
            "repeat": args.repeat}
     if not args.phase_only:
         sets = {}
@@ -198,6 +248,8 @@ def main(argv: list[str] | None = None) -> int:
                          **bench_spec(graph, spec, args.repeat))
                     for idx, graph in enumerate(graphs) for spec in SPECS]
             sets[name] = {"per_kind": per_kind(rows), "builds": rows}
+            if name == "sim_build":
+                sets[name]["rss_growth"] = rss_growth(graphs[0])
         doc["sets"] = sets
     if args.phase:
         doc["representative_phases"] = representative_phases(args.seed, args.phase)
