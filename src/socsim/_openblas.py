@@ -2,17 +2,19 @@
 
 numpy's wheels ship OpenBLAS (with its LAPACK) in ``numpy.libs``; numpy's
 own extensions call it under prefixed, ILP64 names.  This module is the one
-place that knows those names.  It hands out OpenBLAS's thread-count setter
-and getter as ctypes functions with their argument types declared, and a
-checked binding of ``dgesv``, the LAPACK solver ``np.linalg.inv`` itself
-calls; each is None where numpy's libraries hold no such symbol (a numpy
-built against another BLAS).
+place that knows those names.  It hands out OpenBLAS's thread-count setter,
+the thread count and a one-thread pin built on them, and a checked binding
+of ``dgesv``, the LAPACK solver ``np.linalg.inv`` itself calls; each is None,
+or a no-op, where numpy's libraries hold no such symbol (a numpy built
+against another BLAS).
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +36,8 @@ def _libraries() -> tuple[ctypes.CDLL, ...]:
     return tuple(ctypes.CDLL(str(lib)) for lib in sorted(libs.glob("*openblas*")))
 
 
-def _function(symbols: tuple[str, ...], argtypes: list, restype):
+@functools.cache
+def _function(symbols: tuple[str, ...], argtypes: tuple, restype):
     """The first of ``symbols`` found, with its types declared, or None."""
     for handle in _libraries():
         for symbol in symbols:
@@ -46,24 +49,46 @@ def _function(symbols: tuple[str, ...], argtypes: list, restype):
 
 
 @functools.cache
-def thread_setter():
-    """OpenBLAS's ``set_num_threads(int)``, or None."""
-    return _function(_THREAD_SETTERS, [ctypes.c_int], None)
+def _blas_thread_setter():
+    """OpenBLAS's ``set_num_threads(int)``, or None (with one warning per
+    process) when there is none to call."""
+    setter = _function(_THREAD_SETTERS, (ctypes.c_int,), None)
+    if setter is None:
+        logging.getLogger(__name__).warning(
+            "no OpenBLAS thread setter in numpy's bundled libraries: cells keep the BLAS "
+            "library's default thread count")
+    return setter
 
 
-@functools.cache
-def thread_getter():
-    """OpenBLAS's ``get_num_threads() -> int``, or None."""
-    return _function(_THREAD_GETTERS, [], ctypes.c_int)
+def blas_threads() -> int | None:
+    """The number of threads OpenBLAS runs in this process, read from its
+    own getter in numpy's bundled library; None when there is none."""
+    getter = _function(_THREAD_GETTERS, (), ctypes.c_int)
+    return None if getter is None else int(getter())
 
 
-@functools.cache
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with BLAS on one thread, as pool workers run, then give
+    back the count ``blas_threads()`` read before, on an exception too;
+    without a setter (or a getter), leave the count as it is."""
+    setter, before = _blas_thread_setter(), blas_threads()
+    if setter is None or before is None:
+        yield
+        return
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(before)
+
+
 def dgesv():
     """:func:`solve_in_place` bound to numpy's own ``dgesv``, or None."""
     integer, array = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
     # dgesv(n, nrhs, a, lda, ipiv, b, ldb, info)
-    function = _function((_DGESV,), [integer, integer, array, integer, array, array, integer,
-                                     integer], None)
+    function = _function((_DGESV,), (integer, integer, array, integer, array, array, integer,
+                                     integer), None)
     return None if function is None else functools.partial(solve_in_place, function)
 
 

@@ -85,6 +85,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._openblas import _one_blas_thread
 from .rng import derive_rng
 
 VARIANTS = ("ftvanilla", "f", "t", "tlr")
@@ -602,15 +603,16 @@ def train_folds(inputs: TrainInputs, cfg: GcnConfig, seeds: list[int]) -> list[f
     accuracies are those of each fold trained alone, as a k = 1 stack with
     its (1, n) masks and ``[seeds[i]]``.  Raises TrainingDiverged, with
     ``fold`` set, at the first epoch in which any fold's loss goes
-    non-finite, for the lowest-index such fold.
+    non-finite, for the lowest-index such fold.  BLAS runs on one thread,
+    whose count changes some G products' bits; the caller's comes back after.
     """
     rows = _Rows.of(inputs, cfg.num_classes, len(seeds))
     if cfg.epochs > 0 and not rows.train.any(axis=1).all():
         raise ValueError("empty training mask")
     if not rows.test.any(axis=1).all():
         raise ValueError("empty test mask")
-    model = GcnModel(cfg, _init_params(cfg, seeds, *inputs.x.shape))
-    ws = _Workspace(model, inputs)
-    _fit(model, rows, [derive_rng(seed, "dropout") for seed in seeds], ws, cfg.epochs)
-    probs, _ = _forward(model, ws)
-    return rows.accuracies(probs)
+    with _one_blas_thread():
+        model = GcnModel(cfg, _init_params(cfg, seeds, *inputs.x.shape))
+        ws = _Workspace(model, inputs)
+        _fit(model, rows, [derive_rng(seed, "dropout") for seed in seeds], ws, cfg.epochs)
+        return rows.accuracies(_forward(model, ws)[0])

@@ -17,27 +17,26 @@ one worker per available core by default, or straight through in-process,
 BLAS on one thread there too, when there is one worker or one task.  A
 snapshot's tasks are submitted as soon as it is simulated, and its results
 are collected only after the next snapshot's tasks are queued, so the
-workers never wait on the simulator.
+workers never wait on the simulator.  The first pool imports the pool code,
+in the parent before it forks; a process that starts no pool never does.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import json
 import logging
-import multiprocessing
 import numbers
 import os
 from collections.abc import Iterator
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace, asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import _openblas
+from ._openblas import _blas_thread_setter, _one_blas_thread
 from .gcn import GcnConfig, TrainInputs, TrainingDiverged, train_folds
 from .graph import SocialGraph, sorted_unique
 from .rng import derive_rng, derive_seed
@@ -335,22 +334,12 @@ def _best_cell(cells: dict[str, CellResult]) -> str:
     return min(ranked, key=lambda pair: (-pair[0], pair[1]))[1]
 
 
-@functools.cache
-def _blas_thread_setter():
-    """OpenBLAS's ``set_num_threads`` from numpy's bundled library, or None
-    (with one warning per process) when there is none to call."""
-    setter = _openblas.thread_setter()
-    if setter is None:
-        log.warning("no OpenBLAS thread setter in numpy's bundled libraries: cells "
-                    "keep the BLAS library's default thread count")
-    return setter
-
-
-def blas_threads() -> int | None:
-    """The number of threads OpenBLAS runs in this process, read from its
-    own getter in numpy's bundled library; None when there is none."""
-    getter = _openblas.thread_getter()
-    return None if getter is None else int(getter())
+def __getattr__(name: str):
+    # PEP 562: the pool class is a patchable module attribute, imported on use
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
@@ -360,26 +349,14 @@ def _pool(workers: int) -> ProcessPoolExecutor:
     oversubscribe the cores.  Fork starts a worker in milliseconds, with
     numpy and socsim already imported; spawn and forkserver take a third of
     a second or more per pool.  A fork pool forks all its workers at its
-    first submit, before it starts its own threads.  The setter is looked up
-    here, so a missing one is logged once, in this process."""
-    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_blas_thread_setter(), initargs=(1,))
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with BLAS on one thread, as pool workers run, then give
-    back the count ``blas_threads()`` read before, on an exception too;
-    without a setter (or a getter), leave the count as it is."""
-    setter, before = _blas_thread_setter(), blas_threads()
-    if setter is None or before is None:
-        yield
-        return
-    setter(1)
-    try:
-        yield
-    finally:
-        setter(before)
+    first submit, before it starts its own threads.  Here, in the parent,
+    the setter is looked up (a missing one is logged once) and the first
+    pool imports the pool code, before it forks; the class is whatever this
+    module's ``ProcessPoolExecutor`` is, patched or not."""
+    import multiprocessing
+    executor = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+    return executor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                    initializer=_blas_thread_setter(), initargs=(1,))
 
 
 def _run_now(fn, *args) -> Future:

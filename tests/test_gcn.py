@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from socsim import _openblas, gcn
 from socsim.gcn import (
     GcnConfig,
     GcnModel,
@@ -602,6 +603,35 @@ def test_training_diverged_pickles():
     assert back.norms == exc.norms
     assert back.fold == 2
     assert str(back) == str(exc)
+
+
+def test_train_folds_runs_blas_on_one_thread_and_gives_the_callers_count_back(monkeypatch):
+    setter = _openblas._blas_thread_setter()
+    if setter is None or _openblas.blas_threads() is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread setter and getter")
+    fit, seen = gcn._fit, []
+
+    def watching(*args):
+        seen.append(_openblas.blas_threads())
+        return fit(*args)
+
+    def failing(*args):
+        seen.append(_openblas.blas_threads())
+        raise RuntimeError("a fit that stops early")
+
+    inputs, cfg = toy_inputs(), small_cfg(epochs=2)
+    before = _openblas.blas_threads()
+    setter(2)  # a library caller running more than one BLAS thread, on any host
+    try:
+        monkeypatch.setattr(gcn, "_fit", watching)
+        train_folds(inputs, cfg, [1])
+        assert seen == [1] and _openblas.blas_threads() == 2
+        monkeypatch.setattr(gcn, "_fit", failing)
+        with pytest.raises(RuntimeError, match="stops early"):
+            train_folds(inputs, cfg, [1])
+        assert seen == [1, 1] and _openblas.blas_threads() == 2
+    finally:
+        setter(before)
 
 
 def fold_inputs(inputs, k=3):

@@ -1,15 +1,19 @@
+import concurrent.futures
 import contextlib
 import gc
 import json
 import os
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from socsim import cli, harness
+from socsim import _openblas, cli, harness
 from socsim.gcn import GcnConfig, TrainInputs, TrainingDiverged, train_folds
 from socsim.graph import SocialGraph
 from socsim.rng import derive_seed
@@ -282,44 +286,64 @@ def test_stream_frees_the_graph_two_snapshots_back(monkeypatch):
     assert freed == [True, True]
 
 
+def test_pool_class_is_a_lazy_module_attribute():
+    assert harness.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+    with pytest.raises(AttributeError, match="no_such_name"):
+        harness.no_such_name
+
+
+def test_a_process_that_starts_no_pool_imports_no_pool_code():
+    # one fresh interpreter: the package, the CLI and a one-worker run
+    plan = tiny_plan(cells=("F",), snapshots=1, workers=1, gcn=replace(tiny_plan().gcn, epochs=2))
+    code = ("import json, sys; import socsim, socsim.cli; from socsim import harness; "
+            "harness.run_experiment(harness.ExperimentPlan.from_dict(json.loads(sys.argv[1]))); "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(plan.to_dict())], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
 def test_pool_workers_run_blas_on_one_thread():
-    setter = harness._blas_thread_setter()
-    if setter is None or harness.blas_threads() is None:
+    setter = _openblas._blas_thread_setter()
+    if setter is None or _openblas.blas_threads() is None:
         pytest.skip("numpy bundles no OpenBLAS with a thread setter and getter")
-    before = harness.blas_threads()
+    before = _openblas.blas_threads()
     setter(2)  # a parent running more than one BLAS thread, on any host
     try:
         with harness._pool(2) as pool:
-            assert pool.submit(harness.blas_threads).result() == 1
-        assert harness.blas_threads() == 2
+            assert pool.submit(_openblas.blas_threads).result() == 1
+        assert _openblas.blas_threads() == 2
     finally:
         setter(before)
 
 
 def test_serial_cells_run_blas_on_one_thread_and_the_callers_count_survives(monkeypatch):
-    setter = harness._blas_thread_setter()
-    if setter is None or harness.blas_threads() is None:
+    setter = _openblas._blas_thread_setter()
+    if setter is None or _openblas.blas_threads() is None:
         pytest.skip("numpy bundles no OpenBLAS with a thread setter and getter")
     run_cell, seen = harness.run_cell, []
 
     def watching(*args, **kwargs):
-        seen.append(harness.blas_threads())
+        seen.append(_openblas.blas_threads())
         return run_cell(*args, **kwargs)
 
     def failing(*args, **kwargs):
         raise RuntimeError("a run that stops early")
 
-    before = harness.blas_threads()
+    before = _openblas.blas_threads()
     setter(2)  # a caller running more than one BLAS thread, on any host
     try:
         monkeypatch.setattr(harness, "run_cell", watching)
         run_experiment(tiny_plan(cells=("F", "T"), workers=1))
         assert seen == [1] * 4
-        assert harness.blas_threads() == 2
+        assert _openblas.blas_threads() == 2
         monkeypatch.setattr(harness, "run_cell", failing)
         with pytest.raises(RuntimeError, match="stops early"):
             run_experiment(tiny_plan(cells=("F",), workers=1))
-        assert harness.blas_threads() == 2
+        assert _openblas.blas_threads() == 2
     finally:
         setter(before)
 

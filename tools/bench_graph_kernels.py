@@ -49,6 +49,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
+from socsim._openblas import blas_threads  # noqa: E402
 from socsim.graph import (  # noqa: E402
     decode_pairs,
     dense_adjacency,
@@ -56,7 +57,7 @@ from socsim.graph import (  # noqa: E402
     unconnected_codes,
     walk_bit_rows,
 )
-from socsim.harness import blas_threads, desk_sim_config  # noqa: E402
+from socsim.harness import desk_sim_config  # noqa: E402
 from socsim.rng import derive_rng  # noqa: E402
 from socsim.sdna import (  # noqa: E402
     _scored_selection,

@@ -52,7 +52,6 @@ import io
 import json
 import multiprocessing
 import os
-import platform
 import resource
 import statistics
 import sys
@@ -68,9 +67,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
+from bench_graph_kernels import machine  # noqa: E402
 from socsim.cli import main as socsim_main  # noqa: E402
 from socsim.graph import SocialGraph, load_graph_dir, save_graph_dir  # noqa: E402
-from socsim.harness import blas_threads, default_model_grid, desk_sim_config, parse_cell  # noqa: E402
+from socsim.harness import default_model_grid, desk_sim_config, parse_cell  # noqa: E402
 from socsim.sdna import iter_snapshots  # noqa: E402
 from socsim.similarity import build_representative  # noqa: E402
 
@@ -219,13 +219,6 @@ def representative_phases(seed: int, cycles: int) -> list[dict]:
                          "--events", "7"])
             phases.append({"cycle": cycle, "minflt": faults, "seconds": round(seconds, 4)})
     return phases
-
-
-def machine() -> dict:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-            "numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
-            "blas_threads": blas_threads()}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -27,7 +27,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from socsim.harness import blas_threads, desk_sim_config, make_folds, run_cell  # noqa: E402
+from socsim._openblas import blas_threads  # noqa: E402
+from socsim.harness import desk_sim_config, make_folds, run_cell  # noqa: E402
 from socsim.gcn import GcnConfig  # noqa: E402
 from socsim.sdna import iter_snapshots  # noqa: E402
 
