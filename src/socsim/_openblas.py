@@ -3,10 +3,11 @@
 numpy's wheels ship OpenBLAS (with its LAPACK) in ``numpy.libs``; numpy's
 own extensions call it under prefixed, ILP64 names.  This module is the one
 place that knows those names.  It hands out OpenBLAS's thread-count setter,
-the thread count and a one-thread pin built on them, and a checked binding
-of ``dgesv``, the LAPACK solver ``np.linalg.inv`` itself calls; each is None,
-or a no-op, where numpy's libraries hold no such symbol (a numpy built
-against another BLAS).
+the thread count and a one-thread pin built on them, a checked binding of
+``dgesv``, the LAPACK solver ``np.linalg.inv`` itself calls, and the machine
+facts every benchmark records, the kernel set OpenBLAS picked among them;
+each is None, or a no-op, where numpy's libraries hold no such symbol (a
+numpy built against another BLAS).
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import contextlib
 import ctypes
 import functools
 import logging
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,10 @@ _THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_thread
                    "openblas_set_num_threads")
 _THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
                    "openblas_get_num_threads")
+# the name of the kernel set a DYNAMIC_ARCH build picked for this CPU (or
+# was told to take by OPENBLAS_CORETYPE), by build as above
+_CORE_GETTERS = ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                 "openblas_get_corename")
 # the dgesv that numpy's _umath_linalg links to (64-bit integer arguments)
 _DGESV = "scipy_dgesv_64_"
 
@@ -65,6 +72,18 @@ def blas_threads() -> int | None:
     own getter in numpy's bundled library; None when there is none."""
     getter = _function(_THREAD_GETTERS, (), ctypes.c_int)
     return None if getter is None else int(getter())
+
+
+def machine_facts() -> dict:
+    """What a timing or a bit-level result depends on in this process: the
+    cores it may run on, the Python, numpy and BLAS versions, the number of
+    BLAS threads and the name of OpenBLAS's kernel set (``blas_core``, None
+    where there is no getter), which can change training bits."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    core = _function(_CORE_GETTERS, (), ctypes.c_char_p)
+    return {"nproc": len(os.sched_getaffinity(0)), "python": sys.version.split()[0],
+            "numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_threads": blas_threads(), "blas_core": None if core is None else core().decode()}
 
 
 @contextlib.contextmanager

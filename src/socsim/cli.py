@@ -20,8 +20,9 @@ Exit codes:
     2   usage error: an unknown command or option, a missing one, an empty
         path, or a ``representative --out-csv`` that names the ``--out``
         file (argparse)
-    3   ``experiment`` completed, but some cells failed (each failed cell
-        carries its error in report.json)
+    3   ``experiment`` completed, but some cells failed, the cells a lost
+        pool worker left unfinished among them (each failed cell carries
+        its error in report.json)
 """
 
 from __future__ import annotations

@@ -17,8 +17,10 @@ one worker per available core by default, or straight through in-process,
 BLAS on one thread there too, when there is one worker or one task.  A
 snapshot's tasks are submitted as soon as it is simulated, and its results
 are collected only after the next snapshot's tasks are queued, so the
-workers never wait on the simulator.  The first pool imports the pool code,
-in the parent before it forks; a process that starts no pool never does.
+workers never wait on the simulator.  A worker that dies breaks the pool:
+the cells it had not finished fail, and the run completes.  The first pool
+imports the pool code, in the parent before it forks; a process that starts
+no pool never does.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import logging
 import numbers
 import os
 from collections.abc import Iterator
-from concurrent.futures import Future
+from concurrent.futures import BrokenExecutor, Future
 from dataclasses import dataclass, field, replace, asdict
 from pathlib import Path
 
@@ -366,6 +368,26 @@ def _run_now(fn, *args) -> Future:
     return future
 
 
+def _submit(pool, fn, *args) -> Future:
+    """``pool.submit(fn, *args)``; on a pool that a lost worker broke, a
+    future that raises the pool's error, as the cells it was running do."""
+    try:
+        return pool.submit(fn, *args)
+    except BrokenExecutor as exc:
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
+
+
+def _cell_result(future: Future) -> CellResult:
+    """The future's result, or a failed cell naming the broken pool when a
+    lost worker broke it before the cell finished."""
+    try:
+        return future.result()
+    except BrokenExecutor as exc:
+        return CellResult((), None, None, failed=True, error=f"{type(exc).__name__}: {exc}")
+
+
 def _snapshot_tasks(plan: ExperimentPlan) -> Iterator[tuple[str, functools.partial]]:
     """Per snapshot, in plan order, its name and :func:`run_cell` bound to
     its graph and folds.  Lazy: a snapshot is simulated and its folds drawn
@@ -383,7 +405,7 @@ def _snapshot_tasks(plan: ExperimentPlan) -> Iterator[tuple[str, functools.parti
 
 
 def _snapshot_report(cells: tuple[str, ...], name: str, futures: list[Future]) -> SnapshotReport:
-    results = {cell: future.result() for cell, future in zip(cells, futures)}
+    results = {cell: _cell_result(future) for cell, future in zip(cells, futures)}
     return SnapshotReport(name=name, cells=results, best_cell=_best_cell(results),
                           hypothesis=_snapshot_hypothesis(results))
 
@@ -394,6 +416,9 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
 
     Each cell builds its own representative inside its fault boundary, so a
     cell whose build or training raises is recorded and the run completes.
+    A pool worker that dies (a crash, a kill) breaks the pool: the results
+    already returned are kept, every cell not yet finished is recorded as
+    failed with the pool's error, and the run completes.
     Every (snapshot, cell) task goes through one stream.  With more than one
     worker (``plan.workers``, capped at one per core this process may run
     on, 0 meaning that many) and more than one task, one fork pool (BLAS
@@ -413,7 +438,7 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     workers = min(plan.workers or cores, cores, plan.networks * plan.snapshots * len(plan.cells))
     snapshots: list[SnapshotReport] = []
     with _pool(workers) if workers > 1 else _one_blas_thread() as pool:
-        submit = pool.submit if pool is not None else _run_now
+        submit = functools.partial(_submit, pool) if pool is not None else _run_now
         previous = None
         for name, cell_on_snapshot in _snapshot_tasks(plan):
             futures = [submit(cell_on_snapshot, cell) for cell in plan.cells]

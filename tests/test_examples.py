@@ -52,6 +52,14 @@ def tool_env():
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
 
 
+def assert_one_machine_block(report):
+    # every tool records socsim._openblas.machine_facts() once, as "machine"
+    assert list(report["machine"]) == ["nproc", "python", "numpy", "blas", "blas_threads",
+                                       "blas_core"]
+    assert not {"nproc", "python", "numpy", "blas", "blas_threads", "blas_core"} & set(report)
+    assert report["machine"]["blas_threads"] == 1
+
+
 def test_cell_faults_tool_prints_one_json_object():
     env = tool_env()
     out = subprocess.run(
@@ -60,7 +68,7 @@ def test_cell_faults_tool_prints_one_json_object():
     ).stdout
     report = json.loads(out)
     assert report["folds"] == 10 and report["seed"] == 2026
-    assert report["blas"]["threads"] == 1
+    assert_one_machine_block(report)
     (run,) = report["cells"]["F"]
     assert run["error"] == ""
     assert 0.0 <= run["mean_acc"] <= 1.0
@@ -75,7 +83,7 @@ def test_graph_kernel_bench_tool_finds_every_kernel_identical(tmp_path):
         capture_output=True, text=True, env=tool_env(), timeout=300, check=True,
     )
     report = json.loads(out.read_text())
-    assert report["machine"]["blas_threads"] == 1
+    assert_one_machine_block(report)
     assert [len(report["sets"][name]["graphs"]) for name in ("sim_build", "desk", "dense")] == [6, 9, 3]
     for group in report["sets"].values():
         for row in group["graphs"]:
@@ -90,6 +98,7 @@ def test_gcn_digest_tool_digests_every_config_of_its_grid():
         capture_output=True, text=True, env=tool_env(), timeout=300, check=True,
     ).stdout
     report = json.loads(out)
+    assert_one_machine_block(report)
     assert (report["n"], report["folds"], report["epochs"]) == (60, 3, 2)
     assert report["configs"] == len(report["digests"]) == 192
     combined = hashlib.sha256()
@@ -113,7 +122,7 @@ def test_g_products_tool_times_both_forms_on_each_side_of_the_rule(tmp_path):
         capture_output=True, text=True, env=tool_env(), timeout=300, check=True,
     )
     report = json.loads(out.read_text())
-    assert report["machine"]["blas_threads"] == 1
+    assert_one_machine_block(report)
     rows = report["products"]
     assert [(r["n"], r["width"], r["side"]) for r in rows] == [
         (n, width, side) for n in (500, 501) for width in (1, 4) for side in ("g", "g.T")]
@@ -131,7 +140,7 @@ def test_epoch_bench_tool_times_every_part_of_an_epoch():
         capture_output=True, text=True, env=tool_env(), timeout=120, check=True,
     ).stdout
     report = json.loads(out)
-    assert report["machine"]["blas_threads"] == 1
+    assert_one_machine_block(report)
     assert (report["n"], report["k"], report["epochs"]) == (40, 3, 2)
     assert list(report["cells"]) == ["FTvanilla", "SFTvanilla", "F", "T", "TLR"]
     for cell, row in report["cells"].items():
@@ -147,3 +156,22 @@ def test_epoch_bench_tool_times_every_part_of_an_epoch():
         # F takes no G product, every other cell does
         assert (parts["_propagate"]["ms"] == 0) == (cell == "F")
         assert parts["_forward"]["ms"] >= parts["keep_masks"]["ms"]
+
+
+def test_representative_bench_tool_finds_every_build_identical(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_representatives.py"), "--repeat", "1",
+         "--out", str(out)],
+        capture_output=True, text=True, env=tool_env(), timeout=300, check=True,
+    )
+    report = json.loads(out.read_text())
+    assert_one_machine_block(report)
+    # the 13 distinct specs of the grid on one sim_build graph and three desk ones
+    assert [len(report["sets"][name]["builds"]) for name in ("sim_build", "desk")] == [13, 39]
+    for name, group in report["sets"].items():
+        for row in group["builds"]:
+            assert row["identical"], (name, row["graph"], row["kind"], row["thresholds"])
+            assert row["before"]["ms"] > 0 and row["after"]["ms"] > 0
+        assert all(kind["identical"] for kind in group["per_kind"].values())
+    assert list(report["sets"]["sim_build"]["rss_growth"]) == ["adjacency", "katz", "rpr", "gg"]

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from reference_graph import dense_bfs, dense_walk_indicators
 from socsim.graph import (
     SocialGraph,
     decode_pairs,
@@ -184,34 +185,6 @@ def test_shortest_paths_match_floyd_warshall():
         pairs = list(itertools.combinations(range(n), 2))
         g = make_graph(n, [p for p in pairs if rng.random() < 0.1])
         assert np.array_equal(shortest_path_matrix(g), floyd_warshall(dense_adjacency(g)))
-
-
-def dense_walk_indicators(adj, max_length):
-    """Reference: boolean powers as float matrix products."""
-    a = adj > 0
-    power, out = a, []
-    for _ in range(2, max_length + 1):
-        power = (power.astype(np.float64) @ a.astype(np.float64)) > 0
-        out.append(power)
-    return out
-
-
-def dense_bfs(adj):
-    """Reference: level-synchronous BFS from every source, one dense
-    frontier @ adjacency product per level."""
-    n = adj.shape[0]
-    a = adj > 0
-    sp = np.full((n, n), np.inf)
-    np.fill_diagonal(sp, 0.0)
-    reached = np.eye(n, dtype=bool)
-    frontier, dist = reached, 0
-    while True:
-        dist += 1
-        frontier = ((frontier.astype(np.float64) @ a.astype(np.float64)) > 0) & ~reached
-        if not frontier.any():
-            return sp
-        sp[frontier] = dist
-        reached |= frontier
 
 
 def assert_walks_match_dense(g, max_length):

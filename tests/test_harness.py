@@ -3,6 +3,7 @@ import contextlib
 import gc
 import json
 import os
+import platform
 import subprocess
 import sys
 import weakref
@@ -259,6 +260,65 @@ def test_stream_across_networks_matches_serial_with_a_failing_cell(monkeypatch):
     assert by_name["1-0"].cells["FTkatz0.0-0.5"].error == "RuntimeError: injected fault"
 
 
+def _worker_dies_on_the_last_cell(graph, cell, test_masks, **kwargs):
+    """run_cell, except that the worker given cell TLR of snapshot 0-1 dies
+    at once; module-level, so the pool pickles it by name."""
+    if cell == "TLR" and kwargs["snapshot"] == 1:
+        os._exit(9)
+    return run_cell(graph, cell, test_masks, **kwargs)
+
+
+def test_a_lost_worker_fails_its_unfinished_cells_not_the_run(tmp_path, monkeypatch):
+    plan = tiny_plan(workers=2, gcn=replace(tiny_plan().gcn, epochs=3))
+    clean = emit_report(run_experiment(replace(plan, workers=1)), tmp_path / "clean")
+    spawned = []
+
+    class CountedPool(harness.ProcessPoolExecutor):
+        def _spawn_process(self):
+            spawned.append(self)
+            super()._spawn_process()
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(harness, "run_cell", _worker_dies_on_the_last_cell)
+    (tmp_path / "plan.json").write_text(json.dumps(plan.to_dict()))
+    assert cli.main(["experiment", "--plan", str(tmp_path / "plan.json"),
+                     "--out", str(tmp_path / "run")]) == 3
+    assert len(spawned) == 2  # the two workers, and no replacement
+    want = json.loads(clean["report"].read_text())["snapshots"]
+    got = json.loads((tmp_path / "run" / "report.json").read_text())["snapshots"]
+    assert [snap["name"] for snap in got] == ["0-0", "0-1"]
+    lost = got[1]["cells"]["TLR"]
+    assert lost["failed"] and lost["error"].startswith("BrokenProcessPool: ")
+    kept = 0
+    for mine, theirs in zip(got, want):
+        for cell, result in mine["cells"].items():
+            if result["failed"]:
+                assert result["error"].startswith("BrokenProcessPool: "), cell
+            else:
+                assert json.dumps(result) == json.dumps(theirs["cells"][cell]), cell
+                kept += 1
+    # every other task was taken, and all but the one the other worker was
+    # running had returned, before the last one killed its worker
+    assert kept >= 6
+
+
+def test_a_broken_pool_at_submit_fails_every_cell_it_refuses(monkeypatch):
+    class BrokenPool(contextlib.nullcontext):
+        def __init__(self, **kwargs):
+            super().__init__(self)
+
+        def submit(self, fn, *args):
+            raise concurrent.futures.BrokenExecutor("pool broken")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", BrokenPool)
+    report = run_experiment(tiny_plan(workers=2))
+    assert [(snap.name, snap.best_cell, snap.hypothesis) for snap in report.snapshots] == [
+        ("0-0", "", None), ("0-1", "", None)]
+    for snap in report.snapshots:
+        assert {cell: (result.failed, result.error) for cell, result in snap.cells.items()} == {
+            cell: (True, "BrokenExecutor: pool broken") for cell in tiny_plan().cells}
+
+
 def test_one_cell_plan_pools_over_its_snapshots(monkeypatch):
     pools = _count_pools(monkeypatch)
     plan = tiny_plan(cells=("FTvanilla",), snapshots=2, workers=2)
@@ -346,6 +406,37 @@ def test_serial_cells_run_blas_on_one_thread_and_the_callers_count_survives(monk
         assert _openblas.blas_threads() == 2
     finally:
         setter(before)
+
+
+def test_machine_facts_hold_the_six_keys_every_tool_prints():
+    facts = _openblas.machine_facts()
+    assert list(facts) == ["nproc", "python", "numpy", "blas", "blas_threads", "blas_core"]
+    assert facts["nproc"] == len(os.sched_getaffinity(0))
+    assert facts["python"] == platform.python_version()
+    assert facts["numpy"] == np.__version__
+    assert facts["blas_threads"] == _openblas.blas_threads()
+
+
+def test_machine_facts_read_the_blas_thread_count_in_force():
+    if _openblas._blas_thread_setter() is None or _openblas.blas_threads() is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread setter and getter")
+    with _openblas._one_blas_thread():
+        assert _openblas.machine_facts()["blas_threads"] == 1
+
+
+def test_machine_facts_name_the_kernel_set_openblas_was_told_to_take():
+    core = _openblas.machine_facts()["blas_core"]
+    if core is None:
+        pytest.skip("numpy bundles no OpenBLAS with a core-name getter")
+    if core == "Haswell":
+        pytest.skip("this process already runs OpenBLAS's Haswell kernels")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = os.environ | {"OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "from socsim._openblas import machine_facts; print(machine_facts()['blas_core'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.split() == ["Haswell"]
 
 
 def test_pool_has_at_most_one_worker_per_core(monkeypatch):

@@ -35,8 +35,8 @@ compare with the same script:
     PYTHONPATH=src python3 tools/bench_epoch.py > new.json
 
 A warm-up epoch, untimed, first writes each run's workspace.  BLAS is pinned
-to one thread before numpy is imported, as in perfbench, and the thread
-count OpenBLAS then reports is recorded.
+to one thread before numpy is imported, as in perfbench, and
+``socsim._openblas.machine_facts()`` is recorded as the ``machine`` block.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from bench_graph_kernels import machine  # noqa: E402
 from socsim import gcn  # noqa: E402
+from socsim._openblas import machine_facts  # noqa: E402
 from socsim.gcn import GcnConfig, GcnModel, TrainInputs  # noqa: E402
 from socsim.harness import desk_sim_config, make_folds, parse_cell  # noqa: E402
 from socsim.rng import derive_rng  # noqa: E402
@@ -197,8 +197,9 @@ def main(argv: list[str] | None = None) -> int:
         inputs = TrainInputs(g_matrix=build_representative(graph, spec).matrix, x=graph.features,
                              labels=graph.sdna_of, train_mask=~test, test_mask=test)
         cells[cell] = bench_cell(cell, inputs, args.k, args.epochs, args.repeat)
-    print(json.dumps({"machine": machine(), "n": graph.n, "k": args.k, "epochs": args.epochs,
-                      "repeat": args.repeat, "seed": args.seed, "cells": cells}, indent=1))
+    print(json.dumps({"machine": machine_facts(), "n": graph.n, "k": args.k,
+                      "epochs": args.epochs, "repeat": args.repeat, "seed": args.seed,
+                      "cells": cells}, indent=1))
     return 0
 
 

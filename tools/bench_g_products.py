@@ -13,8 +13,8 @@ and records whether every fold's columns of the stacked product equal its
 own product bit for bit (``identical``) and whether ``socsim.gcn._stacked``
 takes that product stacked (``rule_stacks``).  Each time is the median of
 ``--repeat`` calls, in milliseconds.  BLAS is pinned to one thread before
-numpy is imported, as in perfbench, and the thread count OpenBLAS then
-reports is recorded.
+numpy is imported, as in perfbench, and
+``socsim._openblas.machine_facts()`` is recorded as the ``machine`` block.
 
     PYTHONPATH=src python3 tools/bench_g_products.py --out times.json
 """
@@ -30,7 +30,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from bench_graph_kernels import _median_ms, machine  # noqa: E402
+from bench_graph_kernels import _median_ms  # noqa: E402
+from socsim._openblas import machine_facts  # noqa: E402
 from socsim.gcn import _stacked  # noqa: E402
 
 
@@ -66,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
     rng = np.random.default_rng(args.seed)
     products = [row for n in args.n for k in args.folds for width in args.width
                 for row in time_products(n, k, width, args.repeat, rng)]
-    doc = {"machine": machine(), "repeat": args.repeat, "products": products}
+    doc = {"machine": machine_facts(), "repeat": args.repeat, "products": products}
     text = json.dumps(doc, indent=1)
     if args.out:
         with open(args.out, "w") as f:

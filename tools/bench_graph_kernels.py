@@ -9,14 +9,15 @@ writes it with ``--out``):
     round_head            the floor(t * |open pairs|) pairs a snapshot round
                           connects, taken from the pairs one round scores
 
-"before" is the dense formula each kernel used to run, kept here as the
-reference: float64 n x n products for the walk powers (packed by
-``np.packbits``) and the BFS levels, left-to-right A^x = A^(x-1) A for
-Katz, and the head of a stable descending argsort for the round.  "after"
-is the code the pipeline runs: ``walk_bit_rows`` (its rows cut to the
-``np.packbits`` bytes), ``shortest_path_matrix``, ``katz_matrix`` and
-``sdna._top_pairs``.  Every pair of outputs is compared byte for byte and
-the result is recorded as ``identical``.
+"before" is the dense formula each kernel used to run: float64 n x n
+products for the walk powers (packed here by ``np.packbits``) and the BFS
+levels, both from ``tests/reference_graph.py``, the tests' own reference;
+left-to-right A^x = A^(x-1) A for Katz; and the head of a stable descending
+argsort for the round.  "after" is the code the pipeline runs:
+``walk_bit_rows`` (its rows cut to the ``np.packbits`` bytes),
+``shortest_path_matrix``, ``katz_matrix`` and ``sdna._top_pairs``.  Every
+pair of outputs is compared byte for byte and the result is recorded as
+``identical``.
 
 The graph sets:
 
@@ -27,7 +28,7 @@ The graph sets:
                the density where the dense products start to win
 
 BLAS is pinned to one thread before numpy is imported, as in perfbench, and
-the thread count OpenBLAS then reports is recorded.
+``socsim._openblas.machine_facts()`` is recorded as the ``machine`` block.
 Each time is the median of ``--repeat`` calls, in milliseconds.
 
     PYTHONPATH=src python3 tools/bench_graph_kernels.py --out BENCH_graph_kernels.json
@@ -39,17 +40,18 @@ import argparse
 import json
 import math
 import os
-import platform
 import statistics
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402
 
-from socsim._openblas import blas_threads  # noqa: E402
+from socsim._openblas import machine_facts  # noqa: E402
 from socsim.graph import (  # noqa: E402
     decode_pairs,
     dense_adjacency,
@@ -67,33 +69,11 @@ from socsim.sdna import (  # noqa: E402
 )
 from socsim.similarity import katz_matrix  # noqa: E402
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference_graph import dense_bfs, dense_walk_indicators  # noqa: E402
+
 WALK_LENGTH = 4
 KATZ_BETA, KATZ_POWER = 0.005, 5
-
-
-def dense_walk_bits(adjacency, max_length):
-    a = (adjacency > 0).astype(np.float64)
-    power, out = a, []
-    for _ in range(2, max_length + 1):
-        power = (power.astype(np.float64) @ a) > 0
-        out.append(np.packbits(power, axis=1))
-    return out
-
-
-def dense_shortest_paths(adjacency):
-    n = adjacency.shape[0]
-    a = (adjacency > 0).astype(np.float64)
-    sp = np.full((n, n), np.inf)
-    np.fill_diagonal(sp, 0.0)
-    reached = np.eye(n, dtype=bool)
-    frontier, dist = reached, 0
-    while True:
-        dist += 1
-        frontier = ((frontier.astype(np.float64) @ a) > 0) & ~reached
-        if not frontier.any():
-            return sp
-        sp[frontier] = dist
-        reached |= frontier
 
 
 def left_to_right_katz(adjacency, beta, max_power):
@@ -132,9 +112,10 @@ def bench_graph(graph, sdnas, cfg, round_seed, repeat) -> dict:
     row["scored_pairs"] = len(scores)
     row_bytes = -(-n // 8)  # walk_bit_rows pads each row to whole 64-bit words
     kernels = {
-        "walk_bit_rows": (lambda: dense_walk_bits(adjacency, WALK_LENGTH),
+        "walk_bit_rows": (lambda: [np.packbits(power, axis=1)
+                                   for power in dense_walk_indicators(adjacency, WALK_LENGTH)],
                           lambda: [r[:, :row_bytes] for r in walk_bit_rows(graph, WALK_LENGTH)]),
-        "shortest_path_matrix": (lambda: dense_shortest_paths(adjacency),
+        "shortest_path_matrix": (lambda: dense_bfs(adjacency),
                                  lambda: shortest_path_matrix(graph)),
         "katz_matrix": (lambda: left_to_right_katz(adjacency, KATZ_BETA, KATZ_POWER),
                         lambda: katz_matrix(graph, KATZ_BETA, KATZ_POWER)),
@@ -161,13 +142,6 @@ def graph_sets(seed: int):
                           for share in (0.3, 0.5, 0.7)]
 
 
-def machine() -> dict:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-            "numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
-            "blas_threads": blas_threads()}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
@@ -184,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
                   for kernel in ("walk_bit_rows", "shortest_path_matrix", "katz_matrix",
                                  "round_head")}
         sets[name] = {"graphs": rows, "totals": totals}
-    doc = {"topic": "graph_kernels", "machine": machine(), "seed": args.seed,
+    doc = {"topic": "graph_kernels", "machine": machine_facts(), "seed": args.seed,
            "repeat": args.repeat, "walk_length": WALK_LENGTH,
            "katz": {"beta": KATZ_BETA, "max_power": KATZ_POWER}, "sets": sets}
     text = json.dumps(doc, indent=1) + "\n"

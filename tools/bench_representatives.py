@@ -39,7 +39,7 @@ representative calls.  That part uses only the CLI, so it can be pointed at
 another checkout's ``src`` through PYTHONPATH.
 
 BLAS is pinned to one thread before numpy is imported, as in perfbench, and
-the thread count OpenBLAS then reports is recorded.
+``socsim._openblas.machine_facts()`` is recorded as the ``machine`` block.
 
     PYTHONPATH=src python3 tools/bench_representatives.py --phase 8 --out rep_bench.json
 """
@@ -67,7 +67,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from bench_graph_kernels import machine  # noqa: E402
+from socsim._openblas import machine_facts  # noqa: E402
 from socsim.cli import main as socsim_main  # noqa: E402
 from socsim.graph import SocialGraph, load_graph_dir, save_graph_dir  # noqa: E402
 from socsim.harness import default_model_grid, desk_sim_config, parse_cell  # noqa: E402
@@ -232,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="write the JSON here instead of stdout")
     args = parser.parse_args(argv)
 
-    doc = {"topic": "representative_builds", "machine": machine(), "seed": args.seed,
+    doc = {"topic": "representative_builds", "machine": machine_facts(), "seed": args.seed,
            "repeat": args.repeat}
     if not args.phase_only:
         sets = {}

@@ -4,9 +4,9 @@ Simulates one desk snapshot (n=200, f=20, y=4), then cross-validates each
 named cell on it (10 folds x 200 epochs, the paper's shape) and prints one
 JSON object: per cell the minor page faults the process took while the cell
 trained (``getrusage`` ``ru_minflt``), its wall seconds and its mean
-accuracy, plus the machine facts.  BLAS is pinned to one thread before
-numpy is imported, as in perfbench, and the thread count OpenBLAS then
-reports is recorded.
+accuracy.  BLAS is pinned to one thread before numpy is imported, as in
+perfbench, and ``socsim._openblas.machine_facts()`` is recorded as the
+``machine`` block.
 
     PYTHONPATH=src python3 tools/cell_faults.py --seed 2026 --repeat 2
 
@@ -25,20 +25,12 @@ import time
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import numpy as np  # noqa: E402
-
-from socsim._openblas import blas_threads  # noqa: E402
+from socsim._openblas import machine_facts  # noqa: E402
 from socsim.harness import desk_sim_config, make_folds, run_cell  # noqa: E402
 from socsim.gcn import GcnConfig  # noqa: E402
 from socsim.sdna import iter_snapshots  # noqa: E402
 
 CELLS = ("FTvanilla", "SFTvanilla", "F", "T", "TLR")
-
-
-def _blas() -> dict:
-    info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"name": info.get("name"), "version": info.get("version"),
-            "threads": blas_threads()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -63,9 +55,8 @@ def main(argv: list[str] | None = None) -> int:
             runs.append({"minor_faults": faults, "wall_s": round(wall, 3),
                          "mean_acc": result.mean, "error": result.error})
         cells[cell] = runs
-    print(json.dumps({"nproc": len(os.sched_getaffinity(0)), "numpy": np.__version__,
-                      "blas": _blas(), "seed": args.seed, "folds": 10, "epochs": base.epochs,
-                      "cells": cells}, indent=1))
+    print(json.dumps({"machine": machine_facts(), "seed": args.seed, "folds": 10,
+                      "epochs": base.epochs, "cells": cells}, indent=1))
     return 0
 
 

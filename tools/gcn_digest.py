@@ -20,8 +20,10 @@ through ``_init_params``, ``_Workspace``, ``_Rows``, ``_fit`` and
 and equal ``combined`` digests mean bit-identical training over the grid.
 Past n = 500 the 4-class output layer's G products are taken for all folds
 at once (``socsim.gcn._stacked``), so ``--n 520`` or ``--n 800`` checks
-that path too.
-BLAS is pinned to one thread before numpy is imported.
+that path too.  The digests depend on the BLAS kernel set and thread count,
+so ``socsim._openblas.machine_facts()`` is printed beside them as the
+``machine`` block, outside ``combined``.  BLAS is pinned to one thread
+before numpy is imported.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
+from socsim._openblas import machine_facts  # noqa: E402
 from socsim.gcn import (  # noqa: E402
     GcnConfig, GcnModel, TrainInputs, _fit, _forward, _init_params, _Rows, _Workspace)
 from socsim.harness import desk_sim_config, make_folds  # noqa: E402
@@ -93,9 +96,9 @@ def main(argv: list[str] | None = None) -> int:
                f"classes={classes} dropout={dropout} G={kind}")
         configs[key] = _digest(model, probs)
         combined.update(json.dumps([key, configs[key]]).encode())
-    print(json.dumps({"n": graph.n, "folds": len(SEEDS), "epochs": args.epochs,
-                      "configs": len(configs), "combined": combined.hexdigest(),
-                      "digests": configs}, indent=1))
+    print(json.dumps({"machine": machine_facts(), "n": graph.n, "folds": len(SEEDS),
+                      "epochs": args.epochs, "configs": len(configs),
+                      "combined": combined.hexdigest(), "digests": configs}, indent=1))
     return 0
 
 
