@@ -54,6 +54,23 @@ it alone at every width.  Hidden widths that are not a multiple of 8, such
 as 12 and 20, thus stay per fold while n * n * width <= 10^6: stacked
 there, they changed their last bits (no shipped plan uses such widths).
 
+A row rule goes with that column rule.  In the renormalized adjacency a
+node with no neighbour has a lone row, whose only non-zero is its
+diagonal, and friendship snapshots have many.  Where the width per fold
+is a multiple of 32 (every default hidden layer, and t's W0;
+``_by_live_rows()`` is the rule), the same kernels give G[live] @ [H_1
+... H_k], over all n columns, the bits of those rows of the full product,
+and diag * h + 0.0 is what BLAS writes for a lone row.  So a G with at least LONE_ROWS_TO_PAY lone rows keeps one
+copy of its live rows for a run and multiplies only those (``_LiveRows``);
+its G.T products reuse the copy where G equals its transpose bit for bit,
+as every adjacency and binarized ("auto") G does, and are taken whole
+elsewhere.  The rule reads G and the width per fold, never k, so a fold
+trained alone takes the path its stack takes.  It is a fact of the
+AVX-512 kernels: under OPENBLAS_CORETYPE=Haswell the live rows differ
+from the full product at widths 32-320 at some n.  Parity holds for
+finite h; a non-finite entry of a fold's h still reaches every live row
+of its columns, through G[live]'s zero columns.
+
 A training run allocates its arrays once, in a workspace that every epoch
 reuses, and writes them with ``out=`` in the same arithmetic and order as
 fresh arrays, so no result depends on it.  The forward pass names each
@@ -351,8 +368,64 @@ class _Rows:
 def _stacked(n: int, width: int) -> bool:
     """Whether G products over n nodes, ``width`` columns per fold, are
     taken for all folds at once: where OpenBLAS gives each fold's columns
-    of G @ [H_1 ... H_k] the bits of G @ H_i (see the module docstring)."""
+    of G @ [H_1 ... H_k] the bits of G @ H_i (the column rule; see the
+    module docstring)."""
     return width % 8 == 0 or (width >= 2 and n * n * width > 10**6)
+
+
+def _by_live_rows(width: int) -> bool:
+    """Whether a stacked G product, ``width`` columns per fold, may take
+    only G's live rows through BLAS (the row rule; see the module
+    docstring): where OpenBLAS gives G[live] @ [H_1 ... H_k], over all n
+    columns, the bits of those rows of G @ [H_1 ... H_k]."""
+    return width % 32 == 0
+
+
+# Skipping G's lone rows saves lone rows x n x width of BLAS work and costs
+# a pass over n x width and a scatter of the live rows, so the break-even
+# count hardly moves with n or width: about 40 lone rows at n = 200 (10
+# folds) and between 40 and 80 at n = 800 (3 folds), 32 columns per fold
+# (tools/bench_g_products.py, BENCH_live_rows.json).  A G takes the
+# live-row path from this many lone rows on.
+LONE_ROWS_TO_PAY = 64
+
+
+def _live_rows(g: np.ndarray) -> np.ndarray:
+    """The indices of G's live rows, those with an off-diagonal non-zero."""
+    return np.flatnonzero(np.count_nonzero(g, axis=1) - (np.diagonal(g) != 0))
+
+
+class _LiveRows:
+    """What G products that skip G's lone rows read: the live ``rows``, one
+    contiguous copy of them, ``g`` (M' x n), G's diagonal, whether G equals
+    its transpose bit for bit (``symmetric``: the copy then serves G.T
+    products too) and one buffer for the live rows' products, ``width``
+    columns wide at most."""
+
+    def __init__(self, g: np.ndarray, rows: np.ndarray, width: int):
+        self.rows, self.g, self.diag = rows, g[rows], np.diagonal(g).copy()
+        bits = g.view(f"u{g.itemsize}") if g.dtype.kind == "f" else g
+        self.symmetric = bool(np.array_equal(bits, bits.T))
+        self._live = np.empty(len(rows) * width)
+
+    @classmethod
+    def of(cls, g: np.ndarray, width: int) -> "_LiveRows | None":
+        """G's live rows, where G has at least LONE_ROWS_TO_PAY lone rows;
+        else None."""
+        rows = _live_rows(g)
+        return cls(g, rows, width) if len(g) - len(rows) >= LONE_ROWS_TO_PAY else None
+
+    def product(self, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """G @ h for an (n, width) ``h``, written into the C-contiguous
+        ``out``: each lone row as diag * h + 0.0 (the + 0.0 turns a -0.0
+        into the +0.0 BLAS writes; einsum adds each product to a zeroed
+        ``out``, in one pass), then the live rows from one BLAS product of
+        the copy over all n columns, so a non-finite entry of a column of h
+        reaches every live row of it, as in the full product."""
+        np.einsum("ij,i->ij", h, self.diag, out=out)
+        rows_out = self._live[:len(self.rows) * h.shape[1]].reshape(len(self.rows), -1)
+        out[self.rows] = np.matmul(self.g, h, out=rows_out)
+        return out
 
 
 def _stack(flat: np.ndarray, k: int, n: int, width: int, wide: bool = False) -> np.ndarray:
@@ -367,19 +440,25 @@ def _stack(flat: np.ndarray, k: int, n: int, width: int, wide: bool = False) -> 
     return flat.reshape(n, k, width).transpose(1, 0, 2)
 
 
-def _propagate(g: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _propagate(g: np.ndarray, h: np.ndarray, out: np.ndarray,
+               live: _LiveRows | None = None) -> np.ndarray:
     """``g @ h[i]`` for every fold i, written into ``out``, laid out as a
     _stack().  Where _stacked() holds it takes one product over the folds'
     side-by-side columns, ``g @ [h_1 ... h_k]`` (h is copied only when it
-    is not laid out that way, while an ``out`` that is not raises); elsewhere
-    one product per fold."""
+    is not laid out that way, while an ``out`` that is not raises); of
+    that product only g's live rows go through BLAS, into ``live``'s own
+    buffer, where ``live`` holds them and _by_live_rows() holds.  Elsewhere
+    it takes one product per fold."""
     k, n, width = h.shape
     if not _stacked(n, width):
         return np.matmul(g, h, out=out)
     wide = h.transpose(1, 0, 2).reshape(n, k * width)
     wide_out = out.transpose(1, 0, 2)
     wide_out.shape = (n, k * width)  # a view or an error, never a copy left unwritten
-    np.matmul(g, wide, out=wide_out)
+    if live is not None and _by_live_rows(width):
+        live.product(wide, wide_out)
+    else:
+        np.matmul(g, wide, out=wide_out)
     return out
 
 
@@ -408,7 +487,11 @@ class _Workspace:
     (``prop0``): None where it is the identity, else G @ X (X for f),
     computed once; S scales it per fold, into a stack laid out side by
     side at every n, since no G product reads it, where S's gradient then
-    forms."""
+    forms.  Where G has enough lone rows and a G product's width per fold
+    passes _by_live_rows(), ``live`` holds G's live rows for the G products
+    and ``live_t`` the same object for the G.T ones, if G equals its
+    transpose (else None, and G.T products are taken whole): one
+    M' x n copy per run, and one buffer for the widest such product."""
 
     def __init__(self, model: GcnModel, inputs: TrainInputs):
         cfg, params = model.config, model.params
@@ -419,6 +502,11 @@ class _Workspace:
         x = inputs.x
         self.prop0 = None if self.steps[0].g else x if self.gm is None else self.gm @ x
         self.k, self.n = k, n
+        # an "in" step multiplies G by its input width, an "out" step by its output's
+        widths = [s.fans[s.g == "out"] for s in self.steps if s.g]
+        widest = max(filter(_by_live_rows, widths), default=0)
+        self.live = _LiveRows.of(self.gm, k * widest) if self.gm is not None and widest else None
+        self.live_t = self.live if self.live is not None and self.live.symmetric else None
         self._stacks: dict[str, np.ndarray] = {}
         # laid out like their parameters, so Adam's passes match layouts
         self.grads = {name: np.full_like(p, np.nan) for name, p in params.items()}
@@ -478,10 +566,11 @@ def _forward(model: GcnModel, ws: _Workspace, training: bool = False,
                         out=ws.stack("prop0", h.shape[-1], wide=True))
     for i, step in enumerate(ws.steps):
         kernel, width = params[step.name], step.fans[1]
-        prop = _propagate(gm, h, out=ws.stack(f"prop{i}", h.shape[-1])) if step.g == "in" else h
+        prop = (_propagate(gm, h, ws.stack(f"prop{i}", h.shape[-1]), ws.live)
+                if step.g == "in" else h)
         if step.g == "out":
             hw = kernel if h is None else np.matmul(h, kernel, out=ws.stack(f"hw{i}", width))
-            z = _propagate(gm, hw, out=ws.stack(f"z{i}", width))
+            z = _propagate(gm, hw, ws.stack(f"z{i}", width), ws.live)
         else:  # an "in" step caches G @ h, not h: z takes h's buffer where the widths match
             over_h = step.g == "in" and h.shape[-1] == width
             z = np.matmul(prop, kernel, out=h if over_h else ws.stack(f"z{i}", width))
@@ -525,7 +614,7 @@ def _backward(model: GcnModel, cache: dict, rows: _Rows, ws: _Workspace) -> dict
         grad = grads[step.name]
         if step.g == "out":  # w.r.t. H @ W, the kernel itself where H is the identity
             out = grad if prop is None else ws.stack(f"hw{i}", step.fans[1])
-            dz = _propagate(gm.T, dz, out=out)
+            dz = _propagate(gm.T, dz, out, ws.live_t)
         if prop is not None:
             np.matmul(np.swapaxes(prop, -1, -2), dz, out=grad)
         if i == 0:
@@ -534,7 +623,7 @@ def _backward(model: GcnModel, cache: dict, rows: _Rows, ws: _Workspace) -> dict
         np.copyto(kernel_t, np.swapaxes(params[step.name], 1, 2))
         dh = np.matmul(dz, kernel_t, out=prop)
         if step.g == "in":
-            dh = _propagate(gm.T, dh, out=cache["z"][i - 1])
+            dh = _propagate(gm.T, dh, cache["z"][i - 1], ws.live_t)
         if steps[i - 1].hidden:
             dh *= cache["gate"][steps[i - 1].layer]
         dz = dh

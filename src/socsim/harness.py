@@ -368,15 +368,25 @@ def _run_now(fn, *args) -> Future:
     return future
 
 
-def _submit(pool, fn, *args) -> Future:
-    """``pool.submit(fn, *args)``; on a pool that a lost worker broke, a
-    future that raises the pool's error, as the cells it was running do."""
-    try:
-        return pool.submit(fn, *args)
-    except BrokenExecutor as exc:
-        future: Future = Future()
-        future.set_exception(exc)
-        return future
+def _refused(exc: BrokenExecutor) -> Future:
+    """A future that raises ``exc``, the error of a pool that a lost worker
+    broke, as the cells it was running do."""
+    future: Future = Future()
+    future.set_exception(exc)
+    return future
+
+
+def _submit_cells(submit, fn, cells: tuple[str, ...]) -> tuple[list[Future], BrokenExecutor | None]:
+    """``submit(fn, cell)`` for each cell, and the error of the first submit
+    that met a broken pool, or None: that cell and every later one get a
+    future that raises it."""
+    futures = []
+    for cell in cells:
+        try:
+            futures.append(submit(fn, cell))
+        except BrokenExecutor as exc:
+            return futures + [_refused(exc)] * (len(cells) - len(futures)), exc
+    return futures, None
 
 
 def _cell_result(future: Future) -> CellResult:
@@ -388,17 +398,23 @@ def _cell_result(future: Future) -> CellResult:
         return CellResult((), None, None, failed=True, error=f"{type(exc).__name__}: {exc}")
 
 
+def _snapshot_names(plan: ExperimentPlan) -> list[str]:
+    """Every snapshot's name, ``"<network>-<snapshot>"``, in plan order."""
+    return [f"{net}-{snap}" for net in range(plan.networks) for snap in range(plan.snapshots)]
+
+
 def _snapshot_tasks(plan: ExperimentPlan) -> Iterator[tuple[str, functools.partial]]:
     """Per snapshot, in plan order, its name and :func:`run_cell` bound to
     its graph and folds.  Lazy: a snapshot is simulated and its folds drawn
     when it is asked for."""
+    names = iter(_snapshot_names(plan))
     for net in range(plan.networks):
         sim_cfg = replace(plan.sim, seed=derive_seed(plan.seed, "network", net))
         for snap_idx, (graph, _) in enumerate(iter_snapshots(sim_cfg, plan.snapshots)):
             test_masks = make_folds(
                 graph.sdna_of, plan.folds, derive_seed(plan.seed, "folds", net, snap_idx)
             )
-            yield f"{net}-{snap_idx}", functools.partial(
+            yield next(names), functools.partial(
                 run_cell, graph, test_masks=test_masks, base=plan.gcn,
                 plan_seed=plan.seed, network=net, snapshot=snap_idx,
             )
@@ -418,7 +434,9 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     cell whose build or training raises is recorded and the run completes.
     A pool worker that dies (a crash, a kill) breaks the pool: the results
     already returned are kept, every cell not yet finished is recorded as
-    failed with the pool's error, and the run completes.
+    failed with the pool's error, and the run completes.  From the first
+    submit that meets the broken pool no further snapshot is simulated:
+    every cell of every later snapshot fails with that error.
     Every (snapshot, cell) task goes through one stream.  With more than one
     worker (``plan.workers``, capped at one per core this process may run
     on, 0 meaning that many) and more than one task, one fork pool (BLAS
@@ -438,14 +456,20 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     workers = min(plan.workers or cores, cores, plan.networks * plan.snapshots * len(plan.cells))
     snapshots: list[SnapshotReport] = []
     with _pool(workers) if workers > 1 else _one_blas_thread() as pool:
-        submit = functools.partial(_submit, pool) if pool is not None else _run_now
-        previous = None
+        submit = pool.submit if pool is not None else _run_now
+        previous = broken = None
         for name, cell_on_snapshot in _snapshot_tasks(plan):
-            futures = [submit(cell_on_snapshot, cell) for cell in plan.cells]
+            futures, broken = _submit_cells(submit, cell_on_snapshot, plan.cells)
             if previous is not None:
                 snapshots.append(_snapshot_report(plan.cells, *previous))
             previous = name, futures
+            if broken is not None:  # a pool that takes no task: simulate nothing more
+                break
         snapshots.append(_snapshot_report(plan.cells, *previous))
+    if broken is not None:  # every later snapshot's cells fail with the pool's error
+        refused = [_refused(broken)] * len(plan.cells)
+        snapshots += [_snapshot_report(plan.cells, name, refused)
+                      for name in _snapshot_names(plan)[len(snapshots):]]
     echo = {key: value for key, value in plan.to_dict().items() if key != "workers"}
     return ExperimentReport(plan=echo, snapshots=tuple(snapshots))
 

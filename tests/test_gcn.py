@@ -19,6 +19,8 @@ from socsim.gcn import (
     _fit,
     _forward,
     _init_params,
+    _live_rows,
+    _LiveRows,
     _losses,
     _propagate,
     _softmax,
@@ -856,6 +858,23 @@ def test_stacking_rule_at_its_boundary():
     assert _stacked(60, 8) and _stacked(60, 32) and not _stacked(60, 12)
 
 
+def lone_row_gs(n, rng):
+    """Two G over n nodes with about half their rows lone (no off-diagonal
+    non-zero): a renormalized adjacency, equal to its transpose bit for
+    bit, and a copy with its rows scaled, which is not."""
+    linked = rng.random(n) < 0.5
+    a = (np.triu(rng.random((n, n)) < 0.1, 1) & linked & linked[:, None]).astype(float)
+    a += a.T + np.eye(n)
+    dinv = 1.0 / np.sqrt(a.sum(axis=1))
+    a *= dinv[:, None]
+    a *= dinv
+    return a, a * rng.random((n, 1))
+
+
+def same_bits(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 @pytest.mark.parametrize("n", [60, 200, 500, 501, 800])
 def test_g_products_equal_each_fold_alone(n):
     # stacked or fold by fold, as _stacked() says, each fold's columns of
@@ -871,6 +890,52 @@ def test_g_products_equal_each_fold_alone(n):
                 out = _propagate(gm, h, out=_stack(np.empty(k * n * width), k, n, width))
                 for fold in range(k):
                     assert np.array_equal(out[fold], gm @ h[fold]), (k, width, fold)
+    # so are they where only G's live rows go through BLAS (the row rule,
+    # widths that are a multiple of 32) and each lone row is diag * h + 0.0,
+    # down to the sign of h's -0.0 entries; G.T products reuse G's live rows
+    # only where G equals its transpose
+    symmetric, skewed = lone_row_gs(n, rng)
+    for g, bit_symmetric in ((symmetric, True), (skewed, False)):
+        rows = _live_rows(g)
+        lone = np.setdiff1d(np.arange(n), rows)
+        assert 0.3 * n < len(lone) < 0.7 * n
+        for k in (3, 10):
+            for width in (8, 32, 64):
+                live = _LiveRows(g, rows, k * width)
+                assert live.symmetric == bit_symmetric
+                h = _stack(np.empty(k * n * width), k, n, width)
+                h[...] = rng.normal(size=h.shape)
+                h[:, lone, ::2] = -0.0
+                for gm, gm_live in ((g, live), (g.T, live if live.symmetric else None)):
+                    out = _propagate(gm, h, _stack(np.empty(k * n * width), k, n, width),
+                                     gm_live)
+                    for fold in range(k):
+                        assert same_bits(out[fold], gm @ h[fold]), (k, width, fold)
+
+
+@pytest.mark.parametrize("variant", ["ftvanilla", "t"])
+def test_live_row_products_train_the_bits_of_full_ones(variant, monkeypatch):
+    # a G with lone rows takes the live-row path, in a stack and for each
+    # fold alone, and trains the parameters of full G products bit for bit
+    n, seeds = 200, (4, 5, 6)
+    rng = np.random.default_rng(8)
+    cfg = small_cfg(variant=variant, layer_units=(32, 32), dropout_p=0.5, epochs=5)
+    for g in lone_row_gs(n, rng):
+        folds = fold_inputs(TrainInputs(
+            g_matrix=g, x=rng.random((n, 3)), labels=np.arange(n) % 2,
+            train_mask=np.ones((1, n), dtype=bool), test_mask=np.zeros((1, n), dtype=bool)))
+        model = GcnModel(cfg, _init_params(cfg, seeds, *folds.x.shape))
+        assert _Workspace(model, folds).live is not None
+        stack = fit_stack(folds, cfg, seeds)
+        for fold, seed in enumerate(seeds):
+            for name, param in fit_stack(one_fold(folds, fold), cfg, [seed]).items():
+                assert same_bits(stack[name][fold], param[0]), (fold, name)
+        with monkeypatch.context() as patched:
+            patched.setattr(gcn, "LONE_ROWS_TO_PAY", n + 1)
+            assert _Workspace(model, folds).live is None
+            full = fit_stack(folds, cfg, seeds)
+        for name, param in stack.items():
+            assert same_bits(param, full[name]), name
 
 
 def test_propagate_raises_for_an_out_it_cannot_write():

@@ -310,8 +310,19 @@ def test_a_broken_pool_at_submit_fails_every_cell_it_refuses(monkeypatch):
         def submit(self, fn, *args):
             raise concurrent.futures.BrokenExecutor("pool broken")
 
+    simulated = []
+
+    def counted(cfg, count):
+        for snapshot in iter_snapshots(cfg, count):
+            simulated.append(snapshot)
+            yield snapshot
+
     monkeypatch.setattr(harness, "ProcessPoolExecutor", BrokenPool)
+    monkeypatch.setattr(harness, "iter_snapshots", counted)
     report = run_experiment(tiny_plan(workers=2))
+    # the first refused submit ends the simulation; the later snapshot is
+    # named from the plan and fails whole
+    assert len(simulated) == 1
     assert [(snap.name, snap.best_cell, snap.hypothesis) for snap in report.snapshots] == [
         ("0-0", "", None), ("0-1", "", None)]
     for snap in report.snapshots:

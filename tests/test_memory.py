@@ -16,10 +16,14 @@ headroom over the measured peaks (numpy 2.4):
                                          power buffers, RPR called
                                          np.linalg.inv and augment
                                          normalized into a second array)
-  a 10-fold desk fit at n = 200          FTvanilla 10.5, T 14.9 stacks of
+  a 10-fold desk fit at n = 200          FTvanilla 11.3, T 15.8 stacks of
                                          (k, n, 32) float64 (17.7 and 22.2
                                          while every backward stack had
-                                         its own buffer)
+                                         its own buffer; 10.5 and 14.9
+                                         before G's 105 live rows were
+                                         copied, 0.33 stack, beside a
+                                         buffer for their widest product,
+                                         0.53 stack)
 """
 
 import tracemalloc
@@ -28,8 +32,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from socsim.gcn import (GcnConfig, GcnModel, TrainInputs, train_folds, _Rows, _Workspace,
-                        _backward, _forward, _init_params)
+from socsim.gcn import (LONE_ROWS_TO_PAY, GcnConfig, GcnModel, TrainInputs, train_folds, _Rows,
+                        _Workspace, _backward, _forward, _init_params, _propagate)
 from socsim.graph import SocialGraph
 from socsim.harness import desk_sim_config, make_folds
 from socsim.sdna import iter_snapshots
@@ -98,6 +102,46 @@ def test_a_desk_fit_stays_under_the_stack_bound(desk_folds, variant):
     fit()
     stacks = traced_peak(fit) / (k * n * 32 * 8)
     assert stacks <= FIT_STACKS[variant], f"{stacks:.2f} (k, n, 32) stacks"
+
+
+def held_arrays(*objects) -> list[np.ndarray]:
+    """Every array the attributes of ``objects`` hold, through dicts, lists
+    and tuples, once each."""
+    seen, arrays, todo = set(), [], [vars(o) for o in objects]
+    while todo:
+        item = todo.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            arrays.append(item)
+        elif isinstance(item, dict):
+            todo += item.values()
+        elif isinstance(item, (list, tuple)):
+            todo += item
+    return arrays
+
+
+def test_a_fit_on_a_bit_symmetric_g_holds_one_copy_of_its_live_rows(desk_folds):
+    # an adjacency G equals its transpose bit for bit, so its G.T products
+    # reuse the copy of its live rows: no other array holds G's rows, and
+    # a product allocates no array, writing its live rows into the buffer
+    # the copy came with and its lone rows in place
+    cfg = GcnConfig()
+    k, n = desk_folds.train_mask.shape
+    ws = _Workspace(GcnModel(cfg, _init_params(cfg, list(range(k)), *desk_folds.x.shape)),
+                    desk_folds)
+    live = ws.live
+    assert live.symmetric and ws.live_t is live
+    assert n - len(live.rows) >= LONE_ROWS_TO_PAY and live.g.shape == (len(live.rows), n)
+    copies = [a.shape for a in held_arrays(ws, live) if a.ndim == 2 and a.shape[1] == n
+              and not np.shares_memory(a, desk_folds.g_matrix)]
+    assert copies == [live.g.shape]
+    h, out = ws.stack("prop1", 32), ws.stack("z1", 32)
+    h[...] = 1.0
+    for g, g_live in ((ws.gm, ws.live), (ws.gm.T, ws.live_t)):
+        _propagate(g, h, out, g_live)
+        assert traced_peak(lambda: _propagate(g, h, out, g_live)) < 4096
 
 
 # the default net, a narrowing one, one whose widths change at every layer

@@ -11,7 +11,22 @@ forward product, ``g.T`` for the backward one) this times:
 
 and records whether every fold's columns of the stacked product equal its
 own product bit for bit (``identical``) and whether ``socsim.gcn._stacked``
-takes that product stacked (``rule_stacks``).  Each time is the median of
+takes that product stacked (``rule_stacks``).
+
+It also times the stacked product of a G with lone rows (no neighbour),
+the renormalized adjacency D^-1/2 (A + I) D^-1/2 of a graph in which a
+share ``--lone`` of the nodes has none, at each ``--live-n`` with as many
+folds as ``--live-folds`` says at that position, ``--live-width`` columns
+per fold, on both sides (that G equals its transpose bit for bit):
+
+    full  one BLAS product over all n rows
+    live  socsim.gcn._LiveRows: G's live rows from one BLAS product of
+          their copy, each lone row as diag * h + 0.0
+
+and records whether the live product equals the full one bit for bit
+(``identical``) and whether the training workspace takes it
+(``rule_takes``: enough lone rows, a width per fold that is a multiple of
+32, and for G.T a G equal to its transpose).  Each time is the median of
 ``--repeat`` calls, in milliseconds.  BLAS is pinned to one thread before
 numpy is imported, as in perfbench, and
 ``socsim._openblas.machine_facts()`` is recorded as the ``machine`` block.
@@ -32,7 +47,7 @@ import numpy as np  # noqa: E402
 
 from bench_graph_kernels import _median_ms  # noqa: E402
 from socsim._openblas import machine_facts  # noqa: E402
-from socsim.gcn import _stacked  # noqa: E402
+from socsim.gcn import _by_live_rows, _LiveRows, _live_rows, _stacked  # noqa: E402
 
 
 def time_products(n: int, k: int, width: int, repeat: int, rng: np.random.Generator) -> list:
@@ -54,20 +69,64 @@ def time_products(n: int, k: int, width: int, repeat: int, rng: np.random.Genera
     return rows
 
 
+def lone_row_g(n: int, lone_share: float, rng: np.random.Generator) -> np.ndarray:
+    """D^-1/2 (A + I) D^-1/2 of a graph on n nodes in which a share
+    ``lone_share`` of the nodes has no neighbour and every other node has
+    one on a ring through them all, plus about two more at random."""
+    linked = rng.permutation(n)[round(lone_share * n):]
+    a = np.eye(n)
+    for i, j in ((linked, np.roll(linked, 1)), rng.choice(linked, (2, len(linked)))):
+        a[i, j] = a[j, i] = 1.0
+    dinv = 1.0 / np.sqrt(a.sum(axis=1))
+    a *= dinv[:, None]
+    a *= dinv
+    return a
+
+
+def time_live_rows(n: int, k: int, width: int, lone_share: float, repeat: int,
+                   rng: np.random.Generator) -> list:
+    g = lone_row_g(n, lone_share, rng)
+    live = _LiveRows(g, _live_rows(g), k * width)
+    h = rng.normal(size=(n, k * width))  # [H_1 ... H_k]
+    full, out = np.empty_like(h), np.empty_like(h)
+    rows = []
+    for side, gm in (("g", g), ("g.T", g.T)):
+        full_ms, _ = _median_ms(lambda: np.matmul(gm, h, out=full), repeat)
+        live_ms, _ = _median_ms(lambda: live.product(h, out), repeat)
+        rows.append({"n": n, "k": k, "width": width, "side": side, "lone_share": lone_share,
+                     "lone_rows": n - len(live.rows), "full_ms": full_ms, "live_ms": live_ms,
+                     "live_vs_full": f"{live_ms / full_ms - 1:+.1%}",
+                     "identical": bool(np.array_equal(out.view(np.uint64),
+                                                      full.view(np.uint64))),
+                     "rule_takes": (_LiveRows.of(g, k * width) is not None
+                                    and _by_live_rows(width) and (side == "g" or live.symmetric))})
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, nargs="+", default=[800, 1600])
     parser.add_argument("--folds", type=int, nargs="+", default=[3, 10])
     parser.add_argument("--width", type=int, nargs="+", default=[4])
+    parser.add_argument("--live-n", type=int, nargs="+", default=[200, 800])
+    parser.add_argument("--live-folds", type=int, nargs="+", default=[10, 3])
+    parser.add_argument("--live-width", type=int, nargs="+", default=[32])
+    parser.add_argument("--lone", type=float, nargs="+", default=[0.02, 0.05, 0.1, 0.2, 0.35, 0.55])
     parser.add_argument("--repeat", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", help="write the JSON here instead of printing it")
     args = parser.parse_args(argv)
+    if len(args.live_n) != len(args.live_folds):
+        parser.error("--live-folds takes one fold count per --live-n")
 
     rng = np.random.default_rng(args.seed)
     products = [row for n in args.n for k in args.folds for width in args.width
                 for row in time_products(n, k, width, args.repeat, rng)]
-    doc = {"machine": machine_facts(), "repeat": args.repeat, "products": products}
+    live_rows = [row for n, k in zip(args.live_n, args.live_folds) for width in args.live_width
+                 for share in args.lone
+                 for row in time_live_rows(n, k, width, share, args.repeat, rng)]
+    doc = {"machine": machine_facts(), "repeat": args.repeat, "products": products,
+           "live_rows": live_rows}
     text = json.dumps(doc, indent=1)
     if args.out:
         with open(args.out, "w") as f:
