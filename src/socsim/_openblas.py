@@ -4,9 +4,9 @@ numpy's wheels ship OpenBLAS (with its LAPACK) in ``numpy.libs``; numpy's
 own extensions call it under prefixed, ILP64 names.  This module is the one
 place that knows those names.  It hands out OpenBLAS's thread-count setter,
 the thread count and a one-thread pin built on them, a checked binding of
-``dgesv``, the LAPACK solver ``np.linalg.inv`` itself calls, and the machine
-facts every benchmark records, the kernel set OpenBLAS picked among them;
-each is None, or a no-op, where numpy's libraries hold no such symbol (a
+``dgesv``, the LAPACK solver ``np.linalg.inv`` itself calls, the name of
+the kernel set OpenBLAS picked, and the machine facts every benchmark
+records, that name among them; each is None, or a no-op, where numpy's libraries hold no such symbol (a
 numpy built against another BLAS).
 """
 
@@ -74,16 +74,25 @@ def blas_threads() -> int | None:
     return None if getter is None else int(getter())
 
 
+@functools.cache
+def blas_core() -> str | None:
+    """The name of the kernel set OpenBLAS picked for this process (or was
+    told to take by OPENBLAS_CORETYPE, which it reads when it loads), read
+    from its own getter in numpy's bundled library; None when there is
+    none."""
+    core = _function(_CORE_GETTERS, (), ctypes.c_char_p)
+    return None if core is None else core().decode()
+
+
 def machine_facts() -> dict:
     """What a timing or a bit-level result depends on in this process: the
     cores it may run on, the Python, numpy and BLAS versions, the number of
     BLAS threads and the name of OpenBLAS's kernel set (``blas_core``, None
     where there is no getter), which can change training bits."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    core = _function(_CORE_GETTERS, (), ctypes.c_char_p)
     return {"nproc": len(os.sched_getaffinity(0)), "python": sys.version.split()[0],
             "numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
-            "blas_threads": blas_threads(), "blas_core": None if core is None else core().decode()}
+            "blas_threads": blas_threads(), "blas_core": blas_core()}
 
 
 @contextlib.contextmanager

@@ -60,16 +60,19 @@ diagonal, and friendship snapshots have many.  Where the width per fold
 is a multiple of 32 (every default hidden layer, and t's W0;
 ``_by_live_rows()`` is the rule), the same kernels give G[live] @ [H_1
 ... H_k], over all n columns, the bits of those rows of the full product,
-and diag * h + 0.0 is what BLAS writes for a lone row.  So a G with at least LONE_ROWS_TO_PAY lone rows keeps one
-copy of its live rows for a run and multiplies only those (``_LiveRows``);
-its G.T products reuse the copy where G equals its transpose bit for bit,
-as every adjacency and binarized ("auto") G does, and are taken whole
-elsewhere.  The rule reads G and the width per fold, never k, so a fold
-trained alone takes the path its stack takes.  It is a fact of the
-AVX-512 kernels: under OPENBLAS_CORETYPE=Haswell the live rows differ
-from the full product at widths 32-320 at some n.  Parity holds for
-finite h; a non-finite entry of a fold's h still reaches every live row
-of its columns, through G[live]'s zero columns.
+and diag * h + 0.0 is what BLAS writes for a lone row.  So a G with at
+least LONE_ROWS_TO_PAY lone rows keeps one copy of its live rows for a
+run and multiplies only those (``_LiveRows``); its G.T products reuse
+the copy where G equals its transpose bit for bit, as every adjacency
+and binarized ("auto") G does, and are taken whole elsewhere.  The rule
+reads G and the width per fold, never k, so a fold trained alone takes
+the path its stack takes.  It is a fact of the AVX-512 kernels: under
+OPENBLAS_CORETYPE=Haswell the live rows differ from the full product at
+widths 32-320 at some n.  So the path is taken only where OpenBLAS runs
+a kernel set on which the rule was measured (``_ROW_RULE_KERNELS``); on
+any other, every G product is taken whole.  Parity holds for finite h;
+a non-finite entry of a fold's h still reaches every live row of its
+columns, through G[live]'s zero columns.
 
 A training run allocates its arrays once, in a workspace that every epoch
 reuses, and writes them with ``out=`` in the same arithmetic and order as
@@ -102,7 +105,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._openblas import _one_blas_thread
+from ._openblas import _one_blas_thread, blas_core
 from .rng import derive_rng
 
 VARIANTS = ("ftvanilla", "f", "t", "tlr")
@@ -389,6 +392,13 @@ def _by_live_rows(width: int) -> bool:
 # live-row path from this many lone rows on.
 LONE_ROWS_TO_PAY = 64
 
+# The OpenBLAS kernel sets (``blas_core()``) on which the row rule was
+# measured to hold: product widths 32-320, n = 40-1000, lone shares 0.1-0.8.
+# OpenBLAS's AVX2 (Haswell) kernels break it at widths 32-320 at n = 200,
+# 201, 501, 800 and 801, so on any kernel set not named here G products are
+# taken whole.
+_ROW_RULE_KERNELS = frozenset({"SkylakeX"})
+
 
 def _live_rows(g: np.ndarray) -> np.ndarray:
     """The indices of G's live rows, those with an off-diagonal non-zero."""
@@ -410,8 +420,11 @@ class _LiveRows:
 
     @classmethod
     def of(cls, g: np.ndarray, width: int) -> "_LiveRows | None":
-        """G's live rows, where G has at least LONE_ROWS_TO_PAY lone rows;
+        """G's live rows, where OpenBLAS runs a kernel set in
+        _ROW_RULE_KERNELS and G has at least LONE_ROWS_TO_PAY lone rows;
         else None."""
+        if blas_core() not in _ROW_RULE_KERNELS:
+            return None
         rows = _live_rows(g)
         return cls(g, rows, width) if len(g) - len(rows) >= LONE_ROWS_TO_PAY else None
 
@@ -487,8 +500,9 @@ class _Workspace:
     (``prop0``): None where it is the identity, else G @ X (X for f),
     computed once; S scales it per fold, into a stack laid out side by
     side at every n, since no G product reads it, where S's gradient then
-    forms.  Where G has enough lone rows and a G product's width per fold
-    passes _by_live_rows(), ``live`` holds G's live rows for the G products
+    forms.  Where _LiveRows.of() takes G (enough lone rows, on kernels
+    that keep the row rule) and a G product's width per fold passes
+    _by_live_rows(), ``live`` holds G's live rows for the G products
     and ``live_t`` the same object for the G.T ones, if G equals its
     transpose (else None, and G.T products are taken whole): one
     M' x n copy per run, and one buffer for the widest such product."""

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from socsim.gcn import LONE_ROWS_TO_PAY, _ROW_RULE_KERNELS
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -118,8 +120,7 @@ def test_g_products_tool_times_both_forms_on_each_side_of_the_rule(tmp_path):
     out = tmp_path / "times.json"
     subprocess.run(
         [sys.executable, str(ROOT / "tools" / "bench_g_products.py"), "--n", "500", "501",
-         "--folds", "3", "--width", "1", "4", "--live-n", "200", "--live-folds", "3",
-         "--live-width", "8", "32", "--lone", "0.1", "0.55", "--repeat", "2", "--out", str(out)],
+         "--folds", "3", "--width", "1", "4", "--repeat", "2", "--out", str(out)],
         capture_output=True, text=True, env=tool_env(), timeout=300, check=True,
     )
     report = json.loads(out.read_text())
@@ -133,15 +134,18 @@ def test_g_products_tool_times_both_forms_on_each_side_of_the_rule(tmp_path):
         # where the rule stacks, the stacked product gives each fold its own bits
         assert row["identical"] or not row["rule_stacks"]
     rows = report["live_rows"]
-    assert [(r["width"], r["lone_share"], r["side"]) for r in rows] == [
-        (width, share, side) for width in (8, 32) for share in (0.1, 0.55)
-        for side in ("g", "g.T")]
+    assert [(r["n"], r["k"], r["width"], r["lone_share"], r["side"]) for r in rows] == [
+        (n, k, 32, share, side) for n, k in ((200, 10), (800, 3))
+        for share in (0.02, 0.05, 0.1, 0.2, 0.35, 0.55) for side in ("g", "g.T")]
+    keeps_row_rule = report["machine"]["blas_core"] in _ROW_RULE_KERNELS
     for row in rows:
-        assert (row["n"], row["k"]) == (200, 3) and row["full_ms"] > 0 and row["live_ms"] > 0
-        # the live-row path is taken at width 32 with 55% of 200 rows lone, 110
-        # of them, not with 10%; where it is taken it keeps the full product's bits
-        assert row["rule_takes"] == (row["width"] == 32 and row["lone_share"] == 0.55)
+        assert row["full_ms"] > 0 and row["live_ms"] > 0
+        # the live-row path is taken from LONE_ROWS_TO_PAY lone rows on, on
+        # kernels that keep the row rule; where it is taken it keeps the full
+        # product's bits (this G equals its transpose, so on both sides)
+        assert row["rule_takes"] == (keeps_row_rule and row["lone_rows"] >= LONE_ROWS_TO_PAY)
         assert row["identical"] or not row["rule_takes"]
+    assert any(row["rule_takes"] for row in rows) == keeps_row_rule
 
 
 def test_epoch_bench_tool_times_every_part_of_an_epoch():

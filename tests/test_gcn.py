@@ -871,6 +871,11 @@ def lone_row_gs(n, rng):
     return a, a * rng.random((n, 1))
 
 
+def keeps_row_rule():
+    """Whether OpenBLAS runs a kernel set on which gcn takes the live-row path."""
+    return _openblas.blas_core() in gcn._ROW_RULE_KERNELS
+
+
 def same_bits(a, b):
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
@@ -895,6 +900,9 @@ def test_g_products_equal_each_fold_alone(n):
     # down to the sign of h's -0.0 entries; G.T products reuse G's live rows
     # only where G equals its transpose
     symmetric, skewed = lone_row_gs(n, rng)
+    if not keeps_row_rule():  # the kernels are not known to keep it: no G takes the path
+        assert _LiveRows.of(symmetric, 32) is None and _LiveRows.of(skewed, 32) is None
+        return
     for g, bit_symmetric in ((symmetric, True), (skewed, False)):
         rows = _live_rows(g)
         lone = np.setdiff1d(np.arange(n), rows)
@@ -916,7 +924,8 @@ def test_g_products_equal_each_fold_alone(n):
 @pytest.mark.parametrize("variant", ["ftvanilla", "t"])
 def test_live_row_products_train_the_bits_of_full_ones(variant, monkeypatch):
     # a G with lone rows takes the live-row path, in a stack and for each
-    # fold alone, and trains the parameters of full G products bit for bit
+    # fold alone, on kernels that keep the row rule, and trains the
+    # parameters of full G products bit for bit
     n, seeds = 200, (4, 5, 6)
     rng = np.random.default_rng(8)
     cfg = small_cfg(variant=variant, layer_units=(32, 32), dropout_p=0.5, epochs=5)
@@ -925,7 +934,7 @@ def test_live_row_products_train_the_bits_of_full_ones(variant, monkeypatch):
             g_matrix=g, x=rng.random((n, 3)), labels=np.arange(n) % 2,
             train_mask=np.ones((1, n), dtype=bool), test_mask=np.zeros((1, n), dtype=bool)))
         model = GcnModel(cfg, _init_params(cfg, seeds, *folds.x.shape))
-        assert _Workspace(model, folds).live is not None
+        assert (_Workspace(model, folds).live is not None) == keeps_row_rule()
         stack = fit_stack(folds, cfg, seeds)
         for fold, seed in enumerate(seeds):
             for name, param in fit_stack(one_fold(folds, fold), cfg, [seed]).items():

@@ -14,10 +14,10 @@ own product bit for bit (``identical``) and whether ``socsim.gcn._stacked``
 takes that product stacked (``rule_stacks``).
 
 It also times the stacked product of a G with lone rows (no neighbour),
-the renormalized adjacency D^-1/2 (A + I) D^-1/2 of a graph in which a
-share ``--lone`` of the nodes has none, at each ``--live-n`` with as many
-folds as ``--live-folds`` says at that position, ``--live-width`` columns
-per fold, on both sides (that G equals its transpose bit for bit):
+the renormalized adjacency D^-1/2 (A + I) D^-1/2 of a graph in which each
+of the shares LONE_SHARES of the nodes has none, at each n and fold count
+of LIVE_SIZES, LIVE_WIDTH columns per fold, on both sides (that G equals
+its transpose bit for bit):
 
     full  one BLAS product over all n rows
     live  socsim.gcn._LiveRows: G's live rows from one BLAS product of
@@ -25,8 +25,9 @@ per fold, on both sides (that G equals its transpose bit for bit):
 
 and records whether the live product equals the full one bit for bit
 (``identical``) and whether the training workspace takes it
-(``rule_takes``: enough lone rows, a width per fold that is a multiple of
-32, and for G.T a G equal to its transpose).  Each time is the median of
+(``rule_takes``: kernels that keep the row rule, enough lone rows, a
+width per fold that is a multiple of 32, and for G.T a G equal to its
+transpose).  Each time is the median of
 ``--repeat`` calls, in milliseconds.  BLAS is pinned to one thread before
 numpy is imported, as in perfbench, and
 ``socsim._openblas.machine_facts()`` is recorded as the ``machine`` block.
@@ -48,6 +49,12 @@ import numpy as np  # noqa: E402
 from bench_graph_kernels import _median_ms  # noqa: E402
 from socsim._openblas import machine_facts  # noqa: E402
 from socsim.gcn import _by_live_rows, _LiveRows, _live_rows, _stacked  # noqa: E402
+
+# the live-row table: a desk snapshot's n and folds and a wide_pool one's,
+# the default hidden width, and lone shares around the break-even
+LIVE_SIZES = ((200, 10), (800, 3))
+LIVE_WIDTH = 32
+LONE_SHARES = (0.02, 0.05, 0.1, 0.2, 0.35, 0.55)
 
 
 def time_products(n: int, k: int, width: int, repeat: int, rng: np.random.Generator) -> list:
@@ -108,23 +115,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n", type=int, nargs="+", default=[800, 1600])
     parser.add_argument("--folds", type=int, nargs="+", default=[3, 10])
     parser.add_argument("--width", type=int, nargs="+", default=[4])
-    parser.add_argument("--live-n", type=int, nargs="+", default=[200, 800])
-    parser.add_argument("--live-folds", type=int, nargs="+", default=[10, 3])
-    parser.add_argument("--live-width", type=int, nargs="+", default=[32])
-    parser.add_argument("--lone", type=float, nargs="+", default=[0.02, 0.05, 0.1, 0.2, 0.35, 0.55])
     parser.add_argument("--repeat", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", help="write the JSON here instead of printing it")
     args = parser.parse_args(argv)
-    if len(args.live_n) != len(args.live_folds):
-        parser.error("--live-folds takes one fold count per --live-n")
 
     rng = np.random.default_rng(args.seed)
     products = [row for n in args.n for k in args.folds for width in args.width
                 for row in time_products(n, k, width, args.repeat, rng)]
-    live_rows = [row for n, k in zip(args.live_n, args.live_folds) for width in args.live_width
-                 for share in args.lone
-                 for row in time_live_rows(n, k, width, share, args.repeat, rng)]
+    live_rows = [row for n, k in LIVE_SIZES for share in LONE_SHARES
+                 for row in time_live_rows(n, k, LIVE_WIDTH, share, args.repeat, rng)]
     doc = {"machine": machine_facts(), "repeat": args.repeat, "products": products,
            "live_rows": live_rows}
     text = json.dumps(doc, indent=1)
