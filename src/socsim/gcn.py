@@ -26,8 +26,9 @@ only in their masks, init seed and dropout stream (the folds of one
 cross-validation cell); one model is a k = 1 stack.  Every parameter, Adam
 moment, activation and gate carries a leading fold axis, and the math is
 written once, for the stack.  ``train_folds`` trains a stack from one
-``TrainInputs`` with (k, n) masks, one config and one seed per fold,
-without scoring it every epoch; it is the one way to train.
+``TrainInputs`` with a (k, n) test mask, one config and one seed per
+fold, each fold training on the complement of its row, without scoring it
+every epoch; it is the one way to train.
 
 One table, ``_steps()``, says what the net computes: a row per kernel
 product, in forward order, with its layer, kernel, fans, where G multiplies
@@ -44,15 +45,17 @@ Batching leaves each fold's arithmetic unchanged: a G product is taken
 for all folds at once, G @ [H_1 ... H_k], exactly where BLAS gives each
 fold's columns the bits of G @ H_i, and one fold at a time (one
 ``np.matmul`` over the stack) elsewhere; ``_stacked()`` is the rule.  With
-OpenBLAS 0.3.31 (x86-64, AVX-512 kernels) that holds when the width per
-fold is a multiple of 8, as the default 32 is, or when the fold's own
-product leaves OpenBLAS's small-matrix kernel, n * n * width > 10^6 (so
-at n = 800 the output layer's 4 columns stack).  A width-1 product, such
-as TLR's G @ Wa, goes to gemv and never matches a column of a wider
-product, so it stays per fold.  So each fold's bits are those of training
-it alone at every width.  Hidden widths that are not a multiple of 8, such
-as 12 and 20, thus stay per fold while n * n * width <= 10^6: stacked
-there, they changed their last bits (no shipped plan uses such widths).
+OpenBLAS 0.3.31 (x86-64), on its AVX-512 and its AVX2 (Haswell) kernels
+alike, that holds when the width per fold is a multiple of 8, as the
+default 32 is, or a multiple of 4 past 10^6, where the fold's own product
+leaves the small-matrix kernel, n * n * width > 10^6 (so at n = 800 the
+output layer's 4 columns stack).  Past 10^6 the AVX2 kernels break widths
+2, 3, 5, 6 and 7 at some n, and a width-1 product, such as TLR's G @ Wa,
+goes to gemv, so these stay per fold.  So each fold's bits are those of
+training it alone at every width.  Hidden widths that are not a multiple
+of 8, such as 12 and 20, thus stay per fold while n * n * width <= 10^6:
+stacked there, they changed their last bits (no shipped plan uses such
+widths).
 
 A row rule goes with that column rule.  In the renormalized adjacency a
 node with no neighbour has a lone row, whose only non-zero is its
@@ -189,14 +192,14 @@ class GcnConfig:
 @dataclass(frozen=True, eq=False)
 class TrainInputs:
     """Everything one training run consumes: the (n, n) representative G,
-    the (n, f) features X, the (n,) labels and the (k, n) bool masks of a
-    stack of k >= 1 folds, one row per fold.  All nodes stay visible to the
-    propagation, the masks only gate the loss and the accuracy."""
+    the (n, f) features X, the (n,) labels and the (k, n) bool test mask of
+    a stack of k >= 1 folds, one row per fold; each fold trains on the
+    complement of its row.  All nodes stay visible to the propagation, the
+    mask only gates the loss and the accuracy."""
 
     g_matrix: np.ndarray
     x: np.ndarray
     labels: np.ndarray
-    train_mask: np.ndarray
     test_mask: np.ndarray
 
     def __post_init__(self):
@@ -207,18 +210,12 @@ class TrainInputs:
             if np.shape(getattr(self, name)) != shape:
                 raise ValueError(f"{name} must be {shape} for {n} nodes, "
                                  f"got {np.shape(getattr(self, name))}")
-        for name in ("train_mask", "test_mask"):
-            mask = getattr(self, name)
-            if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.ndim == 2
-                    and mask.shape[0] >= 1 and mask.shape[1] == n):
-                raise ValueError(f"{name} must be a bool array of shape (k, {n}) with k >= 1, "
-                                 f"got {getattr(mask, 'dtype', type(mask))} "
-                                 f"of shape {np.shape(mask)}")
-        if self.train_mask.shape != self.test_mask.shape:
-            raise ValueError(f"train_mask {self.train_mask.shape} and test_mask "
-                             f"{self.test_mask.shape} must have the same shape")
-        if np.any(self.train_mask & self.test_mask):
-            raise ValueError("train and test masks overlap")
+        mask = self.test_mask
+        if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.ndim == 2
+                and mask.shape[0] >= 1 and mask.shape[1] == n):
+            raise ValueError(f"test_mask must be a bool array of shape (k, {n}) with k >= 1, "
+                             f"got {getattr(mask, 'dtype', type(mask))} "
+                             f"of shape {np.shape(mask)}")
 
 
 @dataclass(eq=False)
@@ -321,30 +318,27 @@ def _decayed_names(cfg: GcnConfig) -> list[str]:
 
 
 class _Rows:
-    """The (k, n) training and test masks of ``folds`` folds over shared
-    labels, and what the loss reads of them, built once: a one-hot pick of
-    each fold's training rows' labels (k, n, classes), as bools and as the
-    output gradient's float target, the fold of each pick, the rows each
-    fold does not train on and each fold's training row count."""
+    """The (k, n) test mask of the ``folds`` folds of ``inputs``, their
+    training rows (each row's complement) and what the loss reads of them,
+    built once: a one-hot pick of each fold's training rows' labels (k, n,
+    classes), as bools and as the output gradient's float target, the fold
+    of each pick, the rows each fold does not train on and each fold's
+    training row count."""
 
-    def __init__(self, labels: np.ndarray, classes: int, train: np.ndarray, test: np.ndarray,
-                 folds: int):
+    def __init__(self, inputs: TrainInputs, classes: int, folds: int = 1):
+        labels, test = inputs.labels, inputs.test_mask
         if labels.size and (labels.min() < 0 or labels.max() >= classes):
             raise ValueError(f"labels must lie in 0..{classes - 1} for num_classes={classes}, "
                              f"got {labels.min()}..{labels.max()}")
-        if len(train) != folds:
-            raise ValueError(f"masks of {len(train)} folds for {folds} seed(s): a stack "
+        if len(test) != folds:
+            raise ValueError(f"masks of {len(test)} folds for {folds} seed(s): a stack "
                              f"takes one seed per fold")
-        self.labels, self.train, self.test = labels, train, test
-        self._picks = train[:, :, None] & (labels[:, None] == np.arange(classes))
+        self.labels, self.train, self.test = labels, ~test, test
+        self._picks = self.train[:, :, None] & (labels[:, None] == np.arange(classes))
         self._target = self._picks.astype(np.float64)
         self._pick_fold = np.nonzero(self._picks)[0]
-        self._untrained = ~train[:, :, None]
-        self._sizes = train.sum(axis=1, dtype=np.float64)[:, None, None]
-
-    @classmethod
-    def of(cls, inputs: TrainInputs, classes: int, folds: int = 1) -> "_Rows":
-        return cls(inputs.labels, classes, inputs.train_mask, inputs.test_mask, folds)
+        self._untrained = test[:, :, None]
+        self._sizes = self.train.sum(axis=1, dtype=np.float64)[:, None, None]
 
     def cross_entropy(self, probs: np.ndarray) -> np.ndarray:
         """Each fold's mean cross-entropy over its training rows, in one
@@ -371,9 +365,10 @@ class _Rows:
 def _stacked(n: int, width: int) -> bool:
     """Whether G products over n nodes, ``width`` columns per fold, are
     taken for all folds at once: where OpenBLAS gives each fold's columns
-    of G @ [H_1 ... H_k] the bits of G @ H_i (the column rule; see the
-    module docstring)."""
-    return width % 8 == 0 or (width >= 2 and n * n * width > 10**6)
+    of G @ [H_1 ... H_k] the bits of G @ H_i on the AVX-512 and the AVX2
+    kernels: a width per fold that is a multiple of 8, or a multiple of 4
+    past 10^6 (the column rule; see the module docstring)."""
+    return width % 8 == 0 or (width % 4 == 0 and n * n * width > 10**6)
 
 
 def _by_live_rows(width: int) -> bool:
@@ -698,18 +693,20 @@ def _fit(model: GcnModel, rows: _Rows, rngs: list[np.random.Generator], ws: _Wor
 
 
 def train_folds(inputs: TrainInputs, cfg: GcnConfig, seeds: list[int]) -> list[float]:
-    """Train fold i on row i of the (k, n) masks of ``inputs``, from
-    ``seeds[i]``, all folds at once under ``cfg``, and return each fold's
-    test accuracy after the last epoch.
+    """Train fold i on the complement of row i of the (k, n) test mask of
+    ``inputs``, from ``seeds[i]``, all folds at once under ``cfg``, and
+    return each fold's accuracy on row i after the last epoch.
 
-    Each fold draws its init and dropout streams from its own seed, so the
+    Each fold draws its init and dropout streams from its own seed, and its
+    G products are stacked only at widths where _stacked() keeps each
+    fold's bits (a multiple of 8, or a multiple of 4 past 10^6), so the
     accuracies are those of each fold trained alone, as a k = 1 stack with
-    its (1, n) masks and ``[seeds[i]]``.  Raises TrainingDiverged, with
+    its (1, n) row and ``[seeds[i]]``.  Raises TrainingDiverged, with
     ``fold`` set, at the first epoch in which any fold's loss goes
     non-finite, for the lowest-index such fold.  BLAS runs on one thread,
     whose count changes some G products' bits; the caller's comes back after.
     """
-    rows = _Rows.of(inputs, cfg.num_classes, len(seeds))
+    rows = _Rows(inputs, cfg.num_classes, len(seeds))
     if cfg.epochs > 0 and not rows.train.any(axis=1).all():
         raise ValueError("empty training mask")
     if not rows.test.any(axis=1).all():

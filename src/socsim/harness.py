@@ -29,7 +29,6 @@ import csv
 import functools
 import json
 import logging
-import numbers
 import os
 from collections.abc import Iterator
 from concurrent.futures import BrokenExecutor, Future
@@ -42,7 +41,7 @@ from ._openblas import _blas_thread_setter, _one_blas_thread
 from .gcn import GcnConfig, TrainInputs, TrainingDiverged, train_folds
 from .graph import SocialGraph, sorted_unique
 from .rng import derive_rng, derive_seed
-from .sdna import SimConfig, iter_snapshots
+from .sdna import SimConfig, check_integer, iter_snapshots
 from .similarity import AUTO, SimilaritySpec, build_representative
 
 HYPOTHESIS_CELLS = ("FTvanilla", "F", "T", "TLR")
@@ -134,11 +133,7 @@ class ExperimentPlan:
             raise ValueError("cell names must be unique")
         for name, low in (("seed", None), ("folds", 2), ("networks", 1), ("snapshots", 1),
                           ("workers", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if low is not None and value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value!r}")
+            check_integer(name, getattr(self, name), low)
         default = GcnConfig()
         for name in ("variant", "use_s"):
             if getattr(self.gcn, name) != getattr(default, name):
@@ -260,6 +255,7 @@ def make_folds(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
     """Stratified k-fold test masks, a (folds, n) bool array: every class is
     shuffled and dealt round-robin into ``folds`` groups; fold k tests on
     group k, row k, and trains on the rest, its complement ``~row``."""
+    check_integer("folds", folds, 2)
     labels = np.asarray(labels)
     rng = derive_rng(seed, "folds")
     n = labels.size
@@ -297,7 +293,7 @@ def run_cell(
         cfg, spec = parse_cell(cell, base)
         g_matrix = build_representative(graph, spec, provenance=f"{network}-{snapshot}").matrix
         inputs = TrainInputs(g_matrix=g_matrix, x=graph.features, labels=graph.sdna_of,
-                             train_mask=~test_masks, test_mask=test_masks)
+                             test_mask=test_masks)
         seeds = [derive_seed(plan_seed, "train", network, snapshot, cell, fold)
                  for fold in range(len(test_masks))]
         accs = train_folds(inputs, cfg, seeds)

@@ -87,6 +87,15 @@ class Sdna:
         }
 
 
+def check_integer(name: str, value, low: int | None = None) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer,
+    not a bool, and at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation parameters.
@@ -123,9 +132,7 @@ class SimConfig:
             raise ValueError(f"c must be a list of finite numbers, got {self.c!r}")
         object.__setattr__(self, "c", tuple(float(x) for x in self.c))
         for name in ("n", "f", "y", "q", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, getattr(self, name))
         for name in ("p", "t", "r", "z"):
             value = getattr(self, name)
             if isinstance(value, bool) or not (isinstance(value, numbers.Real)
@@ -340,8 +347,7 @@ def iter_snapshots(cfg: SimConfig, snapshots: int) -> Iterator[tuple[SocialGraph
     holds only the latest graph and its open codes (the next snapshot grows
     from them), so a caller that drops an earlier snapshot frees it.
     """
-    if snapshots < 1:
-        raise ValueError("snapshots must be >= 1")
+    check_integer("snapshots", snapshots, 1)
     graph, sdnas = generate_population(cfg)
     open_codes = unconnected_codes(graph)
     for s in range(snapshots):
@@ -370,8 +376,7 @@ def emit_event_stream(cfg: SimConfig, events: int) -> list[tuple[int, tuple[int,
     pathological config exhausts the retry budget) and the shortfall is
     logged.
     """
-    if events < 1:
-        raise ValueError("events must be >= 1")
+    check_integer("events", events, 1)
     graph, sdnas = generate_population(cfg)
     open_codes = unconnected_codes(graph)
     stream: list[tuple[int, tuple[int, int]]] = []

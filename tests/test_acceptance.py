@@ -81,7 +81,7 @@ def random_graph(n, density, seed, f=3, classes=2):
 def test_criterion_1_gradient_oracle():
     start = time.time()
     g = random_graph(6, 0.45, seed=0)
-    train_mask = np.array([[True, True, False, True, True, False]])  # one fold, (1, n)
+    test_mask = np.array([[False, False, True, False, False, True]])  # one fold, (1, n)
     configs = [
         ("FTVanilla", "ftvanilla", False, "adjacency"),
         ("FTVanilla+S", "ftvanilla", True, "adjacency"),
@@ -96,11 +96,11 @@ def test_criterion_1_gradient_oracle():
     for label, variant, use_s, kind in configs:
         rep = build_representative(g, SimilaritySpec(kind=kind))
         inputs = TrainInputs(g_matrix=rep.matrix, x=g.features, labels=g.sdna_of,
-                             train_mask=train_mask, test_mask=~train_mask)
+                             test_mask=test_mask)
         cfg = GcnConfig(variant=variant, use_s=use_s, layer_units=(5, 4, 3),
                         num_classes=2, dropout_p=0.0)
         model = GcnModel(cfg, _init_params(cfg, [seed], g.n, g.features.shape[1]))
-        rows = _Rows.of(inputs, cfg.num_classes, 1)
+        rows = _Rows(inputs, cfg.num_classes, 1)
 
         def run():
             # what _fit() runs for one epoch, before its Adam step

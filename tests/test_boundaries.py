@@ -34,8 +34,9 @@ from socsim.harness import (
     desk_plan,
     emit_report,
     load_report,
+    make_folds,
 )
-from socsim.sdna import SimConfig
+from socsim.sdna import SimConfig, emit_event_stream, iter_snapshots
 from socsim.similarity import (
     SimilaritySpec,
     build_representative,
@@ -346,6 +347,21 @@ def test_malformed_report_raises_value_error_naming_the_path(tmp_path, text, cau
      "katz_max_power must be an integer >= 1, got True"),
     (lambda: SimilaritySpec(rpr_alpha="x"), r"rpr_alpha must lie in \(0, 1\), got 'x'"),
     (lambda: SimilaritySpec(threshold_lo=None), "thresholds must be numbers or 'auto', got None"),
+    # a public function's count is checked as ExperimentPlan's fields are: 0 and
+    # -2 folds used to give an empty (0, n) array, 2.5 snapshots or "2" events a
+    # bare TypeError from range or <
+    (lambda: make_folds(np.arange(8) % 2, 0, 1), "folds must be >= 2, got 0"),
+    (lambda: make_folds(np.arange(8) % 2, -2, 1), "folds must be >= 2, got -2"),
+    (lambda: make_folds(np.arange(8) % 2, 1, 1), "folds must be >= 2, got 1"),
+    (lambda: make_folds(np.arange(8) % 2, 2.0, 1), "folds must be an integer, got 2.0"),
+    (lambda: make_folds(np.arange(8) % 2, True, 1), "folds must be an integer, got True"),
+    (lambda: next(iter_snapshots(SimConfig(n=8), 2.5)), "snapshots must be an integer, got 2.5"),
+    (lambda: next(iter_snapshots(SimConfig(n=8), 0)), "snapshots must be >= 1, got 0"),
+    (lambda: next(iter_snapshots(SimConfig(n=8), False)),
+     "snapshots must be an integer, got False"),
+    (lambda: emit_event_stream(SimConfig(n=8), "2"), "events must be an integer, got '2'"),
+    (lambda: emit_event_stream(SimConfig(n=8), 1.0), "events must be an integer, got 1.0"),
+    (lambda: emit_event_stream(SimConfig(n=8), -1), "events must be >= 1, got -1"),
 ])
 def test_bad_config_field_types_raise_named_errors(build, message):
     with pytest.raises(ValueError, match=message):

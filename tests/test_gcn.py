@@ -48,10 +48,9 @@ def toy_graph(n=6, f=3, seed=0, density=0.45):
 def toy_inputs(g=None, kind="adjacency", seed=0):
     g = g or toy_graph(seed=seed)
     rep = build_representative(g, SimilaritySpec(kind=kind))
-    train_mask = np.zeros((1, g.n), dtype=bool)
-    train_mask[0, : g.n - 2] = True
-    return TrainInputs(g_matrix=rep.matrix, x=g.features, labels=g.sdna_of,
-                       train_mask=train_mask, test_mask=~train_mask)
+    test_mask = np.zeros((1, g.n), dtype=bool)
+    test_mask[0, g.n - 2:] = True
+    return TrainInputs(g_matrix=rep.matrix, x=g.features, labels=g.sdna_of, test_mask=test_mask)
 
 
 def small_cfg(**kw):
@@ -73,12 +72,12 @@ def softmax(z):
 def epoch(model, inputs, dropout_seeds=None):
     """What a _fit() epoch computes before its Adam step, on a fresh
     _Workspace: _forward(), _losses() and _backward() of the stack
-    ``model`` over the (k, n) masks of ``inputs``.  With ``dropout_seeds``
+    ``model`` over the (k, n) test mask of ``inputs``.  With ``dropout_seeds``
     the forward pass trains with dropout, fold i drawing its masks from a
     generator seeded with ``dropout_seeds[i]``.  Returns the rows, the
     workspace, the probabilities, the cache, each fold's loss and the
     gradients."""
-    rows = _Rows.of(inputs, model.config.num_classes, len(inputs.train_mask))
+    rows = _Rows(inputs, model.config.num_classes, len(inputs.test_mask))
     ws = _Workspace(model, inputs)
     rngs = None if dropout_seeds is None else [np.random.default_rng(s) for s in dropout_seeds]
     probs, cache = _forward(model, ws, training=rngs is not None, rngs=rngs)
@@ -148,7 +147,7 @@ def test_stack_gradients_match_finite_differences_fold_by_fold(variant, use_s):
     inputs = toy_inputs(toy_graph(n=8, seed=3))
     test = np.zeros((2, 8), dtype=bool)
     test[0, [1, 6]] = test[1, [2, 4]] = True
-    folds = replace(inputs, train_mask=~test, test_mask=test)
+    folds = replace(inputs, test_mask=test)
     cfg = small_cfg(variant=variant, use_s=use_s, layer_units=(4, 3))
     model = GcnModel(cfg, _init_params(cfg, [1, 2], *folds.x.shape))
     run = epoch(model, folds)
@@ -165,8 +164,7 @@ def row_normalized_inputs():
     a = inputs.g_matrix > 0
     g = a / a.sum(axis=1, keepdims=True)
     assert not np.allclose(g, g.T)
-    return TrainInputs(g_matrix=g, x=inputs.x, labels=inputs.labels,
-                       train_mask=inputs.train_mask, test_mask=inputs.test_mask)
+    return replace(inputs, g_matrix=g)
 
 
 def assert_gates_pass_and_block(gates):
@@ -210,7 +208,7 @@ def test_gradient_vanishes_when_perfectly_fitted():
     rep = build_representative(g, SimilaritySpec(kind="adjacency"))
     mask = np.array([[True] * 4 + [False]])
     inputs = TrainInputs(g_matrix=rep.matrix, x=g.features, labels=g.sdna_of,
-                         train_mask=mask, test_mask=~mask)
+                         test_mask=~mask)
     cfg = GcnConfig(variant="ftvanilla", layer_units=(), num_classes=2,
                     dropout_p=0.0, weight_decay=0.0)
     model = one_model(cfg, n, 2, seed=0)
@@ -242,7 +240,7 @@ def test_forward_identity_chain():
     model.params["W0"][0] = np.eye(n)
     mask = np.array([[True, True, False]])
     inputs = TrainInputs(g_matrix=rep.matrix, x=np.eye(n), labels=g.sdna_of,
-                         train_mask=mask, test_mask=~mask)
+                         test_mask=~mask)
     probs, cache = _forward(model, _Workspace(model, inputs))
     assert np.array_equal(cache["logits"][0], np.eye(n))
     assert np.allclose(probs[0], softmax(np.eye(n)))
@@ -279,7 +277,7 @@ def test_neighbor_averaging_two_nodes():
     model.params["W0"][0] = np.eye(2)
     mask = np.array([[True, False]])
     inputs = TrainInputs(g_matrix=rep.matrix, x=np.eye(2), labels=g.sdna_of,
-                         train_mask=mask, test_mask=~mask)
+                         test_mask=~mask)
     _, cache = _forward(model, _Workspace(model, inputs))
     assert np.allclose(cache["logits"][0], [[0.5, 0.5], [0.5, 0.5]])
 
@@ -359,7 +357,7 @@ SOFTMAX_ROWS = np.array([
 
 
 # n = 200 stores every class count's stack fold by fold, n = 520 stores 4
-# and 7 classes side by side
+# classes side by side and 7 fold by fold
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("classes", [1, 4, 7])
 @pytest.mark.parametrize("n", [200, 520])
@@ -367,7 +365,7 @@ def test_softmax_equals_the_row_max_formula_bit_for_bit(n, classes):
     # a running maximum over the class columns is the row's max, so the
     # probabilities keep every bit of exp(z - max(z)) / sum
     k = 3
-    assert _stacked(n, classes) == (n == 520 and classes > 1)
+    assert _stacked(n, classes) == (n == 520 and classes == 4)
     z = _stack(np.empty(k * n * classes), k, n, classes)
     z[...] = np.random.default_rng(n + classes).normal(size=z.shape) * 30
     z[:, :len(SOFTMAX_ROWS)] = SOFTMAX_ROWS[:, :classes]
@@ -402,7 +400,7 @@ def test_loss_uniform_predictions():
     labels = np.arange(n) % classes
     mask = np.ones((1, n), dtype=bool); mask[0, -1] = False
     inputs = TrainInputs(g_matrix=rep.matrix, x=g.features, labels=labels,
-                         train_mask=mask, test_mask=~mask)
+                         test_mask=~mask)
     model = one_model(small_cfg(num_classes=classes), n, g.features.shape[1])
     probs = np.full((1, n, classes), 1.0 / classes)
     (uniform,) = losses_of(epoch(model, inputs), model, probs, 0.0)
@@ -452,25 +450,23 @@ def test_weight_decay_spares_the_output_layer(variant, units, decayed):
 def test_labels_beyond_num_classes_rejected():
     inputs = toy_inputs(toy_graph(n=8))
     labels = np.arange(8) % 4
-    four = TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=labels,
-                       train_mask=inputs.train_mask, test_mask=inputs.test_mask)
+    four = replace(inputs, labels=labels)
     model = one_model(small_cfg(), 8, inputs.x.shape[1])
     with pytest.raises(ValueError, match="labels must lie in 0..1 for num_classes=2"):
         epoch(model, four)
     with pytest.raises(ValueError, match="num_classes=2"):
         train_folds(fold_inputs(four, k=2), small_cfg(), [1, 2])
-    negative = TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=labels - 1,
-                           train_mask=inputs.train_mask, test_mask=inputs.test_mask)
+    negative = replace(inputs, labels=labels - 1)
     with pytest.raises(ValueError, match="got -1..2"):
         train_folds(negative, small_cfg(num_classes=4), [7])
 
 
 def test_empty_training_mask_rejected_unless_no_epoch_runs():
     inputs = toy_inputs()
-    untrained = replace(inputs, train_mask=np.zeros_like(inputs.train_mask))
+    untrained = replace(inputs, test_mask=np.ones_like(inputs.test_mask))
     with pytest.raises(ValueError, match="empty training mask"):
         train_folds(untrained, small_cfg(), [7])
-    assert train_folds(untrained, small_cfg(epochs=0), [7])[0] in (0.0, 0.5, 1.0)
+    assert 0.0 <= train_folds(untrained, small_cfg(epochs=0), [7])[0] <= 1.0
 
 
 # --- adam -------------------------------------------------------------------
@@ -516,10 +512,9 @@ def separable_inputs(n=10, seed=3):
     x[labels == 1, 0] += 2.0
     g = SocialGraph(n=n, edges=frozenset(), features=x, sdna_of=labels)
     rep = build_representative(g, SimilaritySpec(kind="adjacency"))
-    train_mask = np.ones((1, n), dtype=bool)
-    train_mask[0, -2:] = False
-    return TrainInputs(g_matrix=rep.matrix, x=x, labels=labels, train_mask=train_mask,
-                       test_mask=~train_mask)
+    test_mask = np.zeros((1, n), dtype=bool)
+    test_mask[0, -2:] = True
+    return TrainInputs(g_matrix=rep.matrix, x=x, labels=labels, test_mask=test_mask)
 
 
 def test_train_fits_separable_toy():
@@ -536,7 +531,7 @@ def test_train_loss_decreases_initially():
     cfg = small_cfg(epochs=12, dropout_p=0.0)
     model = one_model(cfg, *inputs.x.shape)
     before = epoch(model, inputs).losses
-    _fit(model, _Rows.of(inputs, cfg.num_classes), [], _Workspace(model, inputs), 10)
+    _fit(model, _Rows(inputs, cfg.num_classes), [], _Workspace(model, inputs), 10)
     assert epoch(model, inputs).losses[0] < before[0]
 
 
@@ -560,7 +555,7 @@ def test_untrained_model_near_chance():
     mask = np.zeros((len(seeds), n), dtype=bool)
     mask[:, : n // 2] = True
     inputs = TrainInputs(g_matrix=rep.matrix, x=g.features, labels=labels,
-                         train_mask=mask, test_mask=~mask)
+                         test_mask=~mask)
     accs = train_folds(inputs, small_cfg(num_classes=classes, epochs=0), seeds)
     assert abs(np.mean(accs) - 0.25) < 0.06
 
@@ -570,8 +565,7 @@ def test_evaluate_extremes():
     inputs = separable_inputs()
     single_mask = np.zeros_like(inputs.test_mask)
     single_mask[0, -1] = True
-    both = replace(inputs, train_mask=np.concatenate([inputs.train_mask] * 2),
-                   test_mask=np.concatenate([inputs.test_mask, single_mask]))
+    both = replace(inputs, test_mask=np.concatenate([inputs.test_mask, single_mask]))
     two, one = train_folds(both, small_cfg(epochs=200), [7, 7])
     assert two in (0.0, 0.5, 1.0)
     assert one in (0.0, 1.0)
@@ -637,24 +631,21 @@ def test_train_folds_runs_blas_on_one_thread_and_gives_the_callers_count_back(mo
 
 
 def fold_inputs(inputs, k=3):
-    """k folds over the same graph, (k, n) masks: fold i tests on node i,
-    trains on the rest."""
-    test = np.eye(k, inputs.x.shape[0], dtype=bool)
-    return TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=inputs.labels,
-                       train_mask=~test, test_mask=test)
+    """k folds over the same graph, a (k, n) test mask: fold i tests on
+    node i, trains on the rest."""
+    return replace(inputs, test_mask=np.eye(k, inputs.x.shape[0], dtype=bool))
 
 
 def one_fold(folds, fold):
     """Fold ``fold`` of a fold_inputs() stack as a k = 1 stack's inputs,
-    with (1, n) masks."""
-    return replace(folds, train_mask=folds.train_mask[fold:fold + 1],
-                   test_mask=folds.test_mask[fold:fold + 1])
+    with a (1, n) test mask."""
+    return replace(folds, test_mask=folds.test_mask[fold:fold + 1])
 
 
 def fit_stack(inputs, cfg, seeds):
     """The parameters train_folds() trains, fold i from ``seeds[i]``."""
     model = GcnModel(cfg, _init_params(cfg, seeds, *inputs.x.shape))
-    _fit(model, _Rows.of(inputs, cfg.num_classes, len(seeds)),
+    _fit(model, _Rows(inputs, cfg.num_classes, len(seeds)),
          [derive_rng(seed, "dropout") for seed in seeds], _Workspace(model, inputs), cfg.epochs)
     return model.params
 
@@ -722,7 +713,7 @@ def test_one_workspace_trains_as_a_fresh_one_every_epoch(variant, use_s):
     # values into this one on a reused workspace, and NaN on a fresh one
     folds = fold_inputs(toy_inputs(toy_graph(n=12, seed=6)))
     cfg = small_cfg(variant=variant, use_s=use_s, layer_units=(8, 3, 9), dropout_p=0.5)
-    rows = _Rows.of(folds, cfg.num_classes, 3)
+    rows = _Rows(folds, cfg.num_classes, 3)
 
     def train_5_epochs(epochs_per_workspace):
         model = GcnModel(cfg, _init_params(cfg, (4, 5, 6), *folds.x.shape))
@@ -751,7 +742,7 @@ def test_workspace_keeps_one_buffer_per_stack(variant, use_s, layer_units):
     folds = fold_inputs(toy_inputs(toy_graph(n=12, seed=6)))
     cfg = small_cfg(variant=variant, use_s=use_s, layer_units=layer_units, dropout_p=0.5)
     model = GcnModel(cfg, _init_params(cfg, (4, 5, 6), *folds.x.shape))
-    rows, ws = _Rows.of(folds, cfg.num_classes, 3), _Workspace(model, folds)
+    rows, ws = _Rows(folds, cfg.num_classes, 3), _Workspace(model, folds)
     rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
     _fit(model, rows, rngs, ws, 1)
     after_one = {key: id(stack) for key, stack in ws._stacks.items()}
@@ -773,7 +764,7 @@ def test_s_feature_stacks_are_side_by_side_at_every_n(variant):
     assert not _stacked(12, folds.x.shape[1])
     cfg = small_cfg(variant=variant, use_s=True, dropout_p=0.5)
     model = GcnModel(cfg, _init_params(cfg, (4, 5, 6), *folds.x.shape))
-    rows, ws = _Rows.of(folds, cfg.num_classes, 3), _Workspace(model, folds)
+    rows, ws = _Rows(folds, cfg.num_classes, 3), _Workspace(model, folds)
     _fit(model, rows, [np.random.default_rng(s) for s in (1, 2, 3)], ws, 2)
     assert ws._stacks["prop0"].transpose(1, 0, 2).flags.c_contiguous
     assert "dprop" not in ws._stacks
@@ -851,9 +842,11 @@ def test_step_table(variant, layer_units):
 
 
 def test_stacking_rule_at_its_boundary():
-    # width 4 leaves OpenBLAS's small-matrix kernel at n = 501, width 2 by
-    # n = 800; width 1 goes to gemv and never stacks
-    assert _stacked(501, 4) and _stacked(800, 2)
+    # width 4 leaves OpenBLAS's small-matrix kernel at n = 501; widths 2
+    # and 6 left it by n = 800 but the AVX2 kernels break their columns
+    # there, and width 1 goes to gemv, so none of these stacks
+    assert _stacked(501, 4) and _stacked(800, 4)
+    assert not _stacked(800, 2) and not _stacked(800, 6)
     assert not _stacked(500, 4) and not _stacked(800, 1) and not _stacked(2000, 1)
     assert _stacked(60, 8) and _stacked(60, 32) and not _stacked(60, 12)
 
@@ -932,7 +925,7 @@ def test_live_row_products_train_the_bits_of_full_ones(variant, monkeypatch):
     for g in lone_row_gs(n, rng):
         folds = fold_inputs(TrainInputs(
             g_matrix=g, x=rng.random((n, 3)), labels=np.arange(n) % 2,
-            train_mask=np.ones((1, n), dtype=bool), test_mask=np.zeros((1, n), dtype=bool)))
+            test_mask=np.zeros((1, n), dtype=bool)))
         model = GcnModel(cfg, _init_params(cfg, seeds, *folds.x.shape))
         assert (_Workspace(model, folds).live is not None) == keeps_row_rule()
         stack = fit_stack(folds, cfg, seeds)
@@ -971,7 +964,7 @@ def test_losses_are_non_finite_exactly_for_a_nan_training_row_or_an_overflowing_
     folds = fold_inputs(toy_inputs(toy_graph(n=12, seed=6)), k=5)
     cfg = small_cfg(weight_decay=0.01)
     model = GcnModel(cfg, _init_params(cfg, (4, 5, 6, 7, 8), *folds.x.shape))
-    rows, ws = _Rows.of(folds, cfg.num_classes, 5), _Workspace(model, folds)
+    rows, ws = _Rows(folds, cfg.num_classes, 5), _Workspace(model, folds)
     probs, _ = _forward(model, ws)
     args = rows, model.params, ws.decayed, cfg.weight_decay
     losses = _losses(probs, *args)
@@ -1001,7 +994,7 @@ def test_fit_diverges_where_the_per_fold_losses_first_go_non_finite(hot):
         model = GcnModel(cfg, _init_params(cfg, (4, 5, 6), *folds.x.shape))
         for param in model.params.values():
             param[1] *= hot
-        return (model, _Rows.of(folds, cfg.num_classes, 3), _Workspace(model, folds),
+        return (model, _Rows(folds, cfg.num_classes, 3), _Workspace(model, folds),
                 [derive_rng(seed, "dropout") for seed in (4, 5, 6)])
 
     model, rows, ws, rngs = start()
@@ -1030,30 +1023,21 @@ def test_train_folds_rejects_mismatched_folds():
 
 def test_train_folds_empty_masks_rejected():
     inputs = toy_inputs()
-    empty = np.zeros_like(inputs.train_mask)
-    no_test = replace(inputs, train_mask=np.concatenate([inputs.train_mask, inputs.train_mask]),
-                      test_mask=np.concatenate([inputs.test_mask, empty]))
+    test = inputs.test_mask
+    no_test = replace(inputs, test_mask=np.concatenate([test, np.zeros_like(test)]))
     with pytest.raises(ValueError, match="empty test mask"):
         train_folds(no_test, small_cfg(), [1, 2])
-    no_train = replace(inputs, train_mask=np.concatenate([inputs.train_mask, empty]),
-                       test_mask=np.concatenate([inputs.test_mask, inputs.test_mask]))
+    no_train = replace(inputs, test_mask=np.concatenate([test, np.ones_like(test)]))
     with pytest.raises(ValueError, match="empty training mask"):
         train_folds(no_train, small_cfg(), [1, 2])
-
-
-def test_masks_must_be_disjoint():
-    inputs = separable_inputs()
-    with pytest.raises(ValueError):
-        TrainInputs(g_matrix=inputs.g_matrix, x=inputs.x, labels=inputs.labels,
-                    train_mask=inputs.train_mask, test_mask=inputs.train_mask)
 
 
 def test_mask_shorter_than_the_nodes_rejected():
     # a short mask used to leave its tail nodes out of training and testing
     inputs = separable_inputs()
-    with pytest.raises(ValueError, match=r"train_mask must be a bool array of shape \(k, 10\) "
+    with pytest.raises(ValueError, match=r"test_mask must be a bool array of shape \(k, 10\) "
                                          r".* of shape \(1, 8\)"):
-        replace(inputs, train_mask=inputs.train_mask[:, :8], test_mask=inputs.test_mask[:, :8])
+        replace(inputs, test_mask=inputs.test_mask[:, :8])
 
 
 def test_mask_longer_than_the_nodes_rejected():
@@ -1066,22 +1050,15 @@ def test_mask_longer_than_the_nodes_rejected():
 
 def test_mask_that_is_not_bool_rejected():
     inputs = separable_inputs()
-    with pytest.raises(ValueError, match="train_mask must be a bool array .* got int64"):
-        replace(inputs, train_mask=inputs.train_mask.astype(np.int64))
+    with pytest.raises(ValueError, match="test_mask must be a bool array .* got int64"):
+        replace(inputs, test_mask=inputs.test_mask.astype(np.int64))
 
 
 def test_mask_without_folds_rejected():
     inputs = separable_inputs()
     none = np.zeros((0, 10), dtype=bool)
     with pytest.raises(ValueError, match=r"k >= 1, got bool of shape \(0, 10\)"):
-        replace(inputs, train_mask=none, test_mask=none)
-
-
-def test_train_and_test_masks_of_different_shapes_rejected():
-    inputs = separable_inputs()
-    with pytest.raises(ValueError, match=r"train_mask \(2, 10\) and test_mask \(1, 10\) must "
-                                         r"have the same shape"):
-        replace(inputs, train_mask=np.concatenate([inputs.train_mask] * 2))
+        replace(inputs, test_mask=none)
 
 
 def test_representative_of_the_wrong_size_rejected():
@@ -1099,11 +1076,9 @@ def test_labels_of_the_wrong_shape_rejected():
 
 
 def test_one_dimensional_masks_rejected():
-    # one model is a k = 1 stack: its masks are (1, n), never (n,)
+    # one model is a k = 1 stack: its test mask is (1, n), never (n,)
     inputs = separable_inputs()
-    with pytest.raises(ValueError, match=r"train_mask must be a bool array of shape \(k, 10\) "
+    with pytest.raises(ValueError, match=r"test_mask must be a bool array of shape \(k, 10\) "
                                          r"with k >= 1, got bool of shape \(10,\)"):
-        replace(inputs, train_mask=inputs.train_mask[0], test_mask=inputs.test_mask[0])
-    with pytest.raises(ValueError, match=r"test_mask must be .* \(k, 10\) .* shape \(10,\)"):
         replace(inputs, test_mask=inputs.test_mask[0])
     assert train_folds(inputs, small_cfg(epochs=2), [7])[0] in (0.0, 0.5, 1.0)

@@ -435,19 +435,36 @@ def test_machine_facts_read_the_blas_thread_count_in_force():
         assert _openblas.machine_facts()["blas_threads"] == 1
 
 
-def test_machine_facts_name_the_kernel_set_openblas_was_told_to_take():
+def haswell_env() -> dict[str, str]:
+    """The environment of a child process that runs OpenBLAS's AVX2
+    (Haswell) kernels and imports socsim from this checkout; skips the test
+    where the kernel set cannot be read, or this process runs them already."""
     core = _openblas.machine_facts()["blas_core"]
     if core is None:
         pytest.skip("numpy bundles no OpenBLAS with a core-name getter")
     if core == "Haswell":
         pytest.skip("this process already runs OpenBLAS's Haswell kernels")
     src = str(Path(harness.__file__).resolve().parents[1])
-    env = os.environ | {"OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": os.pathsep.join(
+    return os.environ | {"OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
+def test_machine_facts_name_the_kernel_set_openblas_was_told_to_take():
     code = "from socsim._openblas import machine_facts; print(machine_facts()['blas_core'])"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=60, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=haswell_env(), capture_output=True,
+                         text=True, timeout=60, check=True)
     assert out.stdout.split() == ["Haswell"]
+
+
+def test_gcn_and_memory_tests_pass_on_the_haswell_kernels():
+    # the stacking and row rules are facts of the kernels BLAS runs: one
+    # child process runs the tests that check them on the AVX2 kernel set
+    tests = Path(__file__).resolve().parent
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          str(tests / "test_gcn.py"), str(tests / "test_memory.py")],
+                         cwd=tests.parent, env=haswell_env(), capture_output=True, text=True,
+                         timeout=600)
+    assert out.returncode == 0, out.stdout[-4000:] + out.stderr[-2000:]
 
 
 def test_pool_has_at_most_one_worker_per_core(monkeypatch):
@@ -607,15 +624,15 @@ def test_cell_raising_any_error_is_recorded_and_the_run_continues(monkeypatch):
 # --- fold batching ----------------------------------------------------------------
 
 def train_folds_alone(graph, cell, test_masks, base, plan_seed):
-    """Each fold trained alone, as a k = 1 stack with (1, n) masks and its
-    own seed: its accuracy, or the TrainingDiverged it raised."""
+    """Each fold trained alone, as a k = 1 stack with a (1, n) test mask and
+    its own seed: its accuracy, or the TrainingDiverged it raised."""
     cfg, spec = parse_cell(cell, base)
     rep = build_representative(graph, spec)
     out = []
     for fold, test_mask in enumerate(test_masks):
         seed = derive_seed(plan_seed, "train", 0, 0, cell, fold)
         inputs = TrainInputs(g_matrix=rep.matrix, x=graph.features, labels=graph.sdna_of,
-                             train_mask=~test_mask[None], test_mask=test_mask[None])
+                             test_mask=test_mask[None])
         try:
             out.extend(train_folds(inputs, cfg, [seed]))
         except TrainingDiverged as exc:

@@ -93,13 +93,13 @@ def desk_folds():
     (graph, _), = iter_snapshots(desk_sim_config(5), 1)
     test = make_folds(graph.sdna_of, 10, seed=5)
     return TrainInputs(g_matrix=build_representative(graph, SimilaritySpec()).matrix,
-                       x=graph.features, labels=graph.sdna_of, train_mask=~test, test_mask=test)
+                       x=graph.features, labels=graph.sdna_of, test_mask=test)
 
 
 @pytest.mark.parametrize("variant", sorted(FIT_STACKS))
 def test_a_desk_fit_stays_under_the_stack_bound(desk_folds, variant):
     cfg = GcnConfig(variant=variant, epochs=2)
-    k, n = desk_folds.train_mask.shape
+    k, n = desk_folds.test_mask.shape
     fit = lambda: train_folds(desk_folds, cfg, list(range(k)))  # noqa: E731
     fit()
     stacks = traced_peak(fit) / (k * n * 32 * 8)
@@ -130,7 +130,7 @@ def test_a_fit_on_a_bit_symmetric_g_holds_one_copy_of_its_live_rows(desk_folds):
     # a product allocates no array, writing its live rows into the buffer
     # the copy came with and its lone rows in place
     cfg = GcnConfig()
-    k, n = desk_folds.train_mask.shape
+    k, n = desk_folds.test_mask.shape
     ws = _Workspace(GcnModel(cfg, _init_params(cfg, list(range(k)), *desk_folds.x.shape)),
                     desk_folds)
     live = ws.live
@@ -156,12 +156,11 @@ def test_a_fit_on_a_bit_symmetric_g_holds_one_copy_of_its_live_rows(desk_folds):
                                            ("f", True), ("t", False), ("tlr", False)])
 def test_backward_adds_no_stack_to_the_workspace(desk_folds, variant, use_s, layer_units):
     cfg = GcnConfig(variant=variant, use_s=use_s, layer_units=layer_units)
-    inputs = replace(desk_folds, train_mask=desk_folds.train_mask[:3],
-                     test_mask=desk_folds.test_mask[:3])
+    inputs = replace(desk_folds, test_mask=desk_folds.test_mask[:3])
     model = GcnModel(cfg, _init_params(cfg, [1, 2, 3], *inputs.x.shape))
     ws = _Workspace(model, inputs)
     _, cache = _forward(model, ws, training=True,
                         rngs=[np.random.default_rng(s) for s in (1, 2, 3)])
     stacks = {key: id(stack) for key, stack in ws._stacks.items()}
-    _backward(model, cache, _Rows.of(inputs, cfg.num_classes, 3), ws)
+    _backward(model, cache, _Rows(inputs, cfg.num_classes, 3), ws)
     assert {key: id(stack) for key, stack in ws._stacks.items()} == stacks

@@ -137,7 +137,7 @@ def _best_us(fn, number: int = 200) -> float:
 def bench_cell(cell: str, inputs: TrainInputs, k: int, epochs: int, repeat: int) -> dict:
     cfg, _ = parse_cell(cell, GcnConfig(num_classes=4))
     seeds = list(range(k))
-    rows = gcn._Rows.of(inputs, cfg.num_classes, k)
+    rows = gcn._Rows(inputs, cfg.num_classes, k)
 
     def fit(n_epochs: int):
         model = GcnModel(cfg, gcn._init_params(cfg, seeds, *inputs.x.shape))
@@ -195,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     for cell in args.cells:
         _, spec = parse_cell(cell)
         inputs = TrainInputs(g_matrix=build_representative(graph, spec).matrix, x=graph.features,
-                             labels=graph.sdna_of, train_mask=~test, test_mask=test)
+                             labels=graph.sdna_of, test_mask=test)
         cells[cell] = bench_cell(cell, inputs, args.k, args.epochs, args.repeat)
     print(json.dumps({"machine": machine_facts(), "n": graph.n, "k": args.k,
                       "epochs": args.epochs, "repeat": args.repeat, "seed": args.seed,

@@ -77,8 +77,7 @@ def main(argv: list[str] | None = None) -> int:
     (graph, _), = iter_snapshots(sim, 1)
     test = make_folds(graph.sdna_of, len(SEEDS), seed=args.seed)
     inputs = {kind: TrainInputs(g_matrix=build_representative(graph, SimilaritySpec(kind=kind)).matrix,
-                                x=graph.features, labels=graph.sdna_of,
-                                train_mask=~test, test_mask=test)
+                                x=graph.features, labels=graph.sdna_of, test_mask=test)
               for kind in KINDS}
     configs = {}
     combined = hashlib.sha256()
@@ -89,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         data = inputs[kind]
         model = GcnModel(cfg, _init_params(cfg, list(SEEDS), *data.x.shape))
         ws = _Workspace(model, data)
-        _fit(model, _Rows.of(data, classes, len(SEEDS)),
+        _fit(model, _Rows(data, classes, len(SEEDS)),
              [derive_rng(seed, "dropout") for seed in SEEDS], ws, args.epochs)
         probs, _ = _forward(model, ws)
         key = (f"{variant}{'+S' if use_s else ''} units={'-'.join(map(str, units)) or 'none'} "
