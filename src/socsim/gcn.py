@@ -59,15 +59,19 @@ widths).
 
 A row rule goes with that column rule.  In the renormalized adjacency a
 node with no neighbour has a lone row, whose only non-zero is its
-diagonal, and friendship snapshots have many.  Where the width per fold
-is a multiple of 32 (every default hidden layer, and t's W0;
-``_by_live_rows()`` is the rule), the same kernels give G[live] @ [H_1
-... H_k], over all n columns, the bits of those rows of the full product,
-and diag * h + 0.0 is what BLAS writes for a lone row.  So a G with at
-least LONE_ROWS_TO_PAY lone rows keeps one copy of its live rows for a
-run and multiplies only those (``_LiveRows``); its G.T products reuse
-the copy where G equals its transpose bit for bit, as every adjacency
-and binarized ("auto") G does, and are taken whole elsewhere.  The rule
+diagonal, and friendship snapshots have many.  For a G with M' live rows,
+where the width per fold is a multiple of 32 (every default hidden
+layer, and t's W0) or a fold's own live product has left OpenBLAS's
+small-matrix kernel, M' * n * width > 10^6 (so the 4-wide output layer
+at n = 800, for lone shares up to about 0.6; ``_by_live_rows()`` is the
+rule), the same kernels give G[live] @ [H_1 ... H_k], over all n
+columns, the bits of those rows of the full product, and diag * h + 0.0
+is what BLAS writes for a lone row.  So a G with at least
+LONE_ROWS_TO_PAY lone rows keeps one copy of its live rows for a run
+and multiplies only those (``_LiveRows``).  Its G.T products reuse the
+copy where G equals its transpose bit for bit, as every adjacency and
+binarized ("auto") G does; elsewhere, as for the weighted katz, RPR and
+GG representatives, G.T keeps its own copy of its live rows.  The rule
 reads G and the width per fold, never k, so a fold trained alone takes
 the path its stack takes.  It is a fact of the AVX-512 kernels: under
 OPENBLAS_CORETYPE=Haswell the live rows differ from the full product at
@@ -371,12 +375,14 @@ def _stacked(n: int, width: int) -> bool:
     return width % 8 == 0 or (width % 4 == 0 and n * n * width > 10**6)
 
 
-def _by_live_rows(width: int) -> bool:
-    """Whether a stacked G product, ``width`` columns per fold, may take
-    only G's live rows through BLAS (the row rule; see the module
-    docstring): where OpenBLAS gives G[live] @ [H_1 ... H_k], over all n
-    columns, the bits of those rows of G @ [H_1 ... H_k]."""
-    return width % 32 == 0
+def _by_live_rows(live: int, n: int, width: int) -> bool:
+    """Whether a stacked G product over n nodes, ``width`` columns per
+    fold, of a G with ``live`` live rows may take only those rows through
+    BLAS (the row rule; see the module docstring): where OpenBLAS gives
+    G[live] @ [H_1 ... H_k], over all n columns, the bits of those rows of
+    G @ [H_1 ... H_k]: a width per fold that is a multiple of 32, or a
+    fold's own live product past 10^6, live * n * width."""
+    return width % 32 == 0 or live * n * width > 10**6
 
 
 # Skipping G's lone rows saves lone rows x n x width of BLAS work and costs
@@ -388,7 +394,9 @@ def _by_live_rows(width: int) -> bool:
 LONE_ROWS_TO_PAY = 64
 
 # The OpenBLAS kernel sets (``blas_core()``) on which the row rule was
-# measured to hold: product widths 32-320, n = 40-1000, lone shares 0.1-0.8.
+# measured to hold: product widths 32-320, n = 40-1000, lone shares 0.1-0.8,
+# and widths 4, 12 and 20 past live * n * width = 10^6, n = 520-1000, lone
+# shares 0.1-0.7 (below it 65 of 420 such products changed bits).
 # OpenBLAS's AVX2 (Haswell) kernels break it at widths 32-320 at n = 200,
 # 201, 501, 800 and 801, so on any kernel set not named here G products are
 # taken whole.
@@ -400,28 +408,36 @@ def _live_rows(g: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.count_nonzero(g, axis=1) - (np.diagonal(g) != 0))
 
 
+def _bit_symmetric(g: np.ndarray) -> bool:
+    """Whether G equals its transpose bit for bit (so -0.0 and +0.0 differ)."""
+    bits = g.view(f"u{g.itemsize}") if g.dtype.kind == "f" else g
+    return bool(np.array_equal(bits, bits.T))
+
+
 class _LiveRows:
     """What G products that skip G's lone rows read: the live ``rows``, one
-    contiguous copy of them, ``g`` (M' x n), G's diagonal, whether G equals
-    its transpose bit for bit (``symmetric``: the copy then serves G.T
-    products too) and one buffer for the live rows' products, ``width``
-    columns wide at most."""
+    contiguous copy of them, ``g`` (M' x n), G's diagonal and one buffer
+    for the live rows' products, ``width`` columns wide at most.  G may be
+    a transpose: the copy then holds G.T's live rows, G's live columns."""
 
     def __init__(self, g: np.ndarray, rows: np.ndarray, width: int):
         self.rows, self.g, self.diag = rows, g[rows], np.diagonal(g).copy()
-        bits = g.view(f"u{g.itemsize}") if g.dtype.kind == "f" else g
-        self.symmetric = bool(np.array_equal(bits, bits.T))
         self._live = np.empty(len(rows) * width)
 
     @classmethod
-    def of(cls, g: np.ndarray, width: int) -> "_LiveRows | None":
-        """G's live rows, where OpenBLAS runs a kernel set in
-        _ROW_RULE_KERNELS and G has at least LONE_ROWS_TO_PAY lone rows;
-        else None."""
+    def of(cls, g: np.ndarray, k: int, widths: list[int]) -> "_LiveRows | None":
+        """G's live rows for the G products of a k-fold stack, ``widths``
+        columns per fold, where OpenBLAS runs a kernel set in
+        _ROW_RULE_KERNELS, G has at least LONE_ROWS_TO_PAY lone rows and
+        one of those products, at least, is stacked and passes
+        _by_live_rows(), with a buffer for the widest such; else None."""
         if blas_core() not in _ROW_RULE_KERNELS:
             return None
-        rows = _live_rows(g)
-        return cls(g, rows, width) if len(g) - len(rows) >= LONE_ROWS_TO_PAY else None
+        n, rows = len(g), _live_rows(g)
+        taken = [w for w in widths if _stacked(n, w) and _by_live_rows(len(rows), n, w)]
+        if n - len(rows) < LONE_ROWS_TO_PAY or not taken:
+            return None
+        return cls(g, rows, k * max(taken))
 
     def product(self, h: np.ndarray, out: np.ndarray) -> np.ndarray:
         """G @ h for an (n, width) ``h``, written into the C-contiguous
@@ -455,15 +471,16 @@ def _propagate(g: np.ndarray, h: np.ndarray, out: np.ndarray,
     side-by-side columns, ``g @ [h_1 ... h_k]`` (h is copied only when it
     is not laid out that way, while an ``out`` that is not raises); of
     that product only g's live rows go through BLAS, into ``live``'s own
-    buffer, where ``live`` holds them and _by_live_rows() holds.  Elsewhere
-    it takes one product per fold."""
+    buffer, where ``live`` holds g's live rows (G.T's for g = G.T) and
+    _by_live_rows() holds for them.  Elsewhere it takes one product per
+    fold."""
     k, n, width = h.shape
     if not _stacked(n, width):
         return np.matmul(g, h, out=out)
     wide = h.transpose(1, 0, 2).reshape(n, k * width)
     wide_out = out.transpose(1, 0, 2)
     wide_out.shape = (n, k * width)  # a view or an error, never a copy left unwritten
-    if live is not None and _by_live_rows(width):
+    if live is not None and _by_live_rows(len(live.rows), n, width):
         live.product(wide, wide_out)
     else:
         np.matmul(g, wide, out=wide_out)
@@ -495,12 +512,15 @@ class _Workspace:
     (``prop0``): None where it is the identity, else G @ X (X for f),
     computed once; S scales it per fold, into a stack laid out side by
     side at every n, since no G product reads it, where S's gradient then
-    forms.  Where _LiveRows.of() takes G (enough lone rows, on kernels
-    that keep the row rule) and a G product's width per fold passes
-    _by_live_rows(), ``live`` holds G's live rows for the G products
-    and ``live_t`` the same object for the G.T ones, if G equals its
-    transpose (else None, and G.T products are taken whole): one
-    M' x n copy per run, and one buffer for the widest such product."""
+    forms.  ``live`` holds G's live rows for the G products, where
+    _LiveRows.of() takes G: enough lone rows, on kernels that keep the row
+    rule, and a stacked G product whose width per fold passes
+    _by_live_rows(), for which alone its buffer is sized; else None.
+    ``live_t`` is the same object for the G.T products where G equals its
+    transpose bit for bit, else _LiveRows.of() of G.T, with its own copy
+    and buffer: one M' x n copy per run for a bit-symmetric G, two for any
+    other (such as a weighted katz, RPR or GG representative, which
+    scales by (a * d_i) * d_j)."""
 
     def __init__(self, model: GcnModel, inputs: TrainInputs):
         cfg, params = model.config, model.params
@@ -513,9 +533,11 @@ class _Workspace:
         self.k, self.n = k, n
         # an "in" step multiplies G by its input width, an "out" step by its output's
         widths = [s.fans[s.g == "out"] for s in self.steps if s.g]
-        widest = max(filter(_by_live_rows, widths), default=0)
-        self.live = _LiveRows.of(self.gm, k * widest) if self.gm is not None and widest else None
-        self.live_t = self.live if self.live is not None and self.live.symmetric else None
+        self.live = self.live_t = None
+        if self.gm is not None:
+            self.live = _LiveRows.of(self.gm, k, widths)
+            self.live_t = (self.live if _bit_symmetric(self.gm)
+                           else _LiveRows.of(self.gm.T, k, widths))
         self._stacks: dict[str, np.ndarray] = {}
         # laid out like their parameters, so Adam's passes match layouts
         self.grads = {name: np.full_like(p, np.nan) for name, p in params.items()}

@@ -134,18 +134,26 @@ def test_g_products_tool_times_both_forms_on_each_side_of_the_rule(tmp_path):
         # where the rule stacks, the stacked product gives each fold its own bits
         assert row["identical"] or not row["rule_stacks"]
     rows = report["live_rows"]
-    assert [(r["n"], r["k"], r["width"], r["lone_share"], r["side"]) for r in rows] == [
-        (n, k, 32, share, side) for n, k in ((200, 10), (800, 3))
-        for share in (0.02, 0.05, 0.1, 0.2, 0.35, 0.55) for side in ("g", "g.T")]
+    assert [(r["n"], r["k"], r["width"], r["lone_share"], r["g"], r["side"]) for r in rows] == [
+        (n, k, width, share, g, side) for n, k, width in ((200, 10, 32), (800, 3, 32), (800, 3, 4))
+        for share in (0.02, 0.05, 0.1, 0.2, 0.35, 0.55, 0.7)
+        for g in ("symmetric", "skewed") for side in ("g", "g.T")]
     keeps_row_rule = report["machine"]["blas_core"] in _ROW_RULE_KERNELS
     for row in rows:
         assert row["full_ms"] > 0 and row["live_ms"] > 0
         # the live-row path is taken from LONE_ROWS_TO_PAY lone rows on, on
-        # kernels that keep the row rule; where it is taken it keeps the full
-        # product's bits (this G equals its transpose, so on both sides)
-        assert row["rule_takes"] == (keeps_row_rule and row["lone_rows"] >= LONE_ROWS_TO_PAY)
+        # kernels that keep the row rule, at a width per fold that is a
+        # multiple of 32 or past M' * n * width = 10^6; where it is taken it
+        # keeps the full product's bits, on both sides of either G
+        n, width, live = row["n"], row["width"], row["n"] - row["lone_rows"]
+        assert row["rule_takes"] == (keeps_row_rule and row["lone_rows"] >= LONE_ROWS_TO_PAY
+                                     and (width % 32 == 0 or live * n * width > 10**6))
         assert row["identical"] or not row["rule_takes"]
-    assert any(row["rule_takes"] for row in rows) == keeps_row_rule
+    # the output layer's 4 columns take the path at n = 800 up to a lone
+    # share of about 0.61, and not at 0.7
+    taken = {(r["width"], r["lone_share"]) for r in rows if r["rule_takes"]}
+    assert ((4, 0.55) in taken and (4, 0.7) not in taken) == keeps_row_rule
+    assert bool(taken) == keeps_row_rule
 
 
 def test_epoch_bench_tool_times_every_part_of_an_epoch():

@@ -16,6 +16,8 @@ from socsim.gcn import (
     _Workspace,
     _adam_step,
     _backward,
+    _bit_symmetric,
+    _by_live_rows,
     _fit,
     _forward,
     _init_params,
@@ -851,17 +853,31 @@ def test_stacking_rule_at_its_boundary():
     assert _stacked(60, 8) and _stacked(60, 32) and not _stacked(60, 12)
 
 
-def lone_row_gs(n, rng):
+def lone_row_gs(n, rng, live=None):
     """Two G over n nodes with about half their rows lone (no off-diagonal
-    non-zero): a renormalized adjacency, equal to its transpose bit for
-    bit, and a copy with its rows scaled, which is not."""
-    linked = rng.random(n) < 0.5
+    non-zero), or all but ``live`` of them: a renormalized adjacency, equal
+    to its transpose bit for bit, and a copy with its rows scaled, which is
+    not."""
+    linked = (rng.random(n) < 0.5 if live is None
+              else np.isin(np.arange(n), rng.choice(n, live, replace=False)))
     a = (np.triu(rng.random((n, n)) < 0.1, 1) & linked & linked[:, None]).astype(float)
     a += a.T + np.eye(n)
     dinv = 1.0 / np.sqrt(a.sum(axis=1))
     a *= dinv[:, None]
     a *= dinv
     return a, a * rng.random((n, 1))
+
+
+def weighted_lone_row_g(n, rng):
+    """A fixed-threshold katz representative of a graph on n nodes of which
+    about half have no neighbour: a weighted G, scaled as (a * d_i) * d_j,
+    that does not equal its transpose bit for bit."""
+    linked = np.flatnonzero(rng.random(n) < 0.5)
+    edges = frozenset((int(i), int(j)) for i in linked for j in linked
+                      if i < j and rng.random() < 0.05)
+    graph = SocialGraph(n=n, edges=edges, features=rng.random((n, 3)), sdna_of=np.arange(n) % 2)
+    spec = SimilaritySpec(kind="katz", threshold_lo=0.0, threshold_hi=0.5)
+    return build_representative(graph, spec).matrix
 
 
 def keeps_row_rule():
@@ -871,6 +887,24 @@ def keeps_row_rule():
 
 def same_bits(a, b):
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def assert_live_products_keep_each_folds_bits(g, k, width, rng):
+    """A stacked G product and a G.T one, ``width`` columns per fold, each
+    through the live rows the workspace would use (G's, and for G.T G's
+    again where G equals its transpose, else G.T's own), give each fold the
+    bits of its own full product, down to the sign of h's -0.0 entries in
+    the lone rows."""
+    n = len(g)
+    live = _LiveRows(g, _live_rows(g), k * width)
+    live_t = live if _bit_symmetric(g) else _LiveRows(g.T, _live_rows(g.T), k * width)
+    h = _stack(np.empty(k * n * width), k, n, width)
+    h[...] = rng.normal(size=h.shape)
+    h[:, np.setdiff1d(np.arange(n), live.rows), ::2] = -0.0
+    for gm, gm_live in ((g, live), (g.T, live_t)):
+        out = _propagate(gm, h, _stack(np.empty(k * n * width), k, n, width), gm_live)
+        for fold in range(k):
+            assert same_bits(out[fold], gm @ h[fold]), (k, width, fold)
 
 
 @pytest.mark.parametrize("n", [60, 200, 500, 501, 800])
@@ -888,53 +922,70 @@ def test_g_products_equal_each_fold_alone(n):
                 out = _propagate(gm, h, out=_stack(np.empty(k * n * width), k, n, width))
                 for fold in range(k):
                     assert np.array_equal(out[fold], gm @ h[fold]), (k, width, fold)
-    # so are they where only G's live rows go through BLAS (the row rule,
-    # widths that are a multiple of 32) and each lone row is diag * h + 0.0,
-    # down to the sign of h's -0.0 entries; G.T products reuse G's live rows
-    # only where G equals its transpose
+    # so are they where only G's live rows go through BLAS (the row rule:
+    # widths that are a multiple of 32, or past M' * n * width = 10^6, as
+    # 12 is from n = 500 on, 8 from 501 and 4 at 800) and each lone row is
+    # diag * h + 0.0; G.T products reuse G's live rows where G equals its
+    # transpose, and go through G.T's own elsewhere
     symmetric, skewed = lone_row_gs(n, rng)
     if not keeps_row_rule():  # the kernels are not known to keep it: no G takes the path
-        assert _LiveRows.of(symmetric, 32) is None and _LiveRows.of(skewed, 32) is None
+        assert _LiveRows.of(symmetric, 3, [32]) is None and _LiveRows.of(skewed, 3, [32]) is None
         return
-    for g, bit_symmetric in ((symmetric, True), (skewed, False)):
-        rows = _live_rows(g)
-        lone = np.setdiff1d(np.arange(n), rows)
-        assert 0.3 * n < len(lone) < 0.7 * n
+    assert _bit_symmetric(symmetric) and not _bit_symmetric(skewed)
+    for g in (symmetric, skewed):
+        assert 0.3 * n < n - len(_live_rows(g)) < 0.7 * n
         for k in (3, 10):
-            for width in (8, 32, 64):
-                live = _LiveRows(g, rows, k * width)
-                assert live.symmetric == bit_symmetric
-                h = _stack(np.empty(k * n * width), k, n, width)
-                h[...] = rng.normal(size=h.shape)
-                h[:, lone, ::2] = -0.0
-                for gm, gm_live in ((g, live), (g.T, live if live.symmetric else None)):
-                    out = _propagate(gm, h, _stack(np.empty(k * n * width), k, n, width),
-                                     gm_live)
-                    for fold in range(k):
-                        assert same_bits(out[fold], gm @ h[fold]), (k, width, fold)
+            for width in (4, 8, 12, 32, 64):
+                assert_live_products_keep_each_folds_bits(g, k, width, rng)
+
+
+# each (n, width, M') sits just under or just past M' * n * width = 10^6,
+# with 488 and 487, or 360 and 359, lone rows
+@pytest.mark.parametrize("n,width,live", [(800, 4, 312), (800, 4, 313),
+                                          (520, 12, 160), (520, 12, 161)])
+def test_row_rule_at_its_boundary(n, width, live):
+    # a narrow stacked product takes the live rows once a fold's own live
+    # product leaves OpenBLAS's small-matrix kernel, and keeps each fold's
+    # bits on either side
+    past = live * n * width > 10**6
+    assert _stacked(n, width) and _by_live_rows(live, n, width) == past
+    rng = np.random.default_rng(live)
+    for g in lone_row_gs(n, rng, live):
+        assert len(_live_rows(g)) == live
+        taken = _LiveRows.of(g, 3, [width])
+        if not keeps_row_rule():
+            assert taken is None
+            continue
+        assert (taken is not None) == past
+        assert_live_products_keep_each_folds_bits(g, 3, width, rng)
 
 
 @pytest.mark.parametrize("variant", ["ftvanilla", "t"])
 def test_live_row_products_train_the_bits_of_full_ones(variant, monkeypatch):
     # a G with lone rows takes the live-row path, in a stack and for each
-    # fold alone, on kernels that keep the row rule, and trains the
+    # fold alone, on kernels that keep the row rule, its G.T products
+    # through G's live rows where G equals its transpose and through G.T's
+    # own elsewhere (a row-scaled G, a weighted katz one), and trains the
     # parameters of full G products bit for bit
     n, seeds = 200, (4, 5, 6)
     rng = np.random.default_rng(8)
     cfg = small_cfg(variant=variant, layer_units=(32, 32), dropout_p=0.5, epochs=5)
-    for g in lone_row_gs(n, rng):
+    for g in (*lone_row_gs(n, rng), weighted_lone_row_g(n, rng)):
         folds = fold_inputs(TrainInputs(
             g_matrix=g, x=rng.random((n, 3)), labels=np.arange(n) % 2,
             test_mask=np.zeros((1, n), dtype=bool)))
         model = GcnModel(cfg, _init_params(cfg, seeds, *folds.x.shape))
-        assert (_Workspace(model, folds).live is not None) == keeps_row_rule()
+        ws = _Workspace(model, folds)
+        assert (ws.live is not None) == (ws.live_t is not None) == keeps_row_rule()
+        assert (ws.live_t is ws.live) == (_bit_symmetric(g) or not keeps_row_rule())
         stack = fit_stack(folds, cfg, seeds)
         for fold, seed in enumerate(seeds):
             for name, param in fit_stack(one_fold(folds, fold), cfg, [seed]).items():
                 assert same_bits(stack[name][fold], param[0]), (fold, name)
         with monkeypatch.context() as patched:
             patched.setattr(gcn, "LONE_ROWS_TO_PAY", n + 1)
-            assert _Workspace(model, folds).live is None
+            ws = _Workspace(model, folds)
+            assert ws.live is None and ws.live_t is None
             full = fit_stack(folds, cfg, seeds)
         for name, param in stack.items():
             assert same_bits(param, full[name]), name

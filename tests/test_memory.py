@@ -34,8 +34,8 @@ import pytest
 
 from socsim._openblas import blas_core
 from socsim.gcn import (LONE_ROWS_TO_PAY, GcnConfig, GcnModel, TrainInputs, train_folds, _Rows,
-                        _ROW_RULE_KERNELS, _Workspace, _backward, _forward, _init_params,
-                        _propagate)
+                        _ROW_RULE_KERNELS, _Workspace, _backward, _bit_symmetric, _forward,
+                        _init_params, _live_rows, _propagate)
 from socsim.graph import SocialGraph
 from socsim.harness import desk_sim_config, make_folds
 from socsim.sdna import iter_snapshots
@@ -124,29 +124,86 @@ def held_arrays(*objects) -> list[np.ndarray]:
     return arrays
 
 
-def test_a_fit_on_a_bit_symmetric_g_holds_one_copy_of_its_live_rows(desk_folds):
-    # an adjacency G equals its transpose bit for bit, so its G.T products
-    # reuse the copy of its live rows: no other array holds G's rows, and
-    # a product allocates no array, writing its live rows into the buffer
-    # the copy came with and its lone rows in place
-    cfg = GcnConfig()
-    k, n = desk_folds.test_mask.shape
-    ws = _Workspace(GcnModel(cfg, _init_params(cfg, list(range(k)), *desk_folds.x.shape)),
-                    desk_folds)
-    live = ws.live
-    if blas_core() not in _ROW_RULE_KERNELS:  # G products are taken whole there
-        assert live is None and ws.live_t is None
-        return
-    assert live.symmetric and ws.live_t is live
-    assert n - len(live.rows) >= LONE_ROWS_TO_PAY and live.g.shape == (len(live.rows), n)
-    copies = [a.shape for a in held_arrays(ws, live) if a.ndim == 2 and a.shape[1] == n
-              and not np.shares_memory(a, desk_folds.g_matrix)]
-    assert copies == [live.g.shape]
+def desk_workspace(inputs, cfg=GcnConfig()):
+    k = len(inputs.test_mask)
+    return _Workspace(GcnModel(cfg, _init_params(cfg, list(range(k)), *inputs.x.shape)), inputs)
+
+
+def row_copies(ws, inputs) -> list[tuple[int, int]]:
+    """The shapes of the (rows, n) arrays a workspace holds beside G."""
+    n = inputs.x.shape[0]
+    return [a.shape for a in held_arrays(ws, *filter(None, (ws.live, ws.live_t)))
+            if a.ndim == 2 and a.shape[1] == n and not np.shares_memory(a, inputs.g_matrix)]
+
+
+def assert_products_allocate_nothing(ws):
+    """A G product and a G.T one write their live rows into the buffer
+    their copy came with and their lone rows in place, allocating no array."""
     h, out = ws.stack("prop1", 32), ws.stack("z1", 32)
     h[...] = 1.0
     for g, g_live in ((ws.gm, ws.live), (ws.gm.T, ws.live_t)):
         _propagate(g, h, out, g_live)
         assert traced_peak(lambda: _propagate(g, h, out, g_live)) < 4096
+
+
+def test_a_fit_on_a_bit_symmetric_g_holds_one_copy_of_its_live_rows(desk_folds):
+    # an adjacency G equals its transpose bit for bit, so its G.T products
+    # reuse the copy of its live rows: no other array holds G's rows
+    ws = desk_workspace(desk_folds)
+    live = ws.live
+    if blas_core() not in _ROW_RULE_KERNELS:  # G products are taken whole there
+        assert live is None and ws.live_t is None
+        return
+    n = desk_folds.x.shape[0]
+    assert _bit_symmetric(desk_folds.g_matrix) and ws.live_t is live
+    assert n - len(live.rows) >= LONE_ROWS_TO_PAY and live.g.shape == (len(live.rows), n)
+    assert row_copies(ws, desk_folds) == [live.g.shape]
+    assert_products_allocate_nothing(ws)
+
+
+@pytest.fixture(scope="module")
+def weighted_desk_folds(desk_folds):
+    """desk_folds over the snapshot's fixed-threshold katz G (FTkatz0.0-0.5),
+    scaled as (a * d_i) * d_j, so it does not equal its transpose bit for
+    bit."""
+    (graph, _), = iter_snapshots(desk_sim_config(5), 1)
+    spec = SimilaritySpec(kind="katz", threshold_lo=0.0, threshold_hi=0.5)
+    return replace(desk_folds, g_matrix=build_representative(graph, spec).matrix)
+
+
+def test_a_fit_on_a_g_that_is_not_bit_symmetric_holds_a_copy_per_side(weighted_desk_folds):
+    # its G.T products go through G.T's own live rows: one copy for each
+    # side, each with its own buffer, and still no product allocates
+    ws, g = desk_workspace(weighted_desk_folds), weighted_desk_folds.g_matrix
+    assert not _bit_symmetric(g)
+    if blas_core() not in _ROW_RULE_KERNELS:
+        assert ws.live is None and ws.live_t is None
+        return
+    n = weighted_desk_folds.x.shape[0]
+    live, live_t = ws.live, ws.live_t
+    assert live_t is not live and not np.shares_memory(live._live, live_t._live)
+    assert n - len(live.rows) >= LONE_ROWS_TO_PAY
+    assert np.array_equal(live.rows, _live_rows(g)) and np.array_equal(live_t.rows, _live_rows(g.T))
+    assert sorted(row_copies(ws, weighted_desk_folds)) == sorted([live.g.shape, live_t.g.shape])
+    assert_products_allocate_nothing(ws)
+
+
+NO_PATH_CONFIGS = {"f": GcnConfig(variant="f"), "few lone rows": GcnConfig(),
+                   "no product the rule takes": GcnConfig(layer_units=(12, 12))}
+
+
+@pytest.mark.parametrize("case", sorted(NO_PATH_CONFIGS))
+def test_a_fit_no_g_product_of_which_takes_the_path_holds_no_copy(desk_folds, case,
+                                                                   monkeypatch):
+    # variant f has no G product, a G below LONE_ROWS_TO_PAY pays for no
+    # copy, and a net whose G products are all per fold or below the row
+    # rule (widths 12 and 4 at n = 200) would leave a copy unread
+    if case == "few lone rows":
+        lone = desk_folds.x.shape[0] - len(_live_rows(desk_folds.g_matrix))
+        monkeypatch.setattr("socsim.gcn.LONE_ROWS_TO_PAY", lone + 1)
+    ws = desk_workspace(desk_folds, NO_PATH_CONFIGS[case])
+    assert ws.live is None and ws.live_t is None
+    assert row_copies(ws, desk_folds) == []
 
 
 # the default net, a narrowing one, one whose widths change at every layer

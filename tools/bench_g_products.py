@@ -15,19 +15,21 @@ takes that product stacked (``rule_stacks``).
 
 It also times the stacked product of a G with lone rows (no neighbour),
 the renormalized adjacency D^-1/2 (A + I) D^-1/2 of a graph in which each
-of the shares LONE_SHARES of the nodes has none, at each n and fold count
-of LIVE_SIZES, LIVE_WIDTH columns per fold, on both sides (that G equals
-its transpose bit for bit):
+of the shares LONE_SHARES of the nodes has none (``symmetric``: it equals
+its transpose bit for bit) and a copy with its rows scaled (``skewed``:
+it does not, as a weighted katz, RPR or GG representative does not), at
+each n, fold count and width per fold of LIVE_CASES, on both sides:
 
     full  one BLAS product over all n rows
-    live  socsim.gcn._LiveRows: G's live rows from one BLAS product of
-          their copy, each lone row as diag * h + 0.0
+    live  socsim.gcn._LiveRows: the live rows of G (or of G.T, from their
+          own copy) from one BLAS product, each lone row as diag * h + 0.0
 
 and records whether the live product equals the full one bit for bit
 (``identical``) and whether the training workspace takes it
-(``rule_takes``: kernels that keep the row rule, enough lone rows, a
-width per fold that is a multiple of 32, and for G.T a G equal to its
-transpose).  Each time is the median of
+(``rule_takes``: _LiveRows.of() on that side, so kernels that keep the
+row rule, enough lone rows, and a stacked width per fold that passes
+_by_live_rows(); a bit-symmetric G's G.T products take its copy of G's
+live rows, whose bits are those of G.T's).  Each time is the median of
 ``--repeat`` calls, in milliseconds.  BLAS is pinned to one thread before
 numpy is imported, as in perfbench, and
 ``socsim._openblas.machine_facts()`` is recorded as the ``machine`` block.
@@ -48,13 +50,15 @@ import numpy as np  # noqa: E402
 
 from bench_graph_kernels import _median_ms  # noqa: E402
 from socsim._openblas import machine_facts  # noqa: E402
-from socsim.gcn import _by_live_rows, _LiveRows, _live_rows, _stacked  # noqa: E402
+from socsim.gcn import _LiveRows, _live_rows, _stacked  # noqa: E402
 
-# the live-row table: a desk snapshot's n and folds and a wide_pool one's,
-# the default hidden width, and lone shares around the break-even
-LIVE_SIZES = ((200, 10), (800, 3))
-LIVE_WIDTH = 32
-LONE_SHARES = (0.02, 0.05, 0.1, 0.2, 0.35, 0.55)
+# the live-row table: a desk snapshot's n and folds at the default hidden
+# width, and a wide_pool one's at that width and at the output layer's
+# (4 classes); lone shares around the break-even, and one past the share
+# (about 0.61 at n = 800) where the output layer's live product falls
+# back into OpenBLAS's small-matrix kernel
+LIVE_CASES = ((200, 10, 32), (800, 3, 32), (800, 3, 4))
+LONE_SHARES = (0.02, 0.05, 0.1, 0.2, 0.35, 0.55, 0.7)
 
 
 def time_products(n: int, k: int, width: int, repeat: int, rng: np.random.Generator) -> list:
@@ -92,21 +96,22 @@ def lone_row_g(n: int, lone_share: float, rng: np.random.Generator) -> np.ndarra
 
 def time_live_rows(n: int, k: int, width: int, lone_share: float, repeat: int,
                    rng: np.random.Generator) -> list:
-    g = lone_row_g(n, lone_share, rng)
-    live = _LiveRows(g, _live_rows(g), k * width)
+    symmetric = lone_row_g(n, lone_share, rng)
     h = rng.normal(size=(n, k * width))  # [H_1 ... H_k]
     full, out = np.empty_like(h), np.empty_like(h)
     rows = []
-    for side, gm in (("g", g), ("g.T", g.T)):
-        full_ms, _ = _median_ms(lambda: np.matmul(gm, h, out=full), repeat)
-        live_ms, _ = _median_ms(lambda: live.product(h, out), repeat)
-        rows.append({"n": n, "k": k, "width": width, "side": side, "lone_share": lone_share,
-                     "lone_rows": n - len(live.rows), "full_ms": full_ms, "live_ms": live_ms,
-                     "live_vs_full": f"{live_ms / full_ms - 1:+.1%}",
-                     "identical": bool(np.array_equal(out.view(np.uint64),
-                                                      full.view(np.uint64))),
-                     "rule_takes": (_LiveRows.of(g, k * width) is not None
-                                    and _by_live_rows(width) and (side == "g" or live.symmetric))})
+    for g_name, g in (("symmetric", symmetric), ("skewed", symmetric * rng.random((n, 1)))):
+        for side, gm in (("g", g), ("g.T", g.T)):
+            live = _LiveRows(gm, _live_rows(gm), k * width)
+            full_ms, _ = _median_ms(lambda: np.matmul(gm, h, out=full), repeat)
+            live_ms, _ = _median_ms(lambda: live.product(h, out), repeat)
+            rows.append({"n": n, "k": k, "width": width, "g": g_name, "side": side,
+                         "lone_share": lone_share, "lone_rows": n - len(live.rows),
+                         "full_ms": full_ms, "live_ms": live_ms,
+                         "live_vs_full": f"{live_ms / full_ms - 1:+.1%}",
+                         "identical": bool(np.array_equal(out.view(np.uint64),
+                                                          full.view(np.uint64))),
+                         "rule_takes": _LiveRows.of(gm, k, [width]) is not None})
     return rows
 
 
@@ -123,8 +128,8 @@ def main(argv: list[str] | None = None) -> int:
     rng = np.random.default_rng(args.seed)
     products = [row for n in args.n for k in args.folds for width in args.width
                 for row in time_products(n, k, width, args.repeat, rng)]
-    live_rows = [row for n, k in LIVE_SIZES for share in LONE_SHARES
-                 for row in time_live_rows(n, k, LIVE_WIDTH, share, args.repeat, rng)]
+    live_rows = [row for n, k, width in LIVE_CASES for share in LONE_SHARES
+                 for row in time_live_rows(n, k, width, share, args.repeat, rng)]
     doc = {"machine": machine_facts(), "repeat": args.repeat, "products": products,
            "live_rows": live_rows}
     text = json.dumps(doc, indent=1)
