@@ -67,19 +67,39 @@ at n = 800, for lone shares up to about 0.6; ``_by_live_rows()`` is the
 rule), the same kernels give G[live] @ [H_1 ... H_k], over all n
 columns, the bits of those rows of the full product, and diag * h + 0.0
 is what BLAS writes for a lone row.  So a G with at least
-LONE_ROWS_TO_PAY lone rows keeps one copy of its live rows for a run
-and multiplies only those (``_LiveRows``).  Its G.T products reuse the
-copy where G equals its transpose bit for bit, as every adjacency and
+LONE_ROWS_TO_PAY lone rows keeps what its live rows' products read for a
+run and multiplies only those (``_LiveRows``).  Its G.T products reuse it
+where G equals its transpose bit for bit, as every adjacency and
 binarized ("auto") G does; elsewhere, as for the weighted katz, RPR and
-GG representatives, G.T keeps its own copy of its live rows.  The rule
-reads G and the width per fold, never k, so a fold trained alone takes
-the path its stack takes.  It is a fact of the AVX-512 kernels: under
-OPENBLAS_CORETYPE=Haswell the live rows differ from the full product at
-widths 32-320 at some n.  So the path is taken only where OpenBLAS runs
-a kernel set on which the rule was measured (``_ROW_RULE_KERNELS``); on
-any other, every G product is taken whole.  Parity holds for finite h;
-a non-finite entry of a fold's h still reaches every live row of its
-columns, through G[live]'s zero columns.
+GG representatives, G.T keeps its own.  The rule reads G and the width
+per fold, never k, so a fold trained alone takes the path its stack
+takes.  It is a fact of the AVX-512 kernels: under OPENBLAS_CORETYPE=
+Haswell the live rows differ from the full product at widths 32-320 at
+some n.  So the path is taken only where OpenBLAS runs a kernel set on
+which the rule was measured (``_ROW_RULE_KERNELS``); on any other, every
+G product is taken whole.
+
+A lone-column rule goes with the row rule.  Where G's live rows are zero
+in every lone column, a product whose width per fold is a multiple of 32
+skips the lone columns too: OpenBLAS 0.3.31's one-thread GEMM sums
+each entry's n products in K panels (``_panels()``: GEMM_Q = 384 and
+GEMM_UNROLL_M = 16 on its SkylakeX kernels), each panel's sum added to
+those before it, and a lone column adds only zeros to its panel's sum.
+So the sum over each panel P_p of G[live][:, live in P_p] @ h[live in
+P_p], taken in panel order, gives the live rows the bits of the full
+product (n = 60-1200, lone shares 0.1-0.8, both sides).  Up to n = 384
+that is one product over the live columns.  It holds on one BLAS thread
+only, as training runs: two threads split K another way, and change the
+bits at n = 500 and 501.  Nor does it hold at a width per fold of 4 (3
+folds at n = 800), so narrower products keep all n columns.  One copy of
+G's live rows serves both: M' x M' where every product skips the lone
+columns, else M' x n with each panel's live columns ahead of its lone
+ones, whose column slices are the panels; a product over all n columns
+reads h's rows in that order, which moves only zero terms within their
+panel.  Parity holds for finite h.  A non-finite entry of a fold's h in
+a lone row no longer reaches the live rows where the lone columns are
+skipped; it still reaches every live row of its columns elsewhere,
+through G[live]'s zero columns.
 
 A training run allocates its arrays once, in a workspace that every epoch
 reuses, and writes them with ``out=`` in the same arithmetic and order as
@@ -112,7 +132,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._openblas import _one_blas_thread, blas_core
+from ._openblas import _one_blas_thread, blas_core, blas_threads
 from .rng import derive_rng
 
 VARIANTS = ("ftvanilla", "f", "t", "tlr")
@@ -402,6 +422,31 @@ LONE_ROWS_TO_PAY = 64
 # taken whole.
 _ROW_RULE_KERNELS = frozenset({"SkylakeX"})
 
+# OpenBLAS 0.3.31's one-thread level-3 GEMM sums a product's K products
+# in panels of at most GEMM_Q, the last two halved and rounded up to
+# GEMM_UNROLL_M; on its SkylakeX kernels dgemm's GEMM_Q is 384 and its
+# GEMM_UNROLL_M 16.  Of 35 (Q, unroll) pairs, only these kept the bits of
+# the lone-column rule in every case measured.  Two threads split K another way.
+_GEMM_Q, _GEMM_UNROLL_M = 384, 16
+
+
+def _panels(n: int) -> list[tuple[int, int]]:
+    """The [start, stop) K panels in which OpenBLAS's one-thread GEMM
+    sums a G product over n columns of G: 384 while at least 768 remain,
+    then, past 384, half of the rest (rounded down) rounded up to 16, then
+    the rest; so one panel up to n = 384, and [0, 384), [384, 592) and
+    [592, 800) at n = 800."""
+    panels, start = [], 0
+    while start < n:
+        rest = n - start
+        if rest >= 2 * _GEMM_Q:
+            rest = _GEMM_Q
+        elif rest > _GEMM_Q:
+            rest = -(-(rest // 2) // _GEMM_UNROLL_M) * _GEMM_UNROLL_M
+        panels.append((start, start + rest))
+        start += rest
+    return panels
+
 
 def _live_rows(g: np.ndarray) -> np.ndarray:
     """The indices of G's live rows, those with an off-diagonal non-zero."""
@@ -415,14 +460,52 @@ def _bit_symmetric(g: np.ndarray) -> bool:
 
 
 class _LiveRows:
-    """What G products that skip G's lone rows read: the live ``rows``, one
-    contiguous copy of them, ``g`` (M' x n), G's diagonal and one buffer
-    for the live rows' products, ``width`` columns wide at most.  G may be
-    a transpose: the copy then holds G.T's live rows, G's live columns."""
+    """What G products that skip G's lone rows read: the live ``rows``, G's
+    diagonal, one ``copy`` of G's live rows and the buffers their products
+    write, for the k-fold products of ``widths`` columns per fold that take
+    the live rows.  A width that skips the lone columns too (``columns``
+    set and a multiple of 32) multiplies ``panels``: per K panel of
+    _panels(n) that holds a live column, the slice of ``rows`` that are
+    its live columns and the copy's columns for them, a view.  Where every
+    width does, the copy is G[live][:, live] (M' x M').  Where one does
+    not, it is M' x n, G[live] with its columns in ``order``: with
+    ``columns`` set, each panel's live columns ahead of its lone ones, so
+    the panels stay where they are and only zeros move (G's live rows are
+    zero in every lone column); else G's own order, and ``order`` is None.
+    One buffer takes the live rows' products, and one the panel products
+    past the first, where there are two panels or more, each M' rows by
+    the widest such product.  G may be a transpose: the copy then holds
+    G.T's live rows, G's live columns."""
 
-    def __init__(self, g: np.ndarray, rows: np.ndarray, width: int):
-        self.rows, self.g, self.diag = rows, g[rows], np.diagonal(g).copy()
-        self._live = np.empty(len(rows) * width)
+    def __init__(self, g: np.ndarray, rows: np.ndarray, k: int, widths: list[int],
+                 columns: bool):
+        n, m = len(g), len(rows)
+        self.rows, self.diag, self.columns = rows, np.diagonal(g).copy(), columns
+        by_columns = [w for w in widths if self.by_columns(w)]
+        all_n = len(by_columns) < len(widths)  # some product takes all n columns
+        starts = [start for start, _ in _panels(n)] + [n]
+        self.order = None
+        if not all_n:
+            self.copy = g[np.ix_(rows, rows)]
+        elif by_columns:  # each panel's live columns first, then its lone ones
+            lone = np.ones(n, dtype=bool)
+            lone[rows] = False
+            panel = np.searchsorted(starts, np.arange(n), side="right")
+            self.order = np.argsort(2 * panel + lone, kind="stable")
+            self.copy = g[np.ix_(rows, self.order)]
+        else:
+            self.copy = g[rows]
+        cuts = np.searchsorted(rows, starts)
+        at = starts if all_n else cuts  # where each panel's live columns start in the copy
+        self.panels = [(slice(a, b), self.copy[:, c:c + b - a])
+                       for a, b, c in zip(cuts, cuts[1:], at) if by_columns and a < b]
+        self._live = np.empty(m * k * max(widths))
+        self._sums = np.empty(m * k * max(by_columns)) if len(self.panels) > 1 else None
+
+    def by_columns(self, width: int) -> bool:
+        """Whether products ``width`` columns per fold skip the lone
+        columns too: with ``columns`` set, at a multiple of 32."""
+        return self.columns and width % 32 == 0
 
     @classmethod
     def of(cls, g: np.ndarray, k: int, widths: list[int]) -> "_LiveRows | None":
@@ -430,25 +513,49 @@ class _LiveRows:
         columns per fold, where OpenBLAS runs a kernel set in
         _ROW_RULE_KERNELS, G has at least LONE_ROWS_TO_PAY lone rows and
         one of those products, at least, is stacked and passes
-        _by_live_rows(), with a buffer for the widest such; else None."""
+        _by_live_rows(), with a copy and buffers for those products; else
+        None.  They skip the lone columns too where BLAS runs one thread,
+        whose K panels _panels() gives, and G's live rows are zero in every
+        lone column."""
         if blas_core() not in _ROW_RULE_KERNELS:
             return None
         n, rows = len(g), _live_rows(g)
         taken = [w for w in widths if _stacked(n, w) and _by_live_rows(len(rows), n, w)]
         if n - len(rows) < LONE_ROWS_TO_PAY or not taken:
             return None
-        return cls(g, rows, k * max(taken))
+        columns = blas_threads() == 1 and bool(np.isin(_live_rows(g.T), rows).all())
+        return cls(g, rows, k, taken, columns)
 
-    def product(self, h: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """G @ h for an (n, width) ``h``, written into the C-contiguous
-        ``out``: each lone row as diag * h + 0.0 (the + 0.0 turns a -0.0
-        into the +0.0 BLAS writes; einsum adds each product to a zeroed
-        ``out``, in one pass), then the live rows from one BLAS product of
-        the copy over all n columns, so a non-finite entry of a column of h
-        reaches every live row of it, as in the full product."""
+    def product(self, h: np.ndarray, out: np.ndarray, width: int) -> np.ndarray:
+        """G @ h for an (n, k * width) ``h``, written into the C-contiguous
+        ``out``: the live rows through BLAS into the live rows' buffer,
+        reading h's rows through ``out`` where they are gathered, then each
+        lone row as diag * h + 0.0 (the + 0.0 turns a -0.0 into the +0.0
+        BLAS writes; einsum adds each product to a zeroed ``out``, in one
+        pass), then the live rows.  Where the width skips the lone columns,
+        h's live rows go to ``out``'s first M' rows and each panel's product
+        of them is added to the sum of those before it, in panel order, as
+        OpenBLAS adds its K panels; a non-finite entry of h then reaches
+        only the rows whose G reads it.  Elsewhere the copy takes all n
+        columns (h's rows in ``order``, where set), so a non-finite entry of
+        a column of h reaches every live row of it, as in the full product.
+        The gathers take mode="clip": mode="raise" buffers its ``out``."""
+        m = len(self.rows)
+        live = self._live[:m * h.shape[1]].reshape(m, -1)
+        if self.by_columns(width):
+            gathered = np.take(h, self.rows, axis=0, out=out[:m], mode="clip")
+            for p, (cut, panel) in enumerate(self.panels):
+                if p == 0:
+                    np.matmul(panel, gathered[cut], out=live)
+                else:
+                    live += np.matmul(panel, gathered[cut],
+                                      out=self._sums[:live.size].reshape(m, -1))
+        elif self.order is not None:
+            np.matmul(self.copy, np.take(h, self.order, axis=0, out=out, mode="clip"), out=live)
+        else:
+            np.matmul(self.copy, h, out=live)
         np.einsum("ij,i->ij", h, self.diag, out=out)
-        rows_out = self._live[:len(self.rows) * h.shape[1]].reshape(len(self.rows), -1)
-        out[self.rows] = np.matmul(self.g, h, out=rows_out)
+        out[self.rows] = live
         return out
 
 
@@ -472,8 +579,9 @@ def _propagate(g: np.ndarray, h: np.ndarray, out: np.ndarray,
     is not laid out that way, while an ``out`` that is not raises); of
     that product only g's live rows go through BLAS, into ``live``'s own
     buffer, where ``live`` holds g's live rows (G.T's for g = G.T) and
-    _by_live_rows() holds for them.  Elsewhere it takes one product per
-    fold."""
+    _by_live_rows() holds for them, and of those rows' columns only the
+    live ones, panel by panel, where ``live.by_columns()`` holds for the
+    width.  Elsewhere it takes one product per fold."""
     k, n, width = h.shape
     if not _stacked(n, width):
         return np.matmul(g, h, out=out)
@@ -481,7 +589,7 @@ def _propagate(g: np.ndarray, h: np.ndarray, out: np.ndarray,
     wide_out = out.transpose(1, 0, 2)
     wide_out.shape = (n, k * width)  # a view or an error, never a copy left unwritten
     if live is not None and _by_live_rows(len(live.rows), n, width):
-        live.product(wide, wide_out)
+        live.product(wide, wide_out, width)
     else:
         np.matmul(g, wide, out=wide_out)
     return out
@@ -515,12 +623,17 @@ class _Workspace:
     forms.  ``live`` holds G's live rows for the G products, where
     _LiveRows.of() takes G: enough lone rows, on kernels that keep the row
     rule, and a stacked G product whose width per fold passes
-    _by_live_rows(), for which alone its buffer is sized; else None.
-    ``live_t`` is the same object for the G.T products where G equals its
-    transpose bit for bit, else _LiveRows.of() of G.T, with its own copy
-    and buffer: one M' x n copy per run for a bit-symmetric G, two for any
-    other (such as a weighted katz, RPR or GG representative, which
-    scales by (a * d_i) * d_j)."""
+    _by_live_rows(), for which alone its copy and buffers are sized; else
+    None.  ``live_t`` is the same object for the G.T products where G
+    equals its transpose bit for bit, else _LiveRows.of() of G.T, with its
+    own copy and buffers (a weighted katz, RPR or GG representative scales
+    by (a * d_i) * d_j).  Each side's copy of its live rows is M' x M',
+    their live columns alone, where all its products skip the lone columns
+    (one BLAS thread, G's live rows zero in every lone column, widths that
+    are a multiple of 32), else M' x n, for a narrow product that takes
+    the live rows over all n columns; beside it, a buffer for the live
+    rows' products, and one for the panel sums where G has two K panels or
+    more."""
 
     def __init__(self, model: GcnModel, inputs: TrainInputs):
         cfg, params = model.config, model.params

@@ -5,7 +5,7 @@ them silently.
 """
 
 import hashlib
-import importlib
+import importlib.util
 import json
 import os
 import re
@@ -116,6 +116,22 @@ def test_gcn_digest_tool_digests_every_config_of_its_grid():
         assert report["digests"][key] == report["digests"][key.replace("adjacency", "katz")]
 
 
+def test_paired_timing_alternates_the_forms_and_takes_ratios_per_round():
+    spec = importlib.util.spec_from_file_location("paired_timing",
+                                                  ROOT / "tools" / "paired_timing.py")
+    paired_timing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(paired_timing)
+    calls = []
+    forms = {name: (lambda name=name: calls.append(name)) for name in ("a", "b", "c")}
+    times = paired_timing.paired_ms(forms, repeat=4)
+    # each round calls every form once, starting one form later each round
+    assert calls == list("abc" "bca" "cab" "abc")
+    assert list(times) == ["a", "b", "c"] and list(times["a"]) == ["ms"]
+    for name in ("b", "c"):
+        low, high = times[name]["vs_first_iqr"]
+        assert times[name]["ms"] >= 0 and low <= high
+
+
 def test_g_products_tool_times_both_forms_on_each_side_of_the_rule(tmp_path):
     out = tmp_path / "times.json"
     subprocess.run(
@@ -130,6 +146,9 @@ def test_g_products_tool_times_both_forms_on_each_side_of_the_rule(tmp_path):
         (n, width, side) for n in (500, 501) for width in (1, 4) for side in ("g", "g.T")]
     for row in rows:
         assert row["per_fold_ms"] > 0 and row["stacked_ms"] > 0
+        # both forms are timed in one loop: a per-round ratio and its IQR
+        low, high = (float(q.rstrip("%")) for q in row["stacked_vs_per_fold_iqr"])
+        assert low <= high
         assert row["rule_stacks"] == ((row["n"], row["width"]) == (501, 4))
         # where the rule stacks, the stacked product gives each fold its own bits
         assert row["identical"] or not row["rule_stacks"]
@@ -149,6 +168,15 @@ def test_g_products_tool_times_both_forms_on_each_side_of_the_rule(tmp_path):
         assert row["rule_takes"] == (keeps_row_rule and row["lone_rows"] >= LONE_ROWS_TO_PAY
                                      and (width % 32 == 0 or live * n * width > 10**6))
         assert row["identical"] or not row["rule_takes"]
+        # at a width per fold that is a multiple of 32 the live rows skip
+        # the lone columns too (the tool runs one BLAS thread, and these
+        # G's live rows are zero in their lone columns), with the bits of
+        # the full product; elsewhere that form is not timed
+        assert (row["columns_ms"] is not None) == (width % 32 == 0)
+        assert row["rule_takes_columns"] == (row["rule_takes"] and width % 32 == 0)
+        if width % 32 == 0:
+            assert row["columns_ms"] > 0 and len(row["columns_vs_full_iqr"]) == 2
+            assert row["columns_identical"] or not row["rule_takes_columns"]
     # the output layer's 4 columns take the path at n = 800 up to a lone
     # share of about 0.61, and not at 0.7
     taken = {(r["width"], r["lone_share"]) for r in rows if r["rule_takes"]}

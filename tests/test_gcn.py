@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from socsim import _openblas, gcn
+from socsim._openblas import _one_blas_thread
 from socsim.gcn import (
     GcnConfig,
     GcnModel,
@@ -24,6 +25,7 @@ from socsim.gcn import (
     _live_rows,
     _LiveRows,
     _losses,
+    _panels,
     _propagate,
     _softmax,
     _stack,
@@ -889,19 +891,23 @@ def same_bits(a, b):
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def assert_live_products_keep_each_folds_bits(g, k, width, rng):
+def assert_live_products_keep_each_folds_bits(g, k, width, rng, columns=False, widths=None):
     """A stacked G product and a G.T one, ``width`` columns per fold, each
     through the live rows the workspace would use (G's, and for G.T G's
-    again where G equals its transpose, else G.T's own), give each fold the
-    bits of its own full product, down to the sign of h's -0.0 entries in
-    the lone rows."""
-    n = len(g)
-    live = _LiveRows(g, _live_rows(g), k * width)
-    live_t = live if _bit_symmetric(g) else _LiveRows(g.T, _live_rows(g.T), k * width)
+    again where G equals its transpose, else G.T's own), built for the
+    products of ``widths`` (``[width]`` by default) columns per fold, and
+    through their live columns, panel by panel, where ``columns`` is set
+    and the width takes them, give each fold the bits of its own full
+    product, down to the sign of h's -0.0 entries in the lone rows."""
+    n, widths = len(g), widths or [width]
+    live = _LiveRows(g, _live_rows(g), k, widths, columns)
+    live_t = (live if _bit_symmetric(g)
+              else _LiveRows(g.T, _live_rows(g.T), k, widths, columns))
     h = _stack(np.empty(k * n * width), k, n, width)
     h[...] = rng.normal(size=h.shape)
     h[:, np.setdiff1d(np.arange(n), live.rows), ::2] = -0.0
     for gm, gm_live in ((g, live), (g.T, live_t)):
+        assert gm_live.by_columns(width) == (columns and width % 32 == 0)
         out = _propagate(gm, h, _stack(np.empty(k * n * width), k, n, width), gm_live)
         for fold in range(k):
             assert same_bits(out[fold], gm @ h[fold]), (k, width, fold)
@@ -926,17 +932,22 @@ def test_g_products_equal_each_fold_alone(n):
     # widths that are a multiple of 32, or past M' * n * width = 10^6, as
     # 12 is from n = 500 on, 8 from 501 and 4 at 800) and each lone row is
     # diag * h + 0.0; G.T products reuse G's live rows where G equals its
-    # transpose, and go through G.T's own elsewhere
+    # transpose, and go through G.T's own elsewhere; at widths that are a
+    # multiple of 32 they skip G's lone columns too, on the one BLAS
+    # thread training runs (two threads sum K in other panels, and change
+    # the bits at n = 500 and 501)
     symmetric, skewed = lone_row_gs(n, rng)
     if not keeps_row_rule():  # the kernels are not known to keep it: no G takes the path
         assert _LiveRows.of(symmetric, 3, [32]) is None and _LiveRows.of(skewed, 3, [32]) is None
         return
     assert _bit_symmetric(symmetric) and not _bit_symmetric(skewed)
-    for g in (symmetric, skewed):
-        assert 0.3 * n < n - len(_live_rows(g)) < 0.7 * n
-        for k in (3, 10):
-            for width in (4, 8, 12, 32, 64):
-                assert_live_products_keep_each_folds_bits(g, k, width, rng)
+    with _one_blas_thread():
+        for g in (symmetric, skewed):
+            assert 0.3 * n < n - len(_live_rows(g)) < 0.7 * n
+            for k in (3, 10):
+                for width in (4, 8, 12, 32, 64):
+                    for columns in (False, True):
+                        assert_live_products_keep_each_folds_bits(g, k, width, rng, columns)
 
 
 # each (n, width, M') sits just under or just past M' * n * width = 10^6,
@@ -960,13 +971,134 @@ def test_row_rule_at_its_boundary(n, width, live):
         assert_live_products_keep_each_folds_bits(g, 3, width, rng)
 
 
+# OpenBLAS's one-thread K panels: one up to 384, then 384 while 768 remain,
+# then half the rest (rounded down) rounded up to 16, then the rest
+@pytest.mark.parametrize("n,panels", [
+    (200, [(0, 200)]), (384, [(0, 384)]), (385, [(0, 192), (192, 385)]),
+    (500, [(0, 256), (256, 500)]), (800, [(0, 384), (384, 592), (592, 800)]),
+    (1200, [(0, 384), (384, 768), (768, 992), (992, 1200)])])
+def test_panels_split_k_as_openblas_does_on_one_thread(n, panels):
+    assert _panels(n) == panels
+
+
+@pytest.mark.parametrize("n", [384, 385, 500, 501, 768, 800, 801, 1000])
+def test_live_columns_keep_each_folds_bits(n):
+    # at a width per fold that is a multiple of 32 the live rows skip G's
+    # lone columns too, summing their products panel by panel in panel
+    # order: on one BLAS thread each fold gets the bits of its own full
+    # product, on either side of a panel boundary, for G and G.T of a G
+    # that equals its transpose and of one that does not
+    rng = np.random.default_rng(n)
+    if not keeps_row_rule():  # the kernels are not known to keep it: no G takes the path
+        assert _LiveRows.of(lone_row_gs(n, rng)[0], 3, [32]) is None
+        return
+    with _one_blas_thread():
+        for share in (0.1, 0.45, 0.8):
+            for g in lone_row_gs(n, rng, round((1 - share) * n)):
+                assert len(_LiveRows(g, _live_rows(g), 3, [32], True).panels) == len(_panels(n))
+                for k in (1, 3, 10):
+                    for width in (32, 64):
+                        assert_live_products_keep_each_folds_bits(g, k, width, rng, columns=True)
+
+
+# past M' * n * width = 10^6 (M' = 0.6 n live rows) a narrow product takes
+# the live rows over all n columns beside the 32-wide ones
+@pytest.mark.parametrize("n,narrow", [(520, 12), (520, 20), (800, 4), (1000, 4), (1000, 12)])
+def test_one_copy_in_panel_order_keeps_the_bits_of_both_products(n, narrow):
+    # a fit whose narrow products take all n columns and whose 32-wide
+    # ones skip the lone columns holds one M' x n copy, each panel's live
+    # columns ahead of its lone ones: the panels are its views, and the
+    # narrow products, which read h's rows in that order, add the same
+    # non-zero terms, in the same K panels, as the full product
+    rng = np.random.default_rng(n + narrow)
+    if not keeps_row_rule():
+        assert _LiveRows.of(lone_row_gs(n, rng, round(0.6 * n))[0], 3, [32, narrow]) is None
+        return
+    with _one_blas_thread():
+        for g in lone_row_gs(n, rng, round(0.6 * n)):
+            live = _LiveRows.of(g, 3, [32, narrow])
+            assert live.by_columns(32) and not live.by_columns(narrow)
+            assert live.copy.shape == (len(live.rows), n) and live.order is not None
+            assert all(np.shares_memory(panel, live.copy) for _, panel in live.panels)
+            for width in (32, narrow):
+                assert_live_products_keep_each_folds_bits(g, 3, width, rng, columns=True,
+                                                          widths=[32, narrow])
+
+
+def test_a_g_whose_live_rows_read_a_lone_column_keeps_all_n_columns():
+    # a non-zero in a lone column of a live row (that column's node keeps
+    # its lone row) would be dropped with the column: such a G keeps its
+    # M' x n copy and all n columns, with each fold's bits; so does a G on
+    # two BLAS threads, whose K panels are not _panels()
+    n, k, width = 500, 3, 32
+    rng = np.random.default_rng(3)
+    g = lone_row_gs(n, rng)[0]
+    rows = _live_rows(g)
+    with _one_blas_thread():
+        clean = _LiveRows.of(g, k, [width])
+        g[rows[0], np.setdiff1d(np.arange(n), rows)[0]] = 0.25
+        assert np.array_equal(_live_rows(g), rows)
+        dirty = _LiveRows.of(g, k, [width])
+    if not keeps_row_rule():
+        assert clean is None and dirty is None
+        return
+    assert clean.by_columns(width) and len(clean.panels) == 2
+    assert clean.copy.shape == (len(rows), len(rows))
+    assert not dirty.by_columns(width) and dirty.copy.shape == (len(rows), n)
+    assert dirty.order is None and not dirty.panels
+    h = _stack(np.empty(k * n * width), k, n, width)
+    h[...] = rng.normal(size=h.shape)
+    with _one_blas_thread():
+        out = _propagate(g, h, _stack(np.empty(k * n * width), k, n, width), dirty)
+        for fold in range(k):
+            assert same_bits(out[fold], g @ h[fold]), fold
+    setter = _openblas._blas_thread_setter()
+    if setter is None or _openblas.blas_threads() is None:
+        return
+    before = _openblas.blas_threads()
+    setter(2)
+    try:
+        g[rows[0], np.setdiff1d(np.arange(n), rows)[0]] = 0.0
+        assert not _LiveRows.of(g, k, [width]).by_columns(width)
+    finally:
+        setter(before)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("variant", ["ftvanilla", "t"])
+@pytest.mark.parametrize("seed", range(6))
+def test_a_lone_row_fit_diverges_where_its_full_products_do(variant, seed, monkeypatch):
+    # skipping the lone columns keeps a lone row's non-finite h from the
+    # live rows; a fit whose kernels overflow (at epoch 1 to 4 here, in
+    # any fold) still stops at the epoch, and names the fold, of the same
+    # fit through full G products
+    n, seeds = 200, [4, 5, 6]
+    rng = np.random.default_rng(seed)
+    inputs = TrainInputs(g_matrix=lone_row_gs(n, rng)[0], x=rng.random((n, 3)),
+                         labels=np.arange(n) % 2, test_mask=rng.random((3, n)) < 0.1)
+    cfg = small_cfg(variant=variant, layer_units=(32, 32), dropout_p=0.5, epochs=100,
+                    learning_rate=1e102)
+    with _one_blas_thread():
+        live = _LiveRows.of(inputs.g_matrix, 3, [32])
+        assert (live is not None and live.by_columns(32)) == keeps_row_rule()
+    with pytest.raises(TrainingDiverged) as lone_columns_skipped:
+        train_folds(inputs, cfg, seeds)
+    with monkeypatch.context() as patched:
+        patched.setattr(gcn, "LONE_ROWS_TO_PAY", n + 1)
+        with pytest.raises(TrainingDiverged) as full:
+            train_folds(inputs, cfg, seeds)
+    assert ((lone_columns_skipped.value.epoch, lone_columns_skipped.value.fold)
+            == (full.value.epoch, full.value.fold))
+
+
 @pytest.mark.parametrize("variant", ["ftvanilla", "t"])
 def test_live_row_products_train_the_bits_of_full_ones(variant, monkeypatch):
     # a G with lone rows takes the live-row path, in a stack and for each
     # fold alone, on kernels that keep the row rule, its G.T products
     # through G's live rows where G equals its transpose and through G.T's
-    # own elsewhere (a row-scaled G, a weighted katz one), and trains the
-    # parameters of full G products bit for bit
+    # own elsewhere (a row-scaled G, a weighted katz one), skipping its
+    # lone columns too on the one BLAS thread training runs, and trains
+    # the parameters of full G products bit for bit
     n, seeds = 200, (4, 5, 6)
     rng = np.random.default_rng(8)
     cfg = small_cfg(variant=variant, layer_units=(32, 32), dropout_p=0.5, epochs=5)
@@ -975,18 +1107,21 @@ def test_live_row_products_train_the_bits_of_full_ones(variant, monkeypatch):
             g_matrix=g, x=rng.random((n, 3)), labels=np.arange(n) % 2,
             test_mask=np.zeros((1, n), dtype=bool)))
         model = GcnModel(cfg, _init_params(cfg, seeds, *folds.x.shape))
-        ws = _Workspace(model, folds)
-        assert (ws.live is not None) == (ws.live_t is not None) == keeps_row_rule()
-        assert (ws.live_t is ws.live) == (_bit_symmetric(g) or not keeps_row_rule())
-        stack = fit_stack(folds, cfg, seeds)
-        for fold, seed in enumerate(seeds):
-            for name, param in fit_stack(one_fold(folds, fold), cfg, [seed]).items():
-                assert same_bits(stack[name][fold], param[0]), (fold, name)
-        with monkeypatch.context() as patched:
-            patched.setattr(gcn, "LONE_ROWS_TO_PAY", n + 1)
+        with _one_blas_thread():
             ws = _Workspace(model, folds)
-            assert ws.live is None and ws.live_t is None
-            full = fit_stack(folds, cfg, seeds)
+            assert (ws.live is not None) == (ws.live_t is not None) == keeps_row_rule()
+            assert (ws.live_t is ws.live) == (_bit_symmetric(g) or not keeps_row_rule())
+            for live in filter(None, (ws.live, ws.live_t)):
+                assert live.by_columns(32) and live.copy.shape == (len(live.rows),) * 2
+            stack = fit_stack(folds, cfg, seeds)
+            for fold, seed in enumerate(seeds):
+                for name, param in fit_stack(one_fold(folds, fold), cfg, [seed]).items():
+                    assert same_bits(stack[name][fold], param[0]), (fold, name)
+            with monkeypatch.context() as patched:
+                patched.setattr(gcn, "LONE_ROWS_TO_PAY", n + 1)
+                ws = _Workspace(model, folds)
+                assert ws.live is None and ws.live_t is None
+                full = fit_stack(folds, cfg, seeds)
         for name, param in stack.items():
             assert same_bits(param, full[name]), name
 

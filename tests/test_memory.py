@@ -16,14 +16,16 @@ headroom over the measured peaks (numpy 2.4):
                                          power buffers, RPR called
                                          np.linalg.inv and augment
                                          normalized into a second array)
-  a 10-fold desk fit at n = 200          FTvanilla 11.3, T 15.8 stacks of
+  a 10-fold desk fit at n = 200          FTvanilla 11.2, T 15.6 stacks of
                                          (k, n, 32) float64 (17.7 and 22.2
                                          while every backward stack had
                                          its own buffer; 10.5 and 14.9
                                          before G's 105 live rows were
-                                         copied, 0.33 stack, beside a
-                                         buffer for their widest product,
-                                         0.53 stack)
+                                         copied, beside a buffer for their
+                                         widest product, 0.53 stack; 11.3
+                                         and 15.8 while that copy held all
+                                         n columns, 0.33 stack, not the
+                                         105 live ones, 0.17)
 """
 
 import tracemalloc
@@ -32,7 +34,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from socsim._openblas import blas_core
+from socsim._openblas import _one_blas_thread, blas_core
 from socsim.gcn import (LONE_ROWS_TO_PAY, GcnConfig, GcnModel, TrainInputs, train_folds, _Rows,
                         _ROW_RULE_KERNELS, _Workspace, _backward, _bit_symmetric, _forward,
                         _init_params, _live_rows, _propagate)
@@ -125,40 +127,71 @@ def held_arrays(*objects) -> list[np.ndarray]:
 
 
 def desk_workspace(inputs, cfg=GcnConfig()):
+    """A workspace for ``inputs`` built on one BLAS thread, as train_folds
+    builds it, so its products may skip G's lone columns."""
     k = len(inputs.test_mask)
-    return _Workspace(GcnModel(cfg, _init_params(cfg, list(range(k)), *inputs.x.shape)), inputs)
+    with _one_blas_thread():
+        return _Workspace(GcnModel(cfg, _init_params(cfg, list(range(k)), *inputs.x.shape)),
+                          inputs)
 
 
 def row_copies(ws, inputs) -> list[tuple[int, int]]:
-    """The shapes of the (rows, n) arrays a workspace holds beside G."""
-    n = inputs.x.shape[0]
+    """The shapes of the 2-d arrays of M' rows, for M' live rows of G or
+    G.T, that a workspace holds beside G and that own their memory: the
+    copies of G's live rows, not the panels' views of them."""
+    counts = {len(live.rows) for live in filter(None, (ws.live, ws.live_t))}
     return [a.shape for a in held_arrays(ws, *filter(None, (ws.live, ws.live_t)))
-            if a.ndim == 2 and a.shape[1] == n and not np.shares_memory(a, inputs.g_matrix)]
+            if a.ndim == 2 and a.shape[0] in counts and a.base is None
+            and not np.shares_memory(a, inputs.g_matrix)]
 
 
-def assert_products_allocate_nothing(ws):
-    """A G product and a G.T one write their live rows into the buffer
-    their copy came with and their lone rows in place, allocating no array."""
-    h, out = ws.stack("prop1", 32), ws.stack("z1", 32)
+def assert_panels_view_one_copy(live, copy_shape):
+    """``live``'s panels are views of its one copy, of ``copy_shape``."""
+    assert live.copy.shape == copy_shape
+    assert all(panel.base is live.copy for _, panel in live.panels)
+
+
+def assert_products_allocate_nothing(ws, width=32):
+    """A G product and a G.T one, ``width`` columns per fold, write their
+    live rows into the buffers their copies came with and their lone rows
+    in place, allocating no array: the gather of h's live rows goes to
+    out's first M' rows through np.take(mode="clip"), since mode="raise"
+    buffers its ``out``."""
+    h, out = ws.stack("prop1", width), ws.stack("z1", width)
     h[...] = 1.0
     for g, g_live in ((ws.gm, ws.live), (ws.gm.T, ws.live_t)):
         _propagate(g, h, out, g_live)
         assert traced_peak(lambda: _propagate(g, h, out, g_live)) < 4096
 
 
-def test_a_fit_on_a_bit_symmetric_g_holds_one_copy_of_its_live_rows(desk_folds):
+# the default net, whose G products at n = 200 all skip the lone columns
+# (widths 32), and one whose 56-wide products (past M' * n * width = 10^6)
+# take the live rows over all n columns
+COPY_CONFIGS = {"default": GcnConfig(), "narrow row path": GcnConfig(layer_units=(32, 56, 56))}
+
+
+@pytest.mark.parametrize("case", sorted(COPY_CONFIGS))
+def test_a_fit_on_a_bit_symmetric_g_holds_one_copy_of_its_live_rows(desk_folds, case):
     # an adjacency G equals its transpose bit for bit, so its G.T products
-    # reuse the copy of its live rows: no other array holds G's rows
-    ws = desk_workspace(desk_folds)
+    # reuse the copy of its live rows: M' x M', G's live columns alone,
+    # where every product skips the lone columns; M' x n, each K panel's
+    # live columns ahead of its lone ones, where a product takes all n
+    # columns; the panels are views of it, and no other array holds G's rows
+    ws = desk_workspace(desk_folds, COPY_CONFIGS[case])
     live = ws.live
     if blas_core() not in _ROW_RULE_KERNELS:  # G products are taken whole there
         assert live is None and ws.live_t is None
         return
-    n = desk_folds.x.shape[0]
+    n, m = desk_folds.x.shape[0], len(live.rows)
     assert _bit_symmetric(desk_folds.g_matrix) and ws.live_t is live
-    assert n - len(live.rows) >= LONE_ROWS_TO_PAY and live.g.shape == (len(live.rows), n)
-    assert row_copies(ws, desk_folds) == [live.g.shape]
+    assert n - m >= LONE_ROWS_TO_PAY and live.by_columns(32)
+    copy = (m, n) if case == "narrow row path" else (m, m)
+    assert row_copies(ws, desk_folds) == [copy]
+    assert (live.order is not None) == (copy == (m, n))
+    assert_panels_view_one_copy(live, copy)
     assert_products_allocate_nothing(ws)
+    if live.order is not None:
+        assert_products_allocate_nothing(ws, 56)
 
 
 @pytest.fixture(scope="module")
@@ -172,8 +205,8 @@ def weighted_desk_folds(desk_folds):
 
 
 def test_a_fit_on_a_g_that_is_not_bit_symmetric_holds_a_copy_per_side(weighted_desk_folds):
-    # its G.T products go through G.T's own live rows: one copy for each
-    # side, each with its own buffer, and still no product allocates
+    # its G.T products go through G.T's own live rows: an M' x M' copy for
+    # each side, each with its own buffer, and still no product allocates
     ws, g = desk_workspace(weighted_desk_folds), weighted_desk_folds.g_matrix
     assert not _bit_symmetric(g)
     if blas_core() not in _ROW_RULE_KERNELS:
@@ -184,7 +217,10 @@ def test_a_fit_on_a_g_that_is_not_bit_symmetric_holds_a_copy_per_side(weighted_d
     assert live_t is not live and not np.shares_memory(live._live, live_t._live)
     assert n - len(live.rows) >= LONE_ROWS_TO_PAY
     assert np.array_equal(live.rows, _live_rows(g)) and np.array_equal(live_t.rows, _live_rows(g.T))
-    assert sorted(row_copies(ws, weighted_desk_folds)) == sorted([live.g.shape, live_t.g.shape])
+    copies = [(len(side.rows), len(side.rows)) for side in (live, live_t)]
+    assert sorted(row_copies(ws, weighted_desk_folds)) == sorted(copies)
+    for side, copy in zip((live, live_t), copies):
+        assert_panels_view_one_copy(side, copy)
     assert_products_allocate_nothing(ws)
 
 

@@ -20,18 +20,29 @@ its transpose bit for bit) and a copy with its rows scaled (``skewed``:
 it does not, as a weighted katz, RPR or GG representative does not), at
 each n, fold count and width per fold of LIVE_CASES, on both sides:
 
-    full  one BLAS product over all n rows
-    live  socsim.gcn._LiveRows: the live rows of G (or of G.T, from their
-          own copy) from one BLAS product, each lone row as diag * h + 0.0
+    full     one BLAS product over all n rows
+    live     socsim.gcn._LiveRows over G's rows alone: the live rows of G
+             (or of G.T, from their own copy) from one BLAS product over
+             all n columns, each lone row as diag * h + 0.0
+    columns  the same, skipping the lone columns too: the live rows'
+             products over the live columns of each of OpenBLAS's K panels,
+             summed in panel order; only at a width per fold that is a
+             multiple of 32, else null
 
-and records whether the live product equals the full one bit for bit
-(``identical``) and whether the training workspace takes it
-(``rule_takes``: _LiveRows.of() on that side, so kernels that keep the
-row rule, enough lone rows, and a stacked width per fold that passes
-_by_live_rows(); a bit-symmetric G's G.T products take its copy of G's
-live rows, whose bits are those of G.T's).  Each time is the median of
-``--repeat`` calls, in milliseconds.  BLAS is pinned to one thread before
-numpy is imported, as in perfbench, and
+and records whether each equals the full product bit for bit
+(``identical``, ``columns_identical``) and whether the training workspace
+takes it (``rule_takes``: _LiveRows.of() on that side, so kernels that
+keep the row rule, enough lone rows, and a stacked width per fold that
+passes _by_live_rows(); a bit-symmetric G's G.T products take its copy of
+G's live rows, whose bits are those of G.T's; ``rule_takes_columns``: it
+also skips the lone columns, on one BLAS thread, where G's live rows are
+zero in every lone column).
+
+The forms of a row are timed in one loop (tools/paired_timing.py), each
+round calling each once: each time is the median of ``--repeat`` calls, in
+milliseconds, and each ``*_vs_*`` the median of the per-round ratios to
+the first form, with their IQR.  BLAS is pinned to one thread before numpy
+is imported, as in perfbench and in training, and
 ``socsim._openblas.machine_facts()`` is recorded as the ``machine`` block.
 
     PYTHONPATH=src python3 tools/bench_g_products.py --out times.json
@@ -48,7 +59,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from bench_graph_kernels import _median_ms  # noqa: E402
+from paired_timing import paired_ms  # noqa: E402
 from socsim._openblas import machine_facts  # noqa: E402
 from socsim.gcn import _LiveRows, _live_rows, _stacked  # noqa: E402
 
@@ -61,6 +72,13 @@ LIVE_CASES = ((200, 10, 32), (800, 3, 32), (800, 3, 4))
 LONE_SHARES = (0.02, 0.05, 0.1, 0.2, 0.35, 0.55, 0.7)
 
 
+def percent(times: dict) -> dict:
+    """A paired_ms() form's ratio to the first form and its IQR, as signed
+    percentages."""
+    return {"vs": f"{times['vs_first']:+.1%}",
+            "iqr": [f"{q:+.1%}" for q in times["vs_first_iqr"]]}
+
+
 def time_products(n: int, k: int, width: int, repeat: int, rng: np.random.Generator) -> list:
     g = rng.random((n, n))
     h = rng.normal(size=(k, n, width))
@@ -69,11 +87,13 @@ def time_products(n: int, k: int, width: int, repeat: int, rng: np.random.Genera
     wide = np.empty((n, k * width))
     rows = []
     for side, gm in (("g", g), ("g.T", g.T)):
-        per_fold_ms, _ = _median_ms(lambda: np.matmul(gm, h, out=per_fold), repeat)
-        stacked_ms, _ = _median_ms(lambda: np.matmul(gm, wide_h, out=wide), repeat)
+        times = paired_ms({"per_fold": lambda: np.matmul(gm, h, out=per_fold),
+                           "stacked": lambda: np.matmul(gm, wide_h, out=wide)}, repeat)
+        stacked = percent(times["stacked"])
         rows.append({"n": n, "k": k, "width": width, "side": side,
-                     "per_fold_ms": per_fold_ms, "stacked_ms": stacked_ms,
-                     "stacked_vs_per_fold": f"{stacked_ms / per_fold_ms - 1:+.1%}",
+                     "per_fold_ms": times["per_fold"]["ms"], "stacked_ms": times["stacked"]["ms"],
+                     "stacked_vs_per_fold": stacked["vs"],
+                     "stacked_vs_per_fold_iqr": stacked["iqr"],
                      "identical": bool(np.array_equal(
                          wide.reshape(n, k, width).transpose(1, 0, 2), per_fold)),
                      "rule_stacks": _stacked(n, width)})
@@ -94,24 +114,38 @@ def lone_row_g(n: int, lone_share: float, rng: np.random.Generator) -> np.ndarra
     return a
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return bool(np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
 def time_live_rows(n: int, k: int, width: int, lone_share: float, repeat: int,
                    rng: np.random.Generator) -> list:
     symmetric = lone_row_g(n, lone_share, rng)
     h = rng.normal(size=(n, k * width))  # [H_1 ... H_k]
-    full, out = np.empty_like(h), np.empty_like(h)
+    full, out, out_columns = np.empty_like(h), np.empty_like(h), np.empty_like(h)
     rows = []
     for g_name, g in (("symmetric", symmetric), ("skewed", symmetric * rng.random((n, 1)))):
         for side, gm in (("g", g), ("g.T", g.T)):
-            live = _LiveRows(gm, _live_rows(gm), k * width)
-            full_ms, _ = _median_ms(lambda: np.matmul(gm, h, out=full), repeat)
-            live_ms, _ = _median_ms(lambda: live.product(h, out), repeat)
-            rows.append({"n": n, "k": k, "width": width, "g": g_name, "side": side,
-                         "lone_share": lone_share, "lone_rows": n - len(live.rows),
-                         "full_ms": full_ms, "live_ms": live_ms,
-                         "live_vs_full": f"{live_ms / full_ms - 1:+.1%}",
-                         "identical": bool(np.array_equal(out.view(np.uint64),
-                                                          full.view(np.uint64))),
-                         "rule_takes": _LiveRows.of(gm, k, [width]) is not None})
+            live_rows = _live_rows(gm)
+            live = _LiveRows(gm, live_rows, k, [width], columns=False)
+            columns = _LiveRows(gm, live_rows, k, [width], columns=True)
+            forms = {"full": lambda: np.matmul(gm, h, out=full),
+                     "live": lambda: live.product(h, out, width)}
+            if columns.by_columns(width):
+                forms["columns"] = lambda: columns.product(h, out_columns, width)
+            times = paired_ms(forms, repeat)
+            taken = _LiveRows.of(gm, k, [width])
+            row = {"n": n, "k": k, "width": width, "g": g_name, "side": side,
+                   "lone_share": lone_share, "lone_rows": n - len(live_rows),
+                   "full_ms": times["full"]["ms"], "identical": same_bits(out, full),
+                   "rule_takes": taken is not None,
+                   "rule_takes_columns": taken is not None and taken.by_columns(width)}
+            for form in ("live", "columns"):
+                ratio = percent(times[form]) if form in times else {"vs": None, "iqr": None}
+                row |= {f"{form}_ms": times.get(form, {}).get("ms"),
+                        f"{form}_vs_full": ratio["vs"], f"{form}_vs_full_iqr": ratio["iqr"]}
+            row["columns_identical"] = same_bits(out_columns, full) if "columns" in times else None
+            rows.append(row)
     return rows
 
 

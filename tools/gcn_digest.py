@@ -20,11 +20,14 @@ through ``_init_params``, ``_Workspace``, ``_Rows``, ``_fit`` and
 and equal ``combined`` digests mean bit-identical training over the grid.
 Past n = 500 the 4-class output layer's G products are taken for all folds
 at once (``socsim.gcn._stacked``), so ``--n 520`` or ``--n 800`` checks
-that path too.  At ``--n 520`` and ``--n 800`` (178 and 259 lone rows)
-the 32-wide G products take only G's live rows
-(``socsim.gcn._by_live_rows``), at 800 the 4-class output layer's too, and
-the Katz G, which does not equal its transpose bit for bit, takes its G.T
-products through G.T's own live rows.  The digests depend on the BLAS
+that path too.  At ``--n 800`` (394 lone rows; 32 at ``--n 520``, too
+few to pay for a copy) the 32-wide G products take only G's live rows
+(``socsim.gcn._by_live_rows``) and, on the one BLAS thread this runs,
+only their live columns, summed over OpenBLAS's K panels
+(``socsim.gcn._panels``: three at n = 800); at 800 the 4-class output
+layer takes the live rows over all n columns.  The Katz G, which does not
+equal its transpose bit for bit, takes its G.T products through G.T's own
+live rows.  The digests depend on the BLAS
 kernel set and thread count, so ``socsim._openblas.machine_facts()`` is
 printed beside them as the ``machine`` block, outside ``combined``.  BLAS
 is pinned to one thread before numpy is imported.
